@@ -4,8 +4,11 @@ Two independent routes to the connection are provided: the spectral
 sum-over-states formula (exact, given an eigen-decomposition) and a
 finite-horizon time average of the Maurer-Cartan 1-form of the unitary
 group generated by the instantaneous Hamiltonian, which converges to the
-spectral result as the horizon grows.  Gauge transformations of the
-connection are also implemented here.
+spectral result as the horizon grows.  Both routes, and the path kernel
+in :mod:`adiaconn.transport`, contract gradients in the eigenbasis through
+one routine, :func:`contract_stack`, which works on stacks of points and
+differs between them only in its eigenvalue-difference weight.  Gauge
+transformations of the connection are also implemented here.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ __all__ = [
     "TimeAverageConfig",
     "connection_spectral",
     "connection_spectral_at",
+    "connection_weight",
+    "maurer_cartan_weight",
+    "contract_stack",
     "shift_operator",
     "maurer_cartan_sample",
     "connection_time_average",
@@ -85,6 +91,48 @@ class ShiftOperator:
         )
 
 
+def connection_weight(delta: np.ndarray) -> np.ndarray:
+    """Eigenbasis weight of the connection: i / (E_m - E_n) off the
+    diagonal, 0 on it and wherever the difference vanishes."""
+    inv = np.zeros(delta.shape)
+    mask = delta != 0.0
+    inv[mask] = 1.0 / delta[mask]
+    return 1j * inv
+
+
+def _maurer_cartan_kernel(delta: np.ndarray, osc: np.ndarray, t_diag: float) -> np.ndarray:
+    """i (1 - osc) / (E_m - E_n) off the diagonal, -t_diag on it."""
+    kernel = np.zeros(delta.shape, dtype=complex)
+    mask = delta != 0.0
+    kernel[mask] = 1j * (1.0 - osc[mask]) / delta[mask]
+    diag = np.arange(delta.shape[-1])
+    kernel[..., diag, diag] = -t_diag
+    return kernel
+
+
+def maurer_cartan_weight(t: float):
+    """Eigenbasis weight of the Maurer-Cartan 1-form at group time ``t``."""
+    return lambda delta: _maurer_cartan_kernel(delta, np.exp(-1j * t * delta), t)
+
+
+def contract_stack(evals, vecs, g, weight=connection_weight) -> np.ndarray:
+    """V (W * V^dag G V) V^dag for one eigensystem or a stack of them.
+
+    ``evals`` (..., d) and ``vecs`` (..., d, d) broadcast against the
+    Hermitian ``g`` (..., d, d).  ``weight`` maps eigenvalue differences
+    E_m - E_n to the kernel W; on the diagonal W multiplies the real part
+    of <n|G|n>.  With the default weight the result is the connection
+    contracted with whatever direction G is the gradient along.
+    """
+    vh = vecs.conj().swapaxes(-1, -2)
+    g_eig = vh @ g @ vecs
+    kernel = weight(evals[..., :, None] - evals[..., None, :])
+    out = g_eig * kernel
+    diag = np.arange(evals.shape[-1])
+    out[..., diag, diag] = kernel[..., diag, diag] * g_eig[..., diag, diag].real
+    return vecs @ out @ vh
+
+
 def connection_spectral(
     spec: SpectralDecomposition, grad_h: list[np.ndarray]
 ) -> ConnectionOneForm:
@@ -96,17 +144,10 @@ def connection_spectral(
     """
     if spec.dim > 1 and spec.min_gap <= 0.0:
         raise ValueError("connection_spectral requires a non-degenerate spectrum")
-    delta = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    inv = np.zeros_like(delta)
-    mask = delta != 0.0
-    inv[mask] = 1.0 / delta[mask]
-    np.fill_diagonal(inv, 0.0)
-    components = []
-    for g in grad_h:
-        g_eig = spec.to_eigenbasis(g)
-        a_eig = 1j * g_eig * inv
-        components.append(spec.from_eigenbasis(a_eig))
-    return ConnectionOneForm(tuple(components))
+    if not len(grad_h):
+        return ConnectionOneForm(())
+    a = contract_stack(spec.eigenvalues, spec.frame.matrix, np.asarray(grad_h, dtype=complex))
+    return ConnectionOneForm(tuple(a))
 
 
 def connection_spectral_at(
@@ -177,19 +218,9 @@ def maurer_cartan_sample(model: ParametricHamiltonian, lam, t: float) -> list[np
     """
     lam = np.asarray(lam, dtype=float)
     spec = model.spectral_at(lam)
-    grads = model.grad_h(lam)
-    delta = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    off = np.exp(-1j * t * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = 1j * (1.0 - off) / np.where(delta == 0.0, 1.0, delta)
-    np.fill_diagonal(kernel, 0.0)
-    out = []
-    for g in grads:
-        g_eig = spec.to_eigenbasis(g)
-        w = g_eig * kernel
-        np.fill_diagonal(w, -t * np.real(np.diag(g_eig)))
-        out.append(spec.from_eigenbasis(w))
-    return out
+    grads = np.asarray(model.grad_h(lam), dtype=complex)
+    return list(contract_stack(spec.eigenvalues, spec.frame.matrix, grads,
+                               maurer_cartan_weight(t)))
 
 
 def connection_time_average(
@@ -223,16 +254,12 @@ def connection_time_average(
     # trapezoid means of e^{-it delta} and of t over the grid
     mean_osc = np.einsum("k,kmn->mn", weights, np.exp(-1j * t[:, None, None] * delta[None, :, :]))
     mean_t = float(weights @ t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = 1j * (1.0 - mean_osc) / np.where(delta == 0.0, 1.0, delta)
-    np.fill_diagonal(kernel, 0.0)
-    components = []
+    components = contract_stack(spec.eigenvalues, spec.frame.matrix,
+                                np.asarray(grads, dtype=complex),
+                                lambda d: _maurer_cartan_kernel(d, mean_osc, mean_t))
     bound = 0.0
     for g in grads:
         g_eig = spec.to_eigenbasis(g)
-        a_eig = g_eig * kernel
-        np.fill_diagonal(a_eig, -mean_t * np.real(np.diag(g_eig)))
-        components.append(spec.from_eigenbasis(a_eig))
         off = np.abs(g_eig[delta != 0.0] / delta[delta != 0.0] ** 2)
         if off.size:
             # leading 1/T envelope, doubled to absorb quadrature inflation

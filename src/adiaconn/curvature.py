@@ -7,7 +7,10 @@ surface integrals are Berry phases.  This module computes the field
 strength by central differences of the spectral connection, the per-level
 curvature table by the exact sum-over-states formula, the diagonality
 residual, the small-loop holonomy consistency check, and pulled-back
-surface integrals over parametrized patches.
+surface integrals over parametrized patches.  The surface sweep evaluates
+the model a chunk of cell centres at a time through the stacked
+evaluation and decomposition of the path kernel in
+:mod:`adiaconn.transport`.
 
 Sign and factor conventions are pinned by the spin-1/2 anchor: stored
 components satisfy F_theta_phi = -sin(theta) J_n, so the per-level value
@@ -32,7 +35,7 @@ from .operator_core import (
 )
 from .models import DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
-from .transport import PathSpec, holonomy
+from .transport import PathSpec, _chunk_size, holonomy
 
 __all__ = [
     "CurvatureTwoForm",
@@ -288,6 +291,18 @@ class SurfacePatch:
     def point(self, u: float, v: float) -> np.ndarray:
         return np.asarray(self.chart(u, v), dtype=float)
 
+    def points(self, uv) -> np.ndarray:
+        """Chart values at an (..., 2) array of (u, v) pairs, as (..., N)."""
+        uv = np.asarray(uv, dtype=float)
+        flat = uv.reshape(-1, 2)
+        out = None
+        for k, (u, v) in enumerate(flat):
+            p = self.point(u, v)
+            if out is None:
+                out = np.empty((len(flat), p.size))
+            out[k] = p
+        return out.reshape(*uv.shape[:-1], -1)
+
     def node(self, i: int, j: int) -> np.ndarray:
         nu, nv = self.grid
         return self.point(i / nu, j / nv)
@@ -316,32 +331,40 @@ class SurfacePatch:
         return PathSpec(self.boundary_nodes(), closed=True, refinement=refinement)
 
 
-def _level_curvature_rows(
-    model: ParametricHamiltonian, lam, levels, pairs, gap_tol
+def _level_curvature_sweep(
+    model: ParametricHamiltonian, lams, t_u, t_v, levels, gap_tol
 ) -> np.ndarray:
-    """W^(n)_mu_nu for the requested levels only, skipping frame phase
-    fixing (the curvature row is phase-free) and touching one row of each
-    gradient.  Degeneracy is guarded per requested level: only gaps to the
-    level itself enter the denominators."""
-    h = model.eval_h(lam)
+    """Per-level curvature contracted with the tangent bivector, sum over
+    mu < nu of W^(n)_mu_nu (t_u^mu t_v^nu - t_v^mu t_u^nu), at a stack of
+    points; one row per point, one column per requested level.
+
+    The pair sum collapses to -2 sum_{n'} Im(<n|dH_u|n'><n'|dH_v|n>)
+    / (E_n - E_n')^2 with dH_u, dH_v the gradients along the tangents, so
+    the model only contracts its gradient with two directions per point.
+    The frames need no phase fixing (the row is phase-free).  Degeneracy
+    is guarded per requested level: only gaps to the level itself enter
+    the denominators.
+    """
+    h, g = model.eval_batch(lams, np.stack([t_u, t_v], axis=1))
     evals, vecs = np.linalg.eigh(h)
     if gap_tol is None:
         gap_tol = default_gap_tol(evals)
-    grads = model.grad_h(lam)
-    out = np.empty((len(levels), len(pairs)))
-    for row, n in enumerate(levels):
-        delta = evals[n] - evals
-        delta[n] = np.inf
-        nearest = float(np.min(np.abs(delta)))
-        if nearest < gap_tol:
-            raise DegenerateSpectrumError(min(n, int(np.argmin(np.abs(delta)))), nearest, gap_tol)
-        bra = vecs[:, n].conj()
-        rows = [(bra @ g) @ vecs for g in grads]  # <n|dH_mu|n'> for all n'
-        inv2 = 1.0 / delta**2
-        inv2[n] = 0.0
-        for col, (mu, nu) in enumerate(pairs):
-            out[row, col] = -2.0 * float(np.sum(np.imag(rows[mu] * rows[nu].conj()) * inv2))
-    return out
+    gap_tol = np.broadcast_to(gap_tol, evals.shape[:1])
+    levels = np.asarray(levels)
+    rows = np.arange(len(levels))
+    delta = evals[:, levels, None] - evals[:, None, :]  # [k, row, n']
+    delta[:, rows, levels] = np.inf
+    nearest_at = np.argmin(np.abs(delta), axis=-1)
+    nearest = np.min(np.abs(delta), axis=-1)
+    bad = nearest < gap_tol[:, None]
+    if np.any(bad):
+        k, row = (int(i[0]) for i in np.nonzero(bad))
+        raise DegenerateSpectrumError(min(int(levels[row]), int(nearest_at[k, row])),
+                                      float(nearest[k, row]), float(gap_tol[k]))
+    bras = vecs[:, :, levels].conj().swapaxes(-1, -2)
+    elements = (bras[:, None] @ g) @ vecs[:, None]  # [k, u/v, row, n'] = <n|dH|n'>
+    inv2 = 1.0 / delta**2
+    return -2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
 
 
 def berry_phase_surface(
@@ -371,21 +394,25 @@ def berry_phase_surface(
     def integrate(nu_grid: int, nv_grid: int) -> np.ndarray:
         du, dv = 1.0 / nu_grid, 1.0 / nv_grid
         total = np.zeros(len(levels))
-        for i in range(nu_grid):
-            u = (i + 0.5) * du
-            for j in range(nv_grid):
-                v = (j + 0.5) * dv
-                t_u = (patch.point(u + 0.5 * du, v) - patch.point(u - 0.5 * du, v)) / du
-                t_v = (patch.point(u, v + 0.5 * dv) - patch.point(u, v - 0.5 * dv)) / dv
-                jac = [
-                    t_u[mu] * t_v[nu] - t_v[mu] * t_u[nu] for mu, nu in all_pairs
-                ]
-                live = [k for k, j_k in enumerate(jac) if j_k != 0.0]
-                if not live:
-                    continue
-                pairs = [all_pairs[k] for k in live]
-                w = _level_curvature_rows(model, patch.point(u, v), levels, pairs, gap_tol)
-                total += (w @ np.asarray([jac[k] for k in live])) * (du * dv)
+        size = _chunk_size(model.dim)
+        for start in range(0, nu_grid * nv_grid, size):
+            i, j = np.divmod(np.arange(start, min(start + size, nu_grid * nv_grid)), nv_grid)
+            uv = np.column_stack([(i + 0.5) * du, (j + 0.5) * dv])
+            # centre, then u -/+ du/2, then v -/+ dv/2
+            stencil = np.stack([
+                uv, uv - [0.5 * du, 0.0], uv + [0.5 * du, 0.0],
+                uv - [0.0, 0.5 * dv], uv + [0.0, 0.5 * dv],
+            ], axis=1)
+            pts = patch.points(stencil)
+            t_u = (pts[:, 2] - pts[:, 1]) / du
+            t_v = (pts[:, 4] - pts[:, 3]) / dv
+            live = np.zeros(len(uv), dtype=bool)
+            for mu, nu in all_pairs:
+                live |= t_u[:, mu] * t_v[:, nu] - t_v[:, mu] * t_u[:, nu] != 0.0
+            if np.any(live):
+                w = _level_curvature_sweep(model, pts[live, 0], t_u[live], t_v[live],
+                                           levels, gap_tol)
+                total += np.sum(w, axis=0) * (du * dv)
         return total
 
     nu_grid, nv_grid = grid if grid is not None else patch.grid

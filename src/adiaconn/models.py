@@ -16,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
-    DegenerateSpectrumError,
     HERMITICITY_TOL,
     PhaseConvention,
     DEFAULT_PHASE_CONVENTION,
     SpectralDecomposition,
     as_matrix,
-    default_gap_tol,
-    fix_phase,
     spectral_decompose,
 )
 
@@ -67,7 +64,19 @@ class ParametricHamiltonian:
     optionally, analytic gradients and a domain predicate.  When no
     analytic gradient is available, ``grad_h`` falls back to central
     finite differences with a per-direction step 1e-5 * (1 + |lambda_mu|).
+
+    :meth:`eval_batch` serves the path kernel a whole stack of points at
+    once.  Its hooks ``_domain_batch`` and ``_evaluate_batch`` fall back
+    to per-point calls of :meth:`domain_check`, :meth:`eval_h` and
+    :meth:`grad_h`; a subclass that overrides those should override the
+    batch hooks too (or leave them to the fallback).  ``_evaluate_batch``
+    must return Hermitian matrices; the fallback inherits that from
+    :meth:`eval_h` and :meth:`grad_h`.
     """
+
+    # Degeneracy checks cover the gaps among the lowest ``check_levels``
+    # levels (all when None), in spectral_at and in the path kernel alike.
+    check_levels: int | None = None
 
     def __init__(
         self,
@@ -179,7 +188,60 @@ class ParametricHamiltonian:
         convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
     ) -> SpectralDecomposition:
         """Eigen-decomposition of H(lambda) with degeneracy detection."""
-        return spectral_decompose(self.eval_h(lam), gap_tol=gap_tol, convention=convention)
+        return spectral_decompose(self.eval_h(lam), gap_tol=gap_tol, convention=convention,
+                                  check_levels=self.check_levels)
+
+    # -- batches ----------------------------------------------------------
+
+    def eval_batch(self, lams, directions=None) -> tuple[np.ndarray, np.ndarray]:
+        """H and direction-contracted gradients at a stack of points.
+
+        ``lams`` is (K, N) and ``directions`` is (K, M, N) (None: M = 0).
+        Returns H as a (K, d, d) array and G as a (K, M, d, d) array with
+        G[k, m] = sum_mu directions[k, m, mu] dH/dlambda_mu at lams[k],
+        all Hermitian.  Raises DomainViolationError for the first point
+        outside the domain.
+        """
+        lams = np.asarray(lams, dtype=float)
+        if lams.ndim != 2 or lams.shape[1] != self.n_params:
+            raise ValueError(
+                f"expected (K, {self.n_params}) parameter points {self.param_names}, "
+                f"got shape {lams.shape}"
+            )
+        if directions is None:
+            directions = np.zeros((len(lams), 0, self.n_params))
+        directions = np.asarray(directions, dtype=float)
+        if not np.all(np.isfinite(lams)):
+            raise ValueError("parameter point has non-finite entries")
+        outside = np.flatnonzero(~self._domain_batch(lams))
+        if outside.size:
+            raise DomainViolationError(
+                f"{type(self).__name__}: point {lams[outside[0]].tolist()} outside model domain"
+            )
+        return self._evaluate_batch(lams, directions)
+
+    def _domain_batch(self, lams: np.ndarray) -> np.ndarray:
+        return np.array([self.domain_check(lam) for lam in lams], dtype=bool)
+
+    def _evaluate_batch(self, lams: np.ndarray, directions: np.ndarray):
+        h = np.empty((len(lams), self.dim, self.dim), dtype=complex)
+        g = np.zeros((len(lams), directions.shape[1], self.dim, self.dim), dtype=complex)
+        for k, lam in enumerate(lams):
+            h[k] = self.eval_h(lam)
+            for mu, g_mu in enumerate(self.grad_h(lam) if g.shape[1] else ()):
+                for m, d in enumerate(directions[k, :, mu]):
+                    if d != 0.0:
+                        g[k, m] += d * g_mu
+        return h, g
+
+
+def _contract(directions: np.ndarray, grads) -> np.ndarray:
+    """G[k, m] = sum_mu directions[k, m, mu] grads[mu][k], accumulated in
+    parameter order like the per-point contraction."""
+    g = np.zeros(directions.shape[:2] + np.shape(grads[0])[-2:], dtype=complex)
+    for mu, g_mu in enumerate(grads):
+        g += directions[:, :, mu, None, None] * np.expand_dims(g_mu, -3)
+    return g
 
 
 def constant_model(matrix, n_params: int = 1) -> ParametricHamiltonian:
@@ -220,13 +282,16 @@ def angular_momentum(l: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def spherical_axes(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal radial/polar/azimuthal unit vectors at (theta, phi)."""
+def spherical_axes(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal radial/polar/azimuthal unit vectors at (theta, phi).
+
+    Arrays of angles give (3, ...) arrays of components.
+    """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     n_hat = np.array([st * cp, st * sp, ct])
     theta_hat = np.array([ct * cp, ct * sp, -st])
-    phi_hat = np.array([-sp, cp, 0.0])
+    phi_hat = np.array([-sp, cp, np.zeros_like(sp)])
     return n_hat, theta_hat, phi_hat
 
 
@@ -267,6 +332,20 @@ class Su2Model(ParametricHamiltonian):
             b * self.mu * self.j_dot(theta_hat),
             b * self.mu * np.sin(theta) * self.j_dot(phi_hat),
         ]
+
+    def _domain_batch(self, lams):
+        b, theta = lams[:, 0], lams[:, 1]
+        return (b > 0.0) & (theta >= -1e-12) & (theta <= np.pi + 1e-12)
+
+    def _evaluate_batch(self, lams, directions):
+        b, theta, phi = (x[:, None, None] for x in lams.T)
+        n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
+        grads = (
+            self.mu * self.j_dot(n_hat),
+            b * self.mu * self.j_dot(theta_hat),
+            b * self.mu * np.sin(theta) * self.j_dot(phi_hat),
+        )
+        return b * self.mu * self.j_dot(n_hat), _contract(directions, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +395,13 @@ class OscillatorModel(ParametricHamiltonian):
         self._q2 = 0.5 * (a2 + adag2 + number_term)
         self._p2 = 0.5 * (-a2 - adag2 + number_term)
         self._qp_pq = 1j * (adag2 - a2)
+        # Halving is exact, so H = sum_mu lambda_mu (Q_mu / 2) is one matrix
+        # product for a whole stack of points.
+        self._half_quadratics = 0.5 * np.stack([self._q2, self._qp_pq, self._p2])
+        # The artificial top of the truncated spectrum may cluster; gaps
+        # there are not meaningful and must not abort a computation whose
+        # conclusions are read off the trusted subspace.
+        self.check_levels = min(self.trust_levels + 1, nmax)
         self._startup_validation()
 
     def _startup_validation(self):
@@ -346,6 +432,25 @@ class OscillatorModel(ParametricHamiltonian):
     def _analytic_grad(self, lam):
         return [0.5 * self._q2, 0.5 * self._qp_pq, 0.5 * self._p2]
 
+    def _domain_batch(self, lams):
+        x, y, z = lams.T
+        return z * x - y * y > 0.0
+
+    def _evaluate_batch(self, lams, directions):
+        return (np.tensordot(lams, self._half_quadratics, axes=1),
+                np.tensordot(directions, self._half_quadratics, axes=1))
+
+    def spectral_at(
+        self,
+        lam,
+        gap_tol: float | None = None,
+        convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
+    ) -> SpectralDecomposition:
+        """Decompose with degeneracy checks restricted to the lowest
+        ``check_levels = trust_levels + 1`` levels."""
+        return spectral_decompose(self.eval_h(lam), gap_tol=gap_tol, convention=convention,
+                                  check_levels=self.check_levels)
+
     def certified_levels(self, lam, tol: float = 1e-8) -> int:
         """Largest count c <= trust_levels with |E_n - omega (n+1/2)| < tol for n < c.
 
@@ -375,34 +480,6 @@ class OscillatorModel(ParametricHamiltonian):
         bad = np.nonzero(tails >= tail_tol)[0]
         first_bad = int(bad[0]) if bad.size else self.nmax
         return min(first_bad, self.trust_levels)
-
-    def spectral_at(
-        self,
-        lam,
-        gap_tol: float | None = None,
-        convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
-    ) -> SpectralDecomposition:
-        """Decompose with degeneracy checks restricted to the trusted levels.
-
-        The artificial top of the truncated spectrum may cluster; gaps
-        there are not meaningful and must not abort a computation whose
-        conclusions are read off the trusted subspace.
-        """
-        h = self.eval_h(lam)
-        evals, vecs = np.linalg.eigh(h)
-        if gap_tol is None:
-            gap_tol = default_gap_tol(evals)
-        k = min(self.trust_levels + 1, self.nmax)
-        gaps = np.diff(evals[:k])
-        if gaps.size:
-            worst = int(np.argmin(gaps))
-            if gaps[worst] < gap_tol:
-                raise DegenerateSpectrumError(worst, float(gaps[worst]), gap_tol)
-        return SpectralDecomposition(
-            eigenvalues=evals,
-            frame=fix_phase(vecs, convention),
-            min_gap=float(np.min(gaps)) if gaps.size else np.inf,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ curvature-based predictions are genuine cross-checks.
 The non-averaged 1-form sampled at a fixed group time is flat: its loop
 transport collapses to the identity under refinement, which isolates the
 time averaging as the ingredient that makes the holonomy non-trivial.
+
+Both constructions run on the path kernel of :mod:`adiaconn.transport`:
+the substeps of all grid edges go through it a chunk of edges at a time,
+and the flatness loop passes the fixed-time Maurer-Cartan weight in
+place of the connection's.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import UnitaryOperator, expm_hermitian, frobenius
+from .operator_core import UnitaryOperator, frobenius
 from .models import ParametricHamiltonian
-from .connection import connection_spectral
-from .transport import PathSpec, holonomy
+from .connection import maurer_cartan_weight
+from .transport import PathSpec, _chunk_size, holonomy, ordered_products
 from .curvature import SurfacePatch
 
 __all__ = [
@@ -61,7 +66,9 @@ class _EdgeCache:
 
     Shared between tails and cell loops so that edges traversed in both
     directions cancel exactly.  ``edge_refinement`` substeps per edge
-    sharpen every transport without disturbing that cancellation.
+    sharpen every transport without disturbing that cancellation.  All
+    edges are transported together on first use; substeps that the chart
+    collapses to a point carry no transport and are skipped.
     """
 
     def __init__(
@@ -76,44 +83,44 @@ class _EdgeCache:
         self.gap_tol = gap_tol
         self.edge_refinement = max(int(edge_refinement), 1)
         self.nu, self.nv = patch.grid
-        self._h: dict[tuple[int, int], np.ndarray] = {}
-        self._v: dict[tuple[int, int], np.ndarray] = {}
+        self._h: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def _edge(self, uv_from, uv_to) -> np.ndarray:
-        r = self.edge_refinement
-        u = np.eye(self.model.dim, dtype=complex)
-        uv_from = np.asarray(uv_from, dtype=float)
-        uv_to = np.asarray(uv_to, dtype=float)
-        for k in range(r):
-            a = self.patch.point(*(uv_from + (uv_to - uv_from) * (k / r)))
-            b = self.patch.point(*(uv_from + (uv_to - uv_from) * ((k + 1) / r)))
-            delta = b - a
-            if np.linalg.norm(delta) == 0.0:
-                continue
-            mid_uv = uv_from + (uv_to - uv_from) * ((k + 0.5) / r)
-            mid = self.patch.point(*mid_uv)
-            spec = self.model.spectral_at(mid, gap_tol=self.gap_tol)
-            g_delta = np.zeros((self.model.dim, self.model.dim), dtype=complex)
-            for g, d in zip(self.model.grad_h(mid), delta):
-                if d != 0.0:
-                    g_delta += d * g
-            gen = connection_spectral(spec, [g_delta]).components[0]
-            u = expm_hermitian(gen, 1.0).matrix @ u
-        return u
+    def _transport_edges(self) -> None:
+        nu, nv, r = self.nu, self.nv, self.edge_refinement
+        i_h, j_h = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv + 1), indexing="ij"))
+        i_v, j_v = (a.ravel() for a in np.meshgrid(np.arange(nu + 1), np.arange(nv), indexing="ij"))
+        uv_from = np.concatenate([np.column_stack([i_h / nu, j_h / nv]),
+                                  np.column_stack([i_v / nu, j_v / nv])])
+        uv_to = np.concatenate([np.column_stack([(i_h + 1) / nu, j_h / nv]),
+                                np.column_stack([i_v / nu, (j_v + 1) / nv])])
+        # r + 1 nodes then r midpoints along every edge
+        frac = np.concatenate([np.arange(r + 1) / r, (np.arange(r) + 0.5) / r])
+        edges = np.empty((len(uv_from), self.model.dim, self.model.dim), dtype=complex)
+        size = max(_chunk_size(self.model.dim) // r, 1)
+        for start in range(0, len(edges), size):
+            chunk = slice(start, start + size)
+            points = self.patch.points(
+                uv_from[chunk, None] + (uv_to - uv_from)[chunk, None] * frac[None, :, None])
+            deltas = points[:, 1:r + 1] - points[:, :r]
+            moves = np.linalg.norm(deltas, axis=-1) != 0.0
+            edges[chunk] = ordered_products(self.model, points[:, r + 1:][moves], deltas[moves],
+                                            moves.sum(axis=1), self.gap_tol)
+        edges.setflags(write=False)
+        self._h = edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:])
+        self._v = edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:])
 
     def horizontal(self, i: int, j: int) -> np.ndarray:
         """Transport (i, j) -> (i+1, j) along the u grid line."""
-        key = (i, j)
-        if key not in self._h:
-            self._h[key] = self._edge((i / self.nu, j / self.nv), ((i + 1) / self.nu, j / self.nv))
-        return self._h[key]
+        if self._h is None:
+            self._transport_edges()
+        return self._h[i, j]
 
     def vertical(self, i: int, j: int) -> np.ndarray:
         """Transport (i, j) -> (i, j+1) along the v grid line."""
-        key = (i, j)
-        if key not in self._v:
-            self._v[key] = self._edge((i / self.nu, j / self.nv), (i / self.nu, (j + 1) / self.nv))
-        return self._v[key]
+        if self._v is None:
+            self._transport_edges()
+        return self._v[i, j]
 
     def cell_loop(self, i: int, j: int) -> np.ndarray:
         """Counterclockwise holonomy of cell (i, j), anchored lower-left."""
@@ -248,21 +255,7 @@ def maurer_cartan_flatness(
     """
     if not loop.closed:
         raise ValueError("flatness check requires a closed loop")
-    dim = model.dim
-    u = np.eye(dim, dtype=complex)
-    for mid, delta in loop.steps():
-        spec = model.spectral_at(mid, gap_tol=gap_tol)
-        g_delta = np.zeros((dim, dim), dtype=complex)
-        for g, d in zip(model.grad_h(mid), delta):
-            if d != 0.0:
-                g_delta += d * g
-        g_eig = spec.to_eigenbasis(g_delta)
-        dE = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-        kernel = np.zeros_like(g_eig)
-        mask = dE != 0.0
-        kernel[mask] = 1j * (1.0 - np.exp(-1j * t * dE[mask])) / dE[mask]
-        omega = g_eig * kernel
-        np.fill_diagonal(omega, -t * np.real(np.diag(g_eig)))
-        gen = spec.from_eigenbasis(omega)
-        u = expm_hermitian(gen, 1.0).matrix @ u
-    return frobenius(u - np.eye(dim))
+    mids, deltas = loop.step_arrays()
+    u = ordered_products(model, mids, deltas, [len(mids)], gap_tol,
+                         weight=maurer_cartan_weight(t))[0]
+    return frobenius(u - np.eye(model.dim))

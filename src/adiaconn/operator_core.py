@@ -2,8 +2,11 @@
 
 Hermitian and unitary matrix values with certified structure, spectral
 decomposition with degeneracy detection, Hermitian matrix exponentials, and
-a deterministic eigenvector phase convention.  Everything here is a pure
-function on immutable values; nothing mutates its inputs.
+a deterministic eigenvector phase convention.  The degeneracy check and the
+exponential also work on stacks of matrices (leading batch axes), which is
+how the path kernel in :mod:`adiaconn.transport` decomposes and
+exponentiates a whole chunk of steps in one call.  Everything here is a
+pure function on immutable values; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ __all__ = [
     "wrap_phase",
     "hermitize",
     "spectral_decompose",
+    "spectral_gaps",
     "default_gap_tol",
     "expm_hermitian",
+    "expm_hermitian_stack",
     "expm_hermitian_derivative",
     "fix_phase",
 ]
@@ -148,15 +153,13 @@ class PhaseConvention:
         if self.tie_break != "lowest-index":
             raise ValueError("only lowest-index tie breaking is supported")
 
-    def anchor_index(self, column: np.ndarray) -> int:
-        mags = np.abs(column)
+    def anchor_indices(self, frame: np.ndarray) -> np.ndarray:
+        """Row index of the anchor entry of every column of ``frame``."""
+        mags = np.abs(frame)
         if self.rule == "largest-real-positive":
-            return int(np.argmax(mags))
-        floor = 1e-12 * max(float(mags.max()), 1e-300)
-        nonzero = np.nonzero(mags > floor)[0]
-        if nonzero.size == 0:
-            raise ValueError("cannot phase-fix a zero column")
-        return int(nonzero[0])
+            return np.argmax(mags, axis=0)
+        floor = 1e-12 * np.maximum(mags.max(axis=0), 1e-300)
+        return np.argmax(mags > floor, axis=0)
 
 
 DEFAULT_PHASE_CONVENTION = PhaseConvention()
@@ -212,39 +215,70 @@ def hermitize(m, tol: float = HERMITICITY_TOL) -> HermitianOperator:
     return HermitianOperator(sym, asymmetry=float(asym))
 
 
-def default_gap_tol(eigenvalues: np.ndarray) -> float:
-    """Scale-aware degeneracy threshold: 1e-8 * (1 + spectral radius)."""
-    radius = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
+def default_gap_tol(eigenvalues: np.ndarray):
+    """Scale-aware degeneracy threshold: 1e-8 * (1 + spectral radius).
+
+    Eigenvalues of a stack of matrices (leading batch axes) give one
+    threshold per matrix.
+    """
+    radius = np.max(np.abs(np.asarray(eigenvalues, dtype=float)), axis=-1, initial=0.0)
     return 1e-8 * (1.0 + radius)
 
 
+def spectral_gaps(evals, gap_tol=None, check_levels: int | None = None):
+    """Smallest adjacent eigenvalue gap among the lowest ``check_levels``
+    levels (all when None), one per matrix of a stack.
+
+    Raises :class:`DegenerateSpectrumError` for the first matrix whose
+    smallest gap falls below ``gap_tol`` (default: scale-aware per matrix,
+    see :func:`default_gap_tol`); a degenerate spectrum invalidates every
+    construction downstream that divides by eigenvalue differences.
+    Fewer than two checked levels give an infinite gap.
+    """
+    evals = np.asarray(evals, dtype=float)
+    gaps = np.diff(evals[..., :check_levels], axis=-1)
+    if gaps.shape[-1] == 0:
+        return np.full(evals.shape[:-1], np.inf)
+    worst = np.argmin(gaps, axis=-1)
+    min_gap = np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0]
+    if gap_tol is None:
+        gap_tol = default_gap_tol(evals)
+    gap_tol = np.broadcast_to(gap_tol, min_gap.shape)
+    bad = np.flatnonzero(min_gap < gap_tol)
+    if bad.size:
+        k = bad[0]
+        raise DegenerateSpectrumError(int(worst.flat[k]), float(min_gap.flat[k]),
+                                      float(gap_tol.flat[k]))
+    return min_gap
+
+
 def fix_phase(frame, convention: PhaseConvention = DEFAULT_PHASE_CONVENTION) -> UnitaryOperator:
-    """Apply the phase convention column by column.  Idempotent."""
-    v = as_matrix(frame).copy()
-    for n in range(v.shape[1]):
-        col = v[:, n]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            raise ValueError(f"column {n} is zero; cannot phase-fix")
-        k = convention.anchor_index(col)
-        z = col[k]
-        if abs(z) == 0.0:
-            raise ValueError(f"column {n} anchor entry is zero; cannot phase-fix")
-        v[:, n] = col * (z.conjugate() / abs(z))
-    return UnitaryOperator(v)
+    """Apply the phase convention to every column at once.  Idempotent."""
+    v = as_matrix(frame)
+    zero = np.flatnonzero(np.linalg.norm(v, axis=0) == 0.0)
+    if zero.size:
+        raise ValueError(f"column {zero[0]} is zero; cannot phase-fix")
+    z = v[convention.anchor_indices(v), np.arange(v.shape[1])]
+    # hypot rounds like abs() of a single complex number; np.abs of an
+    # array may differ in the last bit
+    modulus = np.hypot(z.real, z.imag)
+    zero = np.flatnonzero(modulus == 0.0)
+    if zero.size:
+        raise ValueError(f"column {zero[0]} anchor entry is zero; cannot phase-fix")
+    return UnitaryOperator(v * (z.conj() / modulus))
 
 
 def spectral_decompose(
     h,
     gap_tol: float | None = None,
     convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
+    check_levels: int | None = None,
 ) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix with degeneracy detection.
 
-    Raises :class:`DegenerateSpectrumError` when any adjacent gap falls
-    below ``gap_tol`` (default: scale-aware, see :func:`default_gap_tol`);
-    a degenerate spectrum invalidates every construction downstream that
-    divides by eigenvalue differences.
+    Raises :class:`DegenerateSpectrumError` when an adjacent gap among the
+    lowest ``check_levels`` levels (all when None) falls below ``gap_tol``;
+    see :func:`spectral_gaps`.  ``min_gap`` covers the same levels.
     """
     m = as_matrix(h)
     _check_square_finite(m, "spectral_decompose input")
@@ -252,29 +286,39 @@ def spectral_decompose(
     if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * scale:
         raise ValueError("spectral_decompose requires a Hermitian matrix")
     evals, vecs = np.linalg.eigh(m)
-    if gap_tol is None:
-        gap_tol = default_gap_tol(evals)
-    if len(evals) > 1:
-        gaps = np.diff(evals)
-        k = int(np.argmin(gaps))
-        min_gap = float(gaps[k])
-        if min_gap < gap_tol:
-            raise DegenerateSpectrumError(k, min_gap, gap_tol)
-    else:
-        min_gap = np.inf
     return SpectralDecomposition(
         eigenvalues=evals,
         frame=fix_phase(vecs, convention),
-        min_gap=min_gap,
+        min_gap=float(spectral_gaps(evals, gap_tol, check_levels)),
     )
+
+
+def _expm_eig(h: np.ndarray, s: float) -> np.ndarray:
+    """exp(i s H) through the eigenbasis, for one matrix or a stack."""
+    evals, vecs = np.linalg.eigh(h)
+    phases = np.exp(1j * s * evals)
+    return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def expm_hermitian(h, s: float = 1.0) -> UnitaryOperator:
     """exp(i s H) for Hermitian H, evaluated through the eigenbasis."""
-    m = as_matrix(h)
-    evals, vecs = np.linalg.eigh(m)
-    phases = np.exp(1j * s * evals)
-    return UnitaryOperator((vecs * phases) @ vecs.conj().T)
+    return UnitaryOperator(_expm_eig(as_matrix(h), s))
+
+
+def expm_hermitian_stack(h: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """exp(i s H_k) for a (K, d, d) stack of Hermitian matrices.
+
+    One stacked eigendecomposition; every factor is held to the same
+    unitarity budget as :class:`UnitaryOperator`, and the first one that
+    misses it raises.
+    """
+    u = _expm_eig(h, s)
+    eye = np.eye(h.shape[-1])
+    defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - eye, axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= UNITARITY_TOL * h.shape[-1]))
+    if bad.size:
+        raise ValueError(f"step {bad[0]} is not unitary: ||U^dag U - I|| = {defect[bad[0]]:.3e}")
+    return u
 
 
 def expm_hermitian_derivative(h, dh, s: float = 1.0) -> np.ndarray:

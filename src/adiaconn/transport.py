@@ -9,6 +9,16 @@ independent, phase-convention-free oracle for the same phases.  The module
 also integrates driven dynamics in which the connection acts as the
 counterdiabatic term that keeps a state locked to an instantaneous
 eigenvector.
+
+Every path-ordered product in the library -- transport and holonomy here,
+the grid edges and the fixed-time flatness loop of :mod:`adiaconn.nast` --
+runs through one step kernel, :func:`ordered_products`.  All step points
+are known up front, so the kernel works a chunk of steps at a time: the
+model evaluates H and the step-contracted gradient as stacked arrays, one
+stacked ``eigh`` decomposes them, the connection is contracted in the
+eigenbasis and exponentiated as a stack, and only the final ordered
+product is a Python loop.  Chunks hold at most 256 matrices and about
+4 MB per stacked array.  The Wilson loop shares the chunked decomposition.
 """
 
 from __future__ import annotations
@@ -21,12 +31,13 @@ import numpy as np
 from .operator_core import (
     SpectralDecomposition,
     UnitaryOperator,
-    expm_hermitian,
+    expm_hermitian_stack,
     frobenius,
+    spectral_gaps,
     wrap_phase,
 )
 from .models import ParametricHamiltonian
-from .connection import connection_spectral
+from .connection import connection_spectral, connection_weight, contract_stack
 
 __all__ = [
     "PathSpec",
@@ -35,6 +46,7 @@ __all__ = [
     "Schedule",
     "StepSizeError",
     "transport_operator",
+    "ordered_products",
     "holonomy",
     "wilson_loop_phases",
     "counterdiabatic_evolve",
@@ -43,6 +55,8 @@ __all__ = [
 ]
 
 UNRELIABLE_OFFDIAG = 1e-3
+CHUNK_MATRICES = 256
+CHUNK_BYTES = 4 << 20
 
 
 class StepSizeError(Exception):
@@ -88,22 +102,25 @@ class PathSpec:
     def end(self) -> np.ndarray:
         return self.samples[-1]
 
+    def step_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoints and deltas of every refined step in path order, as
+        two (K, N) arrays."""
+        a, b = self.samples[:-1, None, :], self.samples[1:, None, :]
+        k = (np.arange(self.refinement) + 0.5)[None, :, None]
+        mids = a + k * (b - a) / self.refinement
+        deltas = np.broadcast_to((b - a) / self.refinement, mids.shape)
+        return mids.reshape(-1, self.n_params), deltas.reshape(-1, self.n_params)
+
     def steps(self):
-        """Yield (midpoint, delta) for every refined step, in path order."""
-        r = self.refinement
-        for a, b in zip(self.samples[:-1], self.samples[1:]):
-            delta = (b - a) / r
-            for k in range(r):
-                yield a + (k + 0.5) * (b - a) / r, delta
+        """Iterate (midpoint, delta) over every refined step, in path order."""
+        return zip(*self.step_arrays())
 
     def refined_points(self) -> np.ndarray:
         """All refined nodes from start to end inclusive."""
-        r = self.refinement
-        out = [self.samples[0]]
-        for a, b in zip(self.samples[:-1], self.samples[1:]):
-            for k in range(1, r + 1):
-                out.append(a + k * (b - a) / r)
-        return np.asarray(out)
+        a, b = self.samples[:-1, None, :], self.samples[1:, None, :]
+        k = np.arange(1, self.refinement + 1)[None, :, None]
+        inner = (a + k * (b - a) / self.refinement).reshape(-1, self.n_params)
+        return np.concatenate([self.samples[:1], inner])
 
     def reversed(self) -> "PathSpec":
         return PathSpec(self.samples[::-1].copy(), closed=self.closed, refinement=self.refinement)
@@ -147,20 +164,81 @@ class HolonomyResult:
         return self.offdiag_residual <= UNRELIABLE_OFFDIAG
 
 
-def _step_generator(model: ParametricHamiltonian, mid, delta, gap_tol) -> np.ndarray:
-    """Connection contracted with a step, sum_mu A_mu(mid) delta_mu.
+def _chunk_size(dim: int) -> int:
+    """Steps per chunk: at most CHUNK_MATRICES matrices and about
+    CHUNK_BYTES per stacked complex (K, dim, dim) array."""
+    return max(1, min(CHUNK_MATRICES, CHUNK_BYTES // (16 * dim * dim)))
 
-    The gradient is contracted with the step before changing basis, so
-    each step costs one eigen-decomposition regardless of the number of
+
+def _eigensystems(model: ParametricHamiltonian, lams, gap_tol, directions=None):
+    """Stacked decomposition of H at ``lams`` with the model's degeneracy
+    check, plus the gradients contracted with ``directions`` (see
+    :meth:`ParametricHamiltonian.eval_batch`).  Frames are not phase-fixed."""
+    h, g = model.eval_batch(lams, directions)
+    if not np.all(np.isfinite(h.view(float))):
+        raise ValueError("Hamiltonian has non-finite entries")
+    evals, vecs = np.linalg.eigh(h)
+    min_gap = spectral_gaps(evals, gap_tol, model.check_levels)
+    return evals, vecs, g, min_gap
+
+
+def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
+    """exp(i W(mid_k) . delta_k) for every step, yielded one chunk at a time.
+
+    W is the connection for the default weight; the gradient is contracted
+    with the step before the change of basis, so each step costs one
+    decomposition of H and one of the generator, whatever the number of
     parameters.
     """
-    spec = model.spectral_at(mid, gap_tol=gap_tol)
-    grads = model.grad_h(mid)
-    g_delta = np.zeros((model.dim, model.dim), dtype=complex)
-    for g, d in zip(grads, delta):
-        if d != 0.0:
-            g_delta += d * g
-    return connection_spectral(spec, [g_delta]).components[0]
+    size = _chunk_size(model.dim)
+    for start in range(0, len(mids), size):
+        mid = mids[start:start + size]
+        evals, vecs, g, min_gap = _eigensystems(model, mid, gap_tol, deltas[start:start + size, None])
+        if model.dim > 1 and np.any(min_gap <= 0.0):
+            raise ValueError("the connection requires a non-degenerate spectrum")
+        gen = contract_stack(evals, vecs, g[:, 0], weight)
+        finite = np.isfinite(gen.view(float)).reshape(len(gen), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
+        yield expm_hermitian_stack(gen)
+
+
+def ordered_products(
+    model: ParametricHamiltonian,
+    mids,
+    deltas,
+    lengths,
+    gap_tol: float | None = None,
+    weight=connection_weight,
+) -> np.ndarray:
+    """Path-ordered exponentials over consecutive runs of midpoint steps.
+
+    The K steps (``mids`` and ``deltas``, both (K, N)) split into
+    consecutive segments of the given ``lengths``; segment s gives
+    prod_k exp(i sum_mu W_mu(mid_k) delta_k,mu) with its first step acting
+    first, and a segment of length 0 gives the identity.  ``weight`` is
+    the eigenbasis weight handed to :func:`contract_stack`; the default
+    makes W the connection.  Returns an (S, d, d) array.
+    """
+    mids, deltas = np.asarray(mids, dtype=float), np.asarray(deltas, dtype=float)
+    ends = np.cumsum(lengths).tolist()
+    if deltas.shape != mids.shape or (ends[-1] if ends else 0) != len(mids):
+        raise ValueError("need one delta per midpoint and segment lengths adding up to the steps")
+    eye = np.eye(model.dim, dtype=complex)
+    out = np.empty((len(ends), model.dim, model.dim), dtype=complex)
+    seg, step, u = 0, 0, eye
+    while seg < len(ends) and ends[seg] == 0:
+        out[seg] = eye
+        seg += 1
+    for factors in _step_factors(model, mids, deltas, gap_tol, weight):
+        for f in factors:
+            u = f @ u
+            step += 1
+            while seg < len(ends) and ends[seg] == step:
+                out[seg] = u
+                seg += 1
+                u = eye
+    return out
 
 
 def transport_operator(
@@ -175,12 +253,8 @@ def transport_operator(
     if path.n_params != model.n_params:
         raise ValueError("path dimensionality does not match the model")
     start_spec = model.spectral_at(path.start, gap_tol=gap_tol)
-    u = np.eye(model.dim, dtype=complex)
-    for mid, delta in path.steps():
-        gen = _step_generator(model, mid, delta, gap_tol)
-        if not np.all(np.isfinite(gen.view(float))):
-            raise ValueError(f"non-finite connection at {np.asarray(mid).tolist()}")
-        u = expm_hermitian(gen, 1.0).matrix @ u
+    mids, deltas = path.step_arrays()
+    u = ordered_products(model, mids, deltas, [len(mids)], gap_tol)[0]
     h_start = model.eval_h(path.start)
     h_end = model.eval_h(path.end)
     residual = frobenius(h_end - u @ h_start @ u.conj().T) / max(frobenius(h_start), 1e-300)
@@ -236,21 +310,30 @@ def wilson_loop_phases(
     nodes = loop.refined_points()
     if len(nodes) > 1:
         nodes = nodes[:-1]  # closing node coincides with the first
-    frames = [model.spectral_at(p, gap_tol=gap_tol).frame.matrix for p in nodes]
-    product = np.ones(model.dim, dtype=complex)
-    count = len(frames)
-    for k in range(count):
-        f_now, f_next = frames[k], frames[(k + 1) % count]
-        overlaps = np.einsum("in,in->n", f_now.conj(), f_next)
+    def overlap_product(f_now, f_next, first_node):
+        # overlaps[k] pairs node first_node + k with its successor
+        overlaps = np.einsum("kin,kin->kn", f_now.conj(), f_next)
         small = np.abs(overlaps) < min_overlap
         if np.any(small):
-            level = int(np.nonzero(small)[0][0])
+            k, level = (int(i[0]) for i in np.nonzero(small))
             raise ValueError(
-                f"consecutive eigenvectors nearly orthogonal at node {k} "
-                f"(level {level}, |overlap| = {np.abs(overlaps[level]):.3f}); "
+                f"consecutive eigenvectors nearly orthogonal at node {first_node + k} "
+                f"(level {level}, |overlap| = {np.abs(overlaps[k, level]):.3f}); "
                 "refine the loop"
             )
-        product *= overlaps
+        return np.prod(overlaps, axis=0)
+
+    product = np.ones(model.dim, dtype=complex)
+    size = _chunk_size(model.dim)
+    for start in range(0, len(nodes), size):
+        frames = _eigensystems(model, nodes[start:start + size], gap_tol)[1]
+        if start == 0:
+            first = frames[:1]
+        else:
+            frames = np.concatenate([last, frames])
+        product *= overlap_product(frames[:-1], frames[1:], max(start - 1, 0))
+        last = frames[-1:]
+    product *= overlap_product(last, first, len(nodes) - 1)
     return wrap_phase(-np.angle(product))
 
 
@@ -335,11 +418,22 @@ def counterdiabatic_evolve(
     if not 0 <= n0 < model.dim:
         raise ValueError(f"level index {n0} out of range for dim {model.dim}")
 
+    memo = {}
+
+    def spectral(lam) -> SpectralDecomposition:
+        # The last RK4 stage of one step and the record after it, and
+        # usually the first stage of the next step, share lambda bit for bit.
+        key = np.asarray(lam, dtype=float).tobytes()
+        if key not in memo:
+            memo.clear()
+            memo[key] = model.spectral_at(lam, gap_tol=gap_tol)
+        return memo[key]
+
     def generator(t: float) -> np.ndarray:
         lam = schedule.position(t)
         h = model.eval_h(lam)
         if include_cd:
-            spec = model.spectral_at(lam, gap_tol=gap_tol)
+            spec = spectral(lam)
             grads = model.grad_h(lam)
             vel = np.asarray(schedule.velocity(t), dtype=float)
             g_vel = np.zeros_like(h)
@@ -351,7 +445,7 @@ def counterdiabatic_evolve(
 
     n_steps = max(int(round(schedule.total_time / dt)), 1)
     dt = schedule.total_time / n_steps
-    spec0 = model.spectral_at(schedule.position(0.0), gap_tol=gap_tol)
+    spec0 = spectral(schedule.position(0.0))
     psi = spec0.frame.matrix[:, n0].copy()
 
     times = np.empty(n_steps + 1)
@@ -361,7 +455,7 @@ def counterdiabatic_evolve(
 
     def record(k: int, t: float):
         times[k] = t
-        target = model.spectral_at(schedule.position(t), gap_tol=gap_tol).frame.matrix[:, n0]
+        target = spectral(schedule.position(t)).frame.matrix[:, n0]
         overlap = np.vdot(target, psi)
         fidelities[k] = np.abs(overlap) ** 2
         phases[k] = np.angle(overlap)
