@@ -12,7 +12,9 @@ failure (degeneracy, non-convergence, integrator rejection).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 import sys
 import time
@@ -69,16 +71,20 @@ NUMERICAL_ERRORS = (
     StepSizeError,
 )
 
+# Coordinate flags of the point commands and their help; they fold into
+# the ``at`` config key.
+POINT_FLAGS = {
+    "b": "field strength (su2)", "theta": "colatitude (su2)",
+    "phi": "azimuth (su2)", "x": "q^2 coefficient (oscillator)",
+    "y": "cross-term coefficient (oscillator)",
+    "z": "p^2 coefficient (oscillator)",
+}
+
 
 class CliError(click.ClickException):
     """Configuration problem; exits with code 2."""
 
     exit_code = 2
-
-
-def _fail_numerical(exc: Exception) -> "NoReturn":
-    click.echo(f"numerical failure: {exc}", err=True)
-    sys.exit(3)
 
 
 def matrix_pairs(m) -> list:
@@ -91,14 +97,27 @@ def _floats(values) -> list:
     return [float(v) for v in np.asarray(values).ravel()]
 
 
-def parse_point(text: str, n: int, what: str = "point") -> np.ndarray:
+def parse_point(value, n: int, what: str = "point") -> np.ndarray:
+    """A point given as text ("1,2,3" or "1 2 3") or as a list of numbers,
+    the form in which reports echo it."""
+    tokens = value.replace(",", " ").split() if isinstance(value, str) else value
     try:
-        vals = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise CliError(f"cannot parse {what} {text!r}") from None
+        vals = [float(tok) for tok in tokens]
+    except (TypeError, ValueError):
+        raise CliError(f"cannot parse {what} {value!r}") from None
     if len(vals) != n:
         raise CliError(f"{what} needs {n} components, got {len(vals)}")
     return np.asarray(vals)
+
+
+def read_model_file(source: str):
+    path = Path(source)
+    if not path.exists():
+        raise CliError(f"model file {path} does not exist")
+    try:
+        return parse_model_file(path.read_text())
+    except ModelFileError as exc:
+        raise CliError(f"model file {path}: {exc}") from None
 
 
 def build_model(model: str, l: float, mu: float, nmax: int, buffer: int):
@@ -107,32 +126,8 @@ def build_model(model: str, l: float, mu: float, nmax: int, buffer: int):
     if model == "oscillator":
         return OscillatorModel(nmax=nmax, buffer=buffer)
     if model.startswith("file:"):
-        path = Path(model[5:])
-        if not path.exists():
-            raise CliError(f"model file {path} does not exist")
-        try:
-            return parse_model_file(path.read_text()).to_model()
-        except ModelFileError as exc:
-            raise CliError(f"model file {path}: {exc}") from None
+        return read_model_file(model[5:]).to_model()
     raise CliError(f"unknown model {model!r}; use su2, oscillator, or file:<path>")
-
-
-def resolve_config(ctx_params: dict, config_path: str | None) -> dict:
-    """Flags plus optional JSON config; config values override flags and
-    unknown keys are rejected."""
-    resolved = dict(ctx_params)
-    if config_path:
-        try:
-            overrides = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {config_path}: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise CliError("config file must hold a JSON object")
-        unknown = sorted(set(overrides) - set(resolved))
-        if unknown:
-            raise CliError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update(overrides)
-    return resolved
 
 
 def write_report(out: str, command: str, config: dict, results: dict, started: float) -> Path:
@@ -150,6 +145,19 @@ def write_report(out: str, command: str, config: dict, results: dict, started: f
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     click.echo(f"report: {path}")
     return path
+
+
+@contextlib.contextmanager
+def csv_output(name: str, header: list):
+    """CSV writer on ``name`` in the running command's --out directory,
+    header already written; yields the file path and the writer."""
+    outdir = Path(click.get_current_context().params["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / name
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield path, writer
 
 
 def model_options(f):
@@ -181,29 +189,34 @@ def point_option(f):
         "--at", default=None,
         help="parameter point, comma separated (default: su2 1,1,0 / oscillator 1,0,1)",
     )(f)
-    for name, help_text in (
-        ("--b", "field strength (su2)"), ("--theta", "colatitude (su2)"),
-        ("--phi", "azimuth (su2)"), ("--x", "q^2 coefficient (oscillator)"),
-        ("--y", "cross-term coefficient (oscillator)"),
-        ("--z", "p^2 coefficient (oscillator)"),
-    ):
-        f = click.option(name, type=float, default=None, help=help_text)(f)
+    for name, help_text in POINT_FLAGS.items():
+        f = click.option(f"--{name}", type=float, default=None, help=help_text)(f)
     return f
 
 
-def default_point(model_name: str, model, at: str | None, coords: dict | None = None) -> np.ndarray:
+def loop_options(f):
+    """The loop generator and its shape, as read by :func:`build_loop`."""
+    f = click.option("--b", type=float, default=1.0, show_default=True)(f)
+    f = click.option("--theta0", type=float, default=np.pi / 3, show_default=True,
+                     help="colatitude of the circle loop")(f)
+    f = click.option("--omega", type=float, default=np.pi / 2, show_default=True,
+                     help="azimuthal span of the triangle loop")(f)
+    f = click.option("--loop", default="triangle", show_default=True,
+                     help="triangle | circle | file:<path>")(f)
+    return f
+
+
+def default_point(model_name: str, model, at, coords: dict) -> np.ndarray:
     if at is not None:
         return parse_point(at, model.n_params, "--at")
-    coords = coords or {}
     given = {k: v for k, v in coords.items() if v is not None}
     if model_name == "su2":
         point = {"b": 1.0, "theta": 1.0, "phi": 0.0}
-        extraneous = set(given) - set(point)
     elif model_name == "oscillator":
         point = {"x": 1.0, "y": 0.0, "z": 1.0}
-        extraneous = set(given) - set(point)
     else:
         raise CliError("file models need an explicit --at point")
+    extraneous = set(given) - set(point)
     if extraneous:
         raise CliError(
             f"coordinate flags {sorted('--' + k for k in extraneous)} do not "
@@ -213,37 +226,37 @@ def default_point(model_name: str, model, at: str | None, coords: dict | None = 
     return np.array(list(point.values()))
 
 
-def build_loop(model_name: str, loop: str, omega: float, theta0: float,
-               b: float, steps: int) -> PathSpec:
+def load_path(source: str, steps: int, closed: bool) -> PathSpec:
+    """Polyline from a JSON file ``{"samples": [[...], ...], "closed": bool}``;
+    ``closed`` applies when the file does not say."""
+    try:
+        data = json.loads(Path(source).read_text())
+        return PathSpec(np.asarray(data["samples"], dtype=float),
+                        closed=bool(data.get("closed", closed)), refinement=steps)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot load path from {source}: {exc}") from None
+
+
+def build_loop(cfg: dict) -> PathSpec:
+    loop, steps = cfg["loop"], cfg["steps"]
+    if loop in ("triangle", "circle") and cfg["model"] != "su2":
+        raise CliError(f"the {loop} loop generator is specific to the su2 model")
     if loop == "triangle":
-        if model_name != "su2":
-            raise CliError("the triangle loop generator is specific to the su2 model")
-        return su2_triangle_loop(omega, b=b, refinement=steps)
+        return su2_triangle_loop(cfg["omega"], b=cfg["b"], refinement=steps)
     if loop == "circle":
-        if model_name != "su2":
-            raise CliError("the circle loop generator is specific to the su2 model")
-        return su2_circle_loop(theta0, b=b, refinement=steps)
+        return su2_circle_loop(cfg["theta0"], b=cfg["b"], refinement=steps)
     if loop.startswith("file:"):
-        path = Path(loop[5:])
-        try:
-            data = json.loads(path.read_text())
-            return PathSpec(np.asarray(data["samples"], dtype=float),
-                            closed=bool(data.get("closed", True)),
-                            refinement=steps)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot load loop from {path}: {exc}") from None
+        return load_path(loop[5:], steps, closed=True)
     raise CliError(f"unknown loop {loop!r}; use triangle, circle, or file:<path>")
 
 
 def build_surface(model_name: str, surface: str, omega: float, b: float,
                   grid: int):
+    if surface in ("cap", "wedge") and model_name != "su2":
+        raise CliError(f"the {surface} surface generator is specific to the su2 model")
     if surface == "cap":
-        if model_name != "su2":
-            raise CliError("the cap surface generator is specific to the su2 model")
         return su2_cap_patch(omega, b=b, grid=(grid, grid))
     if surface == "wedge":
-        if model_name != "su2":
-            raise CliError("the wedge surface generator is specific to the su2 model")
         return su2_wedge_patch(omega, b=b, grid=(grid, grid))
     if surface.startswith("file:"):
         path = Path(surface[5:])
@@ -251,7 +264,7 @@ def build_surface(model_name: str, surface: str, omega: float, b: float,
             data = json.loads(path.read_text())
             return planar_patch(data["origin"], data["edge_u"], data["edge_v"],
                                 grid=(grid, grid))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"cannot load surface from {path}: {exc}") from None
     raise CliError(f"unknown surface {surface!r}; use cap, wedge, or file:<path>")
 
@@ -264,31 +277,84 @@ def main():
     families."""
 
 
-@main.command()
-@model_options
-@run_options
-@point_option
-def connection(model, l, mu, nmax, buffer, out, seed, config_path, at, b, theta, phi, x, y, z):
+def command(name: str, *, model: bool = True, point: bool = False):
+    """Register subcommand ``name`` around a body that turns
+    ``(cfg, model[, point])`` into the report's results.
+
+    The config holds one key per option: the long flag name with ``-`` read
+    as ``_``.  --out and --config are not keys, and the coordinate flags of
+    a point command fold into ``at``.  Keys of the --config JSON file
+    override flags; each value goes through its option's type as the same
+    text on the command line would (``at`` also takes the list that reports
+    echo), so a report's ``config`` block can be fed back.  The body runs
+    with ValueError mapped to exit 2 and ``NUMERICAL_ERRORS`` to exit 3.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(out, config_path, **cfg):
+            started = time.time()
+            coords = {k: cfg.pop(k) for k in POINT_FLAGS} if point else {}
+            if config_path:
+                try:
+                    overrides = json.loads(Path(config_path).read_text())
+                except (OSError, ValueError) as exc:
+                    raise CliError(f"cannot read config {config_path}: {exc}") from None
+                if not isinstance(overrides, dict):
+                    raise CliError("config file must hold a JSON object")
+                unknown = sorted(set(overrides) - set(cfg))
+                if unknown:
+                    raise CliError(f"unknown config keys: {', '.join(unknown)}")
+                ctx = click.get_current_context()
+                options = {p.name: p for p in ctx.command.params}
+                for key, value in overrides.items():
+                    if value is None and options[key].required:
+                        raise CliError(f"config key {key!r} must not be null")
+                    if value is not None and key != "at":
+                        text = value if isinstance(value, str) else json.dumps(value)
+                        try:
+                            value = options[key].type_cast_value(ctx, text)
+                        except click.BadParameter as exc:
+                            raise CliError(f"config key {key!r}: {exc.format_message()}") from None
+                    cfg[key] = value
+            try:
+                args = []
+                if model:
+                    args.append(build_model(cfg["model"], cfg["l"], cfg["mu"],
+                                            cfg["nmax"], cfg["buffer"]))
+                if point:
+                    args.append(default_point(cfg["model"], args[0], cfg["at"], coords))
+                    cfg["at"] = _floats(args[1])
+                results = body(cfg, *args)
+            except NUMERICAL_ERRORS as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(3)
+            except ValueError as exc:
+                raise CliError(str(exc)) from None
+            write_report(out, name, cfg, results, started)
+
+        # the option applied last is listed first, so --help reads model,
+        # run and point options, then the command's own
+        if point:
+            run = point_option(run)
+        run = run_options(run)
+        if model:
+            run = model_options(run)
+        return main.command(name=name)(run)
+
+    return decorate
+
+
+@command("connection", point=True)
+def connection(cfg, mdl, lam):
     """Spectral connection components at a point."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, at=at, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    lam = default_point(cfg["model"], mdl, cfg["at"],
-                        dict(b=b, theta=theta, phi=phi, x=x, y=y, z=z))
-    cfg["at"] = _floats(lam)
-    try:
-        spec = mdl.spectral_at(lam)
-        a = connection_spectral(spec, mdl.grad_h(lam))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
+    spec = mdl.spectral_at(lam)
+    a = connection_spectral(spec, mdl.grad_h(lam))
     diag_resid = max(
         float(np.max(np.abs(np.diag(spec.to_eigenbasis(c))))) / max(np.linalg.norm(c), 1e-300)
         for c in a.components
     )
-    results = {
+    return {
         "components": {
             name: matrix_pairs(c) for name, c in zip(mdl.param_names, a.components)
         },
@@ -296,109 +362,57 @@ def connection(model, l, mu, nmax, buffer, out, seed, config_path, at, b, theta,
         "min_gap": float(spec.min_gap) if np.isfinite(spec.min_gap) else None,
         "zero_diagonal_residual": diag_resid,
     }
-    write_report(out, "connection", cfg, results, started)
 
 
-@main.command()
-@model_options
-@run_options
-@point_option
-def shift(model, l, mu, nmax, buffer, out, seed, config_path, at, b, theta, phi, x, y, z):
+@command("shift", point=True)
+def shift(cfg, mdl, lam):
     """Shift-operator components and first-order level slopes."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, at=at, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    lam = default_point(cfg["model"], mdl, cfg["at"],
-                        dict(b=b, theta=theta, phi=phi, x=x, y=y, z=z))
-    cfg["at"] = _floats(lam)
-    try:
-        spec = mdl.spectral_at(lam)
-        d = shift_operator(spec, mdl.grad_h(lam))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
-    results = {
+    spec = mdl.spectral_at(lam)
+    d = shift_operator(spec, mdl.grad_h(lam))
+    return {
         "components": {
             name: matrix_pairs(c) for name, c in zip(mdl.param_names, d.components)
         },
         "level_slopes": [list(map(float, row)) for row in d.level_shifts(spec)],
         "eigenvalues": _floats(spec.eigenvalues),
     }
-    write_report(out, "shift", cfg, results, started)
 
 
-@main.command(name="time-average")
-@model_options
-@run_options
-@point_option
+@command("time-average", point=True)
 @click.option("--horizon", type=float, default=None, help="averaging horizon T")
 @click.option("--samples", type=int, default=None, help="trapezoid sample count")
-def time_average(model, l, mu, nmax, buffer, out, seed, config_path, at, horizon, samples, b, theta, phi, x, y, z):
+def time_average(cfg, mdl, lam):
     """Finite-horizon time-average estimate of the connection."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, at=at,
-             horizon=horizon, samples=samples, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    lam = default_point(cfg["model"], mdl, cfg["at"],
-                        dict(b=b, theta=theta, phi=phi, x=x, y=y, z=z))
-    cfg["at"] = _floats(lam)
-    try:
-        spec = mdl.spectral_at(lam)
-        tcfg = TimeAverageConfig.for_spectrum(spec, horizon=cfg["horizon"])
-        if cfg["samples"] is not None:
-            tcfg = TimeAverageConfig(horizon=tcfg.horizon, samples=int(cfg["samples"]))
-        estimate = connection_time_average(mdl, lam, tcfg)
-        exact = connection_spectral(spec, mdl.grad_h(lam))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    spec = mdl.spectral_at(lam)
+    tcfg = TimeAverageConfig.for_spectrum(spec, horizon=cfg["horizon"])
+    if cfg["samples"] is not None:
+        tcfg = TimeAverageConfig(horizon=tcfg.horizon, samples=cfg["samples"])
+    estimate = connection_time_average(mdl, lam, tcfg)
+    exact = connection_spectral(spec, mdl.grad_h(lam))
     cfg["horizon"], cfg["samples"] = tcfg.horizon, tcfg.samples
     deviation = max(
         float(np.linalg.norm(e - s))
         for e, s in zip(estimate.components, exact.components)
     )
-    results = {
+    return {
         "components": {
             name: matrix_pairs(c) for name, c in zip(mdl.param_names, estimate.components)
         },
         "deviation_from_spectral": deviation,
         "error_estimate": estimate.error_estimate,
     }
-    write_report(out, "time-average", cfg, results, started)
 
 
-@main.command()
-@model_options
-@run_options
+@command("transport")
 @click.option("--path-file", default=None, help="JSON path file with 'samples'")
 @click.option("--sweep-theta", default=None, help="su2 polar sweep 'a,b'")
 @click.option("--b", type=float, default=1.0, show_default=True)
 @click.option("--phi", type=float, default=0.0, show_default=True)
 @click.option("--steps", type=int, default=1000, show_default=True)
-def transport(model, l, mu, nmax, buffer, out, seed, config_path,
-              path_file, sweep_theta, b, phi, steps):
+def transport(cfg, mdl):
     """Parallel transport along an open path."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, path_file=path_file,
-             sweep_theta=sweep_theta, b=b, phi=phi, steps=steps, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
     if cfg["path_file"]:
-        try:
-            data = json.loads(Path(cfg["path_file"]).read_text())
-            path = PathSpec(np.asarray(data["samples"], dtype=float),
-                            closed=bool(data.get("closed", False)),
-                            refinement=int(cfg["steps"]))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot load path: {exc}") from None
+        path = load_path(cfg["path_file"], cfg["steps"], closed=False)
     elif cfg["sweep_theta"]:
         if cfg["model"] != "su2":
             raise CliError("--sweep-theta is specific to the su2 model")
@@ -406,66 +420,32 @@ def transport(model, l, mu, nmax, buffer, out, seed, config_path,
         path = PathSpec(
             np.array([[cfg["b"], a, cfg["phi"]], [cfg["b"], bb, cfg["phi"]]]),
             closed=False,
-            refinement=int(cfg["steps"]),
+            refinement=cfg["steps"],
         )
     else:
         raise CliError("provide --path-file or --sweep-theta")
-    try:
-        result = transport_operator(mdl, path)
-        end_spec = mdl.spectral_at(path.end)
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
+    result = transport_operator(mdl, path)
+    end_spec = mdl.spectral_at(path.end)
     h_end = mdl.eval_h(path.end)
     frame = result.transported_frame.matrix
     rayleigh = np.real(np.einsum("in,in->n", frame.conj(), h_end @ frame))
     eig_resid = float(
         np.max(np.linalg.norm(h_end @ frame - frame * rayleigh, axis=0))
     )
-    results = {
+    return {
         "operator": matrix_pairs(result.operator.matrix),
         "conjugation_residual": result.conjugation_residual,
         "transported_eigenvector_residual": eig_resid,
         "end_eigenvalues": _floats(end_spec.eigenvalues),
     }
-    write_report(out, "transport", cfg, results, started)
 
 
-def _loop_command(name: str, help_text: str, phases_fn):
-    @main.command(name=name, help=help_text)
-    @model_options
-    @run_options
-    @click.option("--loop", default="triangle", show_default=True,
-                  help="triangle | circle | file:<path>")
-    @click.option("--omega", type=float, default=np.pi / 2, show_default=True,
-                  help="azimuthal span of the triangle loop")
-    @click.option("--theta0", type=float, default=np.pi / 3, show_default=True,
-                  help="colatitude of the circle loop")
-    @click.option("--b", type=float, default=1.0, show_default=True)
-    @click.option("--steps", type=int, default=2000, show_default=True)
-    def cmd(model, l, mu, nmax, buffer, out, seed, config_path,
-            loop, omega, theta0, b, steps):
-        started = time.time()
-        cfg = resolve_config(
-            dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, loop=loop,
-                 omega=omega, theta0=theta0, b=b, steps=steps, seed=seed),
-            config_path,
-        )
-        mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-        path = build_loop(cfg["model"], cfg["loop"], cfg["omega"], cfg["theta0"],
-                          cfg["b"], int(cfg["steps"]))
-        try:
-            results = phases_fn(mdl, path)
-        except NUMERICAL_ERRORS as exc:
-            _fail_numerical(exc)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        write_report(out, name, cfg, results, started)
-
-    return cmd
-
-
-def _holonomy_results(mdl, path):
-    res = holonomy(mdl, path)
+@command("holonomy")
+@loop_options
+@click.option("--steps", type=int, default=2000, show_default=True)
+def holonomy_command(cfg, mdl):
+    """Loop holonomy phases via path-ordered transport."""
+    res = holonomy(mdl, build_loop(cfg))
     return {
         "phases": _floats(res.phases),
         "offdiag_residual": res.offdiag_residual,
@@ -474,39 +454,23 @@ def _holonomy_results(mdl, path):
     }
 
 
-def _wilson_results(mdl, path):
-    return {"phases": _floats(wilson_loop_phases(mdl, path))}
+@command("wilson")
+@loop_options
+@click.option("--steps", type=int, default=2000, show_default=True)
+def wilson(cfg, mdl):
+    """Loop Berry phases via the discrete overlap product."""
+    return {"phases": _floats(wilson_loop_phases(mdl, build_loop(cfg)))}
 
 
-_loop_command("holonomy", "Loop holonomy phases via path-ordered transport.", _holonomy_results)
-_loop_command("wilson", "Loop Berry phases via the discrete overlap product.", _wilson_results)
-
-
-@main.command()
-@model_options
-@run_options
-@point_option
+@command("curvature", point=True)
 @click.option("--fd-step", type=float, default=None, help="stencil half-width")
-def curvature(model, l, mu, nmax, buffer, out, seed, config_path, at, fd_step, b, theta, phi, x, y, z):
+def curvature(cfg, mdl, lam):
     """Field-strength components and per-level curvature at a point."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, at=at,
-             fd_step=fd_step, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    lam = default_point(cfg["model"], mdl, cfg["at"],
-                        dict(b=b, theta=theta, phi=phi, x=x, y=y, z=z))
-    cfg["at"] = _floats(lam)
-    try:
-        f = yang_mills_curvature(mdl, lam, step=cfg["fd_step"])
-        spec = mdl.spectral_at(lam)
-        table = berry_curvature_at(mdl, lam)
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
+    f = yang_mills_curvature(mdl, lam, step=cfg["fd_step"])
+    spec = mdl.spectral_at(lam)
+    table = berry_curvature_at(mdl, lam)
     names = mdl.param_names
-    results = {
+    return {
         "components": {
             f"{names[mu_]}_{names[nu_]}": matrix_pairs(f.components[(mu_, nu_)])
             for mu_, nu_ in f.pairs
@@ -517,31 +481,16 @@ def curvature(model, l, mu, nmax, buffer, out, seed, config_path, at, fd_step, b
             for k, (mu_, nu_) in enumerate(table.pairs)
         },
     }
-    write_report(out, "curvature", cfg, results, started)
 
 
-@main.command(name="curvature-map")
-@model_options
-@run_options
-@point_option
+@command("curvature-map", point=True)
 @click.option("--axes", default=None, help="two parameter names, e.g. 'theta,phi'")
 @click.option("--u-range", default=None, help="'a,b' range for the first axis")
 @click.option("--v-range", default=None, help="'a,b' range for the second axis")
 @click.option("--grid", default="40x1", show_default=True, help="NUxNV grid")
 @click.option("--level", type=int, default=None, help="restrict to one level")
-def curvature_map(model, l, mu, nmax, buffer, out, seed, config_path, at,
-                  axes, u_range, v_range, grid, level, b, theta, phi, x, y, z):
+def curvature_map(cfg, mdl, base):
     """Per-level curvature over a 2D parameter slice, written as CSV."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, at=at, axes=axes,
-             u_range=u_range, v_range=v_range, grid=grid, level=level, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    base = default_point(cfg["model"], mdl, cfg["at"],
-                         dict(b=b, theta=theta, phi=phi, x=x, y=y, z=z))
-    cfg["at"] = _floats(base)
     if not cfg["axes"]:
         raise CliError("curvature-map needs --axes (two parameter names)")
     names = list(mdl.param_names)
@@ -554,22 +503,23 @@ def curvature_map(model, l, mu, nmax, buffer, out, seed, config_path, at,
     u_lo, u_hi = parse_point(cfg["u_range"], 2, "--u-range")
     v_lo, v_hi = parse_point(cfg["v_range"], 2, "--v-range")
     try:
-        n_u, n_v = (int(s) for s in str(cfg["grid"]).lower().split("x"))
+        n_u, n_v = (int(s) for s in cfg["grid"].lower().split("x"))
     except ValueError:
         raise CliError("--grid must look like 40x20") from None
-    levels = range(mdl.dim) if cfg["level"] is None else [int(cfg["level"])]
+    if n_u < 1 or n_v < 1:
+        raise CliError("--grid needs at least one cell per axis")
+    if cfg["level"] is None:
+        levels = range(mdl.dim)
+    elif 0 <= cfg["level"] < mdl.dim:
+        levels = [cfg["level"]]
+    else:
+        raise CliError(f"--level must lie in [0, {mdl.dim}) for this model")
 
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "curvature_map.csv"
     n_done = 0
     n_degenerate = 0
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["u", "v"] + [f"lambda_{i + 1}" for i in range(mdl.n_params)]
-            + ["level", "W", "status"]
-        )
+    header = (["u", "v"] + [f"lambda_{i + 1}" for i in range(mdl.n_params)]
+              + ["level", "W", "status"])
+    with csv_output("curvature_map.csv", header) as (csv_path, writer):
         for i in range(n_u):
             u = u_lo + (u_hi - u_lo) * ((i + 0.5) / n_u if n_u > 1 else 0.5)
             for j in range(n_v):
@@ -577,33 +527,25 @@ def curvature_map(model, l, mu, nmax, buffer, out, seed, config_path, at,
                 lam = base.copy()
                 lam[mu_idx] = u
                 lam[nu_idx] = v
+                coords = [f"{u:.12g}", f"{v:.12g}", *(f"{x:.12g}" for x in lam)]
                 try:
                     table = berry_curvature_at(mdl, lam)
-                    for n in levels:
-                        writer.writerow(
-                            [f"{u:.12g}", f"{v:.12g}", *(f"{x:.12g}" for x in lam),
-                             n, f"{table.value(n, mu_idx, nu_idx):.15g}", "ok"]
-                        )
+                    cells = [(f"{table.value(n, mu_idx, nu_idx):.15g}", "ok") for n in levels]
                     n_done += 1
                 except (DegenerateSpectrumError, DomainViolationError) as exc:
-                    for n in levels:
-                        writer.writerow(
-                            [f"{u:.12g}", f"{v:.12g}", *(f"{x:.12g}" for x in lam),
-                             n, "", type(exc).__name__]
-                        )
+                    cells = [("", type(exc).__name__)] * len(levels)
                     n_degenerate += 1
-    results = {
+                for n, (w, status) in zip(levels, cells):
+                    writer.writerow(coords + [n, w, status])
+    return {
         "csv": str(csv_path),
         "cells_ok": n_done,
         "cells_flagged": n_degenerate,
         "axes": [names[mu_idx], names[nu_idx]],
     }
-    write_report(out, "curvature-map", cfg, results, started)
 
 
-@main.command(name="berry-surface")
-@model_options
-@run_options
+@command("berry-surface")
 @click.option("--surface", default="cap", show_default=True,
               help="cap | wedge | file:<path>")
 @click.option("--omega", type=float, default=np.pi / 2, show_default=True)
@@ -612,68 +554,35 @@ def curvature_map(model, l, mu, nmax, buffer, out, seed, config_path, at,
 @click.option("--level", type=int, default=0, show_default=True)
 @click.option("--check-tol", type=float, default=None,
               help="grid-doubling self-check tolerance")
-def berry_surface(model, l, mu, nmax, buffer, out, seed, config_path,
-                  surface, omega, b, grid, level, check_tol):
+def berry_surface(cfg, mdl):
     """Surface-integrated Berry phase of one level."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, surface=surface,
-             omega=omega, b=b, grid=grid, level=level, check_tol=check_tol,
-             seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    patch = build_surface(cfg["model"], cfg["surface"], cfg["omega"], cfg["b"],
-                          int(cfg["grid"]))
-    try:
-        phase = berry_phase_surface(
-            mdl, patch, int(cfg["level"]), refine_check_tol=cfg["check_tol"]
-        )
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
-    write_report(out, "berry-surface", cfg,
-                 {"phase": float(phase), "level": int(cfg["level"])}, started)
+    patch = build_surface(cfg["model"], cfg["surface"], cfg["omega"], cfg["b"], cfg["grid"])
+    phase = berry_phase_surface(mdl, patch, cfg["level"], refine_check_tol=cfg["check_tol"])
+    return {"phase": float(phase), "level": cfg["level"]}
 
 
-@main.command(name="nast-check")
-@model_options
-@run_options
-@click.option("--cap", "cap_omega", type=float, default=None,
-              help="cap solid angle (su2)")
-@click.option("--wedge", "wedge_omega", type=float, default=None,
-              help="wedge azimuthal span (su2)")
+@command("nast-check")
+@click.option("--cap", type=float, default=None, help="cap solid angle (su2)")
+@click.option("--wedge", type=float, default=None, help="wedge azimuthal span (su2)")
 @click.option("--surface", default=None, help="file:<path> planar patch")
 @click.option("--b", type=float, default=1.0, show_default=True)
 @click.option("--grid", type=int, default=50, show_default=True)
 @click.option("--boundary-refinement", type=int, default=8, show_default=True)
-def nast_check(model, l, mu, nmax, buffer, out, seed, config_path,
-               cap_omega, wedge_omega, surface, b, grid, boundary_refinement):
+def nast_check(cfg, mdl):
     """Surface-ordered product versus direct boundary holonomy."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, cap=cap_omega,
-             wedge=wedge_omega, surface=surface, b=b, grid=grid,
-             boundary_refinement=boundary_refinement, seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
     if cfg["cap"] is not None:
-        patch = su2_cap_patch(cfg["cap"], b=cfg["b"], grid=(int(cfg["grid"]),) * 2)
+        surface, omega = "cap", cfg["cap"]
     elif cfg["wedge"] is not None:
-        patch = su2_wedge_patch(cfg["wedge"], b=cfg["b"], grid=(int(cfg["grid"]),) * 2)
+        surface, omega = "wedge", cfg["wedge"]
     elif cfg["surface"]:
-        patch = build_surface(cfg["model"], cfg["surface"], 0.0, cfg["b"],
-                              int(cfg["grid"]))
+        surface, omega = cfg["surface"], 0.0
     else:
         raise CliError("provide --cap, --wedge, or --surface")
-    try:
-        product = surface_ordered_product(mdl, patch)
-        residual = nast_residual(mdl, patch,
-                                 boundary_refinement=int(cfg["boundary_refinement"]))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
+    patch = build_surface(cfg["model"], surface, omega, cfg["b"], cfg["grid"])
+    product = surface_ordered_product(mdl, patch)
+    residual = nast_residual(mdl, patch, boundary_refinement=cfg["boundary_refinement"])
     w = product.operator.matrix
-    results = {
+    return {
         "nast_residual": float(residual),
         "cell_count": product.cell_count,
         "ordering": product.ordering,
@@ -681,47 +590,25 @@ def nast_check(model, l, mu, nmax, buffer, out, seed, config_path,
         "surface_offdiag": float(np.max(np.abs(w - np.diag(np.diag(w)))))
         if w.shape[0] > 1 else 0.0,
     }
-    write_report(out, "nast-check", cfg, results, started)
 
 
-@main.command()
-@model_options
-@run_options
-@click.option("--loop", default="triangle", show_default=True)
-@click.option("--omega", type=float, default=np.pi / 2, show_default=True)
-@click.option("--theta0", type=float, default=np.pi / 3, show_default=True)
-@click.option("--b", type=float, default=1.0, show_default=True)
-@click.option("--time", "group_time", type=float, default=1.7, show_default=True,
+@command("flatness")
+@loop_options
+@click.option("--time", type=float, default=1.7, show_default=True,
               help="fixed group time t of the sampled 1-form")
 @click.option("--steps", type=int, default=4000, show_default=True)
-def flatness(model, l, mu, nmax, buffer, out, seed, config_path,
-             loop, omega, theta0, b, group_time, steps):
+def flatness(cfg, mdl):
     """Loop residual of the non-averaged 1-form at fixed group time."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer, loop=loop,
-             omega=omega, theta0=theta0, b=b, time=group_time, steps=steps,
-             seed=seed),
-        config_path,
-    )
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
-    path = build_loop(cfg["model"], cfg["loop"], cfg["omega"], cfg["theta0"],
-                      cfg["b"], int(cfg["steps"]))
-    try:
-        residual = maurer_cartan_flatness(mdl, path, cfg["time"])
-        averaged = holonomy(mdl, path)
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
-    results = {
+    path = build_loop(cfg)
+    residual = maurer_cartan_flatness(mdl, path, cfg["time"])
+    averaged = holonomy(mdl, path)
+    return {
         "flatness_residual": float(residual),
         "averaged_connection_phases": _floats(averaged.phases),
     }
-    write_report(out, "flatness", cfg, results, started)
 
 
-@main.command()
-@model_options
-@run_options
+@command("drive")
 @click.option("--sweep-theta", default="0,1.5707963267948966", show_default=True,
               help="su2 polar sweep 'a,b'")
 @click.option("--b", type=float, default=1.0, show_default=True)
@@ -734,71 +621,39 @@ def flatness(model, l, mu, nmax, buffer, out, seed, config_path,
               help="drop the counterdiabatic term (control run)")
 @click.option("--stride", type=int, default=10, show_default=True,
               help="CSV row stride")
-def drive(model, l, mu, nmax, buffer, out, seed, config_path,
-          sweep_theta, b, phi, tau, dt, level, no_cd, stride):
+def drive(cfg, mdl):
     """Driven evolution along a schedule; trajectory written as CSV."""
-    started = time.time()
-    cfg = resolve_config(
-        dict(model=model, l=l, mu=mu, nmax=nmax, buffer=buffer,
-             sweep_theta=sweep_theta, b=b, phi=phi, tau=tau, dt=dt, level=level,
-             no_cd=no_cd, stride=stride, seed=seed),
-        config_path,
-    )
     if cfg["model"] != "su2":
         raise CliError("the drive subcommand currently generates su2 sweeps only")
-    mdl = build_model(cfg["model"], cfg["l"], cfg["mu"], cfg["nmax"], cfg["buffer"])
     a, bb = parse_point(cfg["sweep_theta"], 2, "--sweep-theta")
     schedule = linear_schedule(
         [cfg["b"], a, cfg["phi"]], [cfg["b"], bb, cfg["phi"]], cfg["tau"]
     )
-    try:
-        result = counterdiabatic_evolve(
-            mdl, schedule, int(cfg["level"]), cfg["dt"], include_cd=not cfg["no_cd"]
-        )
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc)
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "trajectory.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "fidelity", "phase", "norm_drift"])
-        n = len(result.times)
-        for k in range(0, n, max(int(cfg["stride"]), 1)):
+    result = counterdiabatic_evolve(
+        mdl, schedule, cfg["level"], cfg["dt"], include_cd=not cfg["no_cd"]
+    )
+    n = len(result.times)
+    with csv_output("trajectory.csv", ["t", "fidelity", "phase", "norm_drift"]) as (csv_path, writer):
+        # every stride-th row, and the last row always
+        for k in sorted({*range(0, n, max(cfg["stride"], 1)), n - 1}):
             writer.writerow(
                 [f"{result.times[k]:.12g}", f"{result.fidelities[k]:.15g}",
                  f"{result.phases[k]:.15g}", f"{result.norm_drifts[k]:.3e}"]
             )
-        if (n - 1) % max(int(cfg["stride"]), 1) != 0:
-            k = n - 1
-            writer.writerow(
-                [f"{result.times[k]:.12g}", f"{result.fidelities[k]:.15g}",
-                 f"{result.phases[k]:.15g}", f"{result.norm_drifts[k]:.3e}"]
-            )
-    results = {
+    return {
         "csv": str(csv_path),
         "min_fidelity": result.min_fidelity,
         "final_phase": result.final_phase,
         "max_norm_drift": float(np.max(result.norm_drifts)),
         "counterdiabatic": result.counterdiabatic,
     }
-    write_report(out, "drive", cfg, results, started)
 
 
-@main.command(name="validate-model")
-@run_options
-@click.option("--file", "model_file", required=True, help="model file to validate")
-def validate_model(out, seed, config_path, model_file):
+@command("validate-model", model=False)
+@click.option("--file", required=True, help="model file to validate")
+def validate_model(cfg):
     """Parse and validate a model file; report its structure."""
-    started = time.time()
-    cfg = resolve_config(dict(file=model_file, seed=seed), config_path)
-    path = Path(cfg["file"])
-    if not path.exists():
-        raise CliError(f"model file {path} does not exist")
-    try:
-        spec = parse_model_file(path.read_text())
-    except ModelFileError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    spec = read_model_file(cfg["file"])
     round_trip = parse_model_file(serialize_model_spec(spec))
     round_trip_ok = (
         round_trip.dim == spec.dim
@@ -808,14 +663,13 @@ def validate_model(out, seed, config_path, model_file):
             for (ea, ma), (eb, mb) in zip(round_trip.terms, spec.terms)
         )
     )
-    results = {
+    return {
         "dim": spec.dim,
         "params": list(spec.param_names),
         "n_terms": len(spec.terms),
         "exponents": [list(e) for e, _ in spec.terms],
         "round_trip_ok": round_trip_ok,
     }
-    write_report(out, "validate-model", cfg, results, started)
 
 
 if __name__ == "__main__":

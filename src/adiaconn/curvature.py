@@ -380,14 +380,18 @@ def berry_phase_surface(
     Midpoint rule over the (u, v) grid; the integrand is the per-level
     curvature contracted with the pullback Jacobian, whose tangents come
     from central differences of the chart at each cell centre.  ``level``
-    may be an int or a sequence of ints (one grid sweep either way); the
-    returned phase(s) are not wrapped.
+    may be an int or a sequence of ints (one grid sweep either way), each
+    in ``[0, dim)`` or ValueError is raised; the returned phase(s) are not
+    wrapped.
 
     With ``refine_check_tol`` set, the integral is recomputed on a doubled
     grid; disagreement above the tolerance raises
     :class:`GridTooCoarseError`, otherwise the finer value is returned.
     """
     levels = [level] if np.isscalar(level) else list(level)
+    for n in levels:
+        if not 0 <= n < model.dim:
+            raise ValueError(f"level index {n} out of range for dim {model.dim}")
     n_params = model.n_params
     all_pairs = [(mu, nu) for mu in range(n_params) for nu in range(mu + 1, n_params)]
 

@@ -303,7 +303,10 @@ def wilson_loop_phases(
     overlap closing onto the very same eigenvector objects used at the
     start, so the product is exactly independent of the eigenvector phase
     convention.  Consecutive overlaps below ``min_overlap`` in magnitude
-    abort with a refinement hint instead of returning garbage.
+    abort with a refinement hint instead of returning garbage.  The guard
+    covers the lowest ``model.check_levels`` levels (all when None), the
+    ones the degeneracy check covers; higher levels may cluster and mix,
+    so their phases are returned unguarded and are not to be trusted.
     """
     if not loop.closed:
         raise ValueError("wilson_loop_phases requires a closed loop")
@@ -313,7 +316,7 @@ def wilson_loop_phases(
     def overlap_product(f_now, f_next, first_node):
         # overlaps[k] pairs node first_node + k with its successor
         overlaps = np.einsum("kin,kin->kn", f_now.conj(), f_next)
-        small = np.abs(overlaps) < min_overlap
+        small = np.abs(overlaps[:, :model.check_levels]) < min_overlap
         if np.any(small):
             k, level = (int(i[0]) for i in np.nonzero(small))
             raise ValueError(

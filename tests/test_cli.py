@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,33 @@ class TestConfigHandling:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("key, value", [("steps", "abc"), ("model", 5)])
+    def test_config_value_typed_like_flag(self, runner, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        result = runner.invoke(main, ["holonomy", "--config", str(cfg),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert key in result.output and str(value) in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["connection", "--theta", "0.7", "--phi", "0.3"],
+        ["curvature-map", "--axes", "theta,phi", "--u-range", "0.1,3.0",
+         "--v-range", "0,0", "--grid", "5x1", "--level", "1"],
+    ])
+    def test_report_config_feeds_back(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        run_ok(runner, args + ["--out", str(out)])
+        first = load_report(out)
+        csv_before = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(first["config"]))
+        run_ok(runner, [args[0], "--config", str(cfg), "--out", str(out)])
+        second = load_report(out)
+        assert second["config"] == first["config"]
+        assert json.dumps(second["results"]) == json.dumps(first["results"])
+        assert {p.name: p.read_bytes() for p in out.glob("*.csv")} == csv_before
+
 
 class TestCurvatureMap:
     def test_su2_polar_profile(self, runner, tmp_path):
@@ -294,3 +323,47 @@ class TestOtherCommands:
         result = runner.invoke(main, ["holonomy", "--loop", "file:/nope.json",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [["holonomy", "--loop"], ["transport", "--path-file"],
+                                      ["nast-check", "--surface"]])
+    def test_geometry_file_not_an_object_exits_2(self, runner, tmp_path, args):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        source = str(bad) if args[0] == "transport" else f"file:{bad}"
+        result = runner.invoke(main, args + [source, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "cannot load" in result.output
+
+
+CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range", "0,0"]
+
+
+@pytest.mark.parametrize("args", [
+    ["holonomy", "--steps", "0"],
+    ["nast-check", "--cap", "1", "--grid", "0"],
+    ["drive", "--level", "5"],
+    ["berry-surface", "--level", "5"],
+    CMAP + ["--level", "7"],
+    CMAP + ["--grid", "0x2"],
+])
+def test_out_of_range_input_exits_2(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output
+
+
+def readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("adiaconn ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
+    assert sorted(args[0] for args in examples) == sorted(main.commands)
+    for args in examples:
+        # parse only: make_context converts every flag but runs nothing
+        with main.make_context("adiaconn", list(args)) as ctx:
+            name, cmd, rest = main.resolve_command(ctx, args)
+            cmd.make_context(name, rest, parent=ctx)

@@ -178,6 +178,12 @@ class TestSurfaceIntegrals:
         with pytest.raises(DegenerateSpectrumError):
             berry_phase_surface(model, patch, level=0)
 
+    @pytest.mark.parametrize("level", [2, -1, [0, 2]])
+    def test_level_out_of_range(self, su2_half, level):
+        patch = su2_cap_patch(1.0, grid=(4, 4))
+        with pytest.raises(ValueError, match="out of range"):
+            berry_phase_surface(su2_half, patch, level=level)
+
     def test_stokes_consistency_su2(self, su2_half):
         omega = 0.9
         patch = su2_wedge_patch(omega, grid=(120, 120))

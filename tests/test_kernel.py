@@ -425,6 +425,28 @@ class TestErrorParity:
         wilson_loop_phases(model, loop, gap_tol=gap_tol, min_overlap=0.0)
         assert model.spectral_at(loop.start, gap_tol=gap_tol).min_gap > 0.5
 
+    def test_wilson_guard_skips_untrusted_levels(self):
+        class ClusteredTop(OscillatorModel):
+            """Top Fock level pulled down onto the one below it."""
+
+            shift = np.diag([0.0] * 11 + [-1.0])
+
+            def _evaluate(self, lam):
+                return super()._evaluate(lam) + self.shift
+
+            def _evaluate_batch(self, lams, directions):
+                h, g = super()._evaluate_batch(lams, directions)
+                return h + self.shift, g
+
+        model = ClusteredTop(12, 4)
+        loop = planar_rectangle_loop([1.0, 0.0, 1.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5],
+                                     refinement=4)
+        # default min_overlap: the mixing levels 10 and 11 lie above check_levels
+        phases = wilson_loop_phases(model, loop, gap_tol=1e-3)
+        trusted = holonomy(model, loop, gap_tol=1e-3).phases[:model.trust_levels]
+        assert np.max(np.abs(phases[:model.trust_levels] - trusted)) <= 1e-14
+        assert np.all(trusted < 0.0)
+
     def test_surface_skips_cells_without_jacobian(self, su2_half):
         wedge = su2_wedge_patch(1.0)
 
