@@ -58,15 +58,6 @@ class ConnectionOneForm:
     def n_params(self) -> int:
         return len(self.components)
 
-    def along(self, delta) -> np.ndarray:
-        """Contract the 1-form with a parameter displacement: sum_mu A_mu dlambda_mu."""
-        delta = np.asarray(delta, dtype=float)
-        gen = np.zeros_like(self.components[0])
-        for a_mu, d_mu in zip(self.components, delta):
-            if d_mu != 0.0:
-                gen = gen + d_mu * a_mu
-        return gen
-
 
 @dataclass(frozen=True)
 class ShiftOperator:
@@ -181,15 +172,12 @@ class TimeAverageConfig:
 
     horizon: float
     samples: int
-    quadrature: str = "uniform-trapezoid"
 
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ValueError("averaging horizon must be positive")
         if self.samples < 2:
             raise ValueError("need at least two time samples")
-        if self.quadrature != "uniform-trapezoid":
-            raise ValueError("only uniform-trapezoid quadrature is implemented")
 
     @property
     def spacing(self) -> float:

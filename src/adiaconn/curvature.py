@@ -4,13 +4,17 @@ The non-Abelian field strength F_mu_nu = dA_nu/dmu - dA_mu/dnu
 - i [A_mu, A_nu] is, for this connection, diagonal in the instantaneous
 eigenbasis; its diagonal entries are the per-level Berry curvatures, whose
 surface integrals are Berry phases.  This module computes the field
-strength by central differences of the spectral connection, the per-level
-curvature table by the exact sum-over-states formula, the diagonality
-residual, the small-loop holonomy consistency check, and pulled-back
-surface integrals over parametrized patches.  The surface sweep evaluates
-the model a chunk of cell centres at a time through the stacked
-evaluation and decomposition of the path kernel in
-:mod:`adiaconn.transport`.
+strength by central differences of the spectral connection, the
+diagonality residual, the small-loop holonomy consistency check, and
+pulled-back surface integrals over parametrized patches.  One routine,
+:func:`_level_curvature`, evaluates the exact sum-over-states formula for
+the per-level curvature on a stack of eigensystems; both the point table
+(:func:`berry_curvature_levels`) and the integrand of the surface sweep
+go through it, so the two sides of the Stokes comparison share one
+formula.  The surface sweep evaluates the model a chunk of cell centres
+at a time through the stacked evaluation and decomposition of the path
+kernel in :mod:`adiaconn.transport`.  The small-loop square is the
+boundary of a one-cell :class:`SurfacePatch`.
 
 Sign and factor conventions are pinned by the spin-1/2 anchor: stored
 components satisfy F_theta_phi = -sin(theta) J_n, so the per-level value
@@ -144,33 +148,38 @@ def yang_mills_curvature(
     return CurvatureTwoForm(components=components, base_point=lam, n_params=n)
 
 
+def _level_curvature(evals, vecs, g, levels) -> np.ndarray:
+    """Per-level curvature along two directions at a stack of eigensystems.
+
+    ``evals`` (K, d) and ``vecs`` (K, d, d) hold the eigensystems (any
+    phase: the value is phase-free), ``g`` (K, 2, d, d) the gradients dH_u,
+    dH_v along the two directions; one row per stack entry, one column per
+    entry of ``levels``:
+
+    W^(n)_uv = -2 sum_{n' != n} Im(<n|dH_u|n'><n'|dH_v|n>) / (E_n - E_{n'})^2,
+
+    the diagonal entry <n|F_uv|n> of the field strength.  Exactly equal
+    eigenvalues contribute 0.
+    """
+    delta = evals[:, levels, None] - evals[:, None, :]  # [k, row, n']
+    inv2 = np.zeros_like(delta)
+    np.divide(1.0, delta**2, out=inv2, where=delta != 0.0)
+    bras = vecs[:, :, levels].conj().swapaxes(-1, -2)
+    elements = (bras[:, None] @ g) @ vecs[:, None]  # [k, u/v, row, n'] = <n|dH|n'>
+    return -2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
+
+
 def berry_curvature_levels(
     spec: SpectralDecomposition, grad_h: list[np.ndarray]
 ) -> BerryCurvatureTable:
-    """Exact per-level curvature by the sum-over-states formula.
-
-    W^(n)_mu_nu = -2 sum_{n' != n} Im(<n|dH_mu|n'><n'|dH_nu|n>)
-                  / (E_n - E_{n'})^2,
-
-    which equals the diagonal entry <n|F_mu_nu|n> of the field strength.
-    """
-    n_params = len(grad_h)
-    delta = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    inv2 = np.zeros_like(delta)
-    mask = delta != 0.0
-    inv2[mask] = 1.0 / delta[mask] ** 2
-    np.fill_diagonal(inv2, 0.0)
-    g_eig = [spec.to_eigenbasis(g) for g in grad_h]
-    pairs = []
-    columns = []
-    for mu in range(n_params):
-        for nu in range(mu + 1, n_params):
-            prod = g_eig[mu] * g_eig[nu].T  # [n, n'] = <n|dHmu|n'><n'|dHnu|n>
-            w = -2.0 * np.sum(np.imag(prod) * inv2, axis=1)
-            pairs.append((mu, nu))
-            columns.append(w)
-    table = np.column_stack(columns) if columns else np.zeros((spec.dim, 0))
-    return BerryCurvatureTable(pairs=tuple(pairs), table=table)
+    """Exact per-level curvature W^(n)_mu_nu of every level for every
+    parameter pair mu < nu, by the sum-over-states formula of
+    :func:`_level_curvature`; exactly equal eigenvalues contribute 0."""
+    mu, nu = np.triu_indices(len(grad_h), 1)
+    g = np.asarray(grad_h)[np.stack([mu, nu], axis=1)]
+    w = _level_curvature(spec.eigenvalues[None], spec.frame.matrix[None], g,
+                         np.arange(spec.dim))
+    return BerryCurvatureTable(pairs=tuple(zip(mu.tolist(), nu.tolist())), table=w.T)
 
 
 def berry_curvature_at(
@@ -225,13 +234,10 @@ class SmallLoopReport:
 
 
 def _square_loop(lam, mu, nu, eps, n_params, refinement) -> PathSpec:
-    e_mu = np.zeros(n_params)
-    e_mu[mu] = 1.0
-    e_nu = np.zeros(n_params)
-    e_nu[nu] = 1.0
-    c = np.asarray(lam, dtype=float) - 0.5 * eps * (e_mu + e_nu)
-    corners = [c, c + eps * e_mu, c + eps * (e_mu + e_nu), c + eps * e_nu, c]
-    return PathSpec(np.asarray(corners), closed=True, refinement=refinement)
+    e = np.eye(n_params)
+    c = np.asarray(lam, dtype=float) - 0.5 * eps * (e[mu] + e[nu])
+    square = SurfacePatch(lambda u, v: c + u * (eps * e[mu]) + v * (eps * e[nu]), (1, 1))
+    return square.boundary_path(refinement)
 
 
 def small_loop_check(
@@ -338,12 +344,10 @@ def _level_curvature_sweep(
     mu < nu of W^(n)_mu_nu (t_u^mu t_v^nu - t_v^mu t_u^nu), at a stack of
     points; one row per point, one column per requested level.
 
-    The pair sum collapses to -2 sum_{n'} Im(<n|dH_u|n'><n'|dH_v|n>)
-    / (E_n - E_n')^2 with dH_u, dH_v the gradients along the tangents, so
-    the model only contracts its gradient with two directions per point.
-    The frames need no phase fixing (the row is phase-free).  Degeneracy
-    is guarded per requested level: only gaps to the level itself enter
-    the denominators.
+    The pair sum is :func:`_level_curvature` with dH_u, dH_v the gradients
+    along the tangents, so the model only contracts its gradient with two
+    directions per point.  Degeneracy is guarded per requested level:
+    only gaps to the level itself enter the denominators.
     """
     h, g = model.eval_batch(lams, np.stack([t_u, t_v], axis=1))
     evals, vecs = np.linalg.eigh(h)
@@ -351,20 +355,16 @@ def _level_curvature_sweep(
         gap_tol = default_gap_tol(evals)
     gap_tol = np.broadcast_to(gap_tol, evals.shape[:1])
     levels = np.asarray(levels)
-    rows = np.arange(len(levels))
-    delta = evals[:, levels, None] - evals[:, None, :]  # [k, row, n']
-    delta[:, rows, levels] = np.inf
-    nearest_at = np.argmin(np.abs(delta), axis=-1)
-    nearest = np.min(np.abs(delta), axis=-1)
+    gaps = np.abs(evals[:, levels, None] - evals[:, None, :])  # [k, row, n']
+    gaps[:, np.arange(len(levels)), levels] = np.inf
+    nearest_at = np.argmin(gaps, axis=-1)
+    nearest = np.min(gaps, axis=-1)
     bad = nearest < gap_tol[:, None]
     if np.any(bad):
         k, row = (int(i[0]) for i in np.nonzero(bad))
         raise DegenerateSpectrumError(min(int(levels[row]), int(nearest_at[k, row])),
                                       float(nearest[k, row]), float(gap_tol[k]))
-    bras = vecs[:, :, levels].conj().swapaxes(-1, -2)
-    elements = (bras[:, None] @ g) @ vecs[:, None]  # [k, u/v, row, n'] = <n|dH|n'>
-    inv2 = 1.0 / delta**2
-    return -2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
+    return _level_curvature(evals, vecs, g, levels)
 
 
 def berry_phase_surface(
@@ -381,8 +381,8 @@ def berry_phase_surface(
     curvature contracted with the pullback Jacobian, whose tangents come
     from central differences of the chart at each cell centre.  ``level``
     may be an int or a sequence of ints (one grid sweep either way), each
-    in ``[0, dim)`` or ValueError is raised; the returned phase(s) are not
-    wrapped.
+    in ``[0, dim)``; anything else, floats included, raises ValueError.
+    The returned phase(s) are not wrapped.
 
     With ``refine_check_tol`` set, the integral is recomputed on a doubled
     grid; disagreement above the tolerance raises
@@ -390,7 +390,7 @@ def berry_phase_surface(
     """
     levels = [level] if np.isscalar(level) else list(level)
     for n in levels:
-        if not 0 <= n < model.dim:
+        if not (isinstance(n, (int, np.integer)) and 0 <= n < model.dim):
             raise ValueError(f"level index {n} out of range for dim {model.dim}")
     n_params = model.n_params
     all_pairs = [(mu, nu) for mu in range(n_params) for nu in range(mu + 1, n_params)]

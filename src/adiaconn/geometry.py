@@ -2,9 +2,12 @@
 
 Spherical builders work in the (B, theta, phi) chart of the spin model;
 planar builders produce flat patches/loops for any model (the oscillator's
-(X, Y, Z) space in particular).  Loops that pass through the polar axis
-close there: the azimuthal leg along the pole carries no transport, so it
-costs nothing and keeps paths coordinate-closed.
+(X, Y, Z) space in particular).  Every loop is the boundary of its patch:
+the builder makes the patch on a one-cell grid and returns its
+``boundary_path``, so a loop and the surface it bounds cannot drift apart.
+Loops that pass through the polar axis close there: the azimuthal leg
+along the pole carries no transport, so it costs nothing and keeps paths
+coordinate-closed.
 """
 
 from __future__ import annotations
@@ -31,20 +34,10 @@ def su2_triangle_loop(
     """Geodesic triangle: pole -> equator at phi=0 -> along the equator by
     ``omega`` -> back to the pole, closed along the polar axis.
 
+    It is the boundary of :func:`su2_wedge_patch` with the same arguments.
     For theta_max = pi/2 the enclosed solid angle equals ``omega``.
     """
-    if not 0.0 < omega < 2.0 * np.pi:
-        raise ValueError("azimuthal span must lie in (0, 2*pi)")
-    samples = np.array(
-        [
-            [b, 0.0, 0.0],
-            [b, theta_max, 0.0],
-            [b, theta_max, omega],
-            [b, 0.0, omega],
-            [b, 0.0, 0.0],
-        ]
-    )
-    return PathSpec(samples, closed=True, refinement=refinement)
+    return su2_wedge_patch(omega, b, (1, 1), theta_max).boundary_path(refinement)
 
 
 def su2_circle_loop(theta0: float, b: float = 1.0, refinement: int = 500) -> PathSpec:
@@ -56,16 +49,16 @@ def su2_circle_loop(theta0: float, b: float = 1.0, refinement: int = 500) -> Pat
     """
     if not 0.0 < theta0 < np.pi:
         raise ValueError("theta0 must lie strictly between the poles")
-    samples = np.array(
-        [
-            [b, 0.0, 0.0],
-            [b, theta0, 0.0],
-            [b, theta0, 2.0 * np.pi],
-            [b, 0.0, 2.0 * np.pi],
-            [b, 0.0, 0.0],
-        ]
-    )
-    return PathSpec(samples, closed=True, refinement=refinement)
+    return _polar_patch(b, theta0, 2.0 * np.pi, (1, 1)).boundary_path(refinement)
+
+
+def _polar_patch(b: float, theta_max: float, phi_span: float, grid) -> SurfacePatch:
+    """theta in [0, theta_max], phi in [0, phi_span] at field strength b."""
+
+    def chart(u, v):
+        return np.array([b, u * theta_max, v * phi_span])
+
+    return SurfacePatch(chart=chart, grid=grid)
 
 
 def su2_wedge_patch(
@@ -81,11 +74,7 @@ def su2_wedge_patch(
     """
     if not 0.0 < omega < 2.0 * np.pi:
         raise ValueError("azimuthal span must lie in (0, 2*pi)")
-
-    def chart(u, v):
-        return np.array([b, u * theta_max, v * omega])
-
-    return SurfacePatch(chart=chart, grid=grid)
+    return _polar_patch(b, theta_max, omega, grid)
 
 
 def cap_polar_angle(omega: float) -> float:
@@ -98,12 +87,7 @@ def cap_polar_angle(omega: float) -> float:
 def su2_cap_patch(omega: float, b: float = 1.0, grid: tuple[int, int] = (50, 50)) -> SurfacePatch:
     """Polar cap of solid angle ``omega``: theta in [0, arccos(1 - omega/2pi)],
     phi over the full turn."""
-    theta_max = cap_polar_angle(omega)
-
-    def chart(u, v):
-        return np.array([b, u * theta_max, v * 2.0 * np.pi])
-
-    return SurfacePatch(chart=chart, grid=grid)
+    return _polar_patch(b, cap_polar_angle(omega), 2.0 * np.pi, grid)
 
 
 def planar_patch(origin, edge_u, edge_v, grid: tuple[int, int] = (50, 50)) -> SurfacePatch:
@@ -120,10 +104,4 @@ def planar_patch(origin, edge_u, edge_v, grid: tuple[int, int] = (50, 50)) -> Su
 
 def planar_rectangle_loop(origin, edge_u, edge_v, refinement: int = 500) -> PathSpec:
     """Boundary of :func:`planar_patch`, counterclockwise from the origin."""
-    origin = np.asarray(origin, dtype=float)
-    edge_u = np.asarray(edge_u, dtype=float)
-    edge_v = np.asarray(edge_v, dtype=float)
-    samples = np.array(
-        [origin, origin + edge_u, origin + edge_u + edge_v, origin + edge_v, origin]
-    )
-    return PathSpec(samples, closed=True, refinement=refinement)
+    return planar_patch(origin, edge_u, edge_v, (1, 1)).boundary_path(refinement)

@@ -116,10 +116,6 @@ class ParametricHamiltonian:
             return True
         return bool(self._domain_fn(lam))
 
-    @property
-    def has_analytic_grad(self) -> bool:
-        return self._grad_fn is not None or type(self)._analytic_grad is not ParametricHamiltonian._analytic_grad
-
     # -- public API -------------------------------------------------------
 
     def _as_point(self, lam) -> np.ndarray:

@@ -16,9 +16,12 @@ transport collapses to the identity under refinement, which isolates the
 time averaging as the ingredient that makes the holonomy non-trivial.
 
 Both constructions run on the path kernel of :mod:`adiaconn.transport`:
-the substeps of all grid edges go through it a chunk of edges at a time,
-and the flatness loop passes the fixed-time Maurer-Cartan weight in
-place of the connection's.
+the edge cache transports the substeps of all grid edges when it is
+built, a chunk of edges at a time, and the flatness loop passes the
+fixed-time Maurer-Cartan weight in place of the connection's.  The loop
+that the surface-ordered product is compared with is the patch's own
+``boundary_path``, the same construction the ready-made loops of
+:mod:`adiaconn.geometry` use.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class Lasso:
     center: np.ndarray
     area_uv: float
     value: UnitaryOperator
-    tail: PathSpec
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,9 @@ class _EdgeCache:
     Shared between tails and cell loops so that edges traversed in both
     directions cancel exactly.  ``edge_refinement`` substeps per edge
     sharpen every transport without disturbing that cancellation.  All
-    edges are transported together on first use; substeps that the chart
-    collapses to a point carry no transport and are skipped.
+    edges are transported on construction, a chunk of edges per kernel
+    call; substeps that the chart collapses to a point carry no transport
+    and are skipped.
     """
 
     def __init__(
@@ -78,16 +81,9 @@ class _EdgeCache:
         gap_tol=None,
         edge_refinement: int = 2,
     ):
-        self.model = model
-        self.patch = patch
-        self.gap_tol = gap_tol
-        self.edge_refinement = max(int(edge_refinement), 1)
-        self.nu, self.nv = patch.grid
-        self._h: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-
-    def _transport_edges(self) -> None:
-        nu, nv, r = self.nu, self.nv, self.edge_refinement
+        self.dim = model.dim
+        self.nu, self.nv = nu, nv = patch.grid
+        r = max(int(edge_refinement), 1)
         i_h, j_h = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv + 1), indexing="ij"))
         i_v, j_v = (a.ravel() for a in np.meshgrid(np.arange(nu + 1), np.arange(nv), indexing="ij"))
         uv_from = np.concatenate([np.column_stack([i_h / nu, j_h / nv]),
@@ -96,30 +92,26 @@ class _EdgeCache:
                                 np.column_stack([i_v / nu, (j_v + 1) / nv])])
         # r + 1 nodes then r midpoints along every edge
         frac = np.concatenate([np.arange(r + 1) / r, (np.arange(r) + 0.5) / r])
-        edges = np.empty((len(uv_from), self.model.dim, self.model.dim), dtype=complex)
-        size = max(_chunk_size(self.model.dim) // r, 1)
+        edges = np.empty((len(uv_from), model.dim, model.dim), dtype=complex)
+        size = max(_chunk_size(model.dim) // r, 1)
         for start in range(0, len(edges), size):
             chunk = slice(start, start + size)
-            points = self.patch.points(
+            points = patch.points(
                 uv_from[chunk, None] + (uv_to - uv_from)[chunk, None] * frac[None, :, None])
             deltas = points[:, 1:r + 1] - points[:, :r]
             moves = np.linalg.norm(deltas, axis=-1) != 0.0
-            edges[chunk] = ordered_products(self.model, points[:, r + 1:][moves], deltas[moves],
-                                            moves.sum(axis=1), self.gap_tol)
+            edges[chunk] = ordered_products(model, points[:, r + 1:][moves], deltas[moves],
+                                            moves.sum(axis=1), gap_tol)
         edges.setflags(write=False)
         self._h = edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:])
         self._v = edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:])
 
     def horizontal(self, i: int, j: int) -> np.ndarray:
         """Transport (i, j) -> (i+1, j) along the u grid line."""
-        if self._h is None:
-            self._transport_edges()
         return self._h[i, j]
 
     def vertical(self, i: int, j: int) -> np.ndarray:
         """Transport (i, j) -> (i, j+1) along the v grid line."""
-        if self._v is None:
-            self._transport_edges()
         return self._v[i, j]
 
     def cell_loop(self, i: int, j: int) -> np.ndarray:
@@ -133,24 +125,12 @@ class _EdgeCache:
     def tail(self, i: int, j: int) -> np.ndarray:
         """Transport from the base (0,0) to the cell anchor (i, j):
         along the bottom row, then up column i."""
-        u = np.eye(self.model.dim, dtype=complex)
+        u = np.eye(self.dim, dtype=complex)
         for k in range(i):
             u = self.horizontal(k, 0) @ u
         for k in range(j):
             u = self.vertical(i, k) @ u
         return u
-
-    def tail_path(self, i: int, j: int) -> PathSpec:
-        nodes = [self.patch.node(0, 0)]
-        for k in range(1, i + 1):
-            nodes.append(self.patch.node(k, 0))
-        for k in range(1, j + 1):
-            nodes.append(self.patch.node(i, k))
-        pts = [nodes[0]]
-        for p in nodes[1:]:
-            if np.linalg.norm(p - pts[-1]) > 1e-14:
-                pts.append(p)
-        return PathSpec(np.asarray(pts), closed=False, refinement=1)
 
 
 def lasso_holonomy(
@@ -169,21 +149,20 @@ def lasso_holonomy(
     ordered product of its four edge transports.
     """
     i, j = cell
-    edges = _edges if _edges is not None else _EdgeCache(model, patch, gap_tol, edge_refinement)
-    if not (0 <= i < edges.nu and 0 <= j < edges.nv):
+    nu, nv = patch.grid
+    if not (0 <= i < nu and 0 <= j < nv):
         raise ValueError(f"cell {cell} outside grid {patch.grid}")
     if base is not None:
         if np.linalg.norm(np.asarray(base, dtype=float) - patch.node(0, 0)) > 1e-12:
             raise ValueError("lasso base point must be the patch origin S(0,0)")
+    edges = _edges if _edges is not None else _EdgeCache(model, patch, gap_tol, edge_refinement)
     tail = edges.tail(i, j)
     value = tail.conj().T @ edges.cell_loop(i, j) @ tail
-    center = patch.point((i + 0.5) / edges.nu, (j + 0.5) / edges.nv)
     return Lasso(
         cell=(i, j),
-        center=center,
-        area_uv=1.0 / (edges.nu * edges.nv),
+        center=patch.point((i + 0.5) / nu, (j + 0.5) / nv),
+        area_uv=1.0 / (nu * nv),
         value=UnitaryOperator(value, tol=1e-8),
-        tail=edges.tail_path(i, j),
     )
 
 

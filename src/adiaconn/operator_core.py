@@ -143,15 +143,12 @@ class PhaseConvention:
     """
 
     rule: str = "largest-real-positive"
-    tie_break: str = "lowest-index"
 
     _RULES = ("largest-real-positive", "first-nonzero-real-positive")
 
     def __post_init__(self):
         if self.rule not in self._RULES:
             raise ValueError(f"unknown phase rule {self.rule!r}; choose from {self._RULES}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only lowest-index tie breaking is supported")
 
     def anchor_indices(self, frame: np.ndarray) -> np.ndarray:
         """Row index of the anchor entry of every column of ``frame``."""

@@ -11,7 +11,7 @@ from adiaconn.curvature import (
     small_loop_check,
     yang_mills_curvature,
 )
-from adiaconn.models import Su2Model, constant_model
+from adiaconn.models import OscillatorModel, Su2Model, constant_model
 from adiaconn.geometry import (
     planar_patch,
     planar_rectangle_loop,
@@ -20,6 +20,8 @@ from adiaconn.geometry import (
 )
 from adiaconn.reference import su2_analytic_curvature, su2_berry_curvature
 from adiaconn.transport import holonomy
+
+from conftest import random_polynomial_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -178,11 +180,31 @@ class TestSurfaceIntegrals:
         with pytest.raises(DegenerateSpectrumError):
             berry_phase_surface(model, patch, level=0)
 
-    @pytest.mark.parametrize("level", [2, -1, [0, 2]])
+    @pytest.mark.parametrize("level", [2, -1, [0, 2], 1.5, 1.0, [0, 1.5]])
     def test_level_out_of_range(self, su2_half, level):
         patch = su2_cap_patch(1.0, grid=(4, 4))
         with pytest.raises(ValueError, match="out of range"):
             berry_phase_surface(su2_half, patch, level=level)
+
+    @pytest.mark.parametrize("model, origin, edge_u, edge_v", [
+        (Su2Model(1.0), [1.0, 0.9, 0.2], [0.1, 0.2, 0.05], [0.05, -0.1, 0.3]),
+        (OscillatorModel(14, 4), [2.0, 0.3, 1.4], [0.1, 0.2, 0.0], [0.0, 0.05, 0.25]),
+        (random_polynomial_model(np.random.default_rng(7)), [0.1, -0.2], [0.3, 0.05],
+         [-0.1, 0.25]),
+    ], ids=["su2_one", "oscillator14", "polynomial"])
+    def test_point_table_matches_surface_integrand(self, model, origin, edge_u, edge_v):
+        # one midpoint cell: the integral is the integrand at the centre
+        patch = planar_patch(origin, edge_u, edge_v, grid=(1, 1))
+        levels = list(range(model.dim))
+        surface = berry_phase_surface(model, patch, level=levels)
+        table = berry_curvature_at(model, patch.point(0.5, 0.5))
+        e_u, e_v = np.asarray(edge_u), np.asarray(edge_v)
+        expected = [
+            sum(table.value(n, mu, nu) * (e_u[mu] * e_v[nu] - e_v[mu] * e_u[nu])
+                for mu, nu in table.pairs)
+            for n in levels
+        ]
+        assert np.allclose(surface, expected, rtol=0.0, atol=1e-12)
 
     def test_stokes_consistency_su2(self, su2_half):
         omega = 0.9
