@@ -39,7 +39,7 @@ from .operator_core import (
 )
 from .models import DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
-from .transport import PathSpec, _chunk_size, holonomy
+from .transport import PathSpec, _check_level, _chunk_size, _is_int, holonomy
 
 __all__ = [
     "CurvatureTwoForm",
@@ -277,6 +277,13 @@ def small_loop_check(
 # ---------------------------------------------------------------------------
 
 
+def _check_grid(grid) -> tuple[int, int]:
+    """Cells per axis (nu, nv); ValueError unless both are positive integers."""
+    if len(grid) != 2 or not all(_is_int(n) and n >= 1 for n in grid):
+        raise ValueError(f"grid must have a positive integer cell count per axis, got {grid!r}")
+    return tuple(grid)
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """A parametrized 2-surface (u, v) in [0,1]^2 -> lambda with a grid.
@@ -290,9 +297,7 @@ class SurfacePatch:
     grid: tuple[int, int]
 
     def __post_init__(self):
-        nu, nv = self.grid
-        if nu < 1 or nv < 1:
-            raise ValueError("grid must have at least one cell per axis")
+        _check_grid(self.grid)
 
     def point(self, u: float, v: float) -> np.ndarray:
         return np.asarray(self.chart(u, v), dtype=float)
@@ -381,8 +386,8 @@ def berry_phase_surface(
     curvature contracted with the pullback Jacobian, whose tangents come
     from central differences of the chart at each cell centre.  ``level``
     may be an int or a sequence of ints (one grid sweep either way), each
-    in ``[0, dim)``; anything else, floats included, raises ValueError.
-    The returned phase(s) are not wrapped.
+    in ``[0, dim)``; anything else, floats and bools included, raises
+    ValueError.  The returned phase(s) are not wrapped.
 
     With ``refine_check_tol`` set, the integral is recomputed on a doubled
     grid; disagreement above the tolerance raises
@@ -390,8 +395,8 @@ def berry_phase_surface(
     """
     levels = [level] if np.isscalar(level) else list(level)
     for n in levels:
-        if not (isinstance(n, (int, np.integer)) and 0 <= n < model.dim):
-            raise ValueError(f"level index {n} out of range for dim {model.dim}")
+        _check_level(n, model.dim)
+    nu_grid, nv_grid = _check_grid(grid if grid is not None else patch.grid)
     n_params = model.n_params
     all_pairs = [(mu, nu) for mu in range(n_params) for nu in range(mu + 1, n_params)]
 
@@ -419,7 +424,6 @@ def berry_phase_surface(
                 total += np.sum(w, axis=0) * (du * dv)
         return total
 
-    nu_grid, nv_grid = grid if grid is not None else patch.grid
     phase = integrate(nu_grid, nv_grid)
     if refine_check_tol is not None:
         finer = integrate(2 * nu_grid, 2 * nv_grid)

@@ -1,11 +1,13 @@
 """Parametric Hamiltonian families H(lambda).
 
-Provides the model abstraction (evaluation, parameter gradients, domain
-checks), the two built-in families -- a spin in a magnetic field over
-spherical parameters (B, theta, phi) and a generalized oscillator over
-quadratic-form coefficients (X, Y, Z) in a truncated Fock basis -- and a
-text model-file format for user-defined polynomial families
-H(lambda) = sum_k c_k(lambda) M_k with monomial coefficients.
+Provides the model abstraction, the two built-in families -- a spin in a
+magnetic field over spherical parameters (B, theta, phi) and a
+generalized oscillator over quadratic-form coefficients (X, Y, Z) in a
+truncated Fock basis -- and a text model-file format for user-defined
+polynomial families H(lambda) = sum_k c_k(lambda) M_k with monomial
+coefficients.  A model evaluates H, its parameter gradients and its
+domain on a stack of points through two batch hooks; every per-point
+call is a one-point batch.
 """
 
 from __future__ import annotations
@@ -60,18 +62,15 @@ class ModelFileError(Exception):
 class ParametricHamiltonian:
     """A smooth family of Hermitian matrices over N real parameters.
 
-    Subclasses (or the functional constructor) supply evaluation and,
-    optionally, analytic gradients and a domain predicate.  When no
-    analytic gradient is available, ``grad_h`` falls back to central
-    finite differences with a per-direction step 1e-5 * (1 + |lambda_mu|).
-
-    :meth:`eval_batch` serves the path kernel a whole stack of points at
-    once.  Its hooks ``_domain_batch`` and ``_evaluate_batch`` fall back
-    to per-point calls of :meth:`domain_check`, :meth:`eval_h` and
-    :meth:`grad_h`; a subclass that overrides those should override the
-    batch hooks too (or leave them to the fallback).  ``_evaluate_batch``
-    must return Hermitian matrices; the fallback inherits that from
-    :meth:`eval_h` and :meth:`grad_h`.
+    Every evaluation runs through :meth:`eval_batch` and its two hooks,
+    ``_domain_batch(lams)`` (a boolean per point) and
+    ``_evaluate_batch(lams, directions)`` (H and the direction-contracted
+    gradients, all Hermitian).  :meth:`domain_check`, :meth:`eval_h` and
+    :meth:`grad_h` are one-point calls of it, so a subclass overrides the
+    two hooks and nothing else.  The default hooks call the functional
+    constructor's ``domain_fn``, ``eval_fn`` and ``grad_fn`` point by
+    point; without ``grad_fn`` the gradients are central finite
+    differences with a per-direction step 1e-5 * (1 + |lambda_mu|).
     """
 
     # Degeneracy checks cover the gaps among the lowest ``check_levels``
@@ -98,24 +97,6 @@ class ParametricHamiltonian:
             raise ValueError("param_names length must match n_params")
         self.param_names = tuple(param_names)
 
-    # -- hooks ------------------------------------------------------------
-
-    def _evaluate(self, lam: np.ndarray) -> np.ndarray:
-        if self._eval_fn is None:
-            raise NotImplementedError
-        return self._eval_fn(lam)
-
-    def _analytic_grad(self, lam: np.ndarray):
-        if self._grad_fn is None:
-            return None
-        return self._grad_fn(lam)
-
-    def domain_check(self, lam) -> bool:
-        lam = self._as_point(lam)
-        if self._domain_fn is None:
-            return True
-        return bool(self._domain_fn(lam))
-
     # -- public API -------------------------------------------------------
 
     def _as_point(self, lam) -> np.ndarray:
@@ -128,33 +109,28 @@ class ParametricHamiltonian:
             raise ValueError("parameter point has non-finite entries")
         return p
 
+    def domain_check(self, lam) -> bool:
+        return bool(self._domain_batch(self._as_point(lam)[None])[0])
+
     def eval_h(self, lam) -> np.ndarray:
         """Hermitian matrix H(lambda); raises DomainViolationError outside the domain."""
-        lam = self._as_point(lam)
-        if not self.domain_check(lam):
-            raise DomainViolationError(
-                f"{type(self).__name__}: point {lam.tolist()} outside model domain"
-            )
-        h = np.asarray(self._evaluate(lam), dtype=complex)
-        return 0.5 * (h + h.conj().T)
+        return self.eval_batch(self._as_point(lam)[None])[0][0]
 
     def grad_h(self, lam, scheme: str = "auto", step: float | None = None) -> list[np.ndarray]:
         """Parameter gradients dH/dlambda_mu as Hermitian matrices.
 
-        scheme: "auto" uses analytic gradients when the model provides
-        them, "analytic" demands them, "central" forces finite
-        differences (optionally with an explicit ``step``).
+        scheme: "auto" takes the model's gradients, "analytic" refuses a
+        functional model built without ``grad_fn``, "central" forces
+        finite differences (optionally with an explicit ``step``).
         """
         lam = self._as_point(lam)
         if scheme not in ("auto", "analytic", "central"):
             raise ValueError(f"unknown gradient scheme {scheme!r}")
-        if scheme in ("auto", "analytic"):
-            grads = self._analytic_grad(lam)
-            if grads is not None:
-                return [0.5 * (g + g.conj().T) for g in map(np.asarray, grads)]
-            if scheme == "analytic":
-                raise ValueError("model provides no analytic gradient")
-        return self._central_difference(lam, step)
+        if scheme == "central":
+            return self._central_difference(lam, step)
+        if scheme == "analytic" and self._eval_fn is not None and self._grad_fn is None:
+            raise ValueError("model provides no analytic gradient")
+        return list(self.eval_batch(lam[None], np.eye(self.n_params)[None])[1][0])
 
     def _central_difference(self, lam: np.ndarray, step: float | None) -> list[np.ndarray]:
         grads = []
@@ -173,8 +149,7 @@ class ParametricHamiltonian:
                     f"finite-difference stencil for {self.param_names[mu]} leaves the "
                     f"domain at {lam.tolist()} even after shrinking the step"
                 )
-            g = (self.eval_h(plus) - self.eval_h(minus)) / (2.0 * h_mu)
-            grads.append(0.5 * (g + g.conj().T))
+            grads.append(_hermitian((self.eval_h(plus) - self.eval_h(minus)) / (2.0 * h_mu)))
         return grads
 
     def spectral_at(
@@ -183,7 +158,8 @@ class ParametricHamiltonian:
         gap_tol: float | None = None,
         convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
     ) -> SpectralDecomposition:
-        """Eigen-decomposition of H(lambda) with degeneracy detection."""
+        """Eigen-decomposition of H(lambda) with degeneracy detection on
+        the lowest ``check_levels`` levels."""
         return spectral_decompose(self.eval_h(lam), gap_tol=gap_tol, convention=convention,
                                   check_levels=self.check_levels)
 
@@ -217,33 +193,36 @@ class ParametricHamiltonian:
         return self._evaluate_batch(lams, directions)
 
     def _domain_batch(self, lams: np.ndarray) -> np.ndarray:
-        return np.array([self.domain_check(lam) for lam in lams], dtype=bool)
+        if self._domain_fn is None:
+            return np.ones(len(lams), dtype=bool)
+        return np.array([bool(self._domain_fn(lam)) for lam in lams], dtype=bool)
 
     def _evaluate_batch(self, lams: np.ndarray, directions: np.ndarray):
+        if self._eval_fn is None:
+            raise NotImplementedError
         h = np.empty((len(lams), self.dim, self.dim), dtype=complex)
         g = np.zeros((len(lams), directions.shape[1], self.dim, self.dim), dtype=complex)
         for k, lam in enumerate(lams):
-            h[k] = self.eval_h(lam)
-            for mu, g_mu in enumerate(self.grad_h(lam) if g.shape[1] else ()):
+            h[k] = _hermitian(self._eval_fn(lam))
+            if not g.shape[1]:
+                continue
+            grads = (map(_hermitian, self._grad_fn(lam)) if self._grad_fn is not None
+                     else self._central_difference(lam, None))
+            for mu, g_mu in enumerate(grads):
                 for m, d in enumerate(directions[k, :, mu]):
                     if d != 0.0:
                         g[k, m] += d * g_mu
         return h, g
 
 
-def _contract(directions: np.ndarray, grads) -> np.ndarray:
-    """G[k, m] = sum_mu directions[k, m, mu] grads[mu][k], accumulated in
-    parameter order like the per-point contraction."""
-    g = np.zeros(directions.shape[:2] + np.shape(grads[0])[-2:], dtype=complex)
-    for mu, g_mu in enumerate(grads):
-        g += directions[:, :, mu, None, None] * np.expand_dims(g_mu, -3)
-    return g
+def _hermitian(m) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    return 0.5 * (m + m.conj().T)
 
 
 def constant_model(matrix, n_params: int = 1) -> ParametricHamiltonian:
     """A parameter-independent family; every gradient is zero."""
     m = as_matrix(matrix)
-    m = 0.5 * (m + m.conj().T)
     dim = m.shape[0]
     zeros = [np.zeros_like(m) for _ in range(n_params)]
     return ParametricHamiltonian(
@@ -298,50 +277,35 @@ class Su2Model(ParametricHamiltonian):
     m * B * mu for m = -l..l, so it is non-degenerate whenever B > 0.
     theta may touch the coordinate poles 0 and pi; curvature maps should
     stay in the open interval since the phi chart degenerates there.
+    H and its gradients are coefficient rows in the spherical axes
+    (n_hat, theta_hat, phi_hat) times the stack ``j`` = (Jx, Jy, Jz).
     """
 
     def __init__(self, l: float, mu: float = 1.0):
-        jx, jy, jz = angular_momentum(l)
-        super().__init__(dim=jx.shape[0], n_params=3, param_names=("B", "theta", "phi"))
+        self.j = np.stack(angular_momentum(l))
+        super().__init__(dim=self.j.shape[1], n_params=3, param_names=("B", "theta", "phi"))
         self.l = l
         self.mu = float(mu)
-        self.j = (jx, jy, jz)
 
     def j_dot(self, direction: np.ndarray) -> np.ndarray:
         jx, jy, jz = self.j
         return direction[0] * jx + direction[1] * jy + direction[2] * jz
-
-    def domain_check(self, lam) -> bool:
-        b, theta, _ = self._as_point(lam)
-        return b > 0.0 and -1e-12 <= theta <= np.pi + 1e-12
-
-    def _evaluate(self, lam):
-        b, theta, phi = lam
-        n_hat, _, _ = spherical_axes(theta, phi)
-        return b * self.mu * self.j_dot(n_hat)
-
-    def _analytic_grad(self, lam):
-        b, theta, phi = lam
-        n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
-        return [
-            self.mu * self.j_dot(n_hat),
-            b * self.mu * self.j_dot(theta_hat),
-            b * self.mu * np.sin(theta) * self.j_dot(phi_hat),
-        ]
 
     def _domain_batch(self, lams):
         b, theta = lams[:, 0], lams[:, 1]
         return (b > 0.0) & (theta >= -1e-12) & (theta <= np.pi + 1e-12)
 
     def _evaluate_batch(self, lams, directions):
-        b, theta, phi = (x[:, None, None] for x in lams.T)
+        b, theta, phi = lams.T
+        scale = b * self.mu
         n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
-        grads = (
-            self.mu * self.j_dot(n_hat),
-            b * self.mu * self.j_dot(theta_hat),
-            b * self.mu * np.sin(theta) * self.j_dot(phi_hat),
-        )
-        return b * self.mu * self.j_dot(n_hat), _contract(directions, grads)
+        # (Jx, Jy, Jz) coefficients of dH/dB, dH/dtheta, dH/dphi, point-major
+        jacobian = (self.mu * n_hat.T, (scale * theta_hat).T,
+                    (scale * np.sin(theta) * phi_hat).T)
+        g_coeff = sum(directions[:, :, mu, None] * jacobian[mu][:, None] for mu in range(3))
+        j = self.j.reshape(3, -1)
+        h, g = (scale * n_hat).T @ j, g_coeff @ j
+        return h.reshape(-1, self.dim, self.dim), g.reshape(*g.shape[:2], self.dim, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +332,9 @@ class OscillatorModel(ParametricHamiltonian):
     :meth:`certified_levels` measures, per parameter point, how many
     levels actually meet an eigenvalue-drift tolerance.  Construction
     self-checks the canonical commutator and the drift at the reference
-    point (1, 0, 1), where the truncation is exact.
+    point (1, 0, 1), where the truncation is exact.  H is linear in
+    (X, Y, Z): one product of the parameters with the stacked halved
+    quadratics, and the gradients are the quadratics themselves.
     """
 
     def __init__(self, nmax: int = 60, buffer: int = 20):
@@ -388,12 +354,12 @@ class OscillatorModel(ParametricHamiltonian):
         a2 = a @ a
         adag2 = adag @ adag
         number_term = 2.0 * (adag @ a) + np.eye(nmax)
-        self._q2 = 0.5 * (a2 + adag2 + number_term)
-        self._p2 = 0.5 * (-a2 - adag2 + number_term)
-        self._qp_pq = 1j * (adag2 - a2)
+        q2 = 0.5 * (a2 + adag2 + number_term)
+        p2 = 0.5 * (-a2 - adag2 + number_term)
+        qp_pq = 1j * (adag2 - a2)
         # Halving is exact, so H = sum_mu lambda_mu (Q_mu / 2) is one matrix
         # product for a whole stack of points.
-        self._half_quadratics = 0.5 * np.stack([self._q2, self._qp_pq, self._p2])
+        self._half_quadratics = 0.5 * np.stack([q2, qp_pq, p2])
         # The artificial top of the truncated spectrum may cluster; gaps
         # there are not meaningful and must not abort a computation whose
         # conclusions are read off the trusted subspace.
@@ -417,17 +383,6 @@ class OscillatorModel(ParametricHamiltonian):
             )
         return float(np.sqrt(disc))
 
-    def domain_check(self, lam) -> bool:
-        x, y, z = self._as_point(lam)
-        return z * x - y * y > 0.0
-
-    def _evaluate(self, lam):
-        x, y, z = lam
-        return 0.5 * (x * self._q2 + y * self._qp_pq + z * self._p2)
-
-    def _analytic_grad(self, lam):
-        return [0.5 * self._q2, 0.5 * self._qp_pq, 0.5 * self._p2]
-
     def _domain_batch(self, lams):
         x, y, z = lams.T
         return z * x - y * y > 0.0
@@ -436,16 +391,10 @@ class OscillatorModel(ParametricHamiltonian):
         return (np.tensordot(lams, self._half_quadratics, axes=1),
                 np.tensordot(directions, self._half_quadratics, axes=1))
 
-    def spectral_at(
-        self,
-        lam,
-        gap_tol: float | None = None,
-        convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
-    ) -> SpectralDecomposition:
-        """Decompose with degeneracy checks restricted to the lowest
-        ``check_levels = trust_levels + 1`` levels."""
-        return spectral_decompose(self.eval_h(lam), gap_tol=gap_tol, convention=convention,
-                                  check_levels=self.check_levels)
+    # The base method, with the gap check on the lowest check_levels =
+    # trust_levels + 1 levels; named on the class for the per-class
+    # tracing in benchmarks/bench_trace.py.
+    spectral_at = ParametricHamiltonian.spectral_at
 
     def certified_levels(self, lam, tol: float = 1e-8) -> int:
         """Largest count c <= trust_levels with |E_n - omega (n+1/2)| < tol for n < c.

@@ -33,7 +33,7 @@ import numpy as np
 from .operator_core import UnitaryOperator, frobenius
 from .models import ParametricHamiltonian
 from .connection import maurer_cartan_weight
-from .transport import PathSpec, _chunk_size, holonomy, ordered_products
+from .transport import PathSpec, _check_count, _chunk_size, holonomy, ordered_products
 from .curvature import SurfacePatch
 
 __all__ = [
@@ -83,7 +83,8 @@ class _EdgeCache:
     ):
         self.dim = model.dim
         self.nu, self.nv = nu, nv = patch.grid
-        r = max(int(edge_refinement), 1)
+        _check_count(edge_refinement, "edge_refinement")
+        r = edge_refinement
         i_h, j_h = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv + 1), indexing="ij"))
         i_v, j_v = (a.ravel() for a in np.meshgrid(np.arange(nu + 1), np.arange(nv), indexing="ij"))
         uv_from = np.concatenate([np.column_stack([i_h / nu, j_h / nv]),

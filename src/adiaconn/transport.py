@@ -59,6 +59,22 @@ CHUNK_MATRICES = 256
 CHUNK_BYTES = 4 << 20
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(value, what: str) -> None:
+    """Raise ValueError unless ``value`` is a positive integer."""
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def _check_level(n, dim: int) -> None:
+    """Raise ValueError unless ``n`` is an integer level index in [0, dim)."""
+    if not (_is_int(n) and 0 <= n < dim):
+        raise ValueError(f"level index {n} out of range for dim {dim}")
+
+
 class StepSizeError(Exception):
     """Integrator step too large for the requested norm-drift budget."""
 
@@ -79,8 +95,7 @@ class PathSpec:
         pts = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if pts.ndim != 2:
             raise ValueError("path samples must be a (K+1, N) array")
-        if self.refinement < 1:
-            raise ValueError("refinement must be at least 1")
+        _check_count(self.refinement, "refinement")
         deltas = np.diff(pts, axis=0)
         if len(pts) > 1 and np.any(np.linalg.norm(deltas, axis=1) == 0.0):
             raise ValueError("consecutive path samples must be distinct")
@@ -418,8 +433,7 @@ def counterdiabatic_evolve(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not 0 <= n0 < model.dim:
-        raise ValueError(f"level index {n0} out of range for dim {model.dim}")
+    _check_level(n0, model.dim)
 
     memo = {}
 
@@ -433,18 +447,12 @@ def counterdiabatic_evolve(
         return memo[key]
 
     def generator(t: float) -> np.ndarray:
-        lam = schedule.position(t)
-        h = model.eval_h(lam)
-        if include_cd:
-            spec = spectral(lam)
-            grads = model.grad_h(lam)
-            vel = np.asarray(schedule.velocity(t), dtype=float)
-            g_vel = np.zeros_like(h)
-            for g, v in zip(grads, vel):
-                if v != 0.0:
-                    g_vel += v * g
-            h = h - connection_spectral(spec, [g_vel]).components[0]
-        return h
+        lam = np.asarray(schedule.position(t), dtype=float)
+        if not include_cd:
+            return model.eval_h(lam)
+        vel = np.asarray(schedule.velocity(t), dtype=float)
+        h, g_vel = model.eval_batch(lam[None], vel[None, None])
+        return h[0] - connection_spectral(spectral(lam), [g_vel[0, 0]]).components[0]
 
     n_steps = max(int(round(schedule.total_time / dt)), 1)
     dt = schedule.total_time / n_steps

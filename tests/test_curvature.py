@@ -228,6 +228,14 @@ class TestSurfacePatch:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="grid"):
             SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=(0, 3))
+        for grid in [(2.5, 2), (2, -1), (True, 2), (2,)]:
+            with pytest.raises(ValueError, match="grid"):
+                SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=grid)
+        patch = planar_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(2, 2))
+        model = constant_model(np.diag([0.0, 1.0]), n_params=2)
+        for grid in [(0, 3), (2.5, 2), (3, 0)]:
+            with pytest.raises(ValueError, match="grid"):
+                berry_phase_surface(model, patch, 0, grid=grid)
 
     def test_cap_boundary_dedupes_pole_edge(self, su2_half):
         patch = su2_cap_patch(1.0, grid=(4, 4))

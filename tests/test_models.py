@@ -12,6 +12,8 @@ from adiaconn.models import (
     serialize_model_spec,
     spherical_axes,
 )
+from adiaconn.geometry import su2_circle_loop
+from adiaconn.transport import holonomy, wilson_loop_phases
 
 from conftest import random_polynomial_model
 
@@ -93,9 +95,65 @@ class TestSu2Model:
             errs.append(np.linalg.norm(fd - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
+    @pytest.mark.parametrize("l", [0.5, 1.0, 1.5])
+    def test_batch_matches_per_point_closed_form(self, l, rng):
+        model = Su2Model(l, mu=0.7)
+        lams = np.column_stack([rng.uniform(0.5, 2.0, 5), rng.uniform(0.0, np.pi, 5),
+                                rng.uniform(0.0, 2 * np.pi, 5)])
+        directions = rng.normal(size=(5, 2, 3))
+        h, g = model.eval_batch(lams, directions)
+        for k, (b, theta, phi) in enumerate(lams):
+            # a few roundings of entries no larger than B * mu * 2l
+            tol = 8 * np.finfo(float).eps * max(b, 1.0) * 2.0 * l
+            n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
+            grads = [0.7 * model.j_dot(n_hat), b * 0.7 * model.j_dot(theta_hat),
+                     b * 0.7 * np.sin(theta) * model.j_dot(phi_hat)]
+            assert np.max(np.abs(h[k] - b * 0.7 * model.j_dot(n_hat))) <= tol
+            for m, row in enumerate(directions[k]):
+                expected = sum(d * g_mu for d, g_mu in zip(row, grads))
+                assert np.max(np.abs(g[k, m] - expected)) <= tol * np.sum(np.abs(row))
+
     def test_domain_rejects_nonpositive_field(self, su2_half):
         with pytest.raises(DomainViolationError):
             su2_half.eval_h([0.0, 1.0, 0.0])
+
+
+class FlippedCap(Su2Model):
+    """-H, restricted to the polar cap theta <= 1, through the batch hooks only."""
+
+    def _domain_batch(self, lams):
+        return super()._domain_batch(lams) & (lams[:, 1] <= 1.0)
+
+    def _evaluate_batch(self, lams, directions):
+        h, g = super()._evaluate_batch(lams, directions)
+        return -h, -g
+
+
+class TestBatchHookOverrides:
+    def test_every_entry_point_sees_the_override(self, su2_half):
+        model = FlippedCap(0.5)
+        lam, outside = [1.3, 0.7, 0.4], [1.3, 1.5, 0.4]
+        assert np.array_equal(model.eval_h(lam), -su2_half.eval_h(lam))
+        for got, base in zip(model.grad_h(lam), su2_half.grad_h(lam)):
+            assert np.array_equal(got, -base)
+        assert model.domain_check(lam) and not model.domain_check(outside)
+        for entry_point in (model.eval_h, model.grad_h, model.spectral_at):
+            with pytest.raises(DomainViolationError):
+                entry_point(outside)
+        # -H has the same spectrum with the levels' eigenvectors swapped
+        flipped, base = model.spectral_at(lam), su2_half.spectral_at(lam)
+        assert np.allclose(flipped.eigenvalues, base.eigenvalues, atol=1e-14)
+        overlap = np.vdot(flipped.frame.matrix[:, 0], base.frame.matrix[:, 1])
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-14)
+
+    def test_holonomy_matches_wilson_loop(self, su2_half):
+        model = FlippedCap(0.5)
+        loop = su2_circle_loop(0.8, refinement=400)
+        result = holonomy(model, loop)
+        assert result.reliable
+        assert np.max(np.abs(result.phases - wilson_loop_phases(model, loop))) < 1e-4
+        # flipping H relabels the levels and leaves the connection alone
+        assert np.allclose(result.phases, holonomy(su2_half, loop).phases[::-1], atol=1e-12)
 
 
 class TestOscillatorModel:

@@ -34,6 +34,18 @@ class TestLasso:
         with pytest.raises(ValueError, match="origin"):
             lasso_holonomy(su2_half, patch, (0, 0), base=[1.0, 0.5, 0.0])
 
+    @pytest.mark.parametrize("edge_refinement", [0, -3, 2.7, 2.0])
+    def test_non_integer_or_non_positive_edge_refinement_rejected(self, su2_half,
+                                                                  edge_refinement):
+        patch = su2_cap_patch(0.8, grid=(2, 2))
+        for build in (lambda: lasso_holonomy(su2_half, patch, (1, 1),
+                                             edge_refinement=edge_refinement),
+                      lambda: surface_ordered_product(su2_half, patch,
+                                                      edge_refinement=edge_refinement),
+                      lambda: nast_residual(su2_half, patch, edge_refinement=edge_refinement)):
+            with pytest.raises(ValueError, match="edge_refinement"):
+                build()
+
     def test_cell_outside_grid_rejected(self, su2_half):
         patch = su2_cap_patch(0.8, grid=(2, 2))
         with pytest.raises(ValueError, match="outside"):

@@ -39,6 +39,15 @@ class TestPathSpec:
         assert len(mids) == 5
         assert np.allclose(np.sum(deltas, axis=0), [1.0])
 
+    @pytest.mark.parametrize("refinement", [2.5, 2.0, 0, -3, True])
+    def test_rejects_non_integer_or_non_positive_refinement(self, refinement):
+        with pytest.raises(ValueError, match="refinement"):
+            PathSpec(np.array([[0.0], [1.0]]), refinement=refinement)
+
+    def test_accepts_numpy_integer_refinement(self):
+        path = PathSpec(np.array([[0.0], [1.0]]), refinement=np.int64(3))
+        assert len(path.refined_points()) == 4
+
 
 class TestTransport:
     def test_single_point_path_is_identity(self, su2_half):
@@ -259,3 +268,6 @@ class TestCounterdiabatic:
         sched = linear_schedule([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="level"):
             counterdiabatic_evolve(su2_half, sched, n0=5, dt=1e-3)
+        for n0 in (1.5, 1.0, True, -1):
+            with pytest.raises(ValueError, match="level index"):
+                counterdiabatic_evolve(su2_half, sched, n0=n0, dt=1e-3)
