@@ -13,8 +13,10 @@ the per-level curvature on a stack of eigensystems; both the point table
 go through it, so the two sides of the Stokes comparison share one
 formula.  The surface sweep evaluates the model a chunk of cell centres
 at a time through the stacked evaluation and decomposition of the path
-kernel in :mod:`adiaconn.transport`.  The small-loop square is the
-boundary of a one-cell :class:`SurfacePatch`.
+kernel in :mod:`adiaconn.transport`.  A :class:`SurfacePatch` chart
+works on arrays: it takes u and v as (..., 1) arrays and returns the
+(..., N) points, so a chunk of cells costs one chart call.  The
+small-loop square is the boundary of a one-cell affine patch.
 
 Sign and factor conventions are pinned by the spin-1/2 anchor: stored
 components satisfy F_theta_phi = -sin(theta) J_n, so the per-level value
@@ -234,10 +236,9 @@ class SmallLoopReport:
 
 
 def _square_loop(lam, mu, nu, eps, n_params, refinement) -> PathSpec:
-    e = np.eye(n_params)
-    c = np.asarray(lam, dtype=float) - 0.5 * eps * (e[mu] + e[nu])
-    square = SurfacePatch(lambda u, v: c + u * (eps * e[mu]) + v * (eps * e[nu]), (1, 1))
-    return square.boundary_path(refinement)
+    e = eps * np.eye(n_params)
+    c = np.asarray(lam, dtype=float) - 0.5 * (e[mu] + e[nu])
+    return SurfacePatch(_affine_chart(c, e[mu], e[nu]), (1, 1)).boundary_path(refinement)
 
 
 def small_loop_check(
@@ -255,7 +256,12 @@ def small_loop_check(
     The two agree to O(eps^3), so halving eps should shrink the
     difference by about 8 (at least ~6 in practice; discretization keeps
     the floor well below the cubic term at the default refinement).
+    ``mu`` and ``nu`` must be distinct parameter indices in
+    ``[0, n_params)``; anything else raises ValueError.
     """
+    if not all(_is_int(i) and 0 <= i < model.n_params for i in (mu, nu)) or mu == nu:
+        raise ValueError(f"mu and nu must be distinct parameter indices in "
+                         f"[0, {model.n_params}), got {mu!r} and {nu!r}")
     lam = np.asarray(lam, dtype=float)
     f = yang_mills_curvature(model, lam, gap_tol=gap_tol)
 
@@ -284,35 +290,48 @@ def _check_grid(grid) -> tuple[int, int]:
     return tuple(grid)
 
 
+def _affine_chart(origin, edge_u, edge_v) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The chart lambda(u, v) = origin + u * edge_u + v * edge_v; ValueError
+    unless the three are 1-D vectors of one length."""
+    origin, edge_u, edge_v = (np.asarray(a, dtype=float) for a in (origin, edge_u, edge_v))
+    if origin.ndim != 1 or not origin.shape == edge_u.shape == edge_v.shape:
+        raise ValueError("origin, edge_u and edge_v must be 1-D vectors of one length, got "
+                         f"shapes {origin.shape}, {edge_u.shape} and {edge_v.shape}")
+    return lambda u, v: origin + u * edge_u + v * edge_v
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """A parametrized 2-surface (u, v) in [0,1]^2 -> lambda with a grid.
 
-    The boundary is traversed counterclockwise in (u, v) starting from
+    The chart works on arrays: it is called once per :meth:`points` call
+    with ``u`` and ``v`` as (..., 1) arrays and returns the (..., N)
+    points, so an affine chart written as for scalars,
+    ``origin + u * edge_u + v * edge_v``, broadcasts unchanged.  The
+    boundary is traversed counterclockwise in (u, v) starting from
     (0, 0).  Charts may collapse an edge to a point (a polar cap does);
     boundary extraction drops the resulting duplicate nodes.
     """
 
-    chart: Callable[[float, float], np.ndarray]
+    chart: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grid: tuple[int, int]
 
     def __post_init__(self):
         _check_grid(self.grid)
 
     def point(self, u: float, v: float) -> np.ndarray:
-        return np.asarray(self.chart(u, v), dtype=float)
+        return self.points([u, v])
 
     def points(self, uv) -> np.ndarray:
-        """Chart values at an (..., 2) array of (u, v) pairs, as (..., N)."""
+        """Chart values at an (..., 2) array of (u, v) pairs, as (..., N);
+        one chart call.  ValueError if the chart breaks the array contract."""
         uv = np.asarray(uv, dtype=float)
-        flat = uv.reshape(-1, 2)
-        out = None
-        for k, (u, v) in enumerate(flat):
-            p = self.point(u, v)
-            if out is None:
-                out = np.empty((len(flat), p.size))
-            out[k] = p
-        return out.reshape(*uv.shape[:-1], -1)
+        out = np.asarray(self.chart(uv[..., :1], uv[..., 1:]), dtype=float)
+        if out.shape[:-1] != uv.shape[:-1] or out.ndim != uv.ndim:
+            raise ValueError(
+                "a chart maps u and v given as (..., 1) arrays to (..., N) points; "
+                f"got shape {out.shape} for (u, v) pairs of shape {uv.shape}")
+        return out
 
     def node(self, i: int, j: int) -> np.ndarray:
         nu, nv = self.grid
@@ -321,14 +340,13 @@ class SurfacePatch:
     def boundary_nodes(self) -> np.ndarray:
         """Grid-resolution boundary polyline, counterclockwise from (0, 0)."""
         nu, nv = self.grid
-        uv = (
+        pts = self.points(
             [(i / nu, 0.0) for i in range(nu)]
             + [(1.0, j / nv) for j in range(nv)]
             + [(i / nu, 1.0) for i in range(nu, 0, -1)]
             + [(0.0, j / nv) for j in range(nv, 0, -1)]
             + [(0.0, 0.0)]
         )
-        pts = [self.point(u, v) for u, v in uv]
         deduped = [pts[0]]
         for p in pts[1:]:
             if np.linalg.norm(p - deduped[-1]) > 1e-14:

@@ -2,7 +2,9 @@
 
 Spherical builders work in the (B, theta, phi) chart of the spin model;
 planar builders produce flat patches/loops for any model (the oscillator's
-(X, Y, Z) space in particular).  Every loop is the boundary of its patch:
+(X, Y, Z) space in particular).  Every patch is the affine array chart
+origin + u*edge_u + v*edge_v of :func:`planar_patch` (see
+:class:`SurfacePatch`).  Every loop is the boundary of its patch:
 the builder makes the patch on a one-cell grid and returns its
 ``boundary_path``, so a loop and the surface it bounds cannot drift apart.
 Loops that pass through the polar axis close there: the azimuthal leg
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .transport import PathSpec
-from .curvature import SurfacePatch
+from .curvature import SurfacePatch, _affine_chart
 
 __all__ = [
     "su2_triangle_loop",
@@ -49,16 +51,8 @@ def su2_circle_loop(theta0: float, b: float = 1.0, refinement: int = 500) -> Pat
     """
     if not 0.0 < theta0 < np.pi:
         raise ValueError("theta0 must lie strictly between the poles")
-    return _polar_patch(b, theta0, 2.0 * np.pi, (1, 1)).boundary_path(refinement)
-
-
-def _polar_patch(b: float, theta_max: float, phi_span: float, grid) -> SurfacePatch:
-    """theta in [0, theta_max], phi in [0, phi_span] at field strength b."""
-
-    def chart(u, v):
-        return np.array([b, u * theta_max, v * phi_span])
-
-    return SurfacePatch(chart=chart, grid=grid)
+    return planar_patch([b, 0, 0], [0, theta0, 0], [0, 0, 2.0 * np.pi], (1, 1)).boundary_path(
+        refinement)
 
 
 def su2_wedge_patch(
@@ -74,7 +68,7 @@ def su2_wedge_patch(
     """
     if not 0.0 < omega < 2.0 * np.pi:
         raise ValueError("azimuthal span must lie in (0, 2*pi)")
-    return _polar_patch(b, theta_max, omega, grid)
+    return planar_patch([b, 0, 0], [0, theta_max, 0], [0, 0, omega], grid)
 
 
 def cap_polar_angle(omega: float) -> float:
@@ -87,19 +81,16 @@ def cap_polar_angle(omega: float) -> float:
 def su2_cap_patch(omega: float, b: float = 1.0, grid: tuple[int, int] = (50, 50)) -> SurfacePatch:
     """Polar cap of solid angle ``omega``: theta in [0, arccos(1 - omega/2pi)],
     phi over the full turn."""
-    return _polar_patch(b, cap_polar_angle(omega), 2.0 * np.pi, grid)
+    return planar_patch([b, 0, 0], [0, cap_polar_angle(omega), 0], [0, 0, 2.0 * np.pi], grid)
 
 
 def planar_patch(origin, edge_u, edge_v, grid: tuple[int, int] = (50, 50)) -> SurfacePatch:
-    """Flat parallelogram patch lambda(u, v) = origin + u*edge_u + v*edge_v."""
-    origin = np.asarray(origin, dtype=float)
-    edge_u = np.asarray(edge_u, dtype=float)
-    edge_v = np.asarray(edge_v, dtype=float)
+    """Flat parallelogram patch lambda(u, v) = origin + u*edge_u + v*edge_v.
 
-    def chart(u, v):
-        return origin + u * edge_u + v * edge_v
-
-    return SurfacePatch(chart=chart, grid=grid)
+    ``origin``, ``edge_u`` and ``edge_v`` must be 1-D vectors of one
+    length; anything else raises ValueError.
+    """
+    return SurfacePatch(chart=_affine_chart(origin, edge_u, edge_v), grid=grid)
 
 
 def planar_rectangle_loop(origin, edge_u, edge_v, refinement: int = 500) -> PathSpec:

@@ -67,10 +67,10 @@ class ParametricHamiltonian:
     ``_evaluate_batch(lams, directions)`` (H and the direction-contracted
     gradients, all Hermitian).  :meth:`domain_check`, :meth:`eval_h` and
     :meth:`grad_h` are one-point calls of it, so a subclass overrides the
-    two hooks and nothing else.  The default hooks call the functional
-    constructor's ``domain_fn``, ``eval_fn`` and ``grad_fn`` point by
-    point; without ``grad_fn`` the gradients are central finite
-    differences with a per-direction step 1e-5 * (1 + |lambda_mu|).
+    two hooks and nothing else.  The default hooks accept every point and
+    call the functional constructor's ``eval_fn`` point by point; its
+    gradients are central finite differences with a per-direction step
+    1e-5 * (1 + |lambda_mu|).
     """
 
     # Degeneracy checks cover the gaps among the lowest ``check_levels``
@@ -82,15 +82,11 @@ class ParametricHamiltonian:
         dim: int,
         n_params: int,
         eval_fn=None,
-        grad_fn=None,
-        domain_fn=None,
         param_names: tuple[str, ...] | None = None,
     ):
         self.dim = int(dim)
         self.n_params = int(n_params)
         self._eval_fn = eval_fn
-        self._grad_fn = grad_fn
-        self._domain_fn = domain_fn
         if param_names is None:
             param_names = tuple(f"lambda_{i + 1}" for i in range(n_params))
         if len(param_names) != n_params:
@@ -120,15 +116,15 @@ class ParametricHamiltonian:
         """Parameter gradients dH/dlambda_mu as Hermitian matrices.
 
         scheme: "auto" takes the model's gradients, "analytic" refuses a
-        functional model built without ``grad_fn``, "central" forces
-        finite differences (optionally with an explicit ``step``).
+        functional model (its gradients are finite differences), "central"
+        forces finite differences (optionally with an explicit ``step``).
         """
         lam = self._as_point(lam)
         if scheme not in ("auto", "analytic", "central"):
             raise ValueError(f"unknown gradient scheme {scheme!r}")
         if scheme == "central":
             return self._central_difference(lam, step)
-        if scheme == "analytic" and self._eval_fn is not None and self._grad_fn is None:
+        if scheme == "analytic" and self._eval_fn is not None:
             raise ValueError("model provides no analytic gradient")
         return list(self.eval_batch(lam[None], np.eye(self.n_params)[None])[1][0])
 
@@ -193,44 +189,40 @@ class ParametricHamiltonian:
         return self._evaluate_batch(lams, directions)
 
     def _domain_batch(self, lams: np.ndarray) -> np.ndarray:
-        if self._domain_fn is None:
-            return np.ones(len(lams), dtype=bool)
-        return np.array([bool(self._domain_fn(lam)) for lam in lams], dtype=bool)
+        return np.ones(len(lams), dtype=bool)
 
     def _evaluate_batch(self, lams: np.ndarray, directions: np.ndarray):
         if self._eval_fn is None:
             raise NotImplementedError
-        h = np.empty((len(lams), self.dim, self.dim), dtype=complex)
-        g = np.zeros((len(lams), directions.shape[1], self.dim, self.dim), dtype=complex)
-        for k, lam in enumerate(lams):
-            h[k] = _hermitian(self._eval_fn(lam))
-            if not g.shape[1]:
-                continue
-            grads = (map(_hermitian, self._grad_fn(lam)) if self._grad_fn is not None
-                     else self._central_difference(lam, None))
-            for mu, g_mu in enumerate(grads):
-                for m, d in enumerate(directions[k, :, mu]):
-                    if d != 0.0:
-                        g[k, m] += d * g_mu
-        return h, g
+        h = _hermitian(np.array([self._eval_fn(lam) for lam in lams], dtype=complex))
+        grads = (np.array([self._central_difference(lam, None) for lam in lams])
+                 if directions.shape[1] else np.empty((len(lams), 0, self.dim, self.dim)))
+        return h, _contract(grads, directions)
 
 
 def _hermitian(m) -> np.ndarray:
+    """Hermitian part of a matrix or of a stack of matrices."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """G[k, m] = sum_mu directions[k, m, mu] grads[k, mu], accumulated in
+    parameter order and skipping zero direction entries."""
+    k, n_dirs, n_params = directions.shape
+    g = np.zeros((k, n_dirs, *grads.shape[2:]), dtype=complex)
+    for mu in range(n_params):
+        for m in range(n_dirs):
+            d = directions[:, m, mu, None, None]
+            g[:, m] += np.where(d != 0.0, d * grads[:, mu], 0.0)
+    return g
 
 
 def constant_model(matrix, n_params: int = 1) -> ParametricHamiltonian:
     """A parameter-independent family; every gradient is zero."""
     m = as_matrix(matrix)
-    dim = m.shape[0]
-    zeros = [np.zeros_like(m) for _ in range(n_params)]
-    return ParametricHamiltonian(
-        dim,
-        n_params,
-        eval_fn=lambda lam: m,
-        grad_fn=lambda lam: zeros,
-    )
+    names = tuple(f"lambda_{i + 1}" for i in range(n_params))
+    return ModelSpec(m.shape[0], names, (((0,) * n_params, m),)).to_model()
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +437,36 @@ class ModelSpec:
         return len(self.param_names)
 
     def to_model(self) -> ParametricHamiltonian:
-        def eval_fn(lam):
-            h = np.zeros((self.dim, self.dim), dtype=complex)
-            for exponents, matrix in self.terms:
-                h += _monomial(lam, exponents) * matrix
-            return h
-
-        def grad_fn(lam):
-            grads = [np.zeros((self.dim, self.dim), dtype=complex) for _ in range(self.n_params)]
-            for exponents, matrix in self.terms:
-                for mu, e_mu in enumerate(exponents):
-                    if e_mu == 0:
-                        continue
-                    grads[mu] += _monomial_derivative(lam, exponents, mu) * matrix
-            return grads
-
-        return ParametricHamiltonian(
-            self.dim,
-            self.n_params,
-            eval_fn=eval_fn,
-            grad_fn=grad_fn,
-            param_names=self.param_names,
-        )
+        return _PolynomialModel(self)
 
 
-def _monomial(lam, exponents) -> float:
-    out = 1.0
-    for value, e in zip(lam, exponents):
-        if e:
-            out *= float(value) ** e
-    return out
+class _PolynomialModel(ParametricHamiltonian):
+    """The family of a :class:`ModelSpec`; the monomial coefficients of a
+    whole stack come from one power product of the exponent table."""
 
+    def __init__(self, spec: ModelSpec):
+        super().__init__(spec.dim, spec.n_params, param_names=spec.param_names)
+        self._exponents = np.array([e for e, _ in spec.terms], dtype=int)
+        self._matrices = np.array([m for _, m in spec.terms], dtype=complex)
 
-def _monomial_derivative(lam, exponents, mu) -> float:
-    out = float(exponents[mu])
-    for nu, (value, e) in enumerate(zip(lam, exponents)):
-        e_eff = e - 1 if nu == mu else e
-        if e_eff:
-            out *= float(value) ** e_eff
-    return out
+    def _evaluate_batch(self, lams, directions):
+        exps = self._exponents
+        powers = lams[:, None, :] ** exps  # [k, term, mu]
+        coeff = np.prod(powers, axis=-1)
+        h = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
+        for t, matrix in enumerate(self._matrices):
+            h += coeff[:, t, None, None] * matrix
+        if not directions.shape[1]:
+            return _hermitian(h), np.zeros((len(lams), 0, self.dim, self.dim), dtype=complex)
+        # d/dlambda_mu of a term: e_mu times its powers with lambda_mu's lowered by one
+        lowered = lams[:, None, :] ** np.maximum(exps - 1, 0)
+        diag = np.eye(self.n_params, dtype=bool)
+        d_coeff = exps * np.prod(np.where(diag, lowered[:, :, None], powers[:, :, None]), axis=-1)
+        grads = np.zeros((len(lams), self.n_params, self.dim, self.dim), dtype=complex)
+        for t, matrix in enumerate(self._matrices):
+            for mu in np.flatnonzero(exps[t]):
+                grads[:, mu] += d_coeff[:, t, mu, None, None] * matrix
+        return _hermitian(h), _contract(_hermitian(grads), directions)
 
 
 _COMPLEX_RE = re.compile(

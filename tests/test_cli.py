@@ -334,6 +334,18 @@ class TestOtherCommands:
         assert result.exit_code == 2, result.output
         assert "cannot load" in result.output
 
+    @pytest.mark.parametrize("surface", [
+        {"origin": 2.0, "edge_u": 0.25, "edge_v": 0.25},
+        {"origin": [2.0, 0.3, 1.4], "edge_u": [0, 0.25, 0], "edge_v": [[0, 0, 0.1]]},
+    ])
+    def test_surface_file_without_vectors_exits_2(self, runner, tmp_path, surface):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(surface))
+        result = runner.invoke(main, ["berry-surface", "--model", "oscillator", "--surface",
+                                      f"file:{path}", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot load surface from {path}" in result.output
+
 
 CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range", "0,0"]
 

@@ -19,6 +19,8 @@ from adiaconn.geometry import (
     su2_wedge_patch,
 )
 from adiaconn.reference import su2_analytic_curvature, su2_berry_curvature
+from adiaconn import transport
+from adiaconn.nast import _EdgeCache
 from adiaconn.transport import holonomy
 
 from conftest import random_polynomial_model
@@ -145,6 +147,9 @@ class TestSmallLoop:
         report = small_loop_check(model, [0.0, 0.0], 0, 1, eps=1e-2)
         assert report.difference < 1e-13
         assert report.halved_difference < 1e-13
+        for mu, nu in [(-1, 1), (0, 2), (1, 1), (0.0, 1), (True, 0), (np.int64(1), 1)]:
+            with pytest.raises(ValueError, match="distinct parameter indices"):
+                small_loop_check(model, [0.0, 0.0], mu, nu, eps=1e-2)
 
 
 class TestSurfaceIntegrals:
@@ -243,3 +248,32 @@ class TestSurfacePatch:
         assert path.closed
         deltas = np.diff(path.samples, axis=0)
         assert np.min(np.linalg.norm(deltas, axis=1)) > 0
+
+    def test_chart_called_once_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(transport, "CHUNK_MATRICES", 7)
+        plane = planar_patch([0.0, 0.0], [0.3, 0.0], [0.0, 0.25])
+        calls = []
+
+        def chart(u, v):
+            calls.append(u.shape)
+            return plane.chart(u, v)
+
+        patch = SurfacePatch(chart=chart, grid=(4, 5))
+        model = random_polynomial_model(np.random.default_rng(3))
+        berry_phase_surface(model, patch, [0, 1])
+        # 20 cells in chunks of 7, five stencil points per cell
+        assert calls == [(7, 5, 1), (7, 5, 1), (6, 5, 1)]
+        calls.clear()
+        _EdgeCache(model, patch, edge_refinement=2)
+        # 4 * 6 + 5 * 5 = 49 edges in chunks of 7 // 2 = 3, five points per edge
+        assert len(calls) == 17 and calls[0] == (3, 5, 1) and calls[-1] == (1, 5, 1)
+
+    def test_scalar_chart_breaks_the_contract(self):
+        # written for scalar u and v: stacks the (..., 1) arrays instead of broadcasting
+        scalar = SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=(2, 2))
+        with pytest.raises(ValueError, match=r"chart maps u and v given as \(\.\.\., 1\)"):
+            scalar.point(0.5, 0.5)
+        with pytest.raises(ValueError, match="chart maps"):
+            scalar.points(np.zeros((3, 4, 2)))
+        with pytest.raises(ValueError, match="chart maps"):
+            berry_phase_surface(constant_model(SZ, n_params=2), scalar, 0)

@@ -408,9 +408,6 @@ class TestErrorParity:
 
             shift = np.diag([0.0] * 11 + [-1.0])
 
-            def _evaluate(self, lam):
-                return super()._evaluate(lam) + self.shift
-
             def _evaluate_batch(self, lams, directions):
                 h, g = super()._evaluate_batch(lams, directions)
                 return h + self.shift, g
@@ -431,9 +428,6 @@ class TestErrorParity:
 
             shift = np.diag([0.0] * 11 + [-1.0])
 
-            def _evaluate(self, lam):
-                return super()._evaluate(lam) + self.shift
-
             def _evaluate_batch(self, lams, directions):
                 h, g = super()._evaluate_batch(lams, directions)
                 return h + self.shift, g
@@ -452,7 +446,7 @@ class TestErrorParity:
 
         def chart(u, v):
             # the left half collapses onto a point outside the model domain
-            return np.array([-1.0, 0.0, 0.0]) if u <= 0.5 else wedge.point(u, v)
+            return np.where(u <= 0.5, [-1.0, 0.0, 0.0], wedge.chart(u, v))
 
         patch = SurfacePatch(chart=chart, grid=(4, 6))
         got = berry_phase_surface(su2_half, patch, [0, 1])

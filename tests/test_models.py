@@ -4,6 +4,7 @@ import pytest
 from adiaconn.models import (
     DomainViolationError,
     ModelFileError,
+    ModelSpec,
     OscillatorModel,
     Su2Model,
     angular_momentum,
@@ -15,7 +16,7 @@ from adiaconn.models import (
 from adiaconn.geometry import su2_circle_loop
 from adiaconn.transport import holonomy, wilson_loop_phases
 
-from conftest import random_polynomial_model
+from conftest import random_hermitian, random_polynomial_model
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -218,6 +219,22 @@ class TestPolynomialModels:
         fd = model.grad_h(lam, scheme="central")
         for a, b in zip(exact, fd):
             assert np.linalg.norm(a - b) < 1e-6
+
+    def test_high_exponents_match_closed_form(self, rng):
+        exponents = [(0, 0, 0), (7, 0, 0), (2, 3, 1), (0, 7, 2), (1, 1, 1), (3, 0, 5), (0, 0, 7)]
+        m = [random_hermitian(rng, 3) for _ in exponents]
+        model = ModelSpec(3, ("a", "b", "c"), tuple(zip(exponents, m))).to_model()
+        lams = rng.uniform(-1.2, 1.2, size=(20, 3))
+        h, _ = model.eval_batch(lams)
+        for (a, b, c), h_k in zip(lams, h):
+            expected = (m[0] + a**7 * m[1] + a**2 * b**3 * c * m[2] + b**7 * c**2 * m[3]
+                        + a * b * c * m[4] + a**3 * c**5 * m[5] + c**7 * m[6])
+            assert np.max(np.abs(h_k - expected)) <= 1e-13 * np.max(np.abs(expected))
+        for lam in lams[:5]:
+            exact = model.grad_h(lam, scheme="analytic")
+            fd = model.grad_h(lam, scheme="central")
+            for a, b in zip(exact, fd):
+                assert np.linalg.norm(a - b) < 1e-6 * max(np.linalg.norm(a), 1.0)
 
     def test_constant_model(self):
         model = constant_model(SZ, n_params=2)
