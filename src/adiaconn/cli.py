@@ -619,7 +619,7 @@ def flatness(cfg, mdl):
 @click.option("--level", type=int, default=0, show_default=True)
 @click.option("--no-cd", is_flag=True, default=False,
               help="drop the counterdiabatic term (control run)")
-@click.option("--stride", type=int, default=10, show_default=True,
+@click.option("--stride", type=click.IntRange(min=1), default=10, show_default=True,
               help="CSV row stride")
 def drive(cfg, mdl):
     """Driven evolution along a schedule; trajectory written as CSV."""
@@ -635,7 +635,7 @@ def drive(cfg, mdl):
     n = len(result.times)
     with csv_output("trajectory.csv", ["t", "fidelity", "phase", "norm_drift"]) as (csv_path, writer):
         # every stride-th row, and the last row always
-        for k in sorted({*range(0, n, max(cfg["stride"], 1)), n - 1}):
+        for k in sorted({*range(0, n, cfg["stride"]), n - 1}):
             writer.writerow(
                 [f"{result.times[k]:.12g}", f"{result.fidelities[k]:.15g}",
                  f"{result.phases[k]:.15g}", f"{result.norm_drifts[k]:.3e}"]

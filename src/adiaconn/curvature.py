@@ -34,6 +34,7 @@ import numpy as np
 from .operator_core import (
     DegenerateSpectrumError,
     SpectralDecomposition,
+    block_eigh,
     default_gap_tol,
     expm_hermitian,
     frobenius,
@@ -373,7 +374,7 @@ def _level_curvature_sweep(
     only gaps to the level itself enter the denominators.
     """
     h, g = model.eval_batch(lams, np.stack([t_u, t_v], axis=1))
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = block_eigh(h)
     if gap_tol is None:
         gap_tol = default_gap_tol(evals)
     gap_tol = np.broadcast_to(gap_tol, evals.shape[:1])

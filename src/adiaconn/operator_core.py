@@ -7,11 +7,17 @@ exponential also work on stacks of matrices (leading batch axes), which is
 how the path kernel in :mod:`adiaconn.transport` decomposes and
 exponentiates a whole chunk of steps in one call.  Everything here is a
 pure function on immutable values; nothing mutates its inputs.
+
+Every eigendecomposition in the library goes through :func:`block_eigh`.
+When the exact nonzero pattern of a stack falls apart into blocks (a
+conserved symmetry such as the oscillator's Fock parity), each block is
+decomposed on its own; a dense stack takes ``numpy.linalg.eigh`` as is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +36,7 @@ __all__ = [
     "frobenius",
     "wrap_phase",
     "hermitize",
+    "block_eigh",
     "spectral_decompose",
     "spectral_gaps",
     "default_gap_tol",
@@ -265,6 +272,58 @@ def fix_phase(frame, convention: PhaseConvention = DEFAULT_PHASE_CONVENTION) -> 
     return UnitaryOperator(v * (z.conj() / modulus))
 
 
+@lru_cache(maxsize=64)
+def _pattern_blocks(pattern: bytes, dim: int):
+    """Connected components of a (dim, dim) boolean nonzero pattern, each
+    as an ascending index array; None when the pattern is connected."""
+    adjacent = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
+    reach = (adjacent | adjacent.T | np.eye(dim, dtype=bool)).astype(float)
+    while True:  # square the reachability matrix until it stops growing
+        grown = np.minimum(reach @ reach, 1.0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    label = np.argmax(reach, axis=0)  # lowest index of each component
+    if not label.any():
+        return None
+    return tuple(np.flatnonzero(label == first) for first in np.unique(label))
+
+
+def block_eigh(h):
+    """``numpy.linalg.eigh`` of one Hermitian matrix or a stack, one block
+    at a time when the stack's exact nonzero pattern allows it.
+
+    The pattern is the union over the stack of the entries that are not
+    exactly zero; its connected components are blocks that no matrix of
+    the stack couples.  A connected pattern returns ``numpy.linalg.eigh(h)``
+    unchanged.  Otherwise every block is decomposed as one stacked
+    ``eigh``, the eigenvalues are merged in ascending order (a stable sort,
+    so exact ties keep block order), and each block's eigenvectors land at
+    their sorted columns, exactly zero outside the block.
+    """
+    h = np.asarray(h)
+    if np.count_nonzero(h) == h.size:
+        return np.linalg.eigh(h)
+    dim = h.shape[-1]
+    stack = h.reshape(-1, dim, dim)
+    blocks = _pattern_blocks(np.any(stack != 0, axis=0).tobytes(), dim)
+    if blocks is None:
+        return np.linalg.eigh(h)
+    parts = [np.linalg.eigh(stack[:, idx[:, None], idx]) for idx in blocks]
+    evals = np.concatenate([w for w, _ in parts], axis=-1)
+    order = np.argsort(evals, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(dim), axis=-1)
+    vecs = np.zeros(stack.shape, dtype=parts[0][1].dtype)
+    batch = np.arange(len(stack))[:, None, None]
+    start = 0
+    for idx, (_, v) in zip(blocks, parts):
+        vecs[batch, idx[None, :, None], rank[:, None, start:start + len(idx)]] = v
+        start += len(idx)
+    evals = np.take_along_axis(evals, order, axis=-1)
+    return evals.reshape(h.shape[:-1]), vecs.reshape(h.shape)
+
+
 def spectral_decompose(
     h,
     gap_tol: float | None = None,
@@ -282,7 +341,7 @@ def spectral_decompose(
     scale = max(np.linalg.norm(m), 1.0)
     if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * scale:
         raise ValueError("spectral_decompose requires a Hermitian matrix")
-    evals, vecs = np.linalg.eigh(m)
+    evals, vecs = block_eigh(m)
     return SpectralDecomposition(
         eigenvalues=evals,
         frame=fix_phase(vecs, convention),
@@ -292,7 +351,7 @@ def spectral_decompose(
 
 def _expm_eig(h: np.ndarray, s: float) -> np.ndarray:
     """exp(i s H) through the eigenbasis, for one matrix or a stack."""
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = block_eigh(h)
     phases = np.exp(1j * s * evals)
     return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
@@ -326,16 +385,16 @@ def expm_hermitian_derivative(h, dh, s: float = 1.0) -> np.ndarray:
 
         <m| d exp(isH) |n> = <m|dH|n> * (e^{isE_m} - e^{isE_n})/(E_m - E_n)
 
-    with the diagonal limit i s e^{isE_n} <n|dH|n>.  The denominator never
-    carries an extra i, which is fixed by the small-s limit
-    d exp(isH) -> i s dH.
+    evaluated as i s e^{is(E_m + E_n)/2} sinc(s (E_m - E_n)/2), which has
+    no cancellation for close eigenvalues and takes the confluent limit
+    i s e^{isE_n} wherever E_m = E_n (the diagonal and any repeated
+    eigenvalue).  The denominator never carries an extra i, which is
+    fixed by the small-s limit d exp(isH) -> i s dH.
     """
     m = as_matrix(h)
-    evals, vecs = np.linalg.eigh(m)
+    evals, vecs = block_eigh(m)
     g = vecs.conj().T @ as_matrix(dh) @ vecs
-    e = np.exp(1j * s * evals)
+    mean = 0.5 * (evals[:, None] + evals[None, :])
     delta = evals[:, None] - evals[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = (e[:, None] - e[None, :]) / delta
-    np.fill_diagonal(kernel, 1j * s * e)
+    kernel = 1j * s * np.exp(1j * s * mean) * np.sinc(s * delta / (2 * np.pi))
     return vecs @ (g * kernel) @ vecs.conj().T

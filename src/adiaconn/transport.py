@@ -15,10 +15,15 @@ the grid edges and the fixed-time flatness loop of :mod:`adiaconn.nast` --
 runs through one step kernel, :func:`ordered_products`.  All step points
 are known up front, so the kernel works a chunk of steps at a time: the
 model evaluates H and the step-contracted gradient as stacked arrays, one
-stacked ``eigh`` decomposes them, the connection is contracted in the
-eigenbasis and exponentiated as a stack, and only the final ordered
-product is a Python loop.  Chunks hold at most 256 matrices and about
-4 MB per stacked array.  The Wilson loop shares the chunked decomposition.
+stacked decomposition (:func:`~adiaconn.operator_core.block_eigh`)
+handles them, the connection is contracted in the eigenbasis and
+exponentiated as a stack, and only the final ordered product is a Python
+loop.  When the stack's exact nonzero pattern splits into blocks (the
+oscillator's two Fock-parity sectors), every block is decomposed on its
+own; the connection and the step generator keep the exact zeros between
+blocks, so the step exponential splits the same way.  Chunks hold at
+most 256 matrices and about 4 MB per stacked array.  The Wilson loop
+shares the chunked decomposition.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 from .operator_core import (
     SpectralDecomposition,
     UnitaryOperator,
+    block_eigh,
     expm_hermitian_stack,
     frobenius,
     spectral_gaps,
@@ -192,7 +198,7 @@ def _eigensystems(model: ParametricHamiltonian, lams, gap_tol, directions=None):
     h, g = model.eval_batch(lams, directions)
     if not np.all(np.isfinite(h.view(float))):
         raise ValueError("Hamiltonian has non-finite entries")
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = block_eigh(h)
     min_gap = spectral_gaps(evals, gap_tol, model.check_levels)
     return evals, vecs, g, min_gap
 

@@ -354,6 +354,8 @@ CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range",
     ["holonomy", "--steps", "0"],
     ["nast-check", "--cap", "1", "--grid", "0"],
     ["drive", "--level", "5"],
+    ["drive", "--stride", "0"],
+    ["drive", "--stride", "-3"],
     ["berry-surface", "--level", "5"],
     CMAP + ["--level", "7"],
     CMAP + ["--grid", "0x2"],

@@ -1,9 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from adiaconn import operator_core, transport
+from adiaconn.curvature import berry_phase_surface
+from adiaconn.geometry import planar_patch, planar_rectangle_loop
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
     PhaseConvention,
+    block_eigh,
     expm_hermitian,
     expm_hermitian_derivative,
     fix_phase,
@@ -125,6 +132,143 @@ class TestExpmDerivative:
             - expm_hermitian(h - eps * dh, s).matrix
         ) / (2 * eps)
         assert np.linalg.norm(expm_hermitian_derivative(h, dh, s) - fd) < 1e-8
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12])
+    def test_repeated_eigenvalue_takes_the_confluent_limit(self, gap):
+        h = np.diag([1.0, 1.0 + gap, 2.0]).astype(complex)
+        dh = np.zeros((3, 3), dtype=complex)
+        dh[0, 1] = dh[1, 0] = 1.0
+        s, eps = 0.7, 1e-6
+        fd = (
+            expm_hermitian(h + eps * dh, s).matrix
+            - expm_hermitian(h - eps * dh, s).matrix
+        ) / (2 * eps)
+        d = expm_hermitian_derivative(h, dh, s)
+        assert np.all(np.isfinite(d))
+        assert np.linalg.norm(d - fd) < 1e-8
+        assert d[0, 1] == pytest.approx(-0.4510 + 0.5354j, abs=1e-4)
+
+
+def hidden_block_stack(rng, sizes, k=4):
+    """A (k, d, d) Hermitian stack, block diagonal with the given block
+    sizes under one random permutation of the basis; also the block of
+    every basis index."""
+    dim = sum(sizes)
+    h = np.zeros((k, dim, dim), dtype=complex)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    start = 0
+    for n in sizes:
+        for j in range(k):
+            h[j, start:start + n, start:start + n] = random_hermitian(rng, n, scale=3.0)
+        start += n
+    perm = rng.permutation(dim)
+    return h[:, perm[:, None], perm], owner[perm]
+
+
+def record_eigh_shapes(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+class TestBlockEigh:
+    @pytest.mark.parametrize("sizes", [(3, 1, 4), (2, 5), (1, 1, 3), (4, 4)])
+    def test_hidden_blocks(self, rng, sizes):
+        h, owner = hidden_block_stack(rng, sizes)
+        evals, vecs = block_eigh(h)
+        ref = np.linalg.eigh(h)[0]
+        norm = np.linalg.norm(h, ord=2, axis=(-2, -1))
+        assert np.all(np.abs(evals - ref) <= 1e-13 * (1 + norm[:, None]))
+        assert np.all(np.diff(evals, axis=-1) >= 0)
+        resid = np.linalg.norm(h @ vecs - vecs * evals[:, None, :], axis=(-2, -1))
+        assert np.all(resid <= 1e-13 * (1 + norm))
+        eye = np.eye(h.shape[-1])
+        assert np.all(np.linalg.norm(vecs.conj().swapaxes(-1, -2) @ vecs - eye,
+                                     axis=(-2, -1)) < 1e-13)
+        for j in range(len(h)):
+            for n in range(h.shape[-1]):
+                support = np.flatnonzero(vecs[j, :, n])
+                assert len(set(owner[support])) == 1
+                assert np.all(vecs[j, owner != owner[support[0]], n] == 0)
+
+    def test_one_block_per_eigh_call(self, rng, monkeypatch):
+        h, _ = hidden_block_stack(rng, (3, 1, 4), k=5)
+        shapes = record_eigh_shapes(monkeypatch)
+        block_eigh(h)
+        assert sorted(shapes) == [(5, 1, 1), (5, 3, 3), (5, 4, 4)]
+
+    def test_connected_union_takes_the_dense_path(self, rng, monkeypatch):
+        h = np.zeros((2, 3, 3), dtype=complex)
+        h[0, :2, :2] = random_hermitian(rng, 2)
+        h[1, 1:, 1:] = random_hermitian(rng, 2)
+        shapes = record_eigh_shapes(monkeypatch)
+        evals, vecs = block_eigh(h)
+        assert shapes == [(2, 3, 3)]
+        ref = np.linalg.eigh(h)
+        assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 2)])
+    def test_dense_input_is_plain_eigh(self, rng, shape):
+        h = np.stack([random_hermitian(rng, shape[-1])
+                      for _ in range(int(np.prod(shape[:-1])))])
+        h = h.reshape(shape[:-1] + (shape[-1],) * 2)
+        evals, vecs = block_eigh(h)
+        ref = np.linalg.eigh(h)
+        assert evals.shape == ref[0].shape and vecs.shape == ref[1].shape
+        assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
+
+    def test_single_split_matrix(self, rng):
+        h, _ = hidden_block_stack(rng, (2, 3), k=1)
+        evals, vecs = block_eigh(h[0])
+        assert evals.shape == (5,) and vecs.shape == (5, 5)
+        assert np.allclose(evals, np.linalg.eigh(h[0])[0], atol=1e-13)
+        assert np.allclose(h[0] @ vecs, vecs * evals, atol=1e-12)
+
+    def test_oscillator_splits_into_parity_sectors(self, oscillator, monkeypatch):
+        lams = np.array([2.0, 0.3, 1.4]) + 0.1 * np.eye(3)
+        h, _ = oscillator.eval_batch(lams)
+        shapes = record_eigh_shapes(monkeypatch)
+        evals, vecs = block_eigh(h)
+        assert shapes == [(3, 30, 30), (3, 30, 30)]
+        even = np.any(vecs[:, 0::2] != 0, axis=1)
+        odd = np.any(vecs[:, 1::2] != 0, axis=1)
+        assert np.all(even ^ odd)
+        assert np.all(even.sum(axis=-1) == 30)
+
+    def test_oscillator_phases_match_the_dense_path(self, oscillator, monkeypatch):
+        corner = ([2.0, 0.3, 1.4], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25])
+        patch = planar_patch(*corner, (12, 12))
+        loop = planar_rectangle_loop(*corner, refinement=40)
+
+        def phases():
+            return (transport.holonomy(oscillator, loop).phases,
+                    transport.wilson_loop_phases(oscillator, loop),
+                    berry_phase_surface(oscillator, patch, [0, 1, 2, 3]))
+
+        blocked = phases()
+        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        dense = phases()
+        for b, d in zip(blocked, dense):
+            assert np.max(np.abs(b - d)) < 1e-12
+
+    def test_only_operator_core_calls_eigh(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "operator_core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.eigh") \
+                        or isinstance(node, ast.ImportFrom) and any(
+                            alias.name == "eigh" for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestFixPhase:
