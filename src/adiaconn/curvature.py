@@ -42,7 +42,7 @@ from .operator_core import (
 )
 from .models import DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
-from .transport import PathSpec, _check_level, _chunk_size, _is_int, holonomy
+from .transport import PathSpec, _check_level, _chunk_size, _hamiltonians, _is_int, holonomy
 
 __all__ = [
     "CurvatureTwoForm",
@@ -373,7 +373,7 @@ def _level_curvature_sweep(
     directions per point.  Degeneracy is guarded per requested level:
     only gaps to the level itself enter the denominators.
     """
-    h, g = model.eval_batch(lams, np.stack([t_u, t_v], axis=1))
+    h, g = _hamiltonians(model, lams, np.stack([t_u, t_v], axis=1))
     evals, vecs = block_eigh(h)
     if gap_tol is None:
         gap_tol = default_gap_tol(evals)

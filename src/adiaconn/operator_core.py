@@ -8,16 +8,33 @@ how the path kernel in :mod:`adiaconn.transport` decomposes and
 exponentiates a whole chunk of steps in one call.  Everything here is a
 pure function on immutable values; nothing mutates its inputs.
 
-Every eigendecomposition in the library goes through :func:`block_eigh`.
-When the exact nonzero pattern of a stack falls apart into blocks (a
-conserved symmetry such as the oscillator's Fock parity), each block is
-decomposed on its own; a dense stack takes ``numpy.linalg.eigh`` as is.
+Every eigendecomposition in the library goes through this module, which
+is also the one place that finds blocks.  :func:`split_blocks` takes the
+union of the exactly nonzero entries of one or more stacks; when that
+pattern falls apart into connected components (a conserved symmetry such
+as the oscillator's Fock parity), :func:`eigh_block` decomposes each
+block on its own, and :func:`block_eigh` merges the blocks of one stack
+back into one ascending eigensystem.  A dense stack, or one whose pattern
+is connected, takes ``numpy.linalg.eigh`` as is.
+
+A block whose coupling graph is a tree is decomposed as a real symmetric
+matrix.  A diagonal unitary D changes the phase of every coupling H_ab
+but leaves the product H_ab H_bc ... H_za around any closed cycle of the
+coupling graph unchanged; those cycle products, a discrete flux, are the
+only phases a change of eigenvector gauge cannot remove, much as a
+holonomy comes from curvature and not from the gauge of the connection.
+A tree has no cycle, so all its coupling phases are pure gauge: one D,
+built by walking the tree from its root, removes them all, D^dag H D is
+real, and a real ``eigh`` of it costs roughly half the complex one.  The
+60-level oscillator couples level n only to n +- 2, so each parity
+sector is a chain and takes the real path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +53,9 @@ __all__ = [
     "frobenius",
     "wrap_phase",
     "hermitize",
+    "Block",
+    "split_blocks",
+    "eigh_block",
     "block_eigh",
     "spectral_decompose",
     "spectral_gaps",
@@ -272,12 +292,41 @@ def fix_phase(frame, convention: PhaseConvention = DEFAULT_PHASE_CONVENTION) -> 
     return UnitaryOperator(v * (z.conj() / modulus))
 
 
+class Block(NamedTuple):
+    """One block of a split nonzero pattern: its ascending basis indices,
+    and, when its coupling graph is a tree, the local index of every
+    node's parent along that tree (the root, local node 0, is its own
+    parent); ``parent`` is None for a block with a cycle."""
+
+    index: np.ndarray
+    parent: np.ndarray | None
+
+
+def _tree_parents(adjacent: np.ndarray) -> np.ndarray | None:
+    """Breadth-first parents from node 0 of a connected undirected graph
+    given by its off-diagonal adjacency; None unless the graph is a tree."""
+    n = len(adjacent)
+    if np.count_nonzero(np.triu(adjacent, 1)) != n - 1:
+        return None
+    parent = np.full(n, -1)
+    parent[0] = 0
+    frontier = [0]
+    while frontier:
+        reached = [(p, c) for p in frontier for c in np.flatnonzero(adjacent[p]) if parent[c] < 0]
+        for p, c in reached:
+            parent[c] = p
+        frontier = [c for _, c in reached]
+    return parent
+
+
 @lru_cache(maxsize=64)
 def _pattern_blocks(pattern: bytes, dim: int):
     """Connected components of a (dim, dim) boolean nonzero pattern, each
-    as an ascending index array; None when the pattern is connected."""
+    a :class:`Block` with its tree when it has one; None when the pattern
+    is connected."""
     adjacent = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
-    reach = (adjacent | adjacent.T | np.eye(dim, dtype=bool)).astype(float)
+    adjacent = (adjacent | adjacent.T) & ~np.eye(dim, dtype=bool)
+    reach = (adjacent | np.eye(dim, dtype=bool)).astype(float)
     while True:  # square the reachability matrix until it stops growing
         grown = np.minimum(reach @ reach, 1.0)
         if np.array_equal(grown, reach):
@@ -286,7 +335,60 @@ def _pattern_blocks(pattern: bytes, dim: int):
     label = np.argmax(reach, axis=0)  # lowest index of each component
     if not label.any():
         return None
-    return tuple(np.flatnonzero(label == first) for first in np.unique(label))
+    blocks = (np.flatnonzero(label == first) for first in np.unique(label))
+    return tuple(Block(idx, _tree_parents(adjacent[idx[:, None], idx])) for idx in blocks)
+
+
+def split_blocks(*stacks):
+    """Blocks of the union of the exactly nonzero entries of one or more
+    (..., d, d) stacks, as a tuple of :class:`Block`; None when that union
+    is connected, so that no block split applies."""
+    dim = stacks[0].shape[-1]
+    pattern = False
+    for s in stacks:
+        s = s.reshape(-1, dim, dim)
+        if len(s) == 0 or np.count_nonzero(s[0]) == dim * dim:
+            return None  # one dense matrix makes the union dense
+        # real and imaginary parts compared as one float array: faster
+        # than a complex comparison
+        nonzero = np.any(np.ascontiguousarray(s).view(s.real.dtype) != 0, axis=0)
+        pattern = pattern | nonzero.reshape(dim, dim, -1).any(axis=-1)
+    return _pattern_blocks(pattern.tobytes(), dim)
+
+
+def eigh_block(stack: np.ndarray, block: Block):
+    """``eigh`` of one diagonal block of a (K, d, d) Hermitian stack.
+
+    A block whose coupling graph is a tree carries no gauge-invariant
+    flux: with a diagonal unitary D, propagated from the root so that
+    D_c = D_p conj(H_pc)/|H_pc| along every tree edge p -> c (1 where
+    H_pc is exactly 0), D^dag H D is real symmetric with entries |H_pc|.
+    That real matrix is decomposed instead, and the eigenvectors are
+    D R.  Any other block, and any real input, takes
+    ``numpy.linalg.eigh`` as it is.
+    """
+    h = stack[:, block.index[:, None], block.index]
+    parent = block.parent
+    if parent is None or not np.iscomplexobj(h):
+        return np.linalg.eigh(h)
+    child = np.flatnonzero(parent != np.arange(len(parent)))
+    link = h[:, parent[child], child]
+    size = np.abs(link)
+    unit = np.ones_like(link)
+    np.divide(link.conj(), size, out=unit, where=size > 0)
+    gauge = np.ones(h.shape[:-1], dtype=complex)
+    gauge[:, child] = unit
+    up = parent
+    while np.any(up):  # pointer jumping: products along each path to the root
+        gauge = gauge * gauge[:, up]
+        up = up[up]
+    real = np.zeros(h.shape, dtype=float)
+    diag = np.arange(h.shape[-1])
+    real[:, diag, diag] = h[:, diag, diag].real
+    real[:, parent[child], child] = size
+    real[:, child, parent[child]] = size
+    evals, vecs = np.linalg.eigh(real)
+    return evals, gauge[:, :, None] * vecs
 
 
 def block_eigh(h):
@@ -295,21 +397,20 @@ def block_eigh(h):
 
     The pattern is the union over the stack of the entries that are not
     exactly zero; its connected components are blocks that no matrix of
-    the stack couples.  A connected pattern returns ``numpy.linalg.eigh(h)``
-    unchanged.  Otherwise every block is decomposed as one stacked
-    ``eigh``, the eigenvalues are merged in ascending order (a stable sort,
-    so exact ties keep block order), and each block's eigenvectors land at
-    their sorted columns, exactly zero outside the block.
+    the stack couples.  A dense or connected pattern returns
+    ``numpy.linalg.eigh(h)`` unchanged.  Otherwise every block is
+    decomposed by :func:`eigh_block` as one stack, the eigenvalues are
+    merged in ascending order (a stable sort, so exact ties keep block
+    order), and each block's eigenvectors land at their sorted columns,
+    exactly zero outside the block.
     """
     h = np.asarray(h)
-    if np.count_nonzero(h) == h.size:
-        return np.linalg.eigh(h)
     dim = h.shape[-1]
     stack = h.reshape(-1, dim, dim)
-    blocks = _pattern_blocks(np.any(stack != 0, axis=0).tobytes(), dim)
+    blocks = split_blocks(stack)
     if blocks is None:
         return np.linalg.eigh(h)
-    parts = [np.linalg.eigh(stack[:, idx[:, None], idx]) for idx in blocks]
+    parts = [eigh_block(stack, block) for block in blocks]
     evals = np.concatenate([w for w, _ in parts], axis=-1)
     order = np.argsort(evals, axis=-1, kind="stable")
     rank = np.empty_like(order)
@@ -317,7 +418,8 @@ def block_eigh(h):
     vecs = np.zeros(stack.shape, dtype=parts[0][1].dtype)
     batch = np.arange(len(stack))[:, None, None]
     start = 0
-    for idx, (_, v) in zip(blocks, parts):
+    for block, (_, v) in zip(blocks, parts):
+        idx = block.index
         vecs[batch, idx[None, :, None], rank[:, None, start:start + len(idx)]] = v
         start += len(idx)
     evals = np.take_along_axis(evals, order, axis=-1)

@@ -15,15 +15,24 @@ the grid edges and the fixed-time flatness loop of :mod:`adiaconn.nast` --
 runs through one step kernel, :func:`ordered_products`.  All step points
 are known up front, so the kernel works a chunk of steps at a time: the
 model evaluates H and the step-contracted gradient as stacked arrays, one
-stacked decomposition (:func:`~adiaconn.operator_core.block_eigh`)
-handles them, the connection is contracted in the eigenbasis and
-exponentiated as a stack, and only the final ordered product is a Python
-loop.  When the stack's exact nonzero pattern splits into blocks (the
-oscillator's two Fock-parity sectors), every block is decomposed on its
-own; the connection and the step generator keep the exact zeros between
-blocks, so the step exponential splits the same way.  Chunks hold at
-most 256 matrices and about 4 MB per stacked array.  The Wilson loop
-shares the chunked decomposition.
+stacked decomposition handles them, the connection is contracted in the
+eigenbasis and exponentiated as a stack, and only the final ordered
+product is a Python loop.  Chunks hold at most 256 matrices and about
+4 MB per stacked array.  The Wilson loop shares the chunked evaluation
+and decomposition (:func:`~adiaconn.operator_core.block_eigh`).
+
+The kernel splits by blocks of the joint nonzero pattern of H and the
+step-contracted gradient (:func:`~adiaconn.operator_core.split_blocks`).
+It has to be the joint pattern: where H alone splits further than the
+step (H diagonal at a pole while the step couples the levels), the
+connection couples levels that H does not.  Over the joint blocks the
+connection, the step generator and its exponential are all block
+diagonal, so each block is decomposed, contracted, checked and
+exponentiated on its own, and the step factors are written with exact
+zeros between blocks.  The oscillator's two Fock-parity sectors run as
+two 30x30 kernels, each decomposed as a real tree block (see
+:mod:`adiaconn.operator_core`).  A connected joint pattern takes the
+dense path unchanged.
 """
 
 from __future__ import annotations
@@ -37,9 +46,11 @@ from .operator_core import (
     SpectralDecomposition,
     UnitaryOperator,
     block_eigh,
+    eigh_block,
     expm_hermitian_stack,
     frobenius,
     spectral_gaps,
+    split_blocks,
     wrap_phase,
 )
 from .models import ParametricHamiltonian
@@ -191,16 +202,14 @@ def _chunk_size(dim: int) -> int:
     return max(1, min(CHUNK_MATRICES, CHUNK_BYTES // (16 * dim * dim)))
 
 
-def _eigensystems(model: ParametricHamiltonian, lams, gap_tol, directions=None):
-    """Stacked decomposition of H at ``lams`` with the model's degeneracy
-    check, plus the gradients contracted with ``directions`` (see
-    :meth:`ParametricHamiltonian.eval_batch`).  Frames are not phase-fixed."""
+def _hamiltonians(model: ParametricHamiltonian, lams, directions=None):
+    """H at ``lams`` and the gradients contracted with ``directions`` (see
+    :meth:`ParametricHamiltonian.eval_batch`); ValueError when H has a
+    non-finite entry, which no decomposition downstream would report."""
     h, g = model.eval_batch(lams, directions)
     if not np.all(np.isfinite(h.view(float))):
         raise ValueError("Hamiltonian has non-finite entries")
-    evals, vecs = block_eigh(h)
-    min_gap = spectral_gaps(evals, gap_tol, model.check_levels)
-    return evals, vecs, g, min_gap
+    return h, g
 
 
 def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
@@ -209,19 +218,37 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
     W is the connection for the default weight; the gradient is contracted
     with the step before the change of basis, so each step costs one
     decomposition of H and one of the generator, whatever the number of
-    parameters.
+    parameters.  When the joint nonzero pattern of H and the contracted
+    gradient splits into blocks, W and its exponential are block diagonal
+    over them, so every block is decomposed, contracted and exponentiated
+    on its own; the factors are exactly zero outside the blocks.
     """
     size = _chunk_size(model.dim)
     for start in range(0, len(mids), size):
         mid = mids[start:start + size]
-        evals, vecs, g, min_gap = _eigensystems(model, mid, gap_tol, deltas[start:start + size, None])
+        h, g = _hamiltonians(model, mid, deltas[start:start + size, None])
+        g = g[:, 0]
+        blocks = split_blocks(h, g)
+        if blocks is None:
+            systems = [(*block_eigh(h), g)]
+        else:
+            systems = [(*eigh_block(h, b), g[:, b.index[:, None], b.index]) for b in blocks]
+        evals = np.sort(np.concatenate([e for e, _, _ in systems], axis=-1), axis=-1)
+        min_gap = spectral_gaps(evals, gap_tol, model.check_levels)
         if model.dim > 1 and np.any(min_gap <= 0.0):
             raise ValueError("the connection requires a non-degenerate spectrum")
-        gen = contract_stack(evals, vecs, g[:, 0], weight)
-        finite = np.isfinite(gen.view(float)).reshape(len(gen), -1).all(axis=1)
+        gens = [contract_stack(e, v, gb, weight) for e, v, gb in systems]
+        finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
+                         for w in gens], axis=0)
         if not finite.all():
             raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
-        yield expm_hermitian_stack(gen)
+        if blocks is None:
+            yield expm_hermitian_stack(gens[0])
+            continue
+        factors = np.zeros(h.shape, dtype=complex)
+        for b, w in zip(blocks, gens):
+            factors[:, b.index[:, None], b.index] = expm_hermitian_stack(w)
+        yield factors
 
 
 def ordered_products(
@@ -350,7 +377,8 @@ def wilson_loop_phases(
     product = np.ones(model.dim, dtype=complex)
     size = _chunk_size(model.dim)
     for start in range(0, len(nodes), size):
-        frames = _eigensystems(model, nodes[start:start + size], gap_tol)[1]
+        evals, frames = block_eigh(_hamiltonians(model, nodes[start:start + size])[0])
+        spectral_gaps(evals, gap_tol, model.check_levels)
         if start == 0:
             first = frames[:1]
         else:
@@ -435,7 +463,8 @@ def counterdiabatic_evolve(
 
     Raises :class:`StepSizeError` when the norm drifts more than
     ``norm_drift_tol`` per unit time, which signals that ``dt`` is too
-    large for the spectral scale of the generator.
+    large for the spectral scale of the generator, and ValueError when
+    the state stops being finite (a non-finite H at a Runge-Kutta stage).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -490,7 +519,11 @@ def counterdiabatic_evolve(
         k4 = -1j * (h4 @ (psi + dt * k3))
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         record(k + 1, t + dt)
-        if drifts[k + 1] > norm_drift_tol * max(t + dt, 1.0):
+        # fail closed: a NaN drift compares False with any budget
+        if not drifts[k + 1] <= norm_drift_tol * max(t + dt, 1.0):
+            if not np.isfinite(drifts[k + 1]):
+                raise ValueError(f"state is not finite at t = {t + dt:.4g}: the generator "
+                                 "is not finite within the step, or dt is far too large")
             raise StepSizeError(
                 f"norm drift {drifts[k + 1]:.3e} at t = {t + dt:.4g} exceeds budget; "
                 f"reduce dt below {dt:.3e}"

@@ -11,7 +11,7 @@ from adiaconn.curvature import (
     small_loop_check,
     yang_mills_curvature,
 )
-from adiaconn.models import OscillatorModel, Su2Model, constant_model
+from adiaconn.models import OscillatorModel, ParametricHamiltonian, Su2Model, constant_model
 from adiaconn.geometry import (
     planar_patch,
     planar_rectangle_loop,
@@ -184,6 +184,22 @@ class TestSurfaceIntegrals:
         patch = planar_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(2, 2))
         with pytest.raises(DegenerateSpectrumError):
             berry_phase_surface(model, patch, level=0)
+
+    def test_non_finite_hamiltonian_raises(self):
+        def eval_fn(lam):
+            h = np.array([[1.0, 0.3 * lam[1]], [0.3 * lam[1], -1.0 + lam[0]]], dtype=complex)
+            return h * np.nan if lam[0] > 0.55 else h
+
+        model = ParametricHamiltonian(2, 2, eval_fn=eval_fn)
+        patch = planar_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(4, 4))
+        with pytest.raises(ValueError, match="non-finite"):
+            berry_phase_surface(model, patch, level=0)
+        with pytest.raises(ValueError):
+            berry_curvature_at(model, [0.625, 0.125])
+        loop = planar_rectangle_loop([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], refinement=4)
+        for phases in (holonomy, transport.wilson_loop_phases):
+            with pytest.raises(ValueError):
+                phases(model, loop)
 
     @pytest.mark.parametrize("level", [2, -1, [0, 2], 1.5, 1.0, [0, 1.5]])
     def test_level_out_of_range(self, su2_half, level):

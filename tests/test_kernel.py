@@ -11,7 +11,7 @@ that small paths cross many chunk seams.
 import numpy as np
 import pytest
 
-from adiaconn import transport
+from adiaconn import operator_core, transport
 from adiaconn.connection import connection_spectral
 from adiaconn.curvature import GridTooCoarseError, SurfacePatch, berry_phase_surface
 from adiaconn.geometry import (
@@ -488,3 +488,59 @@ def test_drive_reuses_decompositions():
     # whenever it differs in the last bit from the end of the step before;
     # without reuse there were four per step
     assert 2 * 100 + 1 <= Counting.calls <= 3 * 100 + 1
+
+
+class TestBlockKernel:
+    """The step kernel splits by the joint nonzero pattern of H and the
+    step-contracted gradient, one block at a time."""
+
+    def test_diagonal_h_with_coupling_step(self):
+        # at the origin H is diagonal, but the step along l1 couples
+        # levels 0 and 1: the joint blocks are {0, 1} and {2}, while H
+        # alone would split into three 1x1 blocks and miss the rotation
+        m01 = np.zeros((3, 3), dtype=complex)
+        m01[0, 1], m01[1, 0] = 0.4 - 0.3j, 0.4 + 0.3j
+        m12 = np.zeros((3, 3), dtype=complex)
+        m12[1, 2], m12[2, 1] = 0.2j, -0.2j
+        model = ModelSpec(dim=3, param_names=("l1", "l2"), terms=(
+            ((0, 0), np.diag([0.0, 1.0, 2.5]).astype(complex)),
+            ((1, 0), m01), ((0, 1), m12))).to_model()
+        mid, delta = np.zeros((1, 2)), np.array([[0.05, 0.0]])
+        h, g = model.eval_batch(mid, delta[:, None])
+        assert len(operator_core.split_blocks(h)) == 3
+        assert [list(b.index) for b in operator_core.split_blocks(h, g[:, 0])] == [[0, 1], [2]]
+        got = transport.ordered_products(model, mid, delta, [1])[0]
+        ref = ref_step(model, mid[0], delta[0])
+        assert np.max(np.abs(got - ref)) <= TOL
+        assert abs(got[0, 1]) > 1e-3 and got[0, 2] == 0 and got[1, 2] == 0
+
+    def test_oscillator_matches_dense_path(self, oscillator, monkeypatch):
+        loop = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=6)
+        patch = planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(2, 2))
+
+        def outputs():
+            return (transport_operator(oscillator, loop).operator.matrix,
+                    nast_residual(oscillator, patch, boundary_refinement=2),
+                    maurer_cartan_flatness(oscillator, loop, 1.7))
+
+        blocked = outputs()
+        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        dense = outputs()
+        for b, d in zip(blocked, dense):
+            assert np.max(np.abs(b - d)) <= TOL
+
+    def test_one_eigh_per_block_per_chunk(self, oscillator, tiny_chunks, monkeypatch):
+        mids, deltas = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=3).step_arrays()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            calls.append((np.shape(a), np.asarray(a).dtype))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        transport.ordered_products(oscillator, mids, deltas, [len(mids)])
+        # 12 steps in chunks of 7 and 5; per chunk each parity sector is
+        # decomposed once as a real tree block and exponentiated once
+        assert calls == [((k, 30, 30), dtype) for k in (7, 5)
+                         for dtype in (np.float64, np.float64, np.complex128, np.complex128)]

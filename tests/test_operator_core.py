@@ -177,6 +177,31 @@ def record_eigh_shapes(monkeypatch):
     return shapes
 
 
+def tree_block_stack(rng, kinds, k=5):
+    """A (k, d, d) Hermitian stack, block diagonal under one random
+    permutation of the basis, each block coupled along a tree: a chain,
+    a star or a random tree of the given size.  Some tree edges are
+    exactly 0 in some members of the stack (never in all).  Also returns
+    the block of every basis index."""
+    dim = sum(n for _, n in kinds)
+    h = np.zeros((k, dim, dim), dtype=complex)
+    owner = np.repeat(np.arange(len(kinds)), [n for _, n in kinds])
+    start = 0
+    for kind, n in kinds:
+        child = np.arange(1, n)
+        parent = {"chain": child - 1, "star": 0 * child,
+                  "tree": np.array([rng.integers(0, c) for c in child], dtype=int)}[kind]
+        link = rng.normal(size=(k, n - 1)) + 1j * rng.normal(size=(k, n - 1))
+        link[1:][rng.random(size=(k - 1, n - 1)) < 0.3] = 0.0
+        p, c = start + parent, start + child
+        h[:, p, c] = link
+        h[:, c, p] = link.conj()
+        h[:, start + np.arange(n), start + np.arange(n)] = rng.normal(scale=2.0, size=(k, n))
+        start += n
+    perm = rng.permutation(dim)
+    return h[:, perm[:, None], perm], owner[perm]
+
+
 class TestBlockEigh:
     @pytest.mark.parametrize("sizes", [(3, 1, 4), (2, 5), (1, 1, 3), (4, 4)])
     def test_hidden_blocks(self, rng, sizes):
@@ -256,6 +281,48 @@ class TestBlockEigh:
         dense = phases()
         for b, d in zip(blocked, dense):
             assert np.max(np.abs(b - d)) < 1e-12
+
+    @pytest.mark.parametrize("kinds", [
+        (("chain", 6), ("star", 5), ("tree", 7)),
+        (("tree", 9), ("chain", 2), ("tree", 1), ("star", 4)),
+        (("chain", 12), ("tree", 12)),
+    ])
+    def test_tree_blocks(self, rng, kinds):
+        h, owner = tree_block_stack(rng, kinds)
+        evals, vecs = block_eigh(h)
+        norm = np.linalg.norm(h, ord=2, axis=(-2, -1))
+        assert np.all(np.abs(evals - np.linalg.eigh(h)[0]) <= 1e-13 * (1 + norm[:, None]))
+        resid = np.linalg.norm(h @ vecs - vecs * evals[:, None, :], axis=(-2, -1))
+        assert np.all(resid <= 1e-13 * (1 + norm))
+        eye = np.eye(h.shape[-1])
+        assert np.all(np.linalg.norm(vecs.conj().swapaxes(-1, -2) @ vecs - eye,
+                                     axis=(-2, -1)) < 1e-13)
+        for j in range(len(h)):
+            for n in range(h.shape[-1]):
+                inside = owner == owner[np.flatnonzero(vecs[j, :, n])[0]]
+                assert np.all(vecs[j, ~inside, n] == 0)
+
+    def test_tree_blocks_reach_eigh_real(self, rng, monkeypatch):
+        h, _ = tree_block_stack(rng, (("chain", 4), ("star", 5)), k=3)
+        cycle = random_hermitian(rng, 3) + 0.0j
+        cycle[0, 1], cycle[1, 2], cycle[2, 0] = 1.0, 1.0, np.exp(0.7j)  # flux 0.7
+        cycle[1, 0], cycle[2, 1], cycle[0, 2] = 1.0, 1.0, np.exp(-0.7j)
+        stack = np.zeros((3, 12, 12), dtype=complex)
+        stack[:, :9, :9] = h
+        stack[:, 9:, 9:] = cycle
+        dtypes = {}
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            dtypes[np.shape(a)] = np.asarray(a).dtype
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        evals, _ = block_eigh(stack)
+        assert dtypes == {(3, 4, 4): np.float64, (3, 5, 5): np.float64,
+                          (3, 3, 3): np.complex128}
+        ref = eigh(stack)[0]
+        assert np.max(np.abs(evals - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
     def test_only_operator_core_calls_eigh(self):
         src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adiaconn.models import constant_model
+from adiaconn.models import ParametricHamiltonian, constant_model
 from adiaconn.operator_core import DegenerateSpectrumError
 from adiaconn.transport import (
     PathSpec,
@@ -263,6 +263,18 @@ class TestCounterdiabatic:
         sched = linear_schedule([1.0, 0.0, 0.0], [1.0, np.pi / 2, 0.0], 1.0)
         with pytest.raises(StepSizeError):
             counterdiabatic_evolve(su2_half, sched, n0=0, dt=0.9)
+
+    def test_non_finite_stage_raises(self):
+        # H is NaN at every half-step x = 0.05, 0.15, ... and finite at
+        # every whole step, where the fidelity is recorded
+        def eval_fn(lam):
+            h = np.array([[1.0, lam[0]], [lam[0], -1.0]], dtype=complex)
+            return h * np.nan if abs(lam[0] % 0.1 - 0.05) < 1e-9 else h
+
+        model = ParametricHamiltonian(2, 1, eval_fn=eval_fn)
+        sched = linear_schedule([0.0], [1.0], 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            counterdiabatic_evolve(model, sched, n0=0, dt=0.1, include_cd=False)
 
     def test_bad_level_rejected(self, su2_half):
         sched = linear_schedule([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], 1.0)
