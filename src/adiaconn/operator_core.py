@@ -367,24 +367,23 @@ def eigh_block(stack: np.ndarray, block: Block):
     D R.  Any other block, and any real input, takes
     ``numpy.linalg.eigh`` as it is.
     """
-    h = stack[:, block.index[:, None], block.index]
-    parent = block.parent
-    if parent is None or not np.iscomplexobj(h):
-        return np.linalg.eigh(h)
-    child = np.flatnonzero(parent != np.arange(len(parent)))
-    link = h[:, parent[child], child]
+    idx, parent = block
+    if parent is None or not np.iscomplexobj(stack):
+        return np.linalg.eigh(stack[:, idx[:, None], idx])
+    child = np.flatnonzero(parent != np.arange(len(idx)))
+    link = stack[:, idx[parent[child]], idx[child]]
     size = np.abs(link)
     unit = np.ones_like(link)
     np.divide(link.conj(), size, out=unit, where=size > 0)
-    gauge = np.ones(h.shape[:-1], dtype=complex)
+    gauge = np.ones((len(stack), len(idx)), dtype=complex)
     gauge[:, child] = unit
     up = parent
     while np.any(up):  # pointer jumping: products along each path to the root
         gauge = gauge * gauge[:, up]
         up = up[up]
-    real = np.zeros(h.shape, dtype=float)
-    diag = np.arange(h.shape[-1])
-    real[:, diag, diag] = h[:, diag, diag].real
+    real = np.zeros((len(stack), len(idx), len(idx)), dtype=float)
+    diag = np.arange(len(idx))
+    real[:, diag, diag] = stack[:, idx, idx].real
     real[:, parent[child], child] = size
     real[:, child, parent[child]] = size
     evals, vecs = np.linalg.eigh(real)

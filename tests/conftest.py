@@ -57,3 +57,16 @@ def isospectral_model(rng, dim=3):
         return v @ e0 @ v.conj().T
 
     return ParametricHamiltonian(dim, 2, eval_fn=eval_fn, param_names=("l1", "l2"))
+
+
+def record_eigh_calls(monkeypatch):
+    """Shape and dtype of every ``numpy.linalg.eigh`` input, in call order."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), np.asarray(a).dtype))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls

@@ -46,7 +46,7 @@ from adiaconn.transport import (
     wilson_loop_phases,
 )
 
-from conftest import isospectral_model, random_polynomial_model
+from conftest import isospectral_model, random_polynomial_model, record_eigh_calls
 
 TOL = 1e-12
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -531,14 +531,7 @@ class TestBlockKernel:
 
     def test_one_eigh_per_block_per_chunk(self, oscillator, tiny_chunks, monkeypatch):
         mids, deltas = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=3).step_arrays()
-        calls = []
-        eigh = np.linalg.eigh
-
-        def recording(a, *args, **kwargs):
-            calls.append((np.shape(a), np.asarray(a).dtype))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+        calls = record_eigh_calls(monkeypatch)
         transport.ordered_products(oscillator, mids, deltas, [len(mids)])
         # 12 steps in chunks of 7 and 5; per chunk each parity sector is
         # decomposed once as a real tree block and exponentiated once

@@ -19,7 +19,7 @@ from adiaconn.operator_core import (
     wrap_phase,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, record_eigh_calls
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -310,18 +310,11 @@ class TestBlockEigh:
         stack = np.zeros((3, 12, 12), dtype=complex)
         stack[:, :9, :9] = h
         stack[:, 9:, 9:] = cycle
-        dtypes = {}
-        eigh = np.linalg.eigh
-
-        def recording(a, *args, **kwargs):
-            dtypes[np.shape(a)] = np.asarray(a).dtype
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+        ref = np.linalg.eigh(stack)[0]
+        calls = record_eigh_calls(monkeypatch)
         evals, _ = block_eigh(stack)
-        assert dtypes == {(3, 4, 4): np.float64, (3, 5, 5): np.float64,
-                          (3, 3, 3): np.complex128}
-        ref = eigh(stack)[0]
+        assert sorted(calls) == [((3, 3, 3), np.complex128), ((3, 4, 4), np.float64),
+                                 ((3, 5, 5), np.float64)]
         assert np.max(np.abs(evals - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
     def test_only_operator_core_calls_eigh(self):
