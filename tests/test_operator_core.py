@@ -304,7 +304,7 @@ class TestBlockEigh:
 
     def test_tree_blocks_reach_eigh_real(self, rng, monkeypatch):
         h, _ = tree_block_stack(rng, (("chain", 4), ("star", 5)), k=3)
-        cycle = random_hermitian(rng, 3) + 0.0j
+        cycle = random_hermitian(rng, 3)
         cycle[0, 1], cycle[1, 2], cycle[2, 0] = 1.0, 1.0, np.exp(0.7j)  # flux 0.7
         cycle[1, 0], cycle[2, 1], cycle[0, 2] = 1.0, 1.0, np.exp(-0.7j)
         stack = np.zeros((3, 12, 12), dtype=complex)
