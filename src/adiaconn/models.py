@@ -232,7 +232,7 @@ def constant_model(matrix, n_params: int = 1) -> ParametricHamiltonian:
 
 def angular_momentum(l: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard spin-l matrices (Jx, Jy, Jz), basis ordered by ascending m."""
-    twice = round(2 * l)
+    twice = round(2 * l) if np.isfinite(l) else 0
     if twice < 1 or abs(2 * l - twice) > 1e-12:
         raise ValueError(f"l must be a positive half-integer, got {l}")
     dim = twice + 1

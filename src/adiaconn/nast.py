@@ -18,8 +18,13 @@ time averaging as the ingredient that makes the holonomy non-trivial.
 Both constructions run on the path kernel of :mod:`adiaconn.transport`:
 the edge cache transports the substeps of all grid edges when it is
 built, a chunk of edges at a time, and the flatness loop passes the
-fixed-time Maurer-Cartan weight in place of the connection's.  The loop
-that the surface-ordered product is compared with is the patch's own
+fixed-time Maurer-Cartan weight in place of the connection's.  The cell
+loops and their tail conjugations are stacked products over the whole
+grid; the tails and the column strips are recurrences up the columns,
+all columns at once; only the product of the strips is a loop over the
+columns.  Every matrix is still the product of the same factors in the
+same order as in a cell-by-cell fishbone.  The loop that the
+surface-ordered product is compared with is the patch's own
 ``boundary_path``, the same construction the ready-made loops of
 :mod:`adiaconn.geometry` use.
 """
@@ -27,13 +32,14 @@ that the surface-ordered product is compared with is the patch's own
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .operator_core import UnitaryOperator, frobenius
 from .models import ParametricHamiltonian
 from .connection import maurer_cartan_weight
-from .transport import PathSpec, _check_count, _chunk_size, holonomy, ordered_products
+from .transport import PathSpec, _check_count, _chunk_size, _is_int, holonomy, ordered_products
 from .curvature import SurfacePatch
 
 __all__ = [
@@ -61,6 +67,11 @@ class SurfaceOrderedProduct:
     operator: UnitaryOperator
     ordering: str
     cell_count: int
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 class _EdgeCache:
@@ -107,31 +118,28 @@ class _EdgeCache:
         self._h = edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:])
         self._v = edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:])
 
-    def horizontal(self, i: int, j: int) -> np.ndarray:
-        """Transport (i, j) -> (i+1, j) along the u grid line."""
-        return self._h[i, j]
+    @cached_property
+    def lassos(self) -> np.ndarray:
+        """Tail-conjugated holonomies of all cells, an (nu, nv, d, d) array.
 
-    def vertical(self, i: int, j: int) -> np.ndarray:
-        """Transport (i, j) -> (i, j+1) along the v grid line."""
-        return self._v[i, j]
-
-    def cell_loop(self, i: int, j: int) -> np.ndarray:
-        """Counterclockwise holonomy of cell (i, j), anchored lower-left."""
-        bottom = self.horizontal(i, j)
-        right = self.vertical(i + 1, j)
-        top = self.horizontal(i, j + 1)
-        left = self.vertical(i, j)
-        return left.conj().T @ top.conj().T @ right @ bottom
-
-    def tail(self, i: int, j: int) -> np.ndarray:
-        """Transport from the base (0,0) to the cell anchor (i, j):
-        along the bottom row, then up column i."""
-        u = np.eye(self.dim, dtype=complex)
-        for k in range(i):
-            u = self.horizontal(k, 0) @ u
-        for k in range(j):
-            u = self.vertical(i, k) @ u
-        return u
+        Cell (i, j) has the counterclockwise loop anchored at its
+        lower-left node, and the tail runs from the base (0, 0) along the
+        bottom row, then up column i.  The tails are one recurrence over j
+        for all columns at once, and the loops and their conjugation are
+        stacked products over the whole grid.
+        """
+        dim = self.dim
+        tails = np.empty((self.nu, self.nv, dim, dim), dtype=complex)
+        bottom = np.eye(dim, dtype=complex)
+        for i in range(self.nu):
+            tails[i, 0] = bottom
+            bottom = self._h[i, 0] @ bottom
+        for j in range(1, self.nv):
+            tails[:, j] = self._v[:-1, j - 1] @ tails[:, j - 1]
+        loops = _dagger(self._v[:-1]) @ _dagger(self._h[:, 1:]) @ self._v[1:] @ self._h[:, :-1]
+        lassos = _dagger(tails) @ loops @ tails
+        lassos.setflags(write=False)
+        return lassos
 
 
 def lasso_holonomy(
@@ -147,23 +155,24 @@ def lasso_holonomy(
 
     The base point is always the patch origin S(0, 0); an explicit
     ``base`` argument is validated against it.  The cell loop is the
-    ordered product of its four edge transports.
+    ordered product of its four edge transports; the lassos of all cells
+    are built together, once per edge cache.
     """
-    i, j = cell
     nu, nv = patch.grid
+    if not (np.shape(cell) == (2,) and all(map(_is_int, cell))):
+        raise ValueError(f"cell must be two integer indices, got {cell!r}")
+    i, j = (int(c) for c in cell)
     if not (0 <= i < nu and 0 <= j < nv):
         raise ValueError(f"cell {cell} outside grid {patch.grid}")
     if base is not None:
         if np.linalg.norm(np.asarray(base, dtype=float) - patch.node(0, 0)) > 1e-12:
             raise ValueError("lasso base point must be the patch origin S(0,0)")
     edges = _edges if _edges is not None else _EdgeCache(model, patch, gap_tol, edge_refinement)
-    tail = edges.tail(i, j)
-    value = tail.conj().T @ edges.cell_loop(i, j) @ tail
     return Lasso(
         cell=(i, j),
         center=patch.point((i + 0.5) / nu, (j + 0.5) / nv),
         area_uv=1.0 / (nu * nv),
-        value=UnitaryOperator(value, tol=1e-8),
+        value=UnitaryOperator(edges.lassos[i, j], tol=1e-8),
     )
 
 
@@ -183,23 +192,17 @@ def surface_ordered_product(
     fluxes.
     """
     edges = _EdgeCache(model, patch, gap_tol, edge_refinement)
-    nu, nv = edges.nu, edges.nv
-    dim = model.dim
-    total = np.eye(dim, dtype=complex)
-    bottom = np.eye(dim, dtype=complex)  # transport base -> (i, 0)
-    for i in range(nu):
-        tail = bottom
-        strip = np.eye(dim, dtype=complex)
-        for j in range(nv):
-            lasso = tail.conj().T @ edges.cell_loop(i, j) @ tail
-            strip = lasso @ strip
-            tail = edges.vertical(i, j) @ tail
+    eye = np.eye(model.dim, dtype=complex)
+    strips = np.broadcast_to(eye, (edges.nu, *eye.shape))
+    for j in range(edges.nv):  # every column at once, bottom cell first
+        strips = edges.lassos[:, j] @ strips
+    total = eye
+    for strip in strips:
         total = total @ strip
-        bottom = edges.horizontal(i, 0) @ bottom
     return SurfaceOrderedProduct(
         operator=UnitaryOperator(total, tol=1e-8),
         ordering="fishbone: columns left-to-right, cells bottom-first",
-        cell_count=nu * nv,
+        cell_count=edges.nu * edges.nv,
     )
 
 

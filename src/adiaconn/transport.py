@@ -15,11 +15,14 @@ the grid edges and the fixed-time flatness loop of :mod:`adiaconn.nast` --
 runs through one step kernel, :func:`ordered_products`.  All step points
 are known up front, so the kernel works a chunk of steps at a time: the
 model evaluates H and the step-contracted gradient as stacked arrays, one
-stacked decomposition handles them, the connection is contracted in the
-eigenbasis and exponentiated as a stack, and only the final ordered
-product is a Python loop.  Chunks hold at most 256 matrices and about
-4 MB per stacked array.  The Wilson loop shares the chunked evaluation
-and decomposition (:func:`~adiaconn.operator_core.block_eigh`).
+stacked decomposition handles them, and the connection is contracted in
+the eigenbasis and exponentiated as a stack.  The ordered product is a
+pairwise reduction: adjacent factors of the same segment are multiplied
+as one stacked product per level, ceil(log2 k) levels for k steps, and
+each chunk's first piece is multiplied onto the product carried over from
+the chunk before.  Chunks hold at most 256 matrices and about 4 MB per
+stacked array.  The Wilson loop shares the chunked evaluation and
+decomposition (:func:`~adiaconn.operator_core.block_eigh`).
 
 The kernel splits by blocks of the joint nonzero pattern of H and the
 step-contracted gradient (:func:`~adiaconn.operator_core.split_blocks`).
@@ -27,12 +30,12 @@ It has to be the joint pattern: where H alone splits further than the
 step (H diagonal at a pole while the step couples the levels), the
 connection couples levels that H does not.  Over the joint blocks the
 connection, the step generator and its exponential are all block
-diagonal, so each block is decomposed, contracted, checked and
-exponentiated on its own, and the step factors are written with exact
-zeros between blocks.  The oscillator's two Fock-parity sectors run as
-two 30x30 kernels, each decomposed as a real tree block (see
-:mod:`adiaconn.operator_core`).  A connected joint pattern takes the
-dense path unchanged.
+diagonal, so each block is decomposed, contracted, checked, exponentiated
+and reduced on its own; only the per-segment pieces are written to dense
+matrices, with exact zeros between blocks.  The oscillator's two
+Fock-parity sectors run as two 30x30 kernels, each decomposed as a real
+tree block (see :mod:`adiaconn.operator_core`).  A connected joint
+pattern takes the dense path unchanged.
 """
 
 from __future__ import annotations
@@ -221,7 +224,9 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
     parameters.  When the joint nonzero pattern of H and the contracted
     gradient splits into blocks, W and its exponential are block diagonal
     over them, so every block is decomposed, contracted and exponentiated
-    on its own; the factors are exactly zero outside the blocks.
+    on its own.  Each chunk is a list of (index, factors) pairs: the basis
+    indices of a block (None for the whole, unsplit space) and its
+    (k, b, b) factor stack; the factors are exactly zero outside the blocks.
     """
     size = _chunk_size(model.dim)
     for start in range(0, len(mids), size):
@@ -230,8 +235,9 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
         g = g[:, 0]
         blocks = split_blocks(h, g)
         if blocks is None:
-            systems = [(*block_eigh(h), g)]
+            index, systems = [None], [(*block_eigh(h), g)]
         else:
+            index = [b.index for b in blocks]
             systems = [(*eigh_block(h, b), g[:, b.index[:, None], b.index]) for b in blocks]
         evals = np.sort(np.concatenate([e for e, _, _ in systems], axis=-1), axis=-1)
         min_gap = spectral_gaps(evals, gap_tol, model.check_levels)
@@ -242,13 +248,29 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
                          for w in gens], axis=0)
         if not finite.all():
             raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
-        if blocks is None:
-            yield expm_hermitian_stack(gens[0])
-            continue
-        factors = np.zeros(h.shape, dtype=complex)
-        for b, w in zip(blocks, gens):
-            factors[:, b.index[:, None], b.index] = expm_hermitian_stack(w)
-        yield factors
+        yield [(i, expm_hermitian_stack(w)) for i, w in zip(index, gens)]
+
+
+def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Ordered product of every run of consecutive factors of a (K, b, b)
+    stack, the later factor on the left; ``lengths`` (each at least 1)
+    add up to K.  Returns one matrix per run.
+
+    The runs are reduced by levels: at each level the factors 2m and
+    2m + 1 of every run are multiplied as one stacked product, so a run
+    of L factors takes ceil(log2 L) levels.
+    """
+    lengths = np.asarray(lengths)
+    while len(factors) > len(lengths):
+        pairs, odd = np.divmod(lengths, 2)
+        # the first factor of every pair: each run with an odd length
+        # leaves one factor over, which shifts the pairs after it
+        left = 2 * np.arange(pairs.sum()) + np.repeat(np.cumsum(odd) - odd, pairs)
+        factors[left] = factors[left + 1] @ factors[left]
+        keep = np.ones(len(factors), dtype=bool)
+        keep[left + 1] = False
+        factors, lengths = factors[keep], pairs + odd
+    return factors
 
 
 def ordered_products(
@@ -267,25 +289,34 @@ def ordered_products(
     first, and a segment of length 0 gives the identity.  ``weight`` is
     the eigenbasis weight handed to :func:`contract_stack`; the default
     makes W the connection.  Returns an (S, d, d) array.
+
+    Within a chunk of steps, the steps of each segment are multiplied by
+    :func:`_run_products`, one block at a time when the chunk splits; a
+    segment that began in an earlier chunk takes the chunk's piece on the
+    left of its product so far.
     """
     mids, deltas = np.asarray(mids, dtype=float), np.asarray(deltas, dtype=float)
-    ends = np.cumsum(lengths).tolist()
-    if deltas.shape != mids.shape or (ends[-1] if ends else 0) != len(mids):
+    lengths = np.asarray(lengths, dtype=int).reshape(-1)
+    if deltas.shape != mids.shape or lengths.sum() != len(mids):
         raise ValueError("need one delta per midpoint and segment lengths adding up to the steps")
-    eye = np.eye(model.dim, dtype=complex)
-    out = np.empty((len(ends), model.dim, model.dim), dtype=complex)
-    seg, step, u = 0, 0, eye
-    while seg < len(ends) and ends[seg] == 0:
-        out[seg] = eye
-        seg += 1
-    for factors in _step_factors(model, mids, deltas, gap_tol, weight):
-        for f in factors:
-            u = f @ u
-            step += 1
-            while seg < len(ends) and ends[seg] == step:
-                out[seg] = u
-                seg += 1
-                u = eye
+    out = np.empty((len(lengths), model.dim, model.dim), dtype=complex)
+    out[lengths == 0] = np.eye(model.dim)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    begun = np.cumsum(lengths) - lengths  # first step of every segment
+    start = 0
+    for chunk in _step_factors(model, mids, deltas, gap_tol, weight):
+        stop = start + len(chunk[0][1])
+        runs, counts = np.unique(segment[start:stop], return_counts=True)
+        if chunk[0][0] is None:
+            pieces = _run_products(chunk[0][1], counts)
+        else:
+            pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
+            for index, factors in chunk:
+                pieces[:, index[:, None], index] = _run_products(factors, counts)
+        if begun[runs[0]] < start:
+            pieces[0] = pieces[0] @ out[runs[0]]
+        out[runs] = pieces
+        start = stop
     return out
 
 
@@ -403,19 +434,22 @@ class Schedule:
     total_time: float
 
     def __post_init__(self):
-        if self.total_time <= 0.0:
-            raise ValueError("schedule duration must be positive")
+        if not (np.isfinite(self.total_time) and self.total_time > 0.0):
+            raise ValueError(f"schedule duration must be finite and positive, "
+                             f"got {self.total_time!r}")
 
 
 def linear_schedule(start, end, total_time: float) -> Schedule:
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    rate = (end - start) / total_time
-    return Schedule(
+    # Schedule checks the duration before the rate divides by it
+    schedule = Schedule(
         position=lambda t: start + rate * t,
         velocity=lambda t: rate,
         total_time=total_time,
     )
+    rate = (end - start) / total_time
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -466,8 +500,8 @@ def counterdiabatic_evolve(
     large for the spectral scale of the generator, and ValueError when
     the state stops being finite (a non-finite H at a Runge-Kutta stage).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     _check_level(n0, model.dim)
 
     memo = {}

@@ -356,6 +356,13 @@ CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range",
     ["drive", "--level", "5"],
     ["drive", "--stride", "0"],
     ["drive", "--stride", "-3"],
+    ["drive", "--tau", "inf"],
+    ["drive", "--tau", "nan"],
+    ["drive", "--tau", "0"],
+    ["drive", "--dt", "inf"],
+    ["drive", "--dt", "nan"],
+    ["drive", "--l", "inf"],
+    ["curvature", "--l", "inf"],
     ["berry-surface", "--level", "5"],
     CMAP + ["--level", "7"],
     CMAP + ["--grid", "0x2"],

@@ -23,6 +23,7 @@ from adiaconn.geometry import (
 )
 from adiaconn.models import DomainViolationError, ModelSpec, OscillatorModel, Su2Model
 from adiaconn.nast import (
+    _EdgeCache,
     lasso_holonomy,
     maurer_cartan_flatness,
     nast_residual,
@@ -192,6 +193,36 @@ def ref_surface_ordered_product(model, patch):
             strip = tail.conj().T @ edges.cell_loop(i, j) @ tail @ strip
         total = total @ strip
     return total
+
+
+def ref_ordered_products(model, mids, deltas, lengths):
+    out, step = [], 0
+    for n in lengths:
+        u = np.eye(model.dim, dtype=complex)
+        for k in range(step, step + n):
+            u = ref_step(model, mids[k], deltas[k]) @ u
+        out.append(u)
+        step += n
+    return np.array(out)
+
+
+def ref_fishbone(edges):
+    """The fishbone product and every lasso of an edge cache, one cell at
+    a time."""
+    h, v = edges._h, edges._v
+    eye = np.eye(h.shape[-1], dtype=complex)
+    lassos = np.empty((edges.nu, edges.nv) + eye.shape, dtype=complex)
+    total, bottom = eye, eye
+    for i in range(edges.nu):
+        tail, strip = bottom, eye
+        for j in range(edges.nv):
+            loop = v[i, j].conj().T @ h[i, j + 1].conj().T @ v[i + 1, j] @ h[i, j]
+            lassos[i, j] = tail.conj().T @ loop @ tail
+            strip = lassos[i, j] @ strip
+            tail = v[i, j] @ tail
+        total = total @ strip
+        bottom = h[i, 0] @ bottom
+    return total, lassos
 
 
 def ref_flatness(model, loop, t):
@@ -537,3 +568,48 @@ class TestBlockKernel:
         # decomposed once as a real tree block and exponentiated once
         assert calls == [((k, 30, 30), dtype) for k in (7, 5)
                          for dtype in (np.float64, np.float64, np.complex128, np.complex128)]
+
+
+@pytest.mark.usefixtures("tiny_chunks")
+class TestOrderedProducts:
+    """Segments reduced by levels within each chunk, against a sequential
+    product of per-step factors."""
+
+    @staticmethod
+    def lengths(steps):
+        # zero-length segments first, in the middle and last; segments of
+        # length 1; one segment across two or more chunks of 7
+        return [0, 1, 3, 0, 0, steps - 12, 1, 2, 5, 0]
+
+    def test_segments_against_sequential_steps(self, rng):
+        for model, loop in loop_cases(rng):
+            mids, deltas = loop.step_arrays()
+            lengths = self.lengths(len(mids))
+            got = transport.ordered_products(model, mids, deltas, lengths)
+            assert np.max(np.abs(got - ref_ordered_products(model, mids, deltas, lengths))) <= TOL
+            for s in np.flatnonzero(np.array(lengths) == 0):
+                assert np.array_equal(got[s], np.eye(model.dim))
+
+    def test_split_oscillator_against_dense_path(self, oscillator, monkeypatch):
+        mids, deltas = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=6).step_arrays()
+        lengths = self.lengths(len(mids))
+        blocked = transport.ordered_products(oscillator, mids, deltas, lengths)
+        # levels of opposite Fock parity stay exactly uncoupled
+        assert not np.any(blocked[:, ::2, 1::2]) and not np.any(blocked[:, 1::2, ::2])
+        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        dense = transport.ordered_products(oscillator, mids, deltas, lengths)
+        assert np.max(np.abs(blocked - dense)) <= TOL
+
+    def test_surface_ordered_product_against_cell_loop(self, su2_half, su2_one):
+        for model, patch, exact in [
+                (su2_half, su2_wedge_patch(1.2, grid=(9, 7)), True),
+                (su2_one, su2_cap_patch(0.9, grid=(6, 8)), True),
+                (small_oscillator(), planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(5, 4)), False)]:
+            total, lassos = ref_fishbone(_EdgeCache(model, patch))
+            got = surface_ordered_product(model, patch).operator.matrix
+            lasso = lasso_holonomy(model, patch, (2, 3)).value.matrix
+            if exact:
+                assert np.array_equal(got, total) and np.array_equal(lasso, lassos[2, 3])
+            else:
+                assert np.max(np.abs(got - total)) <= TOL
+                assert np.max(np.abs(lasso - lassos[2, 3])) <= TOL

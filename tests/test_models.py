@@ -42,6 +42,11 @@ class TestAngularMomentum:
         with pytest.raises(ValueError):
             angular_momentum(0.7)
 
+    @pytest.mark.parametrize("l", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_l(self, l):
+        with pytest.raises(ValueError, match="half-integer"):
+            angular_momentum(l)
+
 
 class TestSu2Model:
     def test_north_pole_hamiltonian(self, su2_half):

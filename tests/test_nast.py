@@ -51,6 +51,18 @@ class TestLasso:
         with pytest.raises(ValueError, match="outside"):
             lasso_holonomy(su2_half, patch, (2, 0))
 
+    @pytest.mark.parametrize("cell", [(1.5, 0), (True, 1), (0, False), (1,), (0, 1, 1), 1])
+    def test_cell_not_two_integers_rejected(self, su2_half, cell):
+        patch = su2_cap_patch(0.8, grid=(2, 2))
+        with pytest.raises(ValueError, match="two integer indices"):
+            lasso_holonomy(su2_half, patch, cell)
+
+    def test_cell_accepts_numpy_integers(self, su2_half):
+        patch = su2_cap_patch(0.8, grid=(2, 2))
+        got = lasso_holonomy(su2_half, patch, (np.int64(1), np.int32(0)))
+        assert got.cell == (1, 0)
+        assert np.array_equal(got.value.matrix, lasso_holonomy(su2_half, patch, (1, 0)).value.matrix)
+
     def test_diagonal_action(self, su2_half):
         # in the base eigenbasis a lasso is phase-diagonal up to O(cell^3),
         # and its phases carry the cell's curvature flux

@@ -5,6 +5,7 @@ from adiaconn.models import ParametricHamiltonian, constant_model
 from adiaconn.operator_core import DegenerateSpectrumError
 from adiaconn.transport import (
     PathSpec,
+    Schedule,
     StepSizeError,
     counterdiabatic_evolve,
     holonomy,
@@ -275,6 +276,21 @@ class TestCounterdiabatic:
         sched = linear_schedule([0.0], [1.0], 1.0)
         with pytest.raises(ValueError, match="not finite"):
             counterdiabatic_evolve(model, sched, n0=0, dt=0.1, include_cd=False)
+
+    @pytest.mark.parametrize("total_time", [0.0, -1.0, np.inf, np.nan])
+    def test_schedule_duration_finite_and_positive(self, total_time):
+        with pytest.raises(ValueError, match="duration"):
+            Schedule(position=lambda t: np.zeros(3), velocity=lambda t: np.zeros(3),
+                     total_time=total_time)
+        with pytest.raises(ValueError, match="duration"):
+            linear_schedule([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], total_time)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_dt_finite_and_positive(self, su2_half, dt):
+        # an infinite dt used to run one step over the whole sweep
+        sched = linear_schedule([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            counterdiabatic_evolve(su2_half, sched, n0=0, dt=dt)
 
     def test_bad_level_rejected(self, su2_half):
         sched = linear_schedule([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], 1.0)
