@@ -172,7 +172,7 @@ def lasso_holonomy(
         cell=(i, j),
         center=patch.point((i + 0.5) / nu, (j + 0.5) / nv),
         area_uv=1.0 / (nu * nv),
-        value=UnitaryOperator(edges.lassos[i, j], tol=1e-8),
+        value=UnitaryOperator(edges.lassos[i, j].copy(), tol=1e-8),
     )
 
 

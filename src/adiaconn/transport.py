@@ -225,7 +225,7 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
     gradient splits into blocks, W and its exponential are block diagonal
     over them, so every block is decomposed, contracted and exponentiated
     on its own.  Each chunk is a list of (index, factors) pairs: the basis
-    indices of a block (None for the whole, unsplit space) and its
+    indices of a block (all of them when the chunk does not split) and its
     (k, b, b) factor stack; the factors are exactly zero outside the blocks.
     """
     size = _chunk_size(model.dim)
@@ -235,7 +235,7 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
         g = g[:, 0]
         blocks = split_blocks(h, g)
         if blocks is None:
-            index, systems = [None], [(*block_eigh(h), g)]
+            index, systems = [np.arange(model.dim)], [(*block_eigh(h), g)]
         else:
             index = [b.index for b in blocks]
             systems = [(*eigh_block(h, b), g[:, b.index[:, None], b.index]) for b in blocks]
@@ -254,7 +254,7 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
 def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Ordered product of every run of consecutive factors of a (K, b, b)
     stack, the later factor on the left; ``lengths`` (each at least 1)
-    add up to K.  Returns one matrix per run.
+    add up to K.  Returns one matrix per run; ``factors`` is overwritten.
 
     The runs are reduced by levels: at each level the factors 2m and
     2m + 1 of every run are multiplied as one stacked product, so a run
@@ -307,12 +307,9 @@ def ordered_products(
     for chunk in _step_factors(model, mids, deltas, gap_tol, weight):
         stop = start + len(chunk[0][1])
         runs, counts = np.unique(segment[start:stop], return_counts=True)
-        if chunk[0][0] is None:
-            pieces = _run_products(chunk[0][1], counts)
-        else:
-            pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
-            for index, factors in chunk:
-                pieces[:, index[:, None], index] = _run_products(factors, counts)
+        pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
+        for index, factors in chunk:
+            pieces[:, index[:, None], index] = _run_products(factors, counts)
         if begun[runs[0]] < start:
             pieces[0] = pieces[0] @ out[runs[0]]
         out[runs] = pieces
