@@ -296,9 +296,12 @@ def ordered_products(
     left of its product so far.
     """
     mids, deltas = np.asarray(mids, dtype=float), np.asarray(deltas, dtype=float)
-    lengths = np.asarray(lengths, dtype=int).reshape(-1)
-    if deltas.shape != mids.shape or lengths.sum() != len(mids):
-        raise ValueError("need one delta per midpoint and segment lengths adding up to the steps")
+    given = np.asarray(lengths).reshape(-1)
+    lengths = given.astype(int)
+    if (deltas.shape != mids.shape or np.any(lengths != given) or np.any(lengths < 0)
+            or lengths.sum() != len(mids)):
+        raise ValueError("need one delta per midpoint and segment lengths: non-negative "
+                         "integers adding up to the steps")
     out = np.empty((len(lengths), model.dim, model.dim), dtype=complex)
     out[lengths == 0] = np.eye(model.dim)
     segment = np.repeat(np.arange(len(lengths)), lengths)

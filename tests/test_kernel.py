@@ -590,6 +590,12 @@ class TestOrderedProducts:
             for s in np.flatnonzero(np.array(lengths) == 0):
                 assert np.array_equal(got[s], np.eye(model.dim))
 
+    @pytest.mark.parametrize("lengths", [[1.9, 1.9], [0.5, 1.5], [3, -1], [3], [1, 1, 1]])
+    def test_rejects_bad_lengths(self, su2_half, lengths):
+        mids, deltas = su2_triangle_loop(1.0, refinement=1).step_arrays()
+        with pytest.raises(ValueError, match="segment lengths"):
+            transport.ordered_products(su2_half, mids[:2], deltas[:2], lengths)
+
     def test_split_oscillator_against_dense_path(self, oscillator, monkeypatch):
         mids, deltas = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=6).step_arrays()
         lengths = self.lengths(len(mids))
