@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import SpectralDecomposition, as_matrix, hermitize
+from .operator_core import SpectralDecomposition, _is_int, as_matrix, hermitize
 from .models import ParametricHamiltonian
 
 __all__ = [
@@ -142,11 +142,11 @@ def connection_spectral(
 
 
 def connection_spectral_at(
-    model: ParametricHamiltonian, lam, gap_tol: float | None = None
+    model: ParametricHamiltonian, lam
 ) -> tuple[ConnectionOneForm, SpectralDecomposition]:
     """Connection of a model at a point, tagged with the point itself."""
     lam = np.asarray(lam, dtype=float)
-    spec = model.spectral_at(lam, gap_tol=gap_tol)
+    spec = model.spectral_at(lam)
     grads = model.grad_h(lam)
     a = connection_spectral(spec, grads)
     return ConnectionOneForm(a.components, base_point=lam), spec
@@ -159,6 +159,11 @@ def shift_operator(spec: SpectralDecomposition, grad_h: list[np.ndarray]) -> Shi
         diag = np.real(np.diag(spec.to_eigenbasis(g)))
         components.append(spec.from_eigenbasis(np.diag(diag.astype(complex))))
     return ShiftOperator(tuple(components))
+
+
+def _check_horizon(horizon) -> None:
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"averaging horizon must be finite and positive, got {horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +179,10 @@ class TimeAverageConfig:
     samples: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("averaging horizon must be positive")
-        if self.samples < 2:
-            raise ValueError("need at least two time samples")
+        _check_horizon(self.horizon)
+        if not (_is_int(self.samples) and self.samples >= 2):
+            raise ValueError(f"need an integer count of at least two time samples, "
+                             f"got {self.samples!r}")
 
     @property
     def spacing(self) -> float:
@@ -191,6 +196,7 @@ class TimeAverageConfig:
         """Defaults: T = 50/min_gap, spacing = pi/(8 * spectral radius)."""
         if horizon is None:
             horizon = 50.0 / spec.min_gap
+        _check_horizon(horizon)
         radius = max(spec.spectral_radius, 1e-12)
         spacing = np.pi / (8.0 * radius)
         samples = max(int(np.ceil(2.0 * horizon / spacing)) + 1, 2)
@@ -234,17 +240,19 @@ def connection_time_average(
             f"sample spacing {cfg.spacing:.3e} too coarse for spectral radius "
             f"{spec.spectral_radius:.3e}; need below {nyquist:.3e}"
         )
-    t = cfg.grid()
-    weights = np.full(t.shape, cfg.spacing)
-    weights[0] = weights[-1] = 0.5 * cfg.spacing
-    weights /= weights.sum()
     delta = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    # trapezoid means of e^{-it delta} and of t over the grid
-    mean_osc = np.einsum("k,kmn->mn", weights, np.exp(-1j * t[:, None, None] * delta[None, :, :]))
-    mean_t = float(weights @ t)
+    # Trapezoid mean of e^{-it delta} over the grid in closed form: the
+    # grid is symmetric about 0, so the mean of t is exactly 0 and that of
+    # e^{-it delta} is the Dirichlet sum of cos(t delta) less half of each
+    # end, over n - 1.  The guard above keeps h |delta| / 2 below pi / 4.
+    n, half = cfg.samples, 0.5 * cfg.spacing * delta
+    mean_osc = np.ones(delta.shape)
+    moving = delta != 0.0
+    mean_osc[moving] = (np.sin(n * half[moving]) / np.sin(half[moving])
+                        - np.cos(cfg.horizon * delta[moving])) / (n - 1)
     components = contract_stack(spec.eigenvalues, spec.frame.matrix,
                                 np.asarray(grads, dtype=complex),
-                                lambda d: _maurer_cartan_kernel(d, mean_osc, mean_t))
+                                lambda d: _maurer_cartan_kernel(d, mean_osc, 0.0))
     bound = 0.0
     for g in grads:
         g_eig = spec.to_eigenbasis(g)

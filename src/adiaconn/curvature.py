@@ -40,7 +40,7 @@ from .operator_core import (
     frobenius,
     hermitize,
 )
-from .models import DomainViolationError, ParametricHamiltonian
+from .models import FD_STEP_SCALE, DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
 from .transport import PathSpec, _check_level, _chunk_size, _hamiltonians, _is_int, holonomy
 
@@ -58,7 +58,7 @@ __all__ = [
     "berry_phase_surface",
 ]
 
-CURVATURE_FD_SCALE = 1e-5
+SMALL_LOOP_REFINEMENT = 50
 
 
 class GridTooCoarseError(Exception):
@@ -111,7 +111,6 @@ def yang_mills_curvature(
     model: ParametricHamiltonian,
     lam,
     step: float | None = None,
-    gap_tol: float | None = None,
 ) -> CurvatureTwoForm:
     """Field strength at a point by central differences of the connection.
 
@@ -124,13 +123,13 @@ def yang_mills_curvature(
     n = model.n_params
 
     def connection_at(point):
-        spec = model.spectral_at(point, gap_tol=gap_tol)
+        spec = model.spectral_at(point)
         return connection_spectral(spec, model.grad_h(point)).components
 
     a_center = connection_at(lam)
     derivs = []  # derivs[mu][nu] = dA_nu / dlambda_mu
     for mu in range(n):
-        h_mu = step if step is not None else CURVATURE_FD_SCALE * (1.0 + abs(lam[mu]))
+        h_mu = step if step is not None else FD_STEP_SCALE * (1.0 + abs(lam[mu]))
         e = np.zeros(n)
         e[mu] = 1.0
         plus, minus = lam + h_mu * e, lam - h_mu * e
@@ -185,11 +184,9 @@ def berry_curvature_levels(
     return BerryCurvatureTable(pairs=tuple(zip(mu.tolist(), nu.tolist())), table=w.T)
 
 
-def berry_curvature_at(
-    model: ParametricHamiltonian, lam, gap_tol: float | None = None
-) -> BerryCurvatureTable:
+def berry_curvature_at(model: ParametricHamiltonian, lam) -> BerryCurvatureTable:
     lam = np.asarray(lam, dtype=float)
-    spec = model.spectral_at(lam, gap_tol=gap_tol)
+    spec = model.spectral_at(lam)
     out = berry_curvature_levels(spec, model.grad_h(lam))
     return BerryCurvatureTable(pairs=out.pairs, table=out.table, base_point=lam)
 
@@ -236,10 +233,11 @@ class SmallLoopReport:
         return self.difference / self.halved_difference
 
 
-def _square_loop(lam, mu, nu, eps, n_params, refinement) -> PathSpec:
+def _square_loop(lam, mu, nu, eps, n_params) -> PathSpec:
     e = eps * np.eye(n_params)
     c = np.asarray(lam, dtype=float) - 0.5 * (e[mu] + e[nu])
-    return SurfacePatch(_affine_chart(c, e[mu], e[nu]), (1, 1)).boundary_path(refinement)
+    patch = SurfacePatch(_affine_chart(c, e[mu], e[nu]), (1, 1))
+    return patch.boundary_path(SMALL_LOOP_REFINEMENT)
 
 
 def small_loop_check(
@@ -248,15 +246,14 @@ def small_loop_check(
     mu: int,
     nu: int,
     eps: float,
-    refinement: int = 50,
-    gap_tol: float | None = None,
 ) -> SmallLoopReport:
     """Compare the holonomy of a centred eps-square in the (mu, nu) plane
     with exp(i eps^2 F_mu_nu).
 
     The two agree to O(eps^3), so halving eps should shrink the
     difference by about 8 (at least ~6 in practice; discretization keeps
-    the floor well below the cubic term at the default refinement).
+    the floor well below the cubic term at SMALL_LOOP_REFINEMENT steps
+    per side).
     ``mu`` and ``nu`` must be distinct parameter indices in
     ``[0, n_params)``; anything else raises ValueError.
     """
@@ -264,11 +261,11 @@ def small_loop_check(
         raise ValueError(f"mu and nu must be distinct parameter indices in "
                          f"[0, {model.n_params}), got {mu!r} and {nu!r}")
     lam = np.asarray(lam, dtype=float)
-    f = yang_mills_curvature(model, lam, gap_tol=gap_tol)
+    f = yang_mills_curvature(model, lam)
 
     def deviation(e: float) -> float:
-        loop = _square_loop(lam, mu, nu, e, model.n_params, refinement)
-        u = holonomy(model, loop, gap_tol=gap_tol).operator.matrix
+        loop = _square_loop(lam, mu, nu, e, model.n_params)
+        u = holonomy(model, loop).operator.matrix
         w = expm_hermitian(f.component(mu, nu), e * e).matrix
         return frobenius(u - w)
 
@@ -282,13 +279,6 @@ def small_loop_check(
 # ---------------------------------------------------------------------------
 # Surfaces
 # ---------------------------------------------------------------------------
-
-
-def _check_grid(grid) -> tuple[int, int]:
-    """Cells per axis (nu, nv); ValueError unless both are positive integers."""
-    if len(grid) != 2 or not all(_is_int(n) and n >= 1 for n in grid):
-        raise ValueError(f"grid must have a positive integer cell count per axis, got {grid!r}")
-    return tuple(grid)
 
 
 def _affine_chart(origin, edge_u, edge_v) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -318,7 +308,9 @@ class SurfacePatch:
     grid: tuple[int, int]
 
     def __post_init__(self):
-        _check_grid(self.grid)
+        grid = self.grid
+        if len(grid) != 2 or not all(_is_int(n) and n >= 1 for n in grid):
+            raise ValueError(f"grid must have a positive integer cell count per axis, got {grid!r}")
 
     def point(self, u: float, v: float) -> np.ndarray:
         return self.points([u, v])
@@ -361,9 +353,7 @@ class SurfacePatch:
         return PathSpec(self.boundary_nodes(), closed=True, refinement=refinement)
 
 
-def _level_curvature_sweep(
-    model: ParametricHamiltonian, lams, t_u, t_v, levels, gap_tol
-) -> np.ndarray:
+def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels) -> np.ndarray:
     """Per-level curvature contracted with the tangent bivector, sum over
     mu < nu of W^(n)_mu_nu (t_u^mu t_v^nu - t_v^mu t_u^nu), at a stack of
     points; one row per point, one column per requested level.
@@ -375,19 +365,17 @@ def _level_curvature_sweep(
     """
     h, g = _hamiltonians(model, lams, np.stack([t_u, t_v], axis=1))
     evals, vecs = block_eigh(h)
-    if gap_tol is None:
-        gap_tol = default_gap_tol(evals)
-    gap_tol = np.broadcast_to(gap_tol, evals.shape[:1])
+    threshold = default_gap_tol(evals)
     levels = np.asarray(levels)
     gaps = np.abs(evals[:, levels, None] - evals[:, None, :])  # [k, row, n']
     gaps[:, np.arange(len(levels)), levels] = np.inf
     nearest_at = np.argmin(gaps, axis=-1)
     nearest = np.min(gaps, axis=-1)
-    bad = nearest < gap_tol[:, None]
+    bad = nearest < threshold[:, None]
     if np.any(bad):
         k, row = (int(i[0]) for i in np.nonzero(bad))
         raise DegenerateSpectrumError(min(int(levels[row]), int(nearest_at[k, row])),
-                                      float(nearest[k, row]), float(gap_tol[k]))
+                                      float(nearest[k, row]), float(threshold[k]))
     return _level_curvature(evals, vecs, g, levels)
 
 
@@ -395,13 +383,11 @@ def berry_phase_surface(
     model: ParametricHamiltonian,
     patch: SurfacePatch,
     level,
-    grid: tuple[int, int] | None = None,
-    gap_tol: float | None = None,
     refine_check_tol: float | None = None,
 ):
     """Surface-integrated Berry phase over a patch, per level.
 
-    Midpoint rule over the (u, v) grid; the integrand is the per-level
+    Midpoint rule over the patch's (u, v) grid; the integrand is the per-level
     curvature contracted with the pullback Jacobian, whose tangents come
     from central differences of the chart at each cell centre.  ``level``
     may be an int or a sequence of ints (one grid sweep either way), each
@@ -411,11 +397,17 @@ def berry_phase_surface(
     With ``refine_check_tol`` set, the integral is recomputed on a doubled
     grid; disagreement above the tolerance raises
     :class:`GridTooCoarseError`, otherwise the finer value is returned.
+    The tolerance must be finite and non-negative; anything else raises
+    ValueError.
     """
     levels = [level] if np.isscalar(level) else list(level)
     for n in levels:
         _check_level(n, model.dim)
-    nu_grid, nv_grid = _check_grid(grid if grid is not None else patch.grid)
+    if refine_check_tol is not None and not (np.isfinite(refine_check_tol)
+                                             and refine_check_tol >= 0.0):
+        raise ValueError(f"refine_check_tol must be finite and non-negative, "
+                         f"got {refine_check_tol!r}")
+    nu_grid, nv_grid = patch.grid
     n_params = model.n_params
     all_pairs = [(mu, nu) for mu in range(n_params) for nu in range(mu + 1, n_params)]
 
@@ -438,8 +430,7 @@ def berry_phase_surface(
             for mu, nu in all_pairs:
                 live |= t_u[:, mu] * t_v[:, nu] - t_v[:, mu] * t_u[:, nu] != 0.0
             if np.any(live):
-                w = _level_curvature_sweep(model, pts[live, 0], t_u[live], t_v[live],
-                                           levels, gap_tol)
+                w = _level_curvature_sweep(model, pts[live, 0], t_u[live], t_v[live], levels)
                 total += np.sum(w, axis=0) * (du * dv)
         return total
 

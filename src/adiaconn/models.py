@@ -45,6 +45,8 @@ __all__ = [
 
 FD_STEP_SCALE = 1e-5
 MAX_EXPONENT = 16
+CERTIFIED_DRIFT = 1e-8
+CERTIFIED_TAIL = 1e-7
 
 
 class DomainViolationError(Exception):
@@ -149,14 +151,11 @@ class ParametricHamiltonian:
         return grads
 
     def spectral_at(
-        self,
-        lam,
-        gap_tol: float | None = None,
-        convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
+        self, lam, convention: PhaseConvention = DEFAULT_PHASE_CONVENTION
     ) -> SpectralDecomposition:
         """Eigen-decomposition of H(lambda) with degeneracy detection on
         the lowest ``check_levels`` levels."""
-        return spectral_decompose(self.eval_h(lam), gap_tol=gap_tol, convention=convention,
+        return spectral_decompose(self.eval_h(lam), convention=convention,
                                   check_levels=self.check_levels)
 
     # -- batches ----------------------------------------------------------
@@ -388,8 +387,9 @@ class OscillatorModel(ParametricHamiltonian):
     # tracing in benchmarks/bench_trace.py.
     spectral_at = ParametricHamiltonian.spectral_at
 
-    def certified_levels(self, lam, tol: float = 1e-8) -> int:
-        """Largest count c <= trust_levels with |E_n - omega (n+1/2)| < tol for n < c.
+    def certified_levels(self, lam) -> int:
+        """Largest count c <= trust_levels with |E_n - omega (n+1/2)| <
+        CERTIFIED_DRIFT for n < c.
 
         Truncation error grows with the squeezing between (q, p) and the
         normal mode at lambda, so the certified count depends on the point.
@@ -398,12 +398,12 @@ class OscillatorModel(ParametricHamiltonian):
         evals = np.linalg.eigvalsh(self.eval_h(lam))
         exact = omega * (np.arange(self.nmax) + 0.5)
         drift = np.abs(evals - exact)
-        bad = np.nonzero(drift >= tol)[0]
+        bad = np.nonzero(drift >= CERTIFIED_DRIFT)[0]
         first_bad = int(bad[0]) if bad.size else self.nmax
         return min(first_bad, self.trust_levels)
 
-    def certified_vector_levels(self, lam, tail_tol: float = 1e-7) -> int:
-        """Levels whose eigenvectors carry less than ``tail_tol`` amplitude
+    def certified_vector_levels(self, lam) -> int:
+        """Levels whose eigenvectors carry less than CERTIFIED_TAIL amplitude
         in the top buffer//2 Fock rows.
 
         Eigenvalue drift certifies the spectrum but is quadratically
@@ -414,7 +414,7 @@ class OscillatorModel(ParametricHamiltonian):
         spec = self.spectral_at(lam)
         edge = max(self.buffer // 2, 1)
         tails = np.linalg.norm(spec.frame.matrix[-edge:, :], axis=0)
-        bad = np.nonzero(tails >= tail_tol)[0]
+        bad = np.nonzero(tails >= CERTIFIED_TAIL)[0]
         first_bad = int(bad[0]) if bad.size else self.nmax
         return min(first_bad, self.trust_levels)
 

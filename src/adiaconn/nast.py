@@ -85,13 +85,7 @@ class _EdgeCache:
     and are skipped.
     """
 
-    def __init__(
-        self,
-        model: ParametricHamiltonian,
-        patch: SurfacePatch,
-        gap_tol=None,
-        edge_refinement: int = 2,
-    ):
+    def __init__(self, model: ParametricHamiltonian, patch: SurfacePatch, edge_refinement: int = 2):
         self.dim = model.dim
         self.nu, self.nv = nu, nv = patch.grid
         _check_count(edge_refinement, "edge_refinement")
@@ -113,7 +107,7 @@ class _EdgeCache:
             deltas = points[:, 1:r + 1] - points[:, :r]
             moves = np.linalg.norm(deltas, axis=-1) != 0.0
             edges[chunk] = ordered_products(model, points[:, r + 1:][moves], deltas[moves],
-                                            moves.sum(axis=1), gap_tol)
+                                            moves.sum(axis=1))
         edges.setflags(write=False)
         self._h = edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:])
         self._v = edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:])
@@ -146,15 +140,12 @@ def lasso_holonomy(
     model: ParametricHamiltonian,
     patch: SurfacePatch,
     cell: tuple[int, int],
-    base=None,
-    gap_tol: float | None = None,
     edge_refinement: int = 2,
     _edges: _EdgeCache | None = None,
 ) -> Lasso:
     """Tail-conjugated holonomy of one grid cell.
 
-    The base point is always the patch origin S(0, 0); an explicit
-    ``base`` argument is validated against it.  The cell loop is the
+    The base point is always the patch origin S(0, 0).  The cell loop is the
     ordered product of its four edge transports; the lassos of all cells
     are built together, once per edge cache.
     """
@@ -164,10 +155,7 @@ def lasso_holonomy(
     i, j = (int(c) for c in cell)
     if not (0 <= i < nu and 0 <= j < nv):
         raise ValueError(f"cell {cell} outside grid {patch.grid}")
-    if base is not None:
-        if np.linalg.norm(np.asarray(base, dtype=float) - patch.node(0, 0)) > 1e-12:
-            raise ValueError("lasso base point must be the patch origin S(0,0)")
-    edges = _edges if _edges is not None else _EdgeCache(model, patch, gap_tol, edge_refinement)
+    edges = _edges if _edges is not None else _EdgeCache(model, patch, edge_refinement)
     return Lasso(
         cell=(i, j),
         center=patch.point((i + 0.5) / nu, (j + 0.5) / nv),
@@ -177,10 +165,7 @@ def lasso_holonomy(
 
 
 def surface_ordered_product(
-    model: ParametricHamiltonian,
-    patch: SurfacePatch,
-    gap_tol: float | None = None,
-    edge_refinement: int = 2,
+    model: ParametricHamiltonian, patch: SurfacePatch, edge_refinement: int = 2
 ) -> SurfaceOrderedProduct:
     """Fishbone-ordered product of all lassos of the patch grid.
 
@@ -191,7 +176,7 @@ def surface_ordered_product(
     discrete form of trading a loop integral for a surface of elementary
     fluxes.
     """
-    edges = _EdgeCache(model, patch, gap_tol, edge_refinement)
+    edges = _EdgeCache(model, patch, edge_refinement)
     eye = np.eye(model.dim, dtype=complex)
     strips = np.broadcast_to(eye, (edges.nu, *eye.shape))
     for j in range(edges.nv):  # every column at once, bottom cell first
@@ -210,7 +195,6 @@ def nast_residual(
     model: ParametricHamiltonian,
     patch: SurfacePatch,
     boundary_refinement: int = 8,
-    gap_tol: float | None = None,
     edge_refinement: int = 2,
 ) -> float:
     """Frobenius distance between the surface-ordered product and the
@@ -220,15 +204,12 @@ def nast_residual(
     ``boundary_refinement`` steps per edge so the comparison exposes the
     surface side's discretization error rather than sharing it.
     """
-    surface = surface_ordered_product(model, patch, gap_tol=gap_tol,
-                                      edge_refinement=edge_refinement)
-    boundary = holonomy(model, patch.boundary_path(boundary_refinement), gap_tol=gap_tol)
+    surface = surface_ordered_product(model, patch, edge_refinement=edge_refinement)
+    boundary = holonomy(model, patch.boundary_path(boundary_refinement))
     return frobenius(surface.operator.matrix - boundary.operator.matrix)
 
 
-def maurer_cartan_flatness(
-    model: ParametricHamiltonian, loop: PathSpec, t: float, gap_tol: float | None = None
-) -> float:
+def maurer_cartan_flatness(model: ParametricHamiltonian, loop: PathSpec, t: float) -> float:
     """Deviation from identity of the loop transport generated by the
     non-averaged 1-form at fixed group time ``t``.
 
@@ -239,6 +220,5 @@ def maurer_cartan_flatness(
     if not loop.closed:
         raise ValueError("flatness check requires a closed loop")
     mids, deltas = loop.step_arrays()
-    u = ordered_products(model, mids, deltas, [len(mids)], gap_tol,
-                         weight=maurer_cartan_weight(t))[0]
+    u = ordered_products(model, mids, deltas, [len(mids)], weight=maurer_cartan_weight(t))[0]
     return frobenius(u - np.eye(model.dim))

@@ -68,15 +68,16 @@ __all__ = [
 
 
 class DegenerateSpectrumError(Exception):
-    """Adjacent eigenvalue spacing fell below the requested gap tolerance."""
+    """Adjacent eigenvalue spacing fell below :func:`default_gap_tol`;
+    ``threshold`` is the value it missed."""
 
-    def __init__(self, level: int, gap: float, gap_tol: float):
+    def __init__(self, level: int, gap: float, threshold: float):
         self.level = level
         self.gap = gap
-        self.gap_tol = gap_tol
+        self.threshold = threshold
         super().__init__(
             f"eigenvalues {level} and {level + 1} are degenerate within "
-            f"tolerance: gap {gap:.3e} < gap_tol {gap_tol:.3e}"
+            f"tolerance: gap {gap:.3e} < threshold {threshold:.3e}"
         )
 
 
@@ -93,6 +94,10 @@ def frobenius(m) -> float:
 def wrap_phase(phi):
     """Wrap angle(s) to (-pi, pi]."""
     return np.angle(np.exp(1j * np.asarray(phi)))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_square_finite(m: np.ndarray, what: str) -> None:
@@ -224,12 +229,12 @@ class SpectralDecomposition:
         return v @ as_matrix(m) @ v.conj().T
 
 
-def hermitize(m, tol: float = HERMITICITY_TOL) -> HermitianOperator:
+def hermitize(m) -> HermitianOperator:
     """Symmetrize a square matrix to (M + M^dag)/2.
 
     The relative size of the discarded anti-Hermitian part is recorded on
-    the result; it exceeding ``tol`` flags the input as materially
-    non-Hermitian rather than raising.
+    the result as ``asymmetry``; ``was_asymmetric`` flags it above
+    ``HERMITICITY_TOL`` rather than raising.
     """
     m = as_matrix(m)
     _check_square_finite(m, "hermitize input")
@@ -249,14 +254,14 @@ def default_gap_tol(eigenvalues: np.ndarray):
     return 1e-8 * (1.0 + radius)
 
 
-def spectral_gaps(evals, gap_tol=None, check_levels: int | None = None):
+def spectral_gaps(evals, check_levels: int | None = None):
     """Smallest adjacent eigenvalue gap among the lowest ``check_levels``
     levels (all when None), one per matrix of a stack.
 
     Raises :class:`DegenerateSpectrumError` for the first matrix whose
-    smallest gap falls below ``gap_tol`` (default: scale-aware per matrix,
-    see :func:`default_gap_tol`); a degenerate spectrum invalidates every
-    construction downstream that divides by eigenvalue differences.
+    smallest gap falls below its :func:`default_gap_tol`, the library's one
+    degeneracy rule; a degenerate spectrum invalidates every construction
+    downstream that divides by eigenvalue differences.
     Fewer than two checked levels give an infinite gap.
     """
     evals = np.asarray(evals, dtype=float)
@@ -265,14 +270,12 @@ def spectral_gaps(evals, gap_tol=None, check_levels: int | None = None):
         return np.full(evals.shape[:-1], np.inf)
     worst = np.argmin(gaps, axis=-1)
     min_gap = np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0]
-    if gap_tol is None:
-        gap_tol = default_gap_tol(evals)
-    gap_tol = np.broadcast_to(gap_tol, min_gap.shape)
-    bad = np.flatnonzero(min_gap < gap_tol)
+    threshold = np.broadcast_to(default_gap_tol(evals), min_gap.shape)
+    bad = np.flatnonzero(min_gap < threshold)
     if bad.size:
         k = bad[0]
         raise DegenerateSpectrumError(int(worst.flat[k]), float(min_gap.flat[k]),
-                                      float(gap_tol.flat[k]))
+                                      float(threshold.flat[k]))
     return min_gap
 
 
@@ -427,15 +430,15 @@ def block_eigh(h):
 
 def spectral_decompose(
     h,
-    gap_tol: float | None = None,
     convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
     check_levels: int | None = None,
 ) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix with degeneracy detection.
 
     Raises :class:`DegenerateSpectrumError` when an adjacent gap among the
-    lowest ``check_levels`` levels (all when None) falls below ``gap_tol``;
-    see :func:`spectral_gaps`.  ``min_gap`` covers the same levels.
+    lowest ``check_levels`` levels (all when None) falls below
+    :func:`default_gap_tol`; see :func:`spectral_gaps`.  ``min_gap``
+    covers the same levels.
     """
     m = as_matrix(h)
     _check_square_finite(m, "spectral_decompose input")
@@ -446,7 +449,7 @@ def spectral_decompose(
     return SpectralDecomposition(
         eigenvalues=evals,
         frame=fix_phase(vecs, convention),
-        min_gap=float(spectral_gaps(evals, gap_tol, check_levels)),
+        min_gap=float(spectral_gaps(evals, check_levels)),
     )
 
 
@@ -462,14 +465,14 @@ def expm_hermitian(h, s: float = 1.0) -> UnitaryOperator:
     return UnitaryOperator(_expm_eig(as_matrix(h), s))
 
 
-def expm_hermitian_stack(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(i s H_k) for a (K, d, d) stack of Hermitian matrices.
+def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
+    """exp(i H_k) for a (K, d, d) stack of Hermitian matrices.
 
     One stacked eigendecomposition; every factor is held to the same
     unitarity budget as :class:`UnitaryOperator`, and the first one that
     misses it raises.
     """
-    u = _expm_eig(h, s)
+    u = _expm_eig(h, 1.0)
     eye = np.eye(h.shape[-1])
     defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - eye, axis=(-2, -1))
     bad = np.flatnonzero(~(defect <= UNITARITY_TOL * h.shape[-1]))

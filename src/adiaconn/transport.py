@@ -48,6 +48,7 @@ import numpy as np
 from .operator_core import (
     SpectralDecomposition,
     UnitaryOperator,
+    _is_int,
     block_eigh,
     eigh_block,
     expm_hermitian_stack,
@@ -75,12 +76,10 @@ __all__ = [
 ]
 
 UNRELIABLE_OFFDIAG = 1e-3
+MIN_OVERLAP = 0.1
+NORM_DRIFT_TOL = 1e-8
 CHUNK_MATRICES = 256
 CHUNK_BYTES = 4 << 20
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_count(value, what: str) -> None:
@@ -215,7 +214,7 @@ def _hamiltonians(model: ParametricHamiltonian, lams, directions=None):
     return h, g
 
 
-def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
+def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     """exp(i W(mid_k) . delta_k) for every step, yielded one chunk at a time.
 
     W is the connection for the default weight; the gradient is contracted
@@ -240,7 +239,7 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, gap_tol, weight):
             index = [b.index for b in blocks]
             systems = [(*eigh_block(h, b), g[:, b.index[:, None], b.index]) for b in blocks]
         evals = np.sort(np.concatenate([e for e, _, _ in systems], axis=-1), axis=-1)
-        min_gap = spectral_gaps(evals, gap_tol, model.check_levels)
+        min_gap = spectral_gaps(evals, model.check_levels)
         if model.dim > 1 and np.any(min_gap <= 0.0):
             raise ValueError("the connection requires a non-degenerate spectrum")
         gens = [contract_stack(e, v, gb, weight) for e, v, gb in systems]
@@ -278,7 +277,6 @@ def ordered_products(
     mids,
     deltas,
     lengths,
-    gap_tol: float | None = None,
     weight=connection_weight,
 ) -> np.ndarray:
     """Path-ordered exponentials over consecutive runs of midpoint steps.
@@ -307,7 +305,7 @@ def ordered_products(
     segment = np.repeat(np.arange(len(lengths)), lengths)
     begun = np.cumsum(lengths) - lengths  # first step of every segment
     start = 0
-    for chunk in _step_factors(model, mids, deltas, gap_tol, weight):
+    for chunk in _step_factors(model, mids, deltas, weight):
         stop = start + len(chunk[0][1])
         runs, counts = np.unique(segment[start:stop], return_counts=True)
         pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
@@ -320,9 +318,7 @@ def ordered_products(
     return out
 
 
-def transport_operator(
-    model: ParametricHamiltonian, path: PathSpec, gap_tol: float | None = None
-) -> TransportResult:
+def transport_operator(model: ParametricHamiltonian, path: PathSpec) -> TransportResult:
     """Path-ordered exponential of the connection along ``path``.
 
     U = prod_k exp(i sum_mu A_mu(midpoint_k) delta_k,mu), ordered so the
@@ -331,9 +327,9 @@ def transport_operator(
     """
     if path.n_params != model.n_params:
         raise ValueError("path dimensionality does not match the model")
-    start_spec = model.spectral_at(path.start, gap_tol=gap_tol)
+    start_spec = model.spectral_at(path.start)
     mids, deltas = path.step_arrays()
-    u = ordered_products(model, mids, deltas, [len(mids)], gap_tol)[0]
+    u = ordered_products(model, mids, deltas, [len(mids)])[0]
     h_start = model.eval_h(path.start)
     h_end = model.eval_h(path.end)
     residual = frobenius(h_end - u @ h_start @ u.conj().T) / max(frobenius(h_start), 1e-300)
@@ -345,9 +341,7 @@ def transport_operator(
     )
 
 
-def holonomy(
-    model: ParametricHamiltonian, loop: PathSpec, gap_tol: float | None = None
-) -> HolonomyResult:
+def holonomy(model: ParametricHamiltonian, loop: PathSpec) -> HolonomyResult:
     """Loop holonomy with per-level phase extraction.
 
     For a non-degenerate family the loop operator is diagonal in the
@@ -356,7 +350,7 @@ def holonomy(
     """
     if not loop.closed:
         raise ValueError("holonomy requires a closed loop")
-    result = transport_operator(model, loop, gap_tol=gap_tol)
+    result = transport_operator(model, loop)
     v0 = result.start_spec.frame.matrix
     w = v0.conj().T @ result.operator.matrix @ v0
     off = w - np.diag(np.diag(w))
@@ -370,18 +364,13 @@ def holonomy(
     )
 
 
-def wilson_loop_phases(
-    model: ParametricHamiltonian,
-    loop: PathSpec,
-    gap_tol: float | None = None,
-    min_overlap: float = 0.1,
-) -> np.ndarray:
+def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarray:
     """Discrete Wilson-loop Berry phases, one per level.
 
     phi_n = -arg prod_k <n(lambda_k)|n(lambda_{k+1})>, with the final
     overlap closing onto the very same eigenvector objects used at the
     start, so the product is exactly independent of the eigenvector phase
-    convention.  Consecutive overlaps below ``min_overlap`` in magnitude
+    convention.  Consecutive overlaps below MIN_OVERLAP in magnitude
     abort with a refinement hint instead of returning garbage.  The guard
     covers the lowest ``model.check_levels`` levels (all when None), the
     ones the degeneracy check covers; higher levels may cluster and mix,
@@ -395,7 +384,7 @@ def wilson_loop_phases(
     def overlap_product(f_now, f_next, first_node):
         # overlaps[k] pairs node first_node + k with its successor
         overlaps = np.einsum("kin,kin->kn", f_now.conj(), f_next)
-        small = np.abs(overlaps[:, :model.check_levels]) < min_overlap
+        small = np.abs(overlaps[:, :model.check_levels]) < MIN_OVERLAP
         if np.any(small):
             k, level = (int(i[0]) for i in np.nonzero(small))
             raise ValueError(
@@ -409,7 +398,7 @@ def wilson_loop_phases(
     size = _chunk_size(model.dim)
     for start in range(0, len(nodes), size):
         evals, frames = block_eigh(_hamiltonians(model, nodes[start:start + size])[0])
-        spectral_gaps(evals, gap_tol, model.check_levels)
+        spectral_gaps(evals, model.check_levels)
         if start == 0:
             first = frames[:1]
         else:
@@ -480,8 +469,6 @@ def counterdiabatic_evolve(
     n0: int,
     dt: float,
     include_cd: bool = True,
-    norm_drift_tol: float = 1e-8,
-    gap_tol: float | None = None,
 ) -> DrivingResult:
     """Integrate i dpsi/dt = [H(lambda(t)) - sum_mu d(lambda_mu)/dt A_mu] psi.
 
@@ -496,7 +483,7 @@ def counterdiabatic_evolve(
     diabatic control runs.
 
     Raises :class:`StepSizeError` when the norm drifts more than
-    ``norm_drift_tol`` per unit time, which signals that ``dt`` is too
+    NORM_DRIFT_TOL per unit time, which signals that ``dt`` is too
     large for the spectral scale of the generator, and ValueError when
     the state stops being finite (a non-finite H at a Runge-Kutta stage).
     """
@@ -512,7 +499,7 @@ def counterdiabatic_evolve(
         key = np.asarray(lam, dtype=float).tobytes()
         if key not in memo:
             memo.clear()
-            memo[key] = model.spectral_at(lam, gap_tol=gap_tol)
+            memo[key] = model.spectral_at(lam)
         return memo[key]
 
     def generator(t: float) -> np.ndarray:
@@ -554,7 +541,7 @@ def counterdiabatic_evolve(
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         record(k + 1, t + dt)
         # fail closed: a NaN drift compares False with any budget
-        if not drifts[k + 1] <= norm_drift_tol * max(t + dt, 1.0):
+        if not drifts[k + 1] <= NORM_DRIFT_TOL * max(t + dt, 1.0):
             if not np.isfinite(drifts[k + 1]):
                 raise ValueError(f"state is not finite at t = {t + dt:.4g}: the generator "
                                  "is not finite within the step, or dt is far too large")

@@ -21,8 +21,12 @@ def run_ok(runner, args):
     return result
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not valid JSON")
+
+
 def load_report(outdir):
-    return json.loads((outdir / "report.json").read_text())
+    return json.loads((outdir / "report.json").read_text(), parse_constant=_reject_constant)
 
 
 def as_complex(pairs):
@@ -366,6 +370,13 @@ CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range",
     ["berry-surface", "--level", "5"],
     CMAP + ["--level", "7"],
     CMAP + ["--grid", "0x2"],
+    ["time-average", "--horizon", "inf"],
+    ["time-average", "--horizon", "nan"],
+    ["time-average", "--horizon", "0"],
+    ["time-average", "--samples", "1"],
+    ["berry-surface", "--check-tol", "nan"],
+    ["berry-surface", "--check-tol", "inf"],
+    ["berry-surface", "--check-tol", "-1"],
 ])
 def test_out_of_range_input_exits_2(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])

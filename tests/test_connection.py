@@ -3,15 +3,17 @@ import pytest
 
 from adiaconn.connection import (
     TimeAverageConfig,
+    _maurer_cartan_kernel,
     connection_spectral,
     connection_spectral_at,
     connection_time_average,
+    contract_stack,
     gauge_transform,
     maurer_cartan_sample,
     shift_operator,
 )
 from adiaconn.curvature import yang_mills_curvature
-from adiaconn.models import constant_model
+from adiaconn.models import OscillatorModel, constant_model
 from adiaconn.operator_core import (
     PhaseConvention,
     expm_hermitian,
@@ -210,6 +212,41 @@ class TestTimeAverage:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             TimeAverageConfig(horizon=1.0, samples=1)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_horizon_rejected(self, su2_half, horizon):
+        spec = su2_half.spectral_at([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="horizon"):
+            TimeAverageConfig(horizon=horizon, samples=10)
+        with pytest.raises(ValueError, match="horizon"):
+            TimeAverageConfig.for_spectrum(spec, horizon=horizon)
+
+    @pytest.mark.parametrize("samples", [2.5, 10.0, True, "10"])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            TimeAverageConfig(horizon=1.0, samples=samples)
+
+    def test_matches_explicit_grid_sum(self, su2_one, rng):
+        # the trapezoid means summed over the sample grid, as the closed
+        # form replaces them
+        poly = random_polynomial_model(rng)
+        for model, lam, horizon in [(su2_one, _su2_point(rng), None),
+                                    (poly, [0.15, -0.1], 60.0),
+                                    (OscillatorModel(14, 4), [1.2, 0.3, 0.9], 20.0)]:
+            spec = model.spectral_at(lam)
+            cfg = TimeAverageConfig.for_spectrum(spec, horizon=horizon)
+            t = cfg.grid()
+            weights = np.full(t.shape, cfg.spacing)
+            weights[0] = weights[-1] = 0.5 * cfg.spacing
+            weights /= weights.sum()
+            grads = np.asarray(model.grad_h(lam), dtype=complex)
+            delta = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
+            mean_osc = np.einsum("k,kmn->mn", weights, np.exp(-1j * t[:, None, None] * delta))
+            mean_t = float(weights @ t)
+            ref = contract_stack(spec.eigenvalues, spec.frame.matrix, grads,
+                                 lambda d: _maurer_cartan_kernel(d, mean_osc, mean_t))
+            got = connection_time_average(model, lam, cfg).components
+            assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12
 
 
 class TestMaurerCartanSamples:

@@ -177,6 +177,12 @@ class TestSurfaceIntegrals:
         with pytest.raises(GridTooCoarseError):
             berry_phase_surface(su2_half, patch, level=0, refine_check_tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_check_tol_finite_and_non_negative(self, su2_half, tol):
+        patch = su2_cap_patch(np.pi / 2, grid=(3, 3))
+        with pytest.raises(ValueError, match="refine_check_tol"):
+            berry_phase_surface(su2_half, patch, level=0, refine_check_tol=tol)
+
     def test_degenerate_level_guard(self):
         from adiaconn.operator_core import DegenerateSpectrumError
 
@@ -252,11 +258,6 @@ class TestSurfacePatch:
         for grid in [(2.5, 2), (2, -1), (True, 2), (2,)]:
             with pytest.raises(ValueError, match="grid"):
                 SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=grid)
-        patch = planar_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(2, 2))
-        model = constant_model(np.diag([0.0, 1.0]), n_params=2)
-        for grid in [(0, 3), (2.5, 2), (3, 0)]:
-            with pytest.raises(ValueError, match="grid"):
-                berry_phase_surface(model, patch, 0, grid=grid)
 
     def test_cap_boundary_dedupes_pole_edge(self, su2_half):
         patch = su2_cap_patch(1.0, grid=(4, 4))

@@ -67,16 +67,16 @@ def ref_contracted_gradient(model, lam, delta):
     return g_delta
 
 
-def ref_step(model, mid, delta, gap_tol=None):
-    spec = model.spectral_at(mid, gap_tol=gap_tol)
+def ref_step(model, mid, delta):
+    spec = model.spectral_at(mid)
     gen = connection_spectral(spec, [ref_contracted_gradient(model, mid, delta)]).components[0]
     return expm_hermitian(gen, 1.0).matrix
 
 
-def ref_transport(model, path, gap_tol=None):
+def ref_transport(model, path):
     u = np.eye(model.dim, dtype=complex)
     for mid, delta in path.steps():
-        u = ref_step(model, mid, delta, gap_tol) @ u
+        u = ref_step(model, mid, delta) @ u
     return u
 
 
@@ -86,15 +86,15 @@ def ref_holonomy_phases(model, loop):
     return np.angle(np.diag(w))
 
 
-def ref_wilson(model, loop, gap_tol=None, min_overlap=0.1):
+def ref_wilson(model, loop):
     nodes = loop.refined_points()
     if len(nodes) > 1:
         nodes = nodes[:-1]
-    frames = [model.spectral_at(p, gap_tol=gap_tol).frame.matrix for p in nodes]
+    frames = [model.spectral_at(p).frame.matrix for p in nodes]
     product = np.ones(model.dim, dtype=complex)
     for k in range(len(frames)):
         overlaps = np.einsum("in,in->n", frames[k].conj(), frames[(k + 1) % len(frames)])
-        small = np.abs(overlaps) < min_overlap
+        small = np.abs(overlaps) < 0.1
         if np.any(small):
             level = int(np.nonzero(small)[0][0])
             raise ValueError(
@@ -106,10 +106,9 @@ def ref_wilson(model, loop, gap_tol=None, min_overlap=0.1):
     return -np.angle(product)
 
 
-def ref_level_rows(model, lam, levels, pairs, gap_tol):
+def ref_level_rows(model, lam, levels, pairs):
     evals, vecs = np.linalg.eigh(model.eval_h(lam))
-    if gap_tol is None:
-        gap_tol = default_gap_tol(evals)
+    gap_tol = default_gap_tol(evals)
     grads = model.grad_h(lam)
     out = np.empty((len(levels), len(pairs)))
     for row, n in enumerate(levels):
@@ -126,7 +125,7 @@ def ref_level_rows(model, lam, levels, pairs, gap_tol):
     return out
 
 
-def ref_surface_integral(model, patch, levels, nu_grid, nv_grid, gap_tol=None):
+def ref_surface_integral(model, patch, levels, nu_grid, nv_grid):
     n = model.n_params
     all_pairs = [(mu, nu) for mu in range(n) for nu in range(mu + 1, n)]
     du, dv = 1.0 / nu_grid, 1.0 / nv_grid
@@ -142,7 +141,7 @@ def ref_surface_integral(model, patch, levels, nu_grid, nv_grid, gap_tol=None):
             if not live:
                 continue
             w = ref_level_rows(model, patch.point(u, v), levels,
-                               [all_pairs[k] for k in live], gap_tol)
+                               [all_pairs[k] for k in live])
             total += (w @ np.asarray([jac[k] for k in live])) * (du * dv)
     return total
 
@@ -444,14 +443,13 @@ class TestErrorParity:
                 return h + self.shift, g
 
         model = ClusteredTop(12, 4)
-        gap_tol = 1e-3
         loop = planar_rectangle_loop([1.0, 0.0, 1.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5],
                                      refinement=4)
         with pytest.raises(DegenerateSpectrumError):
-            spectral_decompose(model.eval_h(loop.start), gap_tol=gap_tol)
-        holonomy(model, loop, gap_tol=gap_tol)
-        wilson_loop_phases(model, loop, gap_tol=gap_tol, min_overlap=0.0)
-        assert model.spectral_at(loop.start, gap_tol=gap_tol).min_gap > 0.5
+            spectral_decompose(model.eval_h(loop.start))
+        holonomy(model, loop)
+        wilson_loop_phases(model, loop)
+        assert model.spectral_at(loop.start).min_gap > 0.5
 
     def test_wilson_guard_skips_untrusted_levels(self):
         class ClusteredTop(OscillatorModel):
@@ -466,9 +464,9 @@ class TestErrorParity:
         model = ClusteredTop(12, 4)
         loop = planar_rectangle_loop([1.0, 0.0, 1.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5],
                                      refinement=4)
-        # default min_overlap: the mixing levels 10 and 11 lie above check_levels
-        phases = wilson_loop_phases(model, loop, gap_tol=1e-3)
-        trusted = holonomy(model, loop, gap_tol=1e-3).phases[:model.trust_levels]
+        # the mixing levels 10 and 11 lie above check_levels
+        phases = wilson_loop_phases(model, loop)
+        trusted = holonomy(model, loop).phases[:model.trust_levels]
         assert np.max(np.abs(phases[:model.trust_levels] - trusted)) <= 1e-14
         assert np.all(trusted < 0.0)
 
@@ -509,9 +507,9 @@ def test_drive_reuses_decompositions():
     class Counting(Su2Model):
         calls = 0
 
-        def spectral_at(self, lam, gap_tol=None, convention=PhaseConvention()):
+        def spectral_at(self, lam, convention=PhaseConvention()):
             Counting.calls += 1
-            return super().spectral_at(lam, gap_tol, convention)
+            return super().spectral_at(lam, convention)
 
     sched = linear_schedule([1.0, 0.0, 0.4], [1.0, 1.2, 0.4], 0.5)
     counterdiabatic_evolve(Counting(0.5), sched, n0=1, dt=5e-3)

@@ -180,7 +180,7 @@ class TestOscillatorModel:
     def test_squeezed_point_frequency(self, oscillator):
         lam = [2.0, 0.5, 1.5]
         omega = np.sqrt(2.75)
-        k = oscillator.certified_levels(lam, tol=1e-8)
+        k = oscillator.certified_levels(lam)
         assert k >= 20
         spec = oscillator.spectral_at(lam)
         n = np.arange(k)

@@ -29,11 +29,6 @@ class TestLasso:
         lasso = lasso_holonomy(model, patch, (2, 1))
         assert np.linalg.norm(lasso.value.matrix - np.eye(2)) < 1e-12
 
-    def test_base_point_validated(self, su2_half):
-        patch = su2_cap_patch(0.8, grid=(2, 2))
-        with pytest.raises(ValueError, match="origin"):
-            lasso_holonomy(su2_half, patch, (0, 0), base=[1.0, 0.5, 0.0])
-
     @pytest.mark.parametrize("edge_refinement", [0, -3, 2.7, 2.0])
     def test_non_integer_or_non_positive_edge_refinement_rejected(self, su2_half,
                                                                   edge_refinement):

@@ -1,9 +1,13 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adiaconn
 from adiaconn import operator_core, transport
 from adiaconn.curvature import berry_phase_surface
 from adiaconn.geometry import planar_patch, planar_rectangle_loop
@@ -64,10 +68,13 @@ class TestSpectralDecompose:
         assert spec.min_gap == pytest.approx(1.0)
 
     def test_gap_threshold_raises(self):
+        # the default rule: 1e-8 * (1 + spectral radius), so about 1e-8 here
         with pytest.raises(DegenerateSpectrumError) as err:
-            spectral_decompose(0.5 * SZ, gap_tol=2.0)
-        assert err.value.gap == pytest.approx(1.0)
+            spectral_decompose(np.diag([0.0, 1e-9]))
+        assert err.value.gap == pytest.approx(1e-9)
         assert err.value.level == 0
+        assert err.value.threshold == pytest.approx(1e-8)
+        assert spectral_decompose(np.diag([0.0, 3e-8])).min_gap == pytest.approx(3e-8)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -328,6 +335,29 @@ class TestBlockEigh:
                         or isinstance(node, ast.ImportFrom) and any(
                             alias.name == "eigh" for alias in node.names):
                     offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_no_public_callable_takes_removed_knobs(self):
+        # one degeneracy rule, one overlap guard and one drift budget: no
+        # caller can loosen them
+        removed = {"gap_tol", "min_overlap", "norm_drift_tol"}
+        modules = [importlib.import_module(f"adiaconn.{m.name}")
+                   for m in pkgutil.iter_modules(adiaconn.__path__)]
+        offenders = []
+        for module in [adiaconn, *modules]:
+            for name, obj in vars(module).items():
+                owner = getattr(obj, "__module__", None) or ""
+                if name.startswith("_") or not owner.startswith("adiaconn"):
+                    continue
+                members = [(name, obj)]
+                if inspect.isclass(obj):  # its own methods, the constructor included
+                    members = [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                               if inspect.isfunction(f)
+                               and (attr == "__init__" or not attr.startswith("_"))]
+                for label, fn in members:
+                    if callable(fn) and removed & set(inspect.signature(fn).parameters):
+                        offenders.append(f"{module.__name__}.{label}")
+        assert len(modules) >= 9
         assert offenders == []
 
 

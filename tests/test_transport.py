@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adiaconn import transport
 from adiaconn.models import ParametricHamiltonian, constant_model
 from adiaconn.operator_core import DegenerateSpectrumError
 from adiaconn.transport import (
@@ -208,22 +209,23 @@ class TestWilson:
             wil = wilson_loop_phases(model, square)
             assert np.max(np.abs(hol - wil)) < 1e-6
 
-    def test_independent_of_phase_convention(self, su2_half):
-        from adiaconn.operator_core import PhaseConvention
-        from adiaconn.models import Su2Model
-
+    def test_independent_of_phase_convention(self, su2_half, monkeypatch):
+        # every eigenvector the loop decomposes gets its own random phase;
+        # the closing overlap must reuse the first node's vectors to cancel it
         loop = su2_triangle_loop(0.9, refinement=250)
         default = wilson_loop_phases(su2_half, loop)
+        rng = np.random.default_rng(11)
+        eigh, calls = transport.block_eigh, []
 
-        class AltConvention(Su2Model):
-            def spectral_at(self, lam, gap_tol=None, convention=None):
-                return super().spectral_at(
-                    lam, gap_tol,
-                    PhaseConvention(rule="first-nonzero-real-positive"),
-                )
+        def rephased(h):
+            evals, vecs = eigh(h)
+            calls.append(len(vecs))
+            return evals, vecs * np.exp(2j * np.pi * rng.random((len(vecs), 1, vecs.shape[-1])))
 
-        alt = wilson_loop_phases(AltConvention(0.5), loop)
-        assert np.allclose(default, alt, atol=1e-12)
+        monkeypatch.setattr(transport, "block_eigh", rephased)
+        alt = wilson_loop_phases(su2_half, loop)
+        assert sum(calls) == len(loop.refined_points()) - 1
+        assert np.max(np.abs(np.angle(np.exp(1j * (alt - default))))) <= 1e-12
 
     def test_near_orthogonal_guard(self, su2_half):
         # a 2-sample sweep across the whole sphere at refinement 1 hops
