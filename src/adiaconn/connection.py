@@ -225,9 +225,14 @@ def connection_time_average(
     """Estimate the connection as the trapezoid time average of the
     Maurer-Cartan form over [-T, T].
 
-    The estimate carries a recorded error bound of the form C/T from the
-    residual oscillatory terms; it converges to
-    :func:`connection_spectral` as T grows.
+    It converges to :func:`connection_spectral` as T grows.  In the
+    eigenbasis the deviation of each component is exactly
+    G_eig * (-i osc / delta), with osc the trapezoid mean of
+    e^{-it delta} and delta = E_m - E_n; since |osc| <= env =
+    min(1, (1/|sin(h delta / 2)| + 1) / (n - 1)) for n samples at spacing
+    h, ``error_estimate`` = max over components of
+    || |G_eig| * env / |delta| ||_F bounds the Frobenius norm of every
+    component's deviation.
     """
     lam = np.asarray(lam, dtype=float)
     spec = model.spectral_at(lam)
@@ -253,13 +258,11 @@ def connection_time_average(
     components = contract_stack(spec.eigenvalues, spec.frame.matrix,
                                 np.asarray(grads, dtype=complex),
                                 lambda d: _maurer_cartan_kernel(d, mean_osc, 0.0))
+    envelope = np.minimum(1.0, (1.0 / np.abs(np.sin(half[moving])) + 1.0) / (n - 1))
     bound = 0.0
     for g in grads:
-        g_eig = spec.to_eigenbasis(g)
-        off = np.abs(g_eig[delta != 0.0] / delta[delta != 0.0] ** 2)
-        if off.size:
-            # leading 1/T envelope, doubled to absorb quadrature inflation
-            bound = max(bound, 2.0 * float(np.max(off)) / cfg.horizon)
+        g_eig = np.abs(spec.to_eigenbasis(g))[moving]
+        bound = max(bound, float(np.linalg.norm(g_eig * envelope / np.abs(delta[moving]))))
     return ConnectionOneForm(tuple(components), base_point=lam, error_estimate=bound)
 
 

@@ -12,8 +12,13 @@ the per-level curvature on a stack of eigensystems; both the point table
 (:func:`berry_curvature_levels`) and the integrand of the surface sweep
 go through it, so the two sides of the Stokes comparison share one
 formula.  The surface sweep evaluates the model a chunk of cell centres
-at a time through the stacked evaluation and decomposition of the path
-kernel in :mod:`adiaconn.transport`.  A :class:`SurfacePatch` chart
+at a time through the stacked evaluation of the path kernel in
+:mod:`adiaconn.transport`, and works block by block over the joint
+nonzero pattern of H and the two tangent gradients, as the step kernel
+does: each block is decomposed once, the merged eigenvalues rank the
+levels and feed the degeneracy guard, and each requested level is
+contracted against the eigenvectors of its own block only, since the
+gradients couple no two blocks.  A :class:`SurfacePatch` chart
 works on arrays: it takes u and v as (..., 1) arrays and returns the
 (..., N) points, so a chunk of cells costs one chart call.  The
 small-loop square is the boundary of a one-cell affine patch.
@@ -32,9 +37,11 @@ from typing import Callable
 import numpy as np
 
 from .operator_core import (
+    Block,
+    BlockSystem,
     DegenerateSpectrumError,
     SpectralDecomposition,
-    block_eigh,
+    decompose_blocks,
     default_gap_tol,
     expm_hermitian,
     frobenius,
@@ -150,25 +157,43 @@ def yang_mills_curvature(
     return CurvatureTwoForm(components=components, base_point=lam, n_params=n)
 
 
-def _level_curvature(evals, vecs, g, levels) -> np.ndarray:
+def _level_curvature(system: BlockSystem, g, levels) -> np.ndarray:
     """Per-level curvature along two directions at a stack of eigensystems.
 
-    ``evals`` (K, d) and ``vecs`` (K, d, d) hold the eigensystems (any
-    phase: the value is phase-free), ``g`` (K, 2, d, d) the gradients dH_u,
-    dH_v along the two directions; one row per stack entry, one column per
-    entry of ``levels``:
+    ``system`` holds the eigensystems of the stack (any phase: the value is
+    phase-free), block by block, and ``g`` (K, 2, d, d) the gradients dH_u,
+    dH_v along the two directions, block diagonal over the same blocks;
+    one row per stack entry, one column per entry of ``levels``:
 
     W^(n)_uv = -2 sum_{n' != n} Im(<n|dH_u|n'><n'|dH_v|n>) / (E_n - E_{n'})^2,
 
     the diagonal entry <n|F_uv|n> of the field strength.  Exactly equal
-    eigenvalues contribute 0.
+    eigenvalues contribute 0.  Only the bras of the requested levels are
+    written densely, as a (K, R, d) array; the sum over n' runs block by
+    block, and the rows of levels outside a block meet exact zeros there.
     """
-    delta = evals[:, levels, None] - evals[:, None, :]  # [k, row, n']
-    inv2 = np.zeros_like(delta)
-    np.divide(1.0, delta**2, out=inv2, where=delta != 0.0)
-    bras = vecs[:, :, levels].conj().swapaxes(-1, -2)
-    elements = (bras[:, None] @ g) @ vecs[:, None]  # [k, u/v, row, n'] = <n|dH|n'>
-    return -2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
+    levels = np.asarray(levels)
+    column = system.order[:, levels]  # [k, row]: concatenated column of the level
+    rows = system.evals[:, levels]
+    batch, dim = np.arange(len(column))[:, None], system.evals.shape[-1]
+    bras = np.zeros((len(column), len(levels), dim), dtype=complex)
+    for block, _, v, start in system.columns():
+        local = column - start
+        if len(block.index) == dim:  # one block holds every level
+            bras = v[batch, :, local].conj()  # [k, row, i]
+            break
+        inside = (local >= 0) & (local < len(block.index))
+        picked = v[batch, :, np.where(inside, local, 0)].conj()
+        bras[..., block.index] = np.where(inside[..., None], picked, 0.0)
+    left = bras[:, None] @ g  # [k, u/v, row, :] = <n|dH
+    out = 0.0
+    for block, e, v, _ in system.columns():
+        delta = rows[:, :, None] - e[:, None, :]  # [k, row, n']
+        inv2 = np.zeros_like(delta)
+        np.divide(1.0, delta**2, out=inv2, where=delta != 0.0)
+        elements = left[..., block.index] @ v[:, None]  # <n|dH|n'>, n' in the block
+        out = out - 2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
+    return out
 
 
 def berry_curvature_levels(
@@ -179,8 +204,11 @@ def berry_curvature_levels(
     :func:`_level_curvature`; exactly equal eigenvalues contribute 0."""
     mu, nu = np.triu_indices(len(grad_h), 1)
     g = np.asarray(grad_h)[np.stack([mu, nu], axis=1)]
-    w = _level_curvature(spec.eigenvalues[None], spec.frame.matrix[None], g,
-                         np.arange(spec.dim))
+    dim = spec.dim
+    system = BlockSystem((Block(np.arange(dim), None),),
+                         ((spec.eigenvalues[None], spec.frame.matrix[None]),),
+                         spec.eigenvalues[None], np.arange(dim)[None])
+    w = _level_curvature(system, g, np.arange(dim))
     return BerryCurvatureTable(pairs=tuple(zip(mu.tolist(), nu.tolist())), table=w.T)
 
 
@@ -360,11 +388,14 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
 
     The pair sum is :func:`_level_curvature` with dH_u, dH_v the gradients
     along the tangents, so the model only contracts its gradient with two
-    directions per point.  Degeneracy is guarded per requested level:
+    directions per point; H is decomposed block by block over the joint
+    pattern of H and both gradients.  Degeneracy is guarded per requested
+    level on the merged spectrum, gaps to levels of other blocks included:
     only gaps to the level itself enter the denominators.
     """
     h, g = _hamiltonians(model, lams, np.stack([t_u, t_v], axis=1))
-    evals, vecs = block_eigh(h)
+    system = decompose_blocks(h, g)
+    evals = system.evals
     threshold = default_gap_tol(evals)
     levels = np.asarray(levels)
     gaps = np.abs(evals[:, levels, None] - evals[:, None, :])  # [k, row, n']
@@ -376,7 +407,7 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
         k, row = (int(i[0]) for i in np.nonzero(bad))
         raise DegenerateSpectrumError(min(int(levels[row]), int(nearest_at[k, row])),
                                       float(nearest[k, row]), float(threshold[k]))
-    return _level_curvature(evals, vecs, g, levels)
+    return _level_curvature(system, g, levels)
 
 
 def berry_phase_surface(

@@ -8,14 +8,24 @@ how the path kernel in :mod:`adiaconn.transport` decomposes and
 exponentiates a whole chunk of steps in one call.  Everything here is a
 pure function on immutable values; nothing mutates its inputs.
 
+The step exponential exp(iW) of a stack is a truncated Taylor series,
+evaluated Paterson-Stockmeyer style (Higham, SIAM J. Matrix Anal. Appl.
+26 (2005) 1179; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488).
+Transport steps have generators far below norm 1, so a few stacked matrix
+products replace a second eigendecomposition per step; above
+``TAYLOR_MAX_NORM`` the exponential goes through the eigenbasis.
+
 Every eigendecomposition in the library goes through this module, which
 is also the one place that finds blocks.  :func:`split_blocks` takes the
 union of the exactly nonzero entries of one or more stacks; when that
 pattern falls apart into connected components (a conserved symmetry such
 as the oscillator's Fock parity), :func:`eigh_block` decomposes each
-block on its own, and :func:`block_eigh` merges the blocks of one stack
-back into one ascending eigensystem.  A dense stack, or one whose pattern
-is connected, takes ``numpy.linalg.eigh`` as is.
+block on its own.  :func:`decompose_blocks` does this for every block of
+a stack and ranks the merged eigenvalues, so that callers can work block
+by block and still see the whole spectrum; a connected pattern is its
+one-block case.  :func:`block_eigh` scatters the blocks back into one
+dense ascending eigensystem.  A dense stack, or one whose pattern is
+connected, takes ``numpy.linalg.eigh`` as is.
 
 A block whose coupling graph is a tree is decomposed as a real symmetric
 matrix.  A diagonal unitary D changes the phase of every coupling H_ab
@@ -32,6 +42,7 @@ sector is a chain and takes the real path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,6 +51,9 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
+# Largest max 1-norm of a stack that expm_hermitian_stack exponentiates by
+# its Taylor series (degree 23 there); larger stacks take the eigenbasis.
+TAYLOR_MAX_NORM = 2.0
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -54,8 +68,10 @@ __all__ = [
     "wrap_phase",
     "hermitize",
     "Block",
+    "BlockSystem",
     "split_blocks",
     "eigh_block",
+    "decompose_blocks",
     "block_eigh",
     "spectral_decompose",
     "spectral_gaps",
@@ -304,6 +320,13 @@ class Block(NamedTuple):
     index: np.ndarray
     parent: np.ndarray | None
 
+    def take(self, stack: np.ndarray) -> np.ndarray:
+        """The block's diagonal sub-stack of a (..., d, d) stack; the stack
+        itself when the block covers every index."""
+        if len(self.index) == stack.shape[-1]:
+            return stack
+        return stack[..., self.index[:, None], self.index]
+
 
 def _tree_parents(adjacent: np.ndarray) -> np.ndarray | None:
     """Breadth-first parents from node 0 of a connected undirected graph
@@ -372,7 +395,7 @@ def eigh_block(stack: np.ndarray, block: Block):
     """
     idx, parent = block
     if parent is None or not np.iscomplexobj(stack):
-        return np.linalg.eigh(stack[:, idx[:, None], idx])
+        return np.linalg.eigh(block.take(stack))
     child = np.flatnonzero(parent != np.arange(len(idx)))
     link = stack[:, idx[parent[child]], idx[child]]
     size = np.abs(link)
@@ -393,6 +416,68 @@ def eigh_block(stack: np.ndarray, block: Block):
     return evals, gauge[:, :, None] * vecs
 
 
+class BlockSystem(NamedTuple):
+    """Eigensystems of a (K, d, d) stack, one per block of its pattern.
+
+    ``parts[b]`` is what :func:`eigh_block` returns for ``blocks[b]``.
+    ``evals`` (K, d) merges the block eigenvalues in ascending order, and
+    ``order[k, n]`` is the column of the block eigenvalues, concatenated
+    in block order, that holds level n of matrix k.
+    """
+
+    blocks: tuple
+    parts: tuple
+    evals: np.ndarray
+    order: np.ndarray
+
+    def columns(self):
+        """(block, eigenvalues, eigenvectors, first concatenated column)
+        for every block."""
+        start = 0
+        for block, (w, v) in zip(self.blocks, self.parts):
+            yield block, w, v, start
+            start += len(block.index)
+
+    def frames(self, which=slice(None)) -> np.ndarray:
+        """Dense eigenvector stacks of the selected matrices, levels in
+        ascending order, each vector exactly zero outside its block."""
+        if len(self.blocks) == 1:
+            return self.parts[0][1][which]
+        rank = np.argsort(self.order[which], axis=-1)  # column -> level
+        dtype = np.result_type(*(v for _, v in self.parts))
+        vecs = np.zeros((len(rank),) + (self.evals.shape[-1],) * 2, dtype=dtype)
+        batch = np.arange(len(rank))[:, None, None]
+        for block, _, v, start in self.columns():
+            stop = start + len(block.index)
+            vecs[batch, block.index[None, :, None], rank[:, None, start:stop]] = v[which]
+        return vecs
+
+
+def decompose_blocks(stack: np.ndarray, *others) -> BlockSystem:
+    """Decompose a (K, d, d) Hermitian stack block by block.
+
+    The blocks are those of the joint nonzero pattern of ``stack`` and
+    the ``others`` (see :func:`split_blocks`), so that every block of the
+    others is also block diagonal over them; a connected pattern is one
+    block holding every index.  Each block is decomposed once by
+    :func:`eigh_block`, and the eigenvalues are merged in ascending order
+    by a stable sort, so exact ties keep block order.
+    """
+    return _decompose(stack, split_blocks(stack, *others))
+
+
+def _decompose(stack: np.ndarray, blocks) -> BlockSystem:
+    """:func:`decompose_blocks` over the given blocks (None: one block)."""
+    dim = stack.shape[-1]
+    blocks = blocks or (Block(np.arange(dim), None),)
+    parts = tuple(eigh_block(stack, block) for block in blocks)
+    if len(parts) == 1:  # eigh's eigenvalues ascend already
+        return BlockSystem(blocks, parts, parts[0][0], np.arange(dim)[None].repeat(len(stack), 0))
+    evals = np.concatenate([w for w, _ in parts], axis=-1)
+    order = np.argsort(evals, axis=-1, kind="stable")
+    return BlockSystem(blocks, parts, np.take_along_axis(evals, order, axis=-1), order)
+
+
 def block_eigh(h):
     """``numpy.linalg.eigh`` of one Hermitian matrix or a stack, one block
     at a time when the stack's exact nonzero pattern allows it.
@@ -400,11 +485,10 @@ def block_eigh(h):
     The pattern is the union over the stack of the entries that are not
     exactly zero; its connected components are blocks that no matrix of
     the stack couples.  A dense or connected pattern returns
-    ``numpy.linalg.eigh(h)`` unchanged.  Otherwise every block is
-    decomposed by :func:`eigh_block` as one stack, the eigenvalues are
-    merged in ascending order (a stable sort, so exact ties keep block
-    order), and each block's eigenvectors land at their sorted columns,
-    exactly zero outside the block.
+    ``numpy.linalg.eigh(h)`` unchanged.  Otherwise the blocks are
+    decomposed as in :func:`decompose_blocks` and each block's
+    eigenvectors land at their sorted columns, exactly zero outside the
+    block.
     """
     h = np.asarray(h)
     dim = h.shape[-1]
@@ -412,20 +496,8 @@ def block_eigh(h):
     blocks = split_blocks(stack)
     if blocks is None:
         return np.linalg.eigh(h)
-    parts = [eigh_block(stack, block) for block in blocks]
-    evals = np.concatenate([w for w, _ in parts], axis=-1)
-    order = np.argsort(evals, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(dim), axis=-1)
-    vecs = np.zeros(stack.shape, dtype=parts[0][1].dtype)
-    batch = np.arange(len(stack))[:, None, None]
-    start = 0
-    for block, (_, v) in zip(blocks, parts):
-        idx = block.index
-        vecs[batch, idx[None, :, None], rank[:, None, start:start + len(idx)]] = v
-        start += len(idx)
-    evals = np.take_along_axis(evals, order, axis=-1)
-    return evals.reshape(h.shape[:-1]), vecs.reshape(h.shape)
+    system = _decompose(stack, blocks)
+    return system.evals.reshape(h.shape[:-1]), system.frames().reshape(h.shape)
 
 
 def spectral_decompose(
@@ -465,14 +537,69 @@ def expm_hermitian(h, s: float = 1.0) -> UnitaryOperator:
     return UnitaryOperator(_expm_eig(as_matrix(h), s))
 
 
+def _taylor_degree(theta: float) -> int:
+    """Smallest m with theta^(m+1) / (m+1)! <= 2^-53: the first omitted
+    term of the exponential series at norm ``theta``."""
+    m, term = 0, theta
+    while term > 2.0 ** -53:
+        m += 1
+        term *= theta / (m + 1)
+    return m
+
+
+def _taylor_exp(x: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<=m} x^k / k! for a (K, d, d) stack, Paterson-Stockmeyer style.
+
+    With s = isqrt(m), the powers x^2..x^s cost s - 1 products; the
+    series is then Horner's rule in y = x^s over blocks of s
+    coefficients, one product per block below the top one (none for a
+    top block that is a bare constant).  Degree 6 takes three products.
+    An all-zero matrix gives exactly the identity.
+    """
+    if m == 0:
+        return np.broadcast_to(np.eye(x.shape[-1], dtype=x.dtype), x.shape).copy()
+    coef = [1.0 / math.factorial(k) for k in range(m + 1)]
+    diag = np.arange(x.shape[-1])
+    s = math.isqrt(m)
+    powers = [None, x]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ x)
+
+    def add_block(acc, j):  # acc + sum_{i < s, js + i <= m} coef[js + i] x^i
+        for i in range(1, min(s, m - j * s + 1)):
+            acc += coef[j * s + i] * powers[i]
+        acc[..., diag, diag] += coef[j * s]
+        return acc
+
+    top = m // s
+    if top * s == m:  # the top block is coef[m] alone: a scalar times y
+        top -= 1
+        acc = add_block(coef[m] * powers[s], top)
+    else:
+        acc = add_block(np.zeros_like(x), top)
+    for j in range(top - 1, -1, -1):
+        acc = add_block(powers[s] @ acc, j)
+    return acc
+
+
 def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     """exp(i H_k) for a (K, d, d) stack of Hermitian matrices.
 
-    One stacked eigendecomposition; every factor is held to the same
-    unitarity budget as :class:`UnitaryOperator`, and the first one that
-    misses it raises.
+    With theta the largest 1-norm in the stack (for Hermitian H an upper
+    bound on the spectral norm), the exponential is the Taylor series of
+    the smallest degree m with theta^(m+1) / (m+1)! <= 2^-53, evaluated
+    by :func:`_taylor_exp`; an all-zero H gives exactly the identity.
+    Above ``TAYLOR_MAX_NORM`` it goes through the eigenbasis instead.
+    Every factor is held to the same unitarity budget as
+    :class:`UnitaryOperator`, and the first one that misses it raises; a
+    non-Hermitian H on the Taylor route misses it.
     """
-    u = _expm_eig(h, 1.0)
+    h = np.asarray(h)
+    theta = float(np.max(np.abs(h).sum(axis=-2), initial=0.0))
+    if theta <= TAYLOR_MAX_NORM:
+        u = _taylor_exp(1j * h, _taylor_degree(theta))
+    else:
+        u = _expm_eig(h, 1.0)
     eye = np.eye(h.shape[-1])
     defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - eye, axis=(-2, -1))
     bad = np.flatnonzero(~(defect <= UNITARITY_TOL * h.shape[-1]))

@@ -15,17 +15,18 @@ the grid edges and the fixed-time flatness loop of :mod:`adiaconn.nast` --
 runs through one step kernel, :func:`ordered_products`.  All step points
 are known up front, so the kernel works a chunk of steps at a time: the
 model evaluates H and the step-contracted gradient as stacked arrays, one
-stacked decomposition handles them, and the connection is contracted in
-the eigenbasis and exponentiated as a stack.  The ordered product is a
-pairwise reduction: adjacent factors of the same segment are multiplied
-as one stacked product per level, ceil(log2 k) levels for k steps, and
-each chunk's first piece is multiplied onto the product carried over from
-the chunk before.  Chunks hold at most 256 matrices and about 4 MB per
-stacked array.  The Wilson loop shares the chunked evaluation and
-decomposition (:func:`~adiaconn.operator_core.block_eigh`).
+stacked decomposition of H handles them, and the connection is contracted
+in the eigenbasis and exponentiated as a stack by a Taylor series
+(:func:`~adiaconn.operator_core.expm_hermitian_stack`), with no second
+decomposition.  The ordered product is a pairwise reduction: adjacent
+factors of the same segment are multiplied as one stacked product per
+level, ceil(log2 k) levels for k steps, and each chunk's first piece is
+multiplied onto the product carried over from the chunk before.  Chunks
+hold at most 256 matrices and about 4 MB per stacked array.  The Wilson
+loop shares the chunked evaluation.
 
 The kernel splits by blocks of the joint nonzero pattern of H and the
-step-contracted gradient (:func:`~adiaconn.operator_core.split_blocks`).
+step-contracted gradient (:func:`~adiaconn.operator_core.decompose_blocks`).
 It has to be the joint pattern: where H alone splits further than the
 step (H diagonal at a pole while the step couples the levels), the
 connection couples levels that H does not.  Over the joint blocks the
@@ -35,7 +36,9 @@ and reduced on its own; only the per-segment pieces are written to dense
 matrices, with exact zeros between blocks.  The oscillator's two
 Fock-parity sectors run as two 30x30 kernels, each decomposed as a real
 tree block (see :mod:`adiaconn.operator_core`).  A connected joint
-pattern takes the dense path unchanged.
+pattern is the one-block case.  The Wilson loop works on the blocks of
+H in the same way: overlaps are taken within each block, and only the
+frames at chunk seams and at the base point are written densely.
 """
 
 from __future__ import annotations
@@ -49,12 +52,10 @@ from .operator_core import (
     SpectralDecomposition,
     UnitaryOperator,
     _is_int,
-    block_eigh,
-    eigh_block,
+    decompose_blocks,
     expm_hermitian_stack,
     frobenius,
     spectral_gaps,
-    split_blocks,
     wrap_phase,
 )
 from .models import ParametricHamiltonian
@@ -219,35 +220,30 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
 
     W is the connection for the default weight; the gradient is contracted
     with the step before the change of basis, so each step costs one
-    decomposition of H and one of the generator, whatever the number of
-    parameters.  When the joint nonzero pattern of H and the contracted
-    gradient splits into blocks, W and its exponential are block diagonal
-    over them, so every block is decomposed, contracted and exponentiated
-    on its own.  Each chunk is a list of (index, factors) pairs: the basis
-    indices of a block (all of them when the chunk does not split) and its
-    (k, b, b) factor stack; the factors are exactly zero outside the blocks.
+    decomposition of H, whatever the number of parameters.  W and its
+    exponential are block diagonal over the blocks of the joint nonzero
+    pattern of H and the contracted gradient, so every block is
+    decomposed, contracted and exponentiated on its own.  Each chunk is a
+    list of (index, factors) pairs: the basis indices of a block (all of
+    them when the chunk does not split) and its (k, b, b) factor stack;
+    the factors are exactly zero outside the blocks.
     """
     size = _chunk_size(model.dim)
     for start in range(0, len(mids), size):
         mid = mids[start:start + size]
         h, g = _hamiltonians(model, mid, deltas[start:start + size, None])
         g = g[:, 0]
-        blocks = split_blocks(h, g)
-        if blocks is None:
-            index, systems = [np.arange(model.dim)], [(*block_eigh(h), g)]
-        else:
-            index = [b.index for b in blocks]
-            systems = [(*eigh_block(h, b), g[:, b.index[:, None], b.index]) for b in blocks]
-        evals = np.sort(np.concatenate([e for e, _, _ in systems], axis=-1), axis=-1)
-        min_gap = spectral_gaps(evals, model.check_levels)
+        system = decompose_blocks(h, g)
+        min_gap = spectral_gaps(system.evals, model.check_levels)
         if model.dim > 1 and np.any(min_gap <= 0.0):
             raise ValueError("the connection requires a non-degenerate spectrum")
-        gens = [contract_stack(e, v, gb, weight) for e, v, gb in systems]
+        gens = [contract_stack(e, v, b.take(g), weight)
+                for b, (e, v) in zip(system.blocks, system.parts)]
         finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
                          for w in gens], axis=0)
         if not finite.all():
             raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
-        yield [(i, expm_hermitian_stack(w)) for i, w in zip(index, gens)]
+        yield [(b.index, expm_hermitian_stack(w)) for b, w in zip(system.blocks, gens)]
 
 
 def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -364,6 +360,31 @@ def holonomy(model: ParametricHamiltonian, loop: PathSpec) -> HolonomyResult:
     )
 
 
+def _block_overlaps(system) -> np.ndarray:
+    """<n(k)|n(k+1)> for every level n and every pair of consecutive
+    matrices k, k+1 of a :class:`~adiaconn.operator_core.BlockSystem`, as
+    a (K-1, d) array.
+
+    Eigenvectors of different blocks have disjoint supports, so every
+    overlap is taken within one block; it is exactly 0 where the level
+    sits in different blocks at k and k+1.
+    """
+    now, later = system.order[:-1], system.order[1:]
+    aligned = [np.einsum("kic,kic->kc", v[:-1].conj(), v[1:]) for _, v in system.parts]
+    if len(aligned) == 1:  # one block: every level keeps its column
+        return aligned[0]
+    overlaps = np.take_along_axis(np.concatenate(aligned, axis=-1), now, axis=-1)
+    k, n = np.nonzero(now != later)  # levels that changed column
+    overlaps[k, n] = 0.0
+    for block, _, v, start in system.columns():
+        a, b = now[k, n] - start, later[k, n] - start
+        within = (a >= 0) & (a < len(block.index)) & (b >= 0) & (b < len(block.index))
+        kw = k[within]
+        overlaps[kw, n[within]] = np.einsum("pi,pi->p", v[kw, :, a[within]].conj(),
+                                            v[kw + 1, :, b[within]])
+    return overlaps
+
+
 def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarray:
     """Discrete Wilson-loop Berry phases, one per level.
 
@@ -375,15 +396,20 @@ def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarr
     covers the lowest ``model.check_levels`` levels (all when None), the
     ones the degeneracy check covers; higher levels may cluster and mix,
     so their phases are returned unguarded and are not to be trusted.
+
+    Each chunk of nodes is decomposed block by block; overlaps within a
+    chunk are taken per block (:func:`_block_overlaps`), and those across
+    a chunk seam and the closing one between dense frames of the two
+    nodes.
     """
     if not loop.closed:
         raise ValueError("wilson_loop_phases requires a closed loop")
     nodes = loop.refined_points()
     if len(nodes) > 1:
         nodes = nodes[:-1]  # closing node coincides with the first
-    def overlap_product(f_now, f_next, first_node):
+
+    def overlap_product(overlaps, first_node):
         # overlaps[k] pairs node first_node + k with its successor
-        overlaps = np.einsum("kin,kin->kn", f_now.conj(), f_next)
         small = np.abs(overlaps[:, :model.check_levels]) < MIN_OVERLAP
         if np.any(small):
             k, level = (int(i[0]) for i in np.nonzero(small))
@@ -394,18 +420,23 @@ def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarr
             )
         return np.prod(overlaps, axis=0)
 
+    def seam(f_now, f_next):
+        return np.einsum("kin,kin->kn", f_now.conj(), f_next)
+
     product = np.ones(model.dim, dtype=complex)
     size = _chunk_size(model.dim)
     for start in range(0, len(nodes), size):
-        evals, frames = block_eigh(_hamiltonians(model, nodes[start:start + size])[0])
-        spectral_gaps(evals, model.check_levels)
+        system = decompose_blocks(_hamiltonians(model, nodes[start:start + size])[0])
+        spectral_gaps(system.evals, model.check_levels)
+        ends = system.frames([0, -1])
+        overlaps = _block_overlaps(system)
         if start == 0:
-            first = frames[:1]
+            first = ends[:1]
         else:
-            frames = np.concatenate([last, frames])
-        product *= overlap_product(frames[:-1], frames[1:], max(start - 1, 0))
-        last = frames[-1:]
-    product *= overlap_product(last, first, len(nodes) - 1)
+            overlaps = np.concatenate([seam(last, ends[:1]), overlaps])
+        product *= overlap_product(overlaps, max(start - 1, 0))
+        last = ends[1:]
+    product *= overlap_product(seam(last, first), len(nodes) - 1)
     return wrap_phase(-np.angle(product))
 
 

@@ -180,6 +180,23 @@ class TestTimeAverage:
         a_hat = connection_time_average(su2_half, [1.0, 1.0, 0.0])
         assert a_hat.error_estimate is not None and a_hat.error_estimate > 0
 
+    def test_error_estimate_bounds_the_deviation(self, su2_one, rng):
+        # the deviation as the time-average command reports it: the
+        # largest Frobenius norm of a component's difference
+        cases = [(OscillatorModel(60, 20), [2.0, 0.5, 1.5], None),
+                 (OscillatorModel(60, 20), [1.0, 0.0, 1.0], None),
+                 (su2_one, [1.0, 1.1, 0.4], None)]
+        cases += [(random_polynomial_model(rng, dim=dim), [0.15, -0.1], horizon)
+                  for dim, horizon in [(3, 40.0), (4, 60.0), (5, None)]]
+        for model, lam, horizon in cases:
+            a_exact, spec = connection_spectral_at(model, lam)
+            a_hat = connection_time_average(
+                model, lam, TimeAverageConfig.for_spectrum(spec, horizon=horizon))
+            deviation = max(np.linalg.norm(h - e)
+                            for h, e in zip(a_hat.components, a_exact.components))
+            assert deviation > 0.0
+            assert a_hat.error_estimate >= deviation
+
     def test_envelope_decreases_under_doubling(self, rng):
         model = random_polynomial_model(rng)
         lam = [0.15, -0.1]

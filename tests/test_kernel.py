@@ -47,7 +47,12 @@ from adiaconn.transport import (
     wilson_loop_phases,
 )
 
-from conftest import isospectral_model, random_polynomial_model, record_eigh_calls
+from conftest import (
+    isospectral_model,
+    random_hermitian,
+    random_polynomial_model,
+    record_eigh_calls,
+)
 
 TOL = 1e-12
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -563,9 +568,108 @@ class TestBlockKernel:
         calls = record_eigh_calls(monkeypatch)
         transport.ordered_products(oscillator, mids, deltas, [len(mids)])
         # 12 steps in chunks of 7 and 5; per chunk each parity sector is
-        # decomposed once as a real tree block and exponentiated once
-        assert calls == [((k, 30, 30), dtype) for k in (7, 5)
-                         for dtype in (np.float64, np.float64, np.complex128, np.complex128)]
+        # decomposed once as a real tree block, and the step exponential
+        # takes no decomposition
+        assert calls == [((k, 30, 30), np.float64) for k in (7, 5) for _ in range(2)]
+
+
+def crossing_block_model():
+    """Two blocks, {0, 1} and {2}, whose levels cross: H = sz + l1 sx
+    + l2 sy on the first and 1 + l1 on the second.  Level 1 is the
+    second block's where l1 < l2^2 / 2 and the first block's upper level
+    elsewhere; at the origin the two are degenerate."""
+    sx = np.zeros((3, 3), dtype=complex)
+    sx[[0, 1], [1, 0]] = 1.0
+    sx[2, 2] = 1.0
+    sy = np.zeros((3, 3), dtype=complex)
+    sy[0, 1], sy[1, 0] = -1j, 1j
+    return ModelSpec(dim=3, param_names=("l1", "l2"), terms=(
+        ((0, 0), np.diag([1.0, -1.0, 1.0]).astype(complex)),
+        ((1, 0), sx), ((0, 1), sy))).to_model()
+
+
+class TestBlockSweeps:
+    """The surface sweep and the Wilson loop work block by block; with
+    the block split switched off everything runs as one block."""
+
+    @staticmethod
+    def dense(monkeypatch):
+        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    @pytest.mark.parametrize("sizes", [(60, 20), (14, 4)])
+    def test_oscillator_against_dense_path(self, sizes, chunk, monkeypatch):
+        monkeypatch.setattr(transport, "CHUNK_MATRICES", chunk)
+        model = OscillatorModel(*sizes)
+        patch = planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(6, 5))
+        loop = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=30)
+        assert len(operator_core.split_blocks(model.eval_batch(loop.samples)[0])) == 2
+
+        def phases():
+            return (berry_phase_surface(model, patch, [0, 1, 2, 3]),
+                    wilson_loop_phases(model, loop))
+
+        blocked = phases()
+        self.dense(monkeypatch)
+        for b, d in zip(blocked, phases()):
+            assert np.max(np.abs(b - d)) <= 1e-13
+
+    def test_level_changing_block_on_the_surface(self, monkeypatch):
+        model = crossing_block_model()
+        patch = planar_patch([-0.3, 0.2], [0.6, 0.0], [0.0, 0.4], grid=(7, 5))
+        centres = patch.points(np.stack(np.meshgrid((np.arange(7) + 0.5) / 7,
+                                                    (np.arange(5) + 0.5) / 5), axis=-1))
+        h, g = model.eval_batch(centres.reshape(-1, 2), np.eye(2)[None].repeat(35, axis=0))
+        system = operator_core.decompose_blocks(h, g)
+        assert len(system.blocks) == 2
+        assert set(system.order[:, 1] >= 2) == {False, True}  # level 1 in either block
+        blocked = berry_phase_surface(model, patch, [0, 1, 2])
+        self.dense(monkeypatch)
+        dense = berry_phase_surface(model, patch, [0, 1, 2])
+        assert np.max(np.abs(blocked - dense)) <= 1e-13
+        assert np.all(blocked != 0.0)
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_wilson_guard_where_a_level_changes_block(self, chunk, monkeypatch):
+        monkeypatch.setattr(transport, "CHUNK_MATRICES", chunk)
+        loop = planar_patch([-0.3, 0.2], [0.6, 0.0], [0.0, 0.4], (1, 1)).boundary_path(29)
+        model = crossing_block_model()
+        with pytest.raises(ValueError, match=r"level 1, \|overlap\| = 0.000") as blocked:
+            wilson_loop_phases(model, loop)
+        self.dense(monkeypatch)
+        with pytest.raises(ValueError) as dense:
+            wilson_loop_phases(model, loop)
+        assert str(blocked.value) == str(dense.value)
+
+    def test_overlaps_where_levels_change_column(self, rng):
+        # the single level of the second block drops past both levels of
+        # the first between nodes 1 and 2: level 1 keeps its block but
+        # changes column, levels 0 and 2 change block
+        h = np.zeros((4, 3, 3), dtype=complex)
+        for k, b in enumerate([2.0, 1.5, -1.5, -2.0]):
+            h[k, :2, :2] = np.diag([-1.0, 1.0]) + 0.2 * random_hermitian(rng, 2)
+            h[k, 2, 2] = b
+        system = operator_core.decompose_blocks(h)
+        assert len(system.blocks) == 2
+        assert list(system.order[1]) == [0, 1, 2] and list(system.order[2]) == [2, 0, 1]
+        frames = system.frames()
+        dense = np.einsum("kin,kin->kn", frames[:-1].conj(), frames[1:])
+        got = transport._block_overlaps(system)
+        assert np.max(np.abs(got - dense)) <= 1e-15
+        assert got[1, 0] == 0 and got[1, 2] == 0 and abs(got[1, 1]) > 1e-3
+
+    def test_near_degenerate_pair_across_blocks(self, monkeypatch):
+        # the middle cell is centred on the origin, where level 1 (second
+        # block) and level 2 (first block) meet
+        patch = planar_patch([-0.05, -0.05], [0.1, 0.0], [0.0, 0.1], grid=(3, 3))
+        model = crossing_block_model()
+        with pytest.raises(DegenerateSpectrumError) as blocked:
+            berry_phase_surface(model, patch, [1])
+        assert blocked.value.level == 1
+        self.dense(monkeypatch)
+        with pytest.raises(DegenerateSpectrumError) as dense:
+            berry_phase_surface(model, patch, [1])
+        assert (blocked.value.level, blocked.value.gap) == (dense.value.level, dense.value.gap)
 
 
 @pytest.mark.usefixtures("tiny_chunks")

@@ -10,7 +10,7 @@ import pytest
 import adiaconn
 from adiaconn import operator_core, transport
 from adiaconn.curvature import berry_phase_surface
-from adiaconn.geometry import planar_patch, planar_rectangle_loop
+from adiaconn.geometry import planar_patch, planar_rectangle_loop, su2_triangle_loop
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
     PhaseConvention,
@@ -119,6 +119,60 @@ class TestExpm:
         lhs = expm_hermitian(h, s).matrix @ expm_hermitian(h, t).matrix
         rhs = expm_hermitian(h, s + t).matrix
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * 4
+
+
+def hermitian_stack(rng, k, dim, theta):
+    """k random Hermitian matrices whose largest 1-norm is ``theta``."""
+    h = np.stack([random_hermitian(rng, dim) for _ in range(k)])
+    return h * (theta / np.max(np.abs(h).sum(axis=-2)))
+
+
+class TestExpmStack:
+    """The step exponential: a Taylor series up to TAYLOR_MAX_NORM, the
+    eigenbasis above it."""
+
+    @pytest.mark.parametrize("dim", [2, 30, 60])
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-3, 0.007, 0.03,
+                                       operator_core.TAYLOR_MAX_NORM * (1 - 1e-6),
+                                       operator_core.TAYLOR_MAX_NORM * (1 + 1e-6)])
+    def test_agrees_with_the_eigenbasis(self, rng, monkeypatch, dim, theta):
+        h = hermitian_stack(rng, 5, dim, 1.0) * theta if theta else np.zeros((5, dim, dim), complex)
+        ref = operator_core._expm_eig(h, 1.0)
+        calls = record_eigh_calls(monkeypatch)
+        got = operator_core.expm_hermitian_stack(h)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        # only the stack above the threshold is decomposed
+        assert bool(calls) == (theta > operator_core.TAYLOR_MAX_NORM)
+
+    def test_zero_stack_is_exactly_the_identity(self):
+        for dim in (1, 2, 7):
+            u = operator_core.expm_hermitian_stack(np.zeros((4, dim, dim), dtype=complex))
+            assert np.array_equal(u, np.broadcast_to(np.eye(dim), (4, dim, dim)))
+
+    def test_zero_factor_in_a_stack_is_exactly_the_identity(self, rng):
+        h = hermitian_stack(rng, 4, 3, 0.05)
+        h[2] = 0.0
+        u = operator_core.expm_hermitian_stack(h)
+        assert np.array_equal(u[2], np.eye(3))
+        assert not np.array_equal(u[1], np.eye(3))
+
+    def test_pole_edge_factors_are_exactly_the_identity(self, su2_half):
+        # the last edge of the triangle runs along theta = 0, where the
+        # gradient along phi vanishes: those steps sit in one chunk with
+        # the others and must still give the identity bit for bit
+        mids, deltas = su2_triangle_loop(1.1, refinement=30).step_arrays()
+        factors = transport.ordered_products(su2_half, mids, deltas, np.ones(len(mids), int))
+        pole = mids[:, 1] == 0.0
+        assert pole.sum() == 30
+        for u in factors[pole]:
+            assert np.array_equal(u, np.eye(2))
+        assert not any(np.array_equal(u, np.eye(2)) for u in factors[~pole])
+
+    def test_non_hermitian_step_is_named(self, rng):
+        h = hermitian_stack(rng, 6, 4, 0.02)
+        h[3, 0, 1] += 1e-3  # no longer Hermitian
+        with pytest.raises(ValueError, match="step 3 is not unitary"):
+            operator_core.expm_hermitian_stack(h)
 
 
 class TestExpmDerivative:
