@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import SpectralDecomposition, _is_int, as_matrix, hermitize
+from .operator_core import (SpectralDecomposition, _is_int, as_matrix, gauge_phase, hermitize,
+                            sandwich)
 from .models import ParametricHamiltonian
 
 __all__ = [
@@ -106,7 +107,7 @@ def maurer_cartan_weight(t: float):
     return lambda delta: _maurer_cartan_kernel(delta, np.exp(-1j * t * delta), t)
 
 
-def contract_stack(evals, vecs, g, weight=connection_weight) -> np.ndarray:
+def contract_stack(evals, vecs, g, weight=connection_weight, gauge=None) -> np.ndarray:
     """V (W * V^dag G V) V^dag for one eigensystem or a stack of them.
 
     ``evals`` (..., d) and ``vecs`` (..., d, d) broadcast against the
@@ -114,14 +115,23 @@ def contract_stack(evals, vecs, g, weight=connection_weight) -> np.ndarray:
     E_m - E_n to the kernel W; on the diagonal W multiplies the real part
     of <n|G|n>.  With the default weight the result is the connection
     contracted with whatever direction G is the gradient along.
+
+    With a ``gauge`` D (..., d) of unit phases, as a tree block keeps it
+    (see :func:`~adiaconn.operator_core.tree_gauge`), the eigenvectors
+    are V = D ``vecs``: G is rephased to D^dag G D, contracted against
+    ``vecs`` and rephased back.  Real ``vecs`` rotate with real matrix
+    products only.
     """
+    if gauge is not None:
+        phase = gauge_phase(gauge)
+        return contract_stack(evals, vecs, g * phase, weight) * phase.conj()
     vh = vecs.conj().swapaxes(-1, -2)
-    g_eig = vh @ g @ vecs
+    g_eig = sandwich(vh, g, vecs)
     kernel = weight(evals[..., :, None] - evals[..., None, :])
     out = g_eig * kernel
     diag = np.arange(evals.shape[-1])
     out[..., diag, diag] = kernel[..., diag, diag] * g_eig[..., diag, diag].real
-    return vecs @ out @ vh
+    return sandwich(vecs, out, vh)
 
 
 def connection_spectral(

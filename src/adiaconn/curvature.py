@@ -45,7 +45,9 @@ from .operator_core import (
     default_gap_tol,
     expm_hermitian,
     frobenius,
+    gauge_phase,
     hermitize,
+    sandwich,
 )
 from .models import FD_STEP_SCALE, DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
@@ -168,30 +170,48 @@ def _level_curvature(system: BlockSystem, g, levels) -> np.ndarray:
     W^(n)_uv = -2 sum_{n' != n} Im(<n|dH_u|n'><n'|dH_v|n>) / (E_n - E_{n'})^2,
 
     the diagonal entry <n|F_uv|n> of the field strength.  Exactly equal
-    eigenvalues contribute 0.  Only the bras of the requested levels are
-    written densely, as a (K, R, d) array; the sum over n' runs block by
-    block, and the rows of levels outside a block meet exact zeros there.
+    eigenvalues contribute 0.  Tree blocks keep their eigenvectors as D R
+    (see :class:`~adiaconn.operator_core.BlockSystem`), and R multiplies
+    as a real matrix (:func:`~adiaconn.operator_core.sandwich`).  When one
+    block holds every level, the elements are R^T (D^dag dH D) R.
+    Otherwise only the bras of the requested levels are written densely,
+    as a (K, R, d) array, and the sum over n' runs block by block: the
+    rows of levels outside a block meet exact zeros there, and the kets
+    of a block are (<n|dH * D) R, so no complex eigenvector stack is
+    built.
     """
     levels = np.asarray(levels)
     column = system.order[:, levels]  # [k, row]: concatenated column of the level
     rows = system.evals[:, levels]
     batch, dim = np.arange(len(column))[:, None], system.evals.shape[-1]
-    bras = np.zeros((len(column), len(levels), dim), dtype=complex)
-    for block, _, v, start in system.columns():
-        local = column - start
-        if len(block.index) == dim:  # one block holds every level
-            bras = v[batch, :, local].conj()  # [k, row, i]
-            break
-        inside = (local >= 0) & (local < len(block.index))
-        picked = v[batch, :, np.where(inside, local, 0)].conj()
-        bras[..., block.index] = np.where(inside[..., None], picked, 0.0)
-    left = bras[:, None] @ g  # [k, u/v, row, :] = <n|dH
+    if len(system.blocks) == 1:
+        (e, v), gauge = system.parts[0], system.gauges[0]
+        if gauge is not None:
+            g = g * gauge_phase(gauge)[:, None]
+        pairs = [(e, sandwich(v[batch, :, column].conj()[:, None], g, v[:, None]))]
+    else:
+        bras = np.zeros((len(column), len(levels), dim), dtype=complex)
+        start = 0
+        for block, (_, v), gauge in zip(system.blocks, system.parts, system.gauges):
+            local = column - start
+            start += len(block.index)
+            inside = (local >= 0) & (local < len(block.index))
+            picked = v[batch, :, np.where(inside, local, 0)]  # [k, row, i]
+            if gauge is not None:
+                picked = picked * gauge[:, None, :]
+            bras[..., block.index] = np.where(inside[..., None], picked.conj(), 0.0)
+        left = bras[:, None] @ g  # [k, u/v, row, :] = <n|dH
+        pairs = []
+        for block, (e, v), gauge in zip(system.blocks, system.parts, system.gauges):
+            ket = left[..., block.index]  # <n|dH D R> = (<n|dH * D) R
+            if gauge is not None:
+                ket = ket * gauge[:, None, None, :]
+            pairs.append((e, sandwich(None, ket, v[:, None])))
     out = 0.0
-    for block, e, v, _ in system.columns():
+    for e, elements in pairs:  # <n|dH|n'>, n' in the block
         delta = rows[:, :, None] - e[:, None, :]  # [k, row, n']
         inv2 = np.zeros_like(delta)
         np.divide(1.0, delta**2, out=inv2, where=delta != 0.0)
-        elements = left[..., block.index] @ v[:, None]  # <n|dH|n'>, n' in the block
         out = out - 2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
     return out
 
@@ -206,7 +226,7 @@ def berry_curvature_levels(
     g = np.asarray(grad_h)[np.stack([mu, nu], axis=1)]
     dim = spec.dim
     system = BlockSystem((Block(np.arange(dim), None),),
-                         ((spec.eigenvalues[None], spec.frame.matrix[None]),),
+                         ((spec.eigenvalues[None], spec.frame.matrix[None]),), (None,),
                          spec.eigenvalues[None], np.arange(dim)[None])
     w = _level_curvature(system, g, np.arange(dim))
     return BerryCurvatureTable(pairs=tuple(zip(mu.tolist(), nu.tolist())), table=w.T)

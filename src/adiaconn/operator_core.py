@@ -24,8 +24,8 @@ block on its own.  :func:`decompose_blocks` does this for every block of
 a stack and ranks the merged eigenvalues, so that callers can work block
 by block and still see the whole spectrum; a connected pattern is its
 one-block case.  :func:`block_eigh` scatters the blocks back into one
-dense ascending eigensystem.  A dense stack, or one whose pattern is
-connected, takes ``numpy.linalg.eigh`` as is.
+dense ascending eigensystem; a matrix or stack whose pattern is
+connected takes ``numpy.linalg.eigh`` as is there.
 
 A block whose coupling graph is a tree is decomposed as a real symmetric
 matrix.  A diagonal unitary D changes the phase of every coupling H_ab
@@ -36,8 +36,11 @@ holonomy comes from curvature and not from the gauge of the connection.
 A tree has no cycle, so all its coupling phases are pure gauge: one D,
 built by walking the tree from its root, removes them all, D^dag H D is
 real, and a real ``eigh`` of it costs roughly half the complex one.  The
-60-level oscillator couples level n only to n +- 2, so each parity
-sector is a chain and takes the real path.
+block keeps its eigenvectors as D and the real R of that ``eigh``, so
+that callers can rotate into the eigenbasis with real matrix products.
+The 60-level oscillator couples level n only to n +- 2, so each parity
+sector is a chain and takes the real path; so does a connected tree,
+such as spin 1/2 (two levels) and the tridiagonal higher spins.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ __all__ = [
     "BlockSystem",
     "split_blocks",
     "eigh_block",
+    "tree_gauge",
+    "gauge_phase",
+    "sandwich",
     "decompose_blocks",
     "block_eigh",
     "spectral_decompose",
@@ -348,8 +354,8 @@ def _tree_parents(adjacent: np.ndarray) -> np.ndarray | None:
 @lru_cache(maxsize=64)
 def _pattern_blocks(pattern: bytes, dim: int):
     """Connected components of a (dim, dim) boolean nonzero pattern, each
-    a :class:`Block` with its tree when it has one; None when the pattern
-    is connected."""
+    a :class:`Block` with its tree when it has one; a connected pattern is
+    one block if it is a tree, and None if it has a cycle."""
     adjacent = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
     adjacent = (adjacent | adjacent.T) & ~np.eye(dim, dtype=bool)
     reach = (adjacent | np.eye(dim, dtype=bool)).astype(float)
@@ -360,44 +366,80 @@ def _pattern_blocks(pattern: bytes, dim: int):
         reach = grown
     label = np.argmax(reach, axis=0)  # lowest index of each component
     if not label.any():
-        return None
+        parent = _tree_parents(adjacent)
+        return None if parent is None else (Block(np.arange(dim), parent),)
     blocks = (np.flatnonzero(label == first) for first in np.unique(label))
     return tuple(Block(idx, _tree_parents(adjacent[idx[:, None], idx])) for idx in blocks)
 
 
 def split_blocks(*stacks):
     """Blocks of the union of the exactly nonzero entries of one or more
-    (..., d, d) stacks, as a tuple of :class:`Block`; None when that union
-    is connected, so that no block split applies."""
+    (..., d, d) stacks, as a tuple of :class:`Block`; a connected union is
+    one block when it is a tree.  None when that union is connected and
+    has a cycle, so that neither a block split nor the real tree path
+    applies."""
     dim = stacks[0].shape[-1]
     pattern = False
     for s in stacks:
         s = s.reshape(-1, dim, dim)
-        if len(s) == 0 or np.count_nonzero(s[0]) == dim * dim:
-            return None  # one dense matrix makes the union dense
+        if len(s) == 0:
+            return None
+        if np.count_nonzero(s[0]) == dim * dim:
+            pattern = True  # one dense matrix makes the union dense
+            break
         # real and imaginary parts compared as one float array: faster
         # than a complex comparison
         nonzero = np.any(np.ascontiguousarray(s).view(s.real.dtype) != 0, axis=0)
         pattern = pattern | nonzero.reshape(dim, dim, -1).any(axis=-1)
-    return _pattern_blocks(pattern.tobytes(), dim)
+    return _pattern_blocks(np.broadcast_to(pattern, (dim, dim)).tobytes(), dim)
+
+
+def _tree_links(stack: np.ndarray, block: Block):
+    """Local child indices of a tree block and the coupling H_pc of every
+    child c to its parent p, as a (K, children) array."""
+    idx, parent = block
+    child = np.flatnonzero(parent != np.arange(len(idx)))
+    return child, stack[:, idx[parent[child]], idx[child]]
 
 
 def eigh_block(stack: np.ndarray, block: Block):
-    """``eigh`` of one diagonal block of a (K, d, d) Hermitian stack.
+    """``eigh`` of one diagonal block of a (K, d, d) Hermitian stack, in
+    the block's tree gauge.
 
     A block whose coupling graph is a tree carries no gauge-invariant
-    flux: with a diagonal unitary D, propagated from the root so that
-    D_c = D_p conj(H_pc)/|H_pc| along every tree edge p -> c (1 where
-    H_pc is exactly 0), D^dag H D is real symmetric with entries |H_pc|.
-    That real matrix is decomposed instead, and the eigenvectors are
-    D R.  Any other block, and any real input, takes
-    ``numpy.linalg.eigh`` as it is.
+    flux: with the diagonal unitary D of :func:`tree_gauge`, D^dag H D is
+    real symmetric, with the entries |H_pc| along the tree edges.  That
+    real matrix is decomposed instead; its eigenvectors R give the
+    block's eigenvectors D R.  Any other block, and any real input, takes
+    ``numpy.linalg.eigh`` as it is (D = 1).
     """
     idx, parent = block
     if parent is None or not np.iscomplexobj(stack):
         return np.linalg.eigh(block.take(stack))
-    child = np.flatnonzero(parent != np.arange(len(idx)))
-    link = stack[:, idx[parent[child]], idx[child]]
+    child, link = _tree_links(stack, block)
+    size = np.abs(link)
+    real = np.zeros((len(stack), len(idx), len(idx)), dtype=float)
+    diag = np.arange(len(idx))
+    real[:, diag, diag] = stack[:, idx, idx].real
+    real[:, parent[child], child] = size
+    real[:, child, parent[child]] = size
+    return np.linalg.eigh(real)
+
+
+def tree_gauge(stack: np.ndarray, block: Block):
+    """The diagonal of the gauge D of a tree block of a complex (K, d, d)
+    stack, as a (K, b) array of unit phases; None for a block with a
+    cycle and for real input, which :func:`eigh_block` decomposes as it
+    is.
+
+    D is propagated from the root so that D_c = D_p conj(H_pc)/|H_pc|
+    along every tree edge p -> c (1 where H_pc is exactly 0), which makes
+    every coupling of D^dag H D real and non-negative.
+    """
+    idx, parent = block
+    if parent is None or not np.iscomplexobj(stack):
+        return None
+    child, link = _tree_links(stack, block)
     size = np.abs(link)
     unit = np.ones_like(link)
     np.divide(link.conj(), size, out=unit, where=size > 0)
@@ -407,49 +449,65 @@ def eigh_block(stack: np.ndarray, block: Block):
     while np.any(up):  # pointer jumping: products along each path to the root
         gauge = gauge * gauge[:, up]
         up = up[up]
-    real = np.zeros((len(stack), len(idx), len(idx)), dtype=float)
-    diag = np.arange(len(idx))
-    real[:, diag, diag] = stack[:, idx, idx].real
-    real[:, parent[child], child] = size
-    real[:, child, parent[child]] = size
-    evals, vecs = np.linalg.eigh(real)
-    return evals, gauge[:, :, None] * vecs
+    return gauge
+
+
+def gauge_phase(gauge: np.ndarray) -> np.ndarray:
+    """conj(D_m) D_n for a (..., d) stack of gauge diagonals D, as
+    (..., d, d): the elementwise factor that takes G to D^dag G D."""
+    return gauge.conj()[..., :, None] * gauge[..., None, :]
+
+
+def sandwich(a, x, b) -> np.ndarray:
+    """a @ x @ b for stacks, or x @ b when ``a`` is None; with real a and
+    b, the real and imaginary parts of x are multiplied as real matrices,
+    several times faster than a complex product for small matrices, and
+    no complex copy of a or b is made."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return x @ b if a is None else a @ x @ b
+    if a is None:
+        return (x.real @ b) + 1j * (x.imag @ b)
+    return (a @ x.real @ b) + 1j * (a @ x.imag @ b)
 
 
 class BlockSystem(NamedTuple):
     """Eigensystems of a (K, d, d) stack, one per block of its pattern.
 
-    ``parts[b]`` is what :func:`eigh_block` returns for ``blocks[b]``.
-    ``evals`` (K, d) merges the block eigenvalues in ascending order, and
-    ``order[k, n]`` is the column of the block eigenvalues, concatenated
-    in block order, that holds level n of matrix k.
+    ``parts[b]`` is what :func:`eigh_block` returns for ``blocks[b]``, and
+    ``gauges[b]`` what :func:`tree_gauge` returns for it: the eigenvectors
+    of the block are ``gauges[b][..., :, None] * parts[b][1]`` (the
+    vectors as they are when the gauge is None).  ``evals`` (K, d) merges
+    the block eigenvalues in ascending order, and ``order[k, n]`` is the
+    column of the block eigenvalues, concatenated in block order, that
+    holds level n of matrix k.
     """
 
     blocks: tuple
     parts: tuple
+    gauges: tuple
     evals: np.ndarray
     order: np.ndarray
 
-    def columns(self):
-        """(block, eigenvalues, eigenvectors, first concatenated column)
-        for every block."""
-        start = 0
-        for block, (w, v) in zip(self.blocks, self.parts):
-            yield block, w, v, start
-            start += len(block.index)
+    def vectors(self, b: int, which=slice(None)) -> np.ndarray:
+        """Eigenvectors of block ``b`` of the selected matrices, gauge
+        applied."""
+        v, gauge = self.parts[b][1][which], self.gauges[b]
+        return v if gauge is None else gauge[which][..., :, None] * v
 
     def frames(self, which=slice(None)) -> np.ndarray:
         """Dense eigenvector stacks of the selected matrices, levels in
         ascending order, each vector exactly zero outside its block."""
         if len(self.blocks) == 1:
-            return self.parts[0][1][which]
+            return self.vectors(0, which)
         rank = np.argsort(self.order[which], axis=-1)  # column -> level
-        dtype = np.result_type(*(v for _, v in self.parts))
-        vecs = np.zeros((len(rank),) + (self.evals.shape[-1],) * 2, dtype=dtype)
+        picked = [self.vectors(b, which) for b in range(len(self.blocks))]
+        vecs = np.zeros((len(rank),) + (self.evals.shape[-1],) * 2, dtype=np.result_type(*picked))
         batch = np.arange(len(rank))[:, None, None]
-        for block, _, v, start in self.columns():
+        start = 0
+        for block, v in zip(self.blocks, picked):
             stop = start + len(block.index)
-            vecs[batch, block.index[None, :, None], rank[:, None, start:stop]] = v[which]
+            vecs[batch, block.index[None, :, None], rank[:, None, start:stop]] = v
+            start = stop
         return vecs
 
 
@@ -471,21 +529,23 @@ def _decompose(stack: np.ndarray, blocks) -> BlockSystem:
     dim = stack.shape[-1]
     blocks = blocks or (Block(np.arange(dim), None),)
     parts = tuple(eigh_block(stack, block) for block in blocks)
+    gauges = tuple(tree_gauge(stack, block) for block in blocks)
     if len(parts) == 1:  # eigh's eigenvalues ascend already
-        return BlockSystem(blocks, parts, parts[0][0], np.arange(dim)[None].repeat(len(stack), 0))
+        order = np.arange(dim)[None].repeat(len(stack), 0)
+        return BlockSystem(blocks, parts, gauges, parts[0][0], order)
     evals = np.concatenate([w for w, _ in parts], axis=-1)
     order = np.argsort(evals, axis=-1, kind="stable")
-    return BlockSystem(blocks, parts, np.take_along_axis(evals, order, axis=-1), order)
+    return BlockSystem(blocks, parts, gauges, np.take_along_axis(evals, order, axis=-1), order)
 
 
 def block_eigh(h):
     """``numpy.linalg.eigh`` of one Hermitian matrix or a stack, one block
-    at a time when the stack's exact nonzero pattern allows it.
+    at a time when the stack's exact nonzero pattern splits.
 
     The pattern is the union over the stack of the entries that are not
     exactly zero; its connected components are blocks that no matrix of
-    the stack couples.  A dense or connected pattern returns
-    ``numpy.linalg.eigh(h)`` unchanged.  Otherwise the blocks are
+    the stack couples.  A dense or connected pattern, a tree included,
+    returns ``numpy.linalg.eigh(h)`` unchanged.  Otherwise the blocks are
     decomposed as in :func:`decompose_blocks` and each block's
     eigenvectors land at their sorted columns, exactly zero outside the
     block.
@@ -493,8 +553,9 @@ def block_eigh(h):
     h = np.asarray(h)
     dim = h.shape[-1]
     stack = h.reshape(-1, dim, dim)
-    blocks = split_blocks(stack)
-    if blocks is None:
+    # a dense first matrix makes the pattern connected: no pattern analysis
+    blocks = None if np.count_nonzero(stack[:1]) == dim * dim else split_blocks(stack)
+    if blocks is None or len(blocks) == 1:
         return np.linalg.eigh(h)
     system = _decompose(stack, blocks)
     return system.evals.reshape(h.shape[:-1]), system.frames().reshape(h.shape)
@@ -592,13 +653,23 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     Above ``TAYLOR_MAX_NORM`` it goes through the eigenbasis instead.
     Every factor is held to the same unitarity budget as
     :class:`UnitaryOperator`, and the first one that misses it raises; a
-    non-Hermitian H on the Taylor route misses it.
+    non-Hermitian H on the Taylor route misses it.  ``eigh`` reads one
+    triangle and would exponentiate a non-Hermitian H as if it were
+    Hermitian, so on the eigenbasis route every H is held to the
+    Hermiticity budget of :class:`HermitianOperator` first, and the same
+    error names the first step that misses it.
     """
     h = np.asarray(h)
     theta = float(np.max(np.abs(h).sum(axis=-2), initial=0.0))
     if theta <= TAYLOR_MAX_NORM:
         u = _taylor_exp(1j * h, _taylor_degree(theta))
     else:
+        asym = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+        scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
+        bad = np.flatnonzero(~(asym <= HERMITICITY_TOL * scale))
+        if bad.size:
+            raise ValueError(f"step {bad[0]} is not unitary: its generator is not Hermitian, "
+                             f"||H - H^dag|| = {asym[bad[0]]:.3e}")
         u = _expm_eig(h, 1.0)
     eye = np.eye(h.shape[-1])
     defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - eye, axis=(-2, -1))

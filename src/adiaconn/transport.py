@@ -22,7 +22,7 @@ decomposition.  The ordered product is a pairwise reduction: adjacent
 factors of the same segment are multiplied as one stacked product per
 level, ceil(log2 k) levels for k steps, and each chunk's first piece is
 multiplied onto the product carried over from the chunk before.  Chunks
-hold at most 256 matrices and about 4 MB per stacked array.  The Wilson
+hold at most 2048 matrices and about 2 MB per stacked array.  The Wilson
 loop shares the chunked evaluation.
 
 The kernel splits by blocks of the joint nonzero pattern of H and the
@@ -34,11 +34,14 @@ connection, the step generator and its exponential are all block
 diagonal, so each block is decomposed, contracted, checked, exponentiated
 and reduced on its own; only the per-segment pieces are written to dense
 matrices, with exact zeros between blocks.  The oscillator's two
-Fock-parity sectors run as two 30x30 kernels, each decomposed as a real
-tree block (see :mod:`adiaconn.operator_core`).  A connected joint
-pattern is the one-block case.  The Wilson loop works on the blocks of
-H in the same way: overlaps are taken within each block, and only the
-frames at chunk seams and at the base point are written densely.
+Fock-parity sectors run as two 30x30 kernels.  A connected joint pattern
+is the one-block case.  A block whose pattern is a tree, each parity
+sector and every spin stack, is decomposed as a real matrix in its tree
+gauge (see :mod:`adiaconn.operator_core`), and the connection is
+contracted in that gauge with real matrix products.  The Wilson loop
+works on the blocks of H in the same way: overlaps are taken within each
+block, and only the frames at chunk seams and at the base point are
+written densely.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ __all__ = [
 UNRELIABLE_OFFDIAG = 1e-3
 MIN_OVERLAP = 0.1
 NORM_DRIFT_TOL = 1e-8
-CHUNK_MATRICES = 256
-CHUNK_BYTES = 4 << 20
+CHUNK_MATRICES = 2048
+CHUNK_BYTES = 2 << 20
 
 
 def _check_count(value, what: str) -> None:
@@ -237,8 +240,8 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
         min_gap = spectral_gaps(system.evals, model.check_levels)
         if model.dim > 1 and np.any(min_gap <= 0.0):
             raise ValueError("the connection requires a non-degenerate spectrum")
-        gens = [contract_stack(e, v, b.take(g), weight)
-                for b, (e, v) in zip(system.blocks, system.parts)]
+        gens = [contract_stack(e, v, b.take(g), weight, gauge)
+                for b, (e, v), gauge in zip(system.blocks, system.parts, system.gauges)]
         finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
                          for w in gens], axis=0)
         if not finite.all():
@@ -367,21 +370,33 @@ def _block_overlaps(system) -> np.ndarray:
 
     Eigenvectors of different blocks have disjoint supports, so every
     overlap is taken within one block; it is exactly 0 where the level
-    sits in different blocks at k and k+1.
+    sits in different blocks at k and k+1.  For a tree block the overlap
+    of D_k R_k and D_k+1 R_k+1 is the sum over i of conj(D_k,i) D_k+1,i
+    R_k,i R_k+1,i, one stacked row-times-matrix product, and no gauged
+    eigenvector stack is built.
     """
     now, later = system.order[:-1], system.order[1:]
-    aligned = [np.einsum("kic,kic->kc", v[:-1].conj(), v[1:]) for _, v in system.parts]
+    aligned = []
+    for (_, v), gauge in zip(system.parts, system.gauges):
+        if gauge is None:
+            aligned.append(np.einsum("kic,kic->kc", v[:-1].conj(), v[1:]))
+        else:
+            phase = gauge[:-1].conj() * gauge[1:]
+            aligned.append((phase[:, None, :] @ (v[:-1].conj() * v[1:]))[:, 0])
     if len(aligned) == 1:  # one block: every level keeps its column
         return aligned[0]
     overlaps = np.take_along_axis(np.concatenate(aligned, axis=-1), now, axis=-1)
     k, n = np.nonzero(now != later)  # levels that changed column
     overlaps[k, n] = 0.0
-    for block, _, v, start in system.columns():
-        a, b = now[k, n] - start, later[k, n] - start
-        within = (a >= 0) & (a < len(block.index)) & (b >= 0) & (b < len(block.index))
-        kw = k[within]
-        overlaps[kw, n[within]] = np.einsum("pi,pi->p", v[kw, :, a[within]].conj(),
-                                            v[kw + 1, :, b[within]])
+    start = 0
+    for b, block in enumerate(system.blocks):
+        a, c = now[k, n] - start, later[k, n] - start
+        start += len(block.index)
+        within = (a >= 0) & (a < len(block.index)) & (c >= 0) & (c < len(block.index))
+        kw, rows = k[within], np.arange(np.count_nonzero(within))
+        bras = system.vectors(b, kw)[rows, :, a[within]].conj()
+        kets = system.vectors(b, kw + 1)[rows, :, c[within]]
+        overlaps[kw, n[within]] = np.einsum("pi,pi->p", bras, kets)
     return overlaps
 
 

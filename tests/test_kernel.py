@@ -573,6 +573,54 @@ class TestBlockKernel:
         assert calls == [((k, 30, 30), np.float64) for k in (7, 5) for _ in range(2)]
 
 
+class TestTreeRoute:
+    """Spin stacks are connected trees (spin 1/2 a two-level pair, higher
+    spins tridiagonal chains): they are decomposed as real matrices and
+    contracted in their tree gauge, and match the dense complex route."""
+
+    SPINS = [0.5, 1.0, 1.5]
+    LOOP = planar_rectangle_loop([1.0, 0.6, 0.2], [0.0, 0.5, 0.0], [0.0, 0.0, 0.7],
+                                 refinement=40)
+    PATCH = planar_patch([1.0, 0.6, 0.2], [0.0, 0.5, 0.0], [0.0, 0.0, 0.7], grid=(12, 10))
+
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_real_eigh_on_every_chunk(self, spin, monkeypatch):
+        model = Su2Model(spin)
+        dim = model.dim
+        h = model.eval_batch(self.LOOP.samples)[0]
+        assert len(operator_core.split_blocks(h)) == 1
+        calls = record_eigh_calls(monkeypatch)
+        holonomy(model, self.LOOP)
+        # the base point's frame is one matrix, decomposed as it is
+        assert calls == [((dim, dim), np.complex128), ((160, dim, dim), np.float64)]
+        del calls[:]
+        wilson_loop_phases(model, self.LOOP)
+        berry_phase_surface(model, self.PATCH, [0, 1])
+        assert calls == [((160, dim, dim), np.float64), ((120, dim, dim), np.float64)]
+
+    @pytest.mark.parametrize("spin", SPINS)
+    def test_matches_the_dense_complex_route(self, spin, monkeypatch):
+        model = Su2Model(spin)
+        cap = su2_cap_patch(1.1, grid=(8, 8))
+        wedge = su2_wedge_patch(1.1, grid=(14, 12))
+        triangle = su2_triangle_loop(1.1, refinement=60)
+
+        def outputs():
+            return (holonomy(model, self.LOOP).operator.matrix,
+                    holonomy(model, triangle).operator.matrix,
+                    wilson_loop_phases(model, self.LOOP),
+                    wilson_loop_phases(model, triangle),
+                    berry_phase_surface(model, self.PATCH, range(model.dim)),
+                    berry_phase_surface(model, wedge, range(model.dim)),
+                    nast_residual(model, cap, boundary_refinement=4))
+
+        tree = outputs()
+        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        dense = outputs()
+        for t, d in zip(tree, dense):
+            assert np.max(np.abs(t - d)) <= 1e-13
+
+
 def crossing_block_model():
     """Two blocks, {0, 1} and {2}, whose levels cross: H = sz + l1 sx
     + l2 sy on the first and 1 + l1 on the second.  Level 1 is the

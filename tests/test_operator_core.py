@@ -11,6 +11,7 @@ import adiaconn
 from adiaconn import operator_core, transport
 from adiaconn.curvature import berry_phase_surface
 from adiaconn.geometry import planar_patch, planar_rectangle_loop, su2_triangle_loop
+from adiaconn.models import Su2Model
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
     PhaseConvention,
@@ -174,6 +175,14 @@ class TestExpmStack:
         with pytest.raises(ValueError, match="step 3 is not unitary"):
             operator_core.expm_hermitian_stack(h)
 
+    def test_non_hermitian_coarse_step_is_named(self, rng):
+        # above TAYLOR_MAX_NORM the eigenbasis route reads one triangle of
+        # H, so the Hermiticity of every generator is checked before it
+        h = hermitian_stack(rng, 6, 4, 2.0 * operator_core.TAYLOR_MAX_NORM)
+        h[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="step 3 is not unitary"):
+            operator_core.expm_hermitian_stack(h)
+
 
 class TestExpmDerivative:
     def test_small_s_limit(self, rng):
@@ -308,6 +317,21 @@ class TestBlockEigh:
         ref = np.linalg.eigh(h)
         assert evals.shape == ref[0].shape and vecs.shape == ref[1].shape
         assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
+
+    @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5])
+    def test_one_connected_matrix_is_plain_eigh(self, spin, monkeypatch):
+        # spin stacks take the real tree route, but one matrix, and a
+        # stack whose pattern is connected, go to numpy.linalg.eigh as is
+        model = Su2Model(spin)
+        h = model.eval_batch(np.array([[1.3, 0.7, 0.4], [0.9, 1.1, -2.0]]))[0]
+        assert len(operator_core.split_blocks(h)) == 1
+        assert operator_core.split_blocks(h)[0].parent is not None
+        calls = record_eigh_calls(monkeypatch)
+        got = [block_eigh(h[0]), block_eigh(h)]
+        assert calls == [(h[0].shape, np.complex128), (h.shape, np.complex128)]
+        monkeypatch.undo()
+        for (evals, vecs), ref in zip(got, [np.linalg.eigh(h[0]), np.linalg.eigh(h)]):
+            assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
 
     def test_single_split_matrix(self, rng):
         h, _ = hidden_block_stack(rng, (2, 3), k=1)

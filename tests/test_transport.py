@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adiaconn import operator_core
+from adiaconn import operator_core, transport
 from adiaconn.models import ParametricHamiltonian, constant_model
 from adiaconn.operator_core import DegenerateSpectrumError
 from adiaconn.transport import (
@@ -211,7 +211,9 @@ class TestWilson:
 
     def test_independent_of_phase_convention(self, su2_half, monkeypatch):
         # every eigenvector the loop decomposes gets its own random phase;
-        # the closing overlap must reuse the first node's vectors to cancel it
+        # the closing overlap must reuse the first node's vectors to cancel it.
+        # Chunks of 256 nodes put the pole edge in a chunk of its own.
+        monkeypatch.setattr(transport, "CHUNK_MATRICES", 256)
         loop = su2_triangle_loop(0.9, refinement=250)
         default = wilson_loop_phases(su2_half, loop)
         rng = np.random.default_rng(11)
