@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator_core import UnitaryOperator, frobenius
+from .operator_core import UnitaryOperator, frobenius, matmul
 from .models import ParametricHamiltonian
 from .connection import maurer_cartan_weight
 from .transport import PathSpec, _check_count, _chunk_size, _is_int, holonomy, ordered_products
@@ -120,7 +120,8 @@ class _EdgeCache:
         lower-left node, and the tail runs from the base (0, 0) along the
         bottom row, then up column i.  The tails are one recurrence over j
         for all columns at once, and the loops and their conjugation are
-        stacked products over the whole grid.
+        stacked products over the whole grid
+        (:func:`~adiaconn.operator_core.matmul`, unrolled for 2x2).
         """
         dim = self.dim
         tails = np.empty((self.nu, self.nv, dim, dim), dtype=complex)
@@ -129,9 +130,10 @@ class _EdgeCache:
             tails[i, 0] = bottom
             bottom = self._h[i, 0] @ bottom
         for j in range(1, self.nv):
-            tails[:, j] = self._v[:-1, j - 1] @ tails[:, j - 1]
-        loops = _dagger(self._v[:-1]) @ _dagger(self._h[:, 1:]) @ self._v[1:] @ self._h[:, :-1]
-        lassos = _dagger(tails) @ loops @ tails
+            tails[:, j] = matmul(self._v[:-1, j - 1], tails[:, j - 1])
+        loops = matmul(matmul(matmul(_dagger(self._v[:-1]), _dagger(self._h[:, 1:])),
+                              self._v[1:]), self._h[:, :-1])
+        lassos = matmul(matmul(_dagger(tails), loops), tails)
         lassos.setflags(write=False)
         return lassos
 

@@ -41,6 +41,12 @@ that callers can rotate into the eigenbasis with real matrix products.
 The 60-level oscillator couples level n only to n +- 2, so each parity
 sector is a chain and takes the real path; so does a connected tree,
 such as spin 1/2 (two levels) and the tridiagonal higher spins.
+
+Spin 1/2 makes every stacked matrix 2x2, where ``eigh`` and stacked
+``matmul`` cost mostly per-matrix call overhead.  A two-node tree block
+is therefore decomposed in closed form from one rotation angle, and
+:func:`matmul` writes a product whose contraction has length 2 as two
+elementwise products; every other size goes to LAPACK and ``@``.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ __all__ = [
     "eigh_block",
     "tree_gauge",
     "gauge_phase",
+    "matmul",
     "sandwich",
     "decompose_blocks",
     "block_eigh",
@@ -402,6 +409,20 @@ def _tree_links(stack: np.ndarray, block: Block):
     return child, stack[:, idx[parent[child]], idx[child]]
 
 
+def _eigh_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Closed-form ``eigh`` of the real symmetric stack [[a, b], [b, c]]
+    with b >= 0: ascending eigenvalues mean -+ hypot((a - c)/2, b), and
+    the eigenvectors of the rotation by half the angle atan2(b, (a - c)/2),
+    which lies in [0, pi].  Halving a and c before they are combined keeps
+    every intermediate finite whenever the eigenvalues are."""
+    mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
+    radius = np.hypot(half, b)
+    angle = 0.5 * np.arctan2(b, half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    vecs = np.stack([-sin, cos, cos, sin], axis=-1).reshape(len(a), 2, 2)
+    return np.stack([mean - radius, mean + radius], axis=-1), vecs
+
+
 def eigh_block(stack: np.ndarray, block: Block):
     """``eigh`` of one diagonal block of a (K, d, d) Hermitian stack, in
     the block's tree gauge.
@@ -410,17 +431,24 @@ def eigh_block(stack: np.ndarray, block: Block):
     flux: with the diagonal unitary D of :func:`tree_gauge`, D^dag H D is
     real symmetric, with the entries |H_pc| along the tree edges.  That
     real matrix is decomposed instead; its eigenvectors R give the
-    block's eigenvectors D R.  Any other block, and any real input, takes
-    ``numpy.linalg.eigh`` as it is (D = 1).
+    block's eigenvectors D R.  A two-node tree block, [[a, |H_01|],
+    [|H_01|, c]], is decomposed in closed form from one rotation angle
+    (:func:`_eigh_2x2`), the only caller of that form, so its eigenvalues
+    meet the same degeneracy rule as every other block's.  Any other
+    block, and any real input, takes ``numpy.linalg.eigh`` as it is
+    (D = 1).
     """
     idx, parent = block
     if parent is None or not np.iscomplexobj(stack):
         return np.linalg.eigh(block.take(stack))
     child, link = _tree_links(stack, block)
     size = np.abs(link)
+    diag = stack[:, idx, idx].real
+    if len(idx) == 2:
+        return _eigh_2x2(diag[:, 0], size[:, 0], diag[:, 1])
     real = np.zeros((len(stack), len(idx), len(idx)), dtype=float)
-    diag = np.arange(len(idx))
-    real[:, diag, diag] = stack[:, idx, idx].real
+    local = np.arange(len(idx))
+    real[:, local, local] = diag
     real[:, parent[child], child] = size
     real[:, child, parent[child]] = size
     return np.linalg.eigh(real)
@@ -458,13 +486,29 @@ def gauge_phase(gauge: np.ndarray) -> np.ndarray:
     return gauge.conj()[..., :, None] * gauge[..., None, :]
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks; a contraction of length 2 is unrolled into two
+    broadcast elementwise products, several times faster than a stacked
+    ``matmul`` of 2x2 matrices, which is mostly per-matrix overhead.
+    Every other inner size is ``a @ b`` itself."""
+    if a.shape[-1] != 2 or b.shape[-2] != 2:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += a[..., :, 1, None] * b[..., None, 1, :]
+    return out
+
+
 def sandwich(a, x, b) -> np.ndarray:
     """a @ x @ b for stacks, or x @ b when ``a`` is None; with real a and
     b, the real and imaginary parts of x are multiplied as real matrices,
     several times faster than a complex product for small matrices, and
-    no complex copy of a or b is made."""
+    no complex copy of a or b is made.  A 2x2 x (d = 2) is multiplied by
+    :func:`matmul` instead, real by complex, with no split and no complex
+    re-assembly."""
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         return x @ b if a is None else a @ x @ b
+    if x.shape[-1] == 2:
+        return matmul(x, b) if a is None else matmul(matmul(a, x), b)
     if a is None:
         return (x.real @ b) + 1j * (x.imag @ b)
     return (a @ x.real @ b) + 1j * (a @ x.imag @ b)
@@ -624,7 +668,7 @@ def _taylor_exp(x: np.ndarray, m: int) -> np.ndarray:
     s = math.isqrt(m)
     powers = [None, x]
     for _ in range(s - 1):
-        powers.append(powers[-1] @ x)
+        powers.append(matmul(powers[-1], x))
 
     def add_block(acc, j):  # acc + sum_{i < s, js + i <= m} coef[js + i] x^i
         for i in range(1, min(s, m - j * s + 1)):
@@ -639,7 +683,7 @@ def _taylor_exp(x: np.ndarray, m: int) -> np.ndarray:
     else:
         acc = add_block(np.zeros_like(x), top)
     for j in range(top - 1, -1, -1):
-        acc = add_block(powers[s] @ acc, j)
+        acc = add_block(matmul(powers[s], acc), j)
     return acc
 
 
@@ -672,7 +716,7 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
                              f"||H - H^dag|| = {asym[bad[0]]:.3e}")
         u = _expm_eig(h, 1.0)
     eye = np.eye(h.shape[-1])
-    defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - eye, axis=(-2, -1))
+    defect = np.linalg.norm(matmul(u.conj().swapaxes(-1, -2), u) - eye, axis=(-2, -1))
     bad = np.flatnonzero(~(defect <= UNITARITY_TOL * h.shape[-1]))
     if bad.size:
         raise ValueError(f"step {bad[0]} is not unitary: ||U^dag U - I|| = {defect[bad[0]]:.3e}")

@@ -58,6 +58,7 @@ from .operator_core import (
     decompose_blocks,
     expm_hermitian_stack,
     frobenius,
+    matmul,
     spectral_gaps,
     wrap_phase,
 )
@@ -256,7 +257,8 @@ def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     The runs are reduced by levels: at each level the factors 2m and
     2m + 1 of every run are multiplied as one stacked product, so a run
-    of L factors takes ceil(log2 L) levels.
+    of L factors takes ceil(log2 L) levels.  Each level is one
+    :func:`~adiaconn.operator_core.matmul`, unrolled for 2x2 factors.
     """
     lengths = np.asarray(lengths)
     while len(factors) > len(lengths):
@@ -264,7 +266,7 @@ def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         # the first factor of every pair: each run with an odd length
         # leaves one factor over, which shifts the pairs after it
         left = 2 * np.arange(pairs.sum()) + np.repeat(np.cumsum(odd) - odd, pairs)
-        factors[left] = factors[left + 1] @ factors[left]
+        factors[left] = matmul(factors[left + 1], factors[left])
         keep = np.ones(len(factors), dtype=bool)
         keep[left + 1] = False
         factors, lengths = factors[keep], pairs + odd

@@ -175,6 +175,13 @@ class TestExpmStack:
         with pytest.raises(ValueError, match="step 3 is not unitary"):
             operator_core.expm_hermitian_stack(h)
 
+    def test_non_hermitian_2x2_step_is_named(self, rng):
+        # 2x2 factors take the unrolled products; the guard still fires
+        h = hermitian_stack(rng, 6, 2, 0.02)
+        h[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="step 3 is not unitary"):
+            operator_core.expm_hermitian_stack(h)
+
     def test_non_hermitian_coarse_step_is_named(self, rng):
         # above TAYLOR_MAX_NORM the eigenbasis route reads one triangle of
         # H, so the Hermiticity of every generator is checked before it
@@ -182,6 +189,119 @@ class TestExpmStack:
         h[3, 0, 1] += 1e-3
         with pytest.raises(ValueError, match="step 3 is not unitary"):
             operator_core.expm_hermitian_stack(h)
+
+
+def random_array(rng, shape, kind):
+    a = rng.normal(size=shape)
+    return a + 1j * rng.normal(size=shape) if kind is complex else a
+
+
+class TestMatmul:
+    """The product helper: a contraction of length 2 unrolled, ``@`` for
+    every other inner size."""
+
+    KINDS = [(complex, complex), (float, complex), (complex, float), (float, float)]
+
+    @pytest.mark.parametrize("kinds", KINDS)
+    @pytest.mark.parametrize("shapes", [
+        ((7, 2, 2), (7, 2, 2)),
+        ((5, 1, 3, 2), (5, 2, 2, 2)),  # level bras against two gradients
+        ((5, 2, 3, 2), (5, 1, 2, 2)),  # the kets against the block vectors
+        ((4, 3, 2), (2, 5)),
+        ((2, 2), (3, 2, 2)),
+    ])
+    def test_length_two_matches_matmul(self, rng, shapes, kinds):
+        a, b = (random_array(rng, shape, kind) for shape, kind in zip(shapes, kinds))
+        got, ref = operator_core.matmul(a, b), a @ b
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        bound = 8 * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
+        assert np.max(np.abs(got - ref)) <= bound
+
+    @pytest.mark.parametrize("kinds", KINDS)
+    @pytest.mark.parametrize("shapes", [
+        ((6, 2, 1), (6, 1, 2)),
+        ((6, 2, 3), (6, 3, 2)),
+        ((6, 3, 3), (6, 3, 3)),
+        ((6, 1, 4, 4), (6, 2, 4, 4)),
+        ((3, 30, 30), (3, 30, 30)),
+    ])
+    def test_other_inner_sizes_are_matmul_itself(self, rng, shapes, kinds):
+        a, b = (random_array(rng, shape, kind) for shape, kind in zip(shapes, kinds))
+        got, ref = operator_core.matmul(a, b), a @ b
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def symmetric_2x2(a, b, c) -> np.ndarray:
+    h = np.empty((len(a), 2, 2))
+    h[:, 0, 0], h[:, 1, 1] = a, c
+    h[:, 0, 1] = h[:, 1, 0] = b
+    return h
+
+
+class TestClosedForm2x2:
+    """The closed-form eigensystem of a two-node tree block [[a, b], [b, c]]
+    with b >= 0, against ``numpy.linalg.eigh``."""
+
+    EPS = np.finfo(float).eps
+
+    def check(self, a, b, c):
+        """Ascending eigenvalues within 4 eps ||H|| of numpy's, and
+        ||HV - VE|| <= 4 eps ||H||, ||V^T V - I|| <= 4 eps per matrix;
+        returns the eigensystem."""
+        a, b, c = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                        for x in (a, b, c)))
+        evals, vecs = operator_core._eigh_2x2(a, b, c)
+        assert np.all(evals[:, 0] <= evals[:, 1])
+        # each matrix scaled by a power of two above its largest entry, so
+        # that the norms of entries near 1e300 do not overflow
+        h = symmetric_2x2(a, b, c)
+        scale = np.ldexp(1.0, np.frexp(np.abs(h).max(axis=(-2, -1)))[1])[:, None]
+        h, scaled = h / scale[..., None], evals / scale
+        norm = np.linalg.norm(h, axis=(-2, -1))
+        resid = np.linalg.norm(h @ vecs - vecs * scaled[:, None, :], axis=(-2, -1))
+        assert np.all(resid <= 4 * self.EPS * norm)
+        ortho = np.linalg.norm(vecs.swapaxes(-1, -2) @ vecs - np.eye(2), axis=(-2, -1))
+        assert np.all(ortho <= 4 * self.EPS)
+        ref = np.linalg.eigh(h)[0]
+        assert np.all(np.abs(scaled - ref) <= 4 * self.EPS * norm[:, None])
+        return evals, vecs
+
+    def test_random_stacks(self, rng):
+        a, c = rng.normal(size=(2, 5000))
+        self.check(a, np.abs(rng.normal(size=5000)), c)
+        # entries spread over 16 decades, and a large common diagonal
+        spread = 10.0 ** rng.uniform(-8, 8, size=(3, 5000))
+        a, b, c = rng.normal(size=(3, 5000)) * spread
+        self.check(a, np.abs(b), c)
+        mean = 10.0 ** rng.uniform(0, 8, size=5000)
+        a, b, c = rng.normal(size=(3, 5000))
+        self.check(mean + a, np.abs(b), mean + c)
+
+    @pytest.mark.parametrize("a, c", [(-0.3, 1.2), (1.2, -0.3)])
+    def test_uncoupled(self, a, c):
+        evals, vecs = self.check(a, 0.0, c)
+        assert np.allclose(evals, [[min(a, c), max(a, c)]], rtol=0, atol=4 * self.EPS)
+        # the lower level sits on the smaller diagonal entry
+        assert np.argmax(np.abs(vecs[0, :, 0])) == int(c < a)
+
+    def test_exact_degeneracy_meets_the_gap_rule(self):
+        # two coupled matrices and one uncoupled with a = c: the stack is
+        # one tree block, and the degenerate member still raises
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[:, 0, 0], stack[:, 1, 1] = [0.4, 0.7, -1.0], [1.1, 0.7, 2.0]
+        stack[:, 0, 1] = [0.2 + 0.1j, 0.0, -0.5j]
+        stack[:, 1, 0] = stack[:, 0, 1].conj()
+        system = operator_core.decompose_blocks(stack)
+        assert system.evals[1, 0] == system.evals[1, 1] == 0.7
+        with pytest.raises(DegenerateSpectrumError) as caught:
+            operator_core.spectral_gaps(system.evals)
+        assert caught.value.gap == 0.0
+
+    @pytest.mark.parametrize("size", [1e300, 1e-300])
+    def test_extreme_scales(self, rng, size):
+        a, b, c = rng.normal(size=(3, 1000)) * size
+        self.check(a, np.abs(b), c)
+        self.check(size, size, -size)
 
 
 class TestExpmDerivative:
@@ -414,6 +534,27 @@ class TestBlockEigh:
                             alias.name == "eigh" for alias in node.names):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
+
+    def test_only_eigh_block_takes_the_closed_form(self):
+        # every 2x2 decomposition meets the one degeneracy rule through
+        # eigh_block, its only caller: no other name refers to the form
+        src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
+        refs = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scope = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for inner in ast.walk(node):
+                        scope[inner] = node.name  # innermost function wins
+            for node in ast.walk(tree):
+                named = (node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else None)
+                if named == "_eigh_2x2" or isinstance(node, ast.ImportFrom) and any(
+                        alias.name == "_eigh_2x2" for alias in node.names):
+                    refs.append((path.name, scope.get(node)))
+        assert refs == [("operator_core.py", "eigh_block")]
 
     def test_no_public_callable_takes_removed_knobs(self):
         # one degeneracy rule, one overlap guard and one drift budget: no
