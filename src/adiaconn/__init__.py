@@ -3,14 +3,12 @@ parameter-dependent Hermitian matrix families."""
 
 from .operator_core import (
     DegenerateSpectrumError,
-    HermitianOperator,
     PhaseConvention,
     SpectralDecomposition,
     UnitaryOperator,
     expm_hermitian,
     expm_hermitian_derivative,
     fix_phase,
-    hermitize,
     spectral_decompose,
     wrap_phase,
 )
@@ -30,7 +28,6 @@ from .connection import (
     ShiftOperator,
     TimeAverageConfig,
     connection_spectral,
-    connection_spectral_at,
     connection_time_average,
     gauge_transform,
     maurer_cartan_sample,

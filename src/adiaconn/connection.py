@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import (SpectralDecomposition, _is_int, as_matrix, gauge_phase, hermitize,
-                            sandwich)
+from .operator_core import (SpectralDecomposition, UnitaryOperator, _check_square_finite, _is_int,
+                            as_matrix, gauge_phase, hermitian_part, sandwich)
 from .models import ParametricHamiltonian
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ShiftOperator",
     "TimeAverageConfig",
     "connection_spectral",
-    "connection_spectral_at",
     "connection_weight",
     "maurer_cartan_weight",
     "contract_stack",
@@ -39,21 +38,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConnectionOneForm:
-    """Per-direction Hermitian connection components A_mu at a base point.
+    """Per-direction Hermitian connection components A_mu at one point.
 
-    In the eigenbasis of H(base_point) every component has zero diagonal:
-    the connection only rotates eigenvectors into one another, never
-    rephases one against itself.
+    In the eigenbasis of H at that point every component has zero
+    diagonal: the connection only rotates eigenvectors into one another,
+    never rephases one against itself.
     """
 
     components: tuple[np.ndarray, ...]
-    base_point: np.ndarray | None = None
     error_estimate: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(np.asarray(c) for c in self.components))
-        if self.base_point is not None:
-            object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float))
 
     @property
     def n_params(self) -> int:
@@ -64,17 +60,14 @@ class ConnectionOneForm:
 class ShiftOperator:
     """Diagonal-in-eigenbasis components D_mu; first-order level shifts.
 
-    Each D_mu commutes with H(base_point) and <n|D_mu|n> is the first
+    Each D_mu commutes with H at the point and <n|D_mu|n> is the first
     derivative of E_n along lambda_mu.
     """
 
     components: tuple[np.ndarray, ...]
-    base_point: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(np.asarray(c) for c in self.components))
-        if self.base_point is not None:
-            object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float))
 
     def level_shifts(self, spec: SpectralDecomposition) -> np.ndarray:
         """dE_n/dlambda_mu as an (n_levels, n_params) real array."""
@@ -151,17 +144,6 @@ def connection_spectral(
     return ConnectionOneForm(tuple(a))
 
 
-def connection_spectral_at(
-    model: ParametricHamiltonian, lam
-) -> tuple[ConnectionOneForm, SpectralDecomposition]:
-    """Connection of a model at a point, tagged with the point itself."""
-    lam = np.asarray(lam, dtype=float)
-    spec = model.spectral_at(lam)
-    grads = model.grad_h(lam)
-    a = connection_spectral(spec, grads)
-    return ConnectionOneForm(a.components, base_point=lam), spec
-
-
 def shift_operator(spec: SpectralDecomposition, grad_h: list[np.ndarray]) -> ShiftOperator:
     """D_mu = sum_n <n|dH/dlambda_mu|n> |n><n|: the part of dH commuting with H."""
     components = []
@@ -197,9 +179,6 @@ class TimeAverageConfig:
     @property
     def spacing(self) -> float:
         return 2.0 * self.horizon / (self.samples - 1)
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(-self.horizon, self.horizon, self.samples)
 
     @classmethod
     def for_spectrum(cls, spec: SpectralDecomposition, horizon: float | None = None):
@@ -273,7 +252,7 @@ def connection_time_average(
     for g in grads:
         g_eig = np.abs(spec.to_eigenbasis(g))[moving]
         bound = max(bound, float(np.linalg.norm(g_eig * envelope / np.abs(delta[moving]))))
-    return ConnectionOneForm(tuple(components), base_point=lam, error_estimate=bound)
+    return ConnectionOneForm(tuple(components), error_estimate=bound)
 
 
 def gauge_transform(a: ConnectionOneForm, u, du: list[np.ndarray]) -> ConnectionOneForm:
@@ -283,16 +262,16 @@ def gauge_transform(a: ConnectionOneForm, u, du: list[np.ndarray]) -> Connection
     numerical anti-Hermitian residue (i U dU^dag is Hermitian exactly when
     d(U U^dag) = 0).  The result is a valid connection for the rotated
     family up to a term diagonal in the rotated eigenbasis, which only
-    rephases eigenvectors.
+    rephases eigenvectors.  ``u`` is held to a unitarity budget of 1e-8
+    per dimension; ValueError for a ``u`` that misses it, or for a
+    non-square or non-finite ``u`` or dU.
     """
-    u = as_matrix(u)
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > 1e-8 * u.shape[0]:
-        raise ValueError(f"gauge matrix is not unitary: defect {defect:.3e}")
+    u = UnitaryOperator(as_matrix(u).copy(), tol=1e-8).matrix
     if len(du) != a.n_params:
         raise ValueError("need one dU component per parameter direction")
     components = []
     for a_mu, du_mu in zip(a.components, du):
-        raw = u @ a_mu @ u.conj().T + 1j * u @ as_matrix(du_mu).conj().T
-        components.append(hermitize(raw).matrix)
-    return ConnectionOneForm(tuple(components), base_point=a.base_point)
+        du_mu = as_matrix(du_mu)
+        _check_square_finite(du_mu, "dU component")
+        components.append(hermitian_part(u @ a_mu @ u.conj().T + 1j * u @ du_mu.conj().T))
+    return ConnectionOneForm(tuple(components))

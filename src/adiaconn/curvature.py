@@ -46,7 +46,7 @@ from .operator_core import (
     expm_hermitian,
     frobenius,
     gauge_phase,
-    hermitize,
+    hermitian_part,
     sandwich,
 )
 from .models import FD_STEP_SCALE, DomainViolationError, ParametricHamiltonian
@@ -76,11 +76,9 @@ class GridTooCoarseError(Exception):
 
 @dataclass(frozen=True)
 class CurvatureTwoForm:
-    """Hermitian components F_mu_nu stored for mu < nu at a base point."""
+    """Hermitian components F_mu_nu stored for mu < nu at one point."""
 
     components: dict
-    base_point: np.ndarray
-    n_params: int
 
     def component(self, mu: int, nu: int) -> np.ndarray:
         """F_mu_nu with antisymmetry applied for reversed index order."""
@@ -98,7 +96,7 @@ class CurvatureTwoForm:
 
 @dataclass(frozen=True)
 class BerryCurvatureTable:
-    """Real per-level curvature values W^(n)_mu_nu at a base point.
+    """Real per-level curvature values W^(n)_mu_nu at one point.
 
     ``table[n, k]`` corresponds to ``pairs[k]``; the value for a reversed
     index pair flips sign.
@@ -106,7 +104,6 @@ class BerryCurvatureTable:
 
     pairs: tuple[tuple[int, int], ...]
     table: np.ndarray
-    base_point: np.ndarray | None = None
 
     def value(self, n: int, mu: int, nu: int) -> float:
         if mu == nu:
@@ -155,8 +152,8 @@ def yang_mills_curvature(
         for nu in range(mu + 1, n):
             comm = a_center[mu] @ a_center[nu] - a_center[nu] @ a_center[mu]
             f = derivs[mu][nu] - derivs[nu][mu] - 1j * comm
-            components[(mu, nu)] = hermitize(f).matrix
-    return CurvatureTwoForm(components=components, base_point=lam, n_params=n)
+            components[(mu, nu)] = hermitian_part(f)
+    return CurvatureTwoForm(components=components)
 
 
 def _level_curvature(system: BlockSystem, g, levels) -> np.ndarray:
@@ -233,10 +230,8 @@ def berry_curvature_levels(
 
 
 def berry_curvature_at(model: ParametricHamiltonian, lam) -> BerryCurvatureTable:
-    lam = np.asarray(lam, dtype=float)
-    spec = model.spectral_at(lam)
-    out = berry_curvature_levels(spec, model.grad_h(lam))
-    return BerryCurvatureTable(pairs=out.pairs, table=out.table, base_point=lam)
+    """:func:`berry_curvature_levels` of a model at a point."""
+    return berry_curvature_levels(model.spectral_at(lam), model.grad_h(lam))
 
 
 def diagonality_residual(

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
-    HERMITICITY_TOL,
     PhaseConvention,
     DEFAULT_PHASE_CONVENTION,
     SpectralDecomposition,
     as_matrix,
+    hermitian_part,
+    hermiticity_defect,
     spectral_decompose,
 )
 
@@ -114,23 +115,16 @@ class ParametricHamiltonian:
         """Hermitian matrix H(lambda); raises DomainViolationError outside the domain."""
         return self.eval_batch(self._as_point(lam)[None])[0][0]
 
-    def grad_h(self, lam, scheme: str = "auto", step: float | None = None) -> list[np.ndarray]:
-        """Parameter gradients dH/dlambda_mu as Hermitian matrices.
-
-        scheme: "auto" takes the model's gradients, "analytic" refuses a
-        functional model (its gradients are finite differences), "central"
-        forces finite differences (optionally with an explicit ``step``).
-        """
+    def grad_h(self, lam) -> list[np.ndarray]:
+        """Parameter gradients dH/dlambda_mu as Hermitian matrices."""
         lam = self._as_point(lam)
-        if scheme not in ("auto", "analytic", "central"):
-            raise ValueError(f"unknown gradient scheme {scheme!r}")
-        if scheme == "central":
-            return self._central_difference(lam, step)
-        if scheme == "analytic" and self._eval_fn is not None:
-            raise ValueError("model provides no analytic gradient")
         return list(self.eval_batch(lam[None], np.eye(self.n_params)[None])[1][0])
 
     def _central_difference(self, lam: np.ndarray, step: float | None) -> list[np.ndarray]:
+        """Central-difference gradients with the given step (None: 1e-5 *
+        (1 + |lambda_mu|) per direction): the gradients of a functional
+        model, and the reference that analytic gradients are tested
+        against."""
         grads = []
         for mu in range(self.n_params):
             h_mu = step if step is not None else FD_STEP_SCALE * (1.0 + abs(lam[mu]))
@@ -147,7 +141,7 @@ class ParametricHamiltonian:
                     f"finite-difference stencil for {self.param_names[mu]} leaves the "
                     f"domain at {lam.tolist()} even after shrinking the step"
                 )
-            grads.append(_hermitian((self.eval_h(plus) - self.eval_h(minus)) / (2.0 * h_mu)))
+            grads.append(hermitian_part((self.eval_h(plus) - self.eval_h(minus)) / (2.0 * h_mu)))
         return grads
 
     def spectral_at(
@@ -193,16 +187,10 @@ class ParametricHamiltonian:
     def _evaluate_batch(self, lams: np.ndarray, directions: np.ndarray):
         if self._eval_fn is None:
             raise NotImplementedError
-        h = _hermitian(np.array([self._eval_fn(lam) for lam in lams], dtype=complex))
+        h = hermitian_part(np.array([self._eval_fn(lam) for lam in lams], dtype=complex))
         grads = (np.array([self._central_difference(lam, None) for lam in lams])
                  if directions.shape[1] else np.empty((len(lams), 0, self.dim, self.dim)))
         return h, _contract(grads, directions)
-
-
-def _hermitian(m) -> np.ndarray:
-    """Hermitian part of a matrix or of a stack of matrices."""
-    m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -277,10 +265,6 @@ class Su2Model(ParametricHamiltonian):
         super().__init__(dim=self.j.shape[1], n_params=3, param_names=("B", "theta", "phi"))
         self.l = l
         self.mu = float(mu)
-
-    def j_dot(self, direction: np.ndarray) -> np.ndarray:
-        jx, jy, jz = self.j
-        return direction[0] * jx + direction[1] * jy + direction[2] * jz
 
     def _domain_batch(self, lams):
         b, theta = lams[:, 0], lams[:, 1]
@@ -457,7 +441,7 @@ class _PolynomialModel(ParametricHamiltonian):
         for t, matrix in enumerate(self._matrices):
             h += coeff[:, t, None, None] * matrix
         if not directions.shape[1]:
-            return _hermitian(h), np.zeros((len(lams), 0, self.dim, self.dim), dtype=complex)
+            return hermitian_part(h), np.zeros((len(lams), 0, self.dim, self.dim), dtype=complex)
         # d/dlambda_mu of a term: e_mu times its powers with lambda_mu's lowered by one
         lowered = lams[:, None, :] ** np.maximum(exps - 1, 0)
         diag = np.eye(self.n_params, dtype=bool)
@@ -466,7 +450,7 @@ class _PolynomialModel(ParametricHamiltonian):
         for t, matrix in enumerate(self._matrices):
             for mu in np.flatnonzero(exps[t]):
                 grads[:, mu] += d_coeff[:, t, mu, None, None] * matrix
-        return _hermitian(h), _contract(_hermitian(grads), directions)
+        return hermitian_part(h), _contract(hermitian_part(grads), directions)
 
 
 _COMPLEX_RE = re.compile(
@@ -590,8 +574,7 @@ def parse_model_file(text: str) -> ModelSpec:
                 rows.append([_parse_complex(tok, i + 1) for tok in entries])
                 i += 1
             matrix = np.array(rows, dtype=complex)
-            scale = max(np.linalg.norm(matrix), 1.0)
-            if np.linalg.norm(matrix - matrix.conj().T) > HERMITICITY_TOL * scale:
+            if hermiticity_defect(matrix)[1]:
                 raise ModelFileError(lineno, "term matrix is not Hermitian")
             matrix.setflags(write=False)
             terms.append((exponents, matrix))

@@ -58,7 +58,6 @@ class Lasso:
 
     cell: tuple[int, int]
     center: np.ndarray
-    area_uv: float
     value: UnitaryOperator
 
 
@@ -143,7 +142,6 @@ def lasso_holonomy(
     patch: SurfacePatch,
     cell: tuple[int, int],
     edge_refinement: int = 2,
-    _edges: _EdgeCache | None = None,
 ) -> Lasso:
     """Tail-conjugated holonomy of one grid cell.
 
@@ -157,11 +155,10 @@ def lasso_holonomy(
     i, j = (int(c) for c in cell)
     if not (0 <= i < nu and 0 <= j < nv):
         raise ValueError(f"cell {cell} outside grid {patch.grid}")
-    edges = _edges if _edges is not None else _EdgeCache(model, patch, edge_refinement)
+    edges = _EdgeCache(model, patch, edge_refinement)
     return Lasso(
         cell=(i, j),
         center=patch.point((i + 0.5) / nu, (j + 0.5) / nv),
-        area_uv=1.0 / (nu * nv),
         value=UnitaryOperator(edges.lassos[i, j].copy(), tol=1e-8),
     )
 

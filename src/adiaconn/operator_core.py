@@ -1,12 +1,13 @@
 """Dense complex linear algebra substrate.
 
-Hermitian and unitary matrix values with certified structure, spectral
-decomposition with degeneracy detection, Hermitian matrix exponentials, and
-a deterministic eigenvector phase convention.  The degeneracy check and the
-exponential also work on stacks of matrices (leading batch axes), which is
-how the path kernel in :mod:`adiaconn.transport` decomposes and
-exponentiates a whole chunk of steps in one call.  Everything here is a
-pure function on immutable values; nothing mutates its inputs.
+Certified unitary values, the one symmetrizer and the one Hermiticity
+rule, spectral decomposition with degeneracy detection, Hermitian matrix
+exponentials, and a deterministic eigenvector phase convention.  The
+degeneracy check, the Hermiticity rule and the exponential also work on
+stacks of matrices (leading batch axes), which is how the path kernel in
+:mod:`adiaconn.transport` decomposes and exponentiates a whole chunk of
+steps in one call.  Everything here is a pure function on immutable
+values; nothing mutates its inputs.
 
 The step exponential exp(iW) of a stack is a truncated Taylor series,
 evaluated Paterson-Stockmeyer style (Higham, SIAM J. Matrix Anal. Appl.
@@ -68,14 +69,14 @@ __all__ = [
     "HERMITICITY_TOL",
     "UNITARITY_TOL",
     "DegenerateSpectrumError",
-    "HermitianOperator",
     "UnitaryOperator",
     "SpectralDecomposition",
     "PhaseConvention",
     "as_matrix",
     "frobenius",
     "wrap_phase",
-    "hermitize",
+    "hermitian_part",
+    "hermiticity_defect",
     "Block",
     "BlockSystem",
     "split_blocks",
@@ -134,36 +135,6 @@ def _check_square_finite(m: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{what} has non-finite entries")
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A certified Hermitian matrix.
-
-    ``asymmetry`` records the relative anti-Hermitian content of the matrix
-    this value was symmetrized from (0 for inputs that were already
-    Hermitian to working precision).
-    """
-
-    matrix: np.ndarray
-    asymmetry: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square_finite(m, "HermitianOperator")
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def was_asymmetric(self) -> bool:
-        return self.asymmetry > HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -258,19 +229,29 @@ class SpectralDecomposition:
         return v @ as_matrix(m) @ v.conj().T
 
 
-def hermitize(m) -> HermitianOperator:
-    """Symmetrize a square matrix to (M + M^dag)/2.
+def hermitian_part(m) -> np.ndarray:
+    """(M + M^dag)/2 of a matrix or of every matrix of a stack: the
+    library's one symmetrizer."""
+    m = np.asarray(m, dtype=complex)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
-    The relative size of the discarded anti-Hermitian part is recorded on
-    the result as ``asymmetry``; ``was_asymmetric`` flags it above
-    ``HERMITICITY_TOL`` rather than raising.
+
+def hermiticity_defect(h):
+    """||H - H^dag|| of a matrix, or of every matrix of a (K, d, d) stack,
+    and whether it misses the library's one Hermiticity rule
+
+        ||H - H^dag|| <= HERMITICITY_TOL * max(||H||, 1)   (Frobenius norms);
+
+    a NaN misses it.  One matrix takes the plain ``numpy.linalg.norm``,
+    which costs less than a norm over axes for a small matrix; the check
+    runs once per point in :meth:`ParametricHamiltonian.spectral_at`.
     """
-    m = as_matrix(m)
-    _check_square_finite(m, "hermitize input")
-    sym = 0.5 * (m + m.conj().T)
-    scale = np.linalg.norm(m)
-    asym = np.linalg.norm(m - m.conj().T) / scale if scale > 0 else 0.0
-    return HermitianOperator(sym, asymmetry=float(asym))
+    if h.ndim == 2:
+        defect = np.linalg.norm(h - h.conj().T)
+        return defect, not defect <= HERMITICITY_TOL * max(np.linalg.norm(h), 1.0)
+    defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
+    return defect, ~(defect <= HERMITICITY_TOL * scale)
 
 
 def default_gap_tol(eigenvalues: np.ndarray):
@@ -619,8 +600,7 @@ def spectral_decompose(
     """
     m = as_matrix(h)
     _check_square_finite(m, "spectral_decompose input")
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * scale:
+    if hermiticity_defect(m)[1]:
         raise ValueError("spectral_decompose requires a Hermitian matrix")
     evals, vecs = block_eigh(m)
     return SpectralDecomposition(
@@ -700,7 +680,7 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     non-Hermitian H on the Taylor route misses it.  ``eigh`` reads one
     triangle and would exponentiate a non-Hermitian H as if it were
     Hermitian, so on the eigenbasis route every H is held to the
-    Hermiticity budget of :class:`HermitianOperator` first, and the same
+    Hermiticity rule of :func:`hermiticity_defect` first, and the same
     error names the first step that misses it.
     """
     h = np.asarray(h)
@@ -708,9 +688,8 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     if theta <= TAYLOR_MAX_NORM:
         u = _taylor_exp(1j * h, _taylor_degree(theta))
     else:
-        asym = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
-        scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
-        bad = np.flatnonzero(~(asym <= HERMITICITY_TOL * scale))
+        asym, miss = hermiticity_defect(h)
+        bad = np.flatnonzero(miss)
         if bad.size:
             raise ValueError(f"step {bad[0]} is not unitary: its generator is not Hermitian, "
                              f"||H - H^dag|| = {asym[bad[0]]:.3e}")

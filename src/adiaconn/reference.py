@@ -86,7 +86,6 @@ def su2_analytic_connection(
             -j_phi,
             np.sin(theta) * j_theta,
         ),
-        base_point=np.array([b, theta, phi]),
     )
 
 
@@ -98,8 +97,6 @@ def su2_analytic_curvature(l: float, b: float, theta: float, phi: float) -> Curv
     zero = np.zeros((dim, dim), dtype=complex)
     return CurvatureTwoForm(
         components={(0, 1): zero, (0, 2): zero.copy(), (1, 2): -np.sin(theta) * j_n},
-        base_point=np.array([b, theta, phi]),
-        n_params=3,
     )
 
 
@@ -176,9 +173,7 @@ def oscillator_analytic_connection(
     a_x = np.sqrt(z / x) * (y * qp_pq / (8.0 * omega**2) - q2_p2 / (8.0 * omega))
     a_y = -np.sqrt(x * z) * qp_pq / (4.0 * omega**2)
     a_z = np.sqrt(x / z) * (y * qp_pq / (8.0 * omega**2) + q2_p2 / (8.0 * omega))
-    return ConnectionOneForm(
-        components=(a_x, a_y, a_z), base_point=np.array([x, y, z])
-    )
+    return ConnectionOneForm(components=(a_x, a_y, a_z))
 
 
 def oscillator_analytic_curvature(
@@ -205,8 +200,6 @@ def oscillator_analytic_curvature(
             (0, 2): y * scale * h,
             (1, 2): -x * scale * h,
         },
-        base_point=np.array([x, y, z]),
-        n_params=3,
     )
 
 
@@ -221,7 +214,6 @@ def oscillator_berry_levels(x: float, y: float, z: float, levels: int) -> BerryC
     return BerryCurvatureTable(
         pairs=((0, 1), (0, 2), (1, 2)),
         table=table,
-        base_point=np.array([x, y, z]),
     )
 
 

@@ -150,10 +150,6 @@ class PathSpec:
         deltas = np.broadcast_to((b - a) / self.refinement, mids.shape)
         return mids.reshape(-1, self.n_params), deltas.reshape(-1, self.n_params)
 
-    def steps(self):
-        """Iterate (midpoint, delta) over every refined step, in path order."""
-        return zip(*self.step_arrays())
-
     def refined_points(self) -> np.ndarray:
         """All refined nodes from start to end inclusive."""
         a, b = self.samples[:-1, None, :], self.samples[1:, None, :]
@@ -194,7 +190,6 @@ class HolonomyResult:
     """
 
     operator: UnitaryOperator
-    eigenbasis_operator: np.ndarray
     phases: np.ndarray
     offdiag_residual: float
 
@@ -359,7 +354,6 @@ def holonomy(model: ParametricHamiltonian, loop: PathSpec) -> HolonomyResult:
     phases = wrap_phase(np.angle(np.diag(w)))
     return HolonomyResult(
         operator=result.operator,
-        eigenbasis_operator=w,
         phases=phases,
         offdiag_residual=offdiag_residual,
     )

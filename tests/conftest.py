@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adiaconn import OscillatorModel, ParametricHamiltonian, Su2Model
+from adiaconn import OscillatorModel, ParametricHamiltonian, Su2Model, connection_spectral
 from adiaconn.models import ModelSpec
 from adiaconn.operator_core import expm_hermitian
 
@@ -57,6 +57,13 @@ def isospectral_model(rng, dim=3):
         return v @ e0 @ v.conj().T
 
     return ParametricHamiltonian(dim, 2, eval_fn=eval_fn, param_names=("l1", "l2"))
+
+
+def spectral_connection(model, lam):
+    """The spectral connection of a model at a point, and the
+    decomposition it was built from."""
+    spec = model.spectral_at(lam)
+    return connection_spectral(spec, model.grad_h(lam)), spec
 
 
 def record_eigh_calls(monkeypatch):

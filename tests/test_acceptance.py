@@ -17,7 +17,6 @@ import pytest
 from adiaconn.connection import (
     TimeAverageConfig,
     connection_spectral,
-    connection_spectral_at,
     connection_time_average,
     gauge_transform,
     shift_operator,
@@ -51,7 +50,7 @@ from adiaconn.transport import (
     wilson_loop_phases,
 )
 
-from conftest import random_hermitian, random_polynomial_model
+from conftest import random_hermitian, random_polynomial_model, spectral_connection
 
 
 def passed(num, message):
@@ -214,7 +213,7 @@ def test_criterion_06_flatness_vs_averaged(su2_half):
 
 
 def _envelope_slope(model, lam, horizons):
-    a_exact, spec = connection_spectral_at(model, lam)
+    a_exact, spec = spectral_connection(model, lam)
 
     def error_at(t):
         cfg = TimeAverageConfig.for_spectrum(spec, horizon=t)
@@ -261,9 +260,9 @@ def test_criterion_08_gauge_covariance(rng, su2_half):
             eval_fn=lambda lam_: u_of(lam_) @ su2_half.eval_h(lam_) @ u_of(lam_).conj().T,
             param_names=("B", "theta", "phi"),
         )
-        a, _ = connection_spectral_at(su2_half, lam)
+        a, _ = spectral_connection(su2_half, lam)
         transformed = gauge_transform(a, u_of(lam), du_of(lam))
-        direct, spec_rot = connection_spectral_at(rotated, lam)
+        direct, spec_rot = spectral_connection(rotated, lam)
         v = spec_rot.frame.matrix
         for c_t, c_d in zip(transformed.components, direct.components):
             w_t = v.conj().T @ c_t @ v

@@ -5,7 +5,6 @@ from adiaconn.connection import (
     TimeAverageConfig,
     _maurer_cartan_kernel,
     connection_spectral,
-    connection_spectral_at,
     connection_time_average,
     contract_stack,
     gauge_transform,
@@ -21,7 +20,7 @@ from adiaconn.operator_core import (
 )
 from adiaconn.reference import su2_analytic_connection
 
-from conftest import random_hermitian, random_polynomial_model
+from conftest import random_hermitian, random_polynomial_model, spectral_connection
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -47,7 +46,7 @@ class TestSpectralConnection:
 
     def test_constant_model_vanishes(self):
         model = constant_model(SZ, n_params=2)
-        a, _ = connection_spectral_at(model, [0.1, 0.2])
+        a, _ = spectral_connection(model, [0.1, 0.2])
         assert all(np.linalg.norm(c) == 0.0 for c in a.components)
 
     def test_zero_diagonal(self, su2_half, oscillator, rng):
@@ -158,7 +157,7 @@ class TestShiftOperator:
 class TestTimeAverage:
     def test_converges_to_spectral(self, su2_half):
         lam = [1.0, 1.1, 0.4]
-        a_exact, spec = connection_spectral_at(su2_half, lam)
+        a_exact, spec = spectral_connection(su2_half, lam)
         cfg = TimeAverageConfig.for_spectrum(spec, horizon=200.0)
         a_hat = connection_time_average(su2_half, lam, cfg)
         # polar component of the closed form is -J_phi
@@ -189,7 +188,7 @@ class TestTimeAverage:
         cases += [(random_polynomial_model(rng, dim=dim), [0.15, -0.1], horizon)
                   for dim, horizon in [(3, 40.0), (4, 60.0), (5, None)]]
         for model, lam, horizon in cases:
-            a_exact, spec = connection_spectral_at(model, lam)
+            a_exact, spec = spectral_connection(model, lam)
             a_hat = connection_time_average(
                 model, lam, TimeAverageConfig.for_spectrum(spec, horizon=horizon))
             deviation = max(np.linalg.norm(h - e)
@@ -200,7 +199,7 @@ class TestTimeAverage:
     def test_envelope_decreases_under_doubling(self, rng):
         model = random_polynomial_model(rng)
         lam = [0.15, -0.1]
-        a_exact, spec = connection_spectral_at(model, lam)
+        a_exact, spec = spectral_connection(model, lam)
 
         def error_at(horizon):
             cfg = TimeAverageConfig.for_spectrum(spec, horizon=horizon)
@@ -252,7 +251,7 @@ class TestTimeAverage:
                                     (OscillatorModel(14, 4), [1.2, 0.3, 0.9], 20.0)]:
             spec = model.spectral_at(lam)
             cfg = TimeAverageConfig.for_spectrum(spec, horizon=horizon)
-            t = cfg.grid()
+            t = np.linspace(-cfg.horizon, cfg.horizon, cfg.samples)
             weights = np.full(t.shape, cfg.spacing)
             weights[0] = weights[-1] = 0.5 * cfg.spacing
             weights /= weights.sum()
@@ -301,10 +300,10 @@ class TestMaurerCartanSamples:
     def test_fluctuation_commutator_average(self, su2_half):
         # time average of [dw_theta, dw_phi] equals -i F_theta_phi
         lam = [1.0, 1.1, 0.4]
-        a_exact, spec = connection_spectral_at(su2_half, lam)
+        a_exact, spec = spectral_connection(su2_half, lam)
         f = yang_mills_curvature(su2_half, lam)
         cfg = TimeAverageConfig.for_spectrum(spec, horizon=200.0)
-        grid = cfg.grid()
+        grid = np.linspace(-cfg.horizon, cfg.horizon, cfg.samples)
         weights = np.full(grid.shape, cfg.spacing)
         weights[0] = weights[-1] = 0.5 * cfg.spacing
         weights /= weights.sum()
@@ -320,7 +319,7 @@ class TestMaurerCartanSamples:
 class TestGaugeTransform:
     def test_identity_gauge(self, su2_half, rng):
         lam = _su2_point(rng)
-        a, _ = connection_spectral_at(su2_half, lam)
+        a, _ = spectral_connection(su2_half, lam)
         zero = [np.zeros((2, 2), dtype=complex)] * 3
         a2 = gauge_transform(a, np.eye(2), zero)
         for c1, c2 in zip(a.components, a2.components):
@@ -328,7 +327,7 @@ class TestGaugeTransform:
 
     def test_global_rotation_conjugates(self, su2_half, rng):
         lam = _su2_point(rng)
-        a, _ = connection_spectral_at(su2_half, lam)
+        a, _ = spectral_connection(su2_half, lam)
         u = expm_hermitian(random_hermitian(rng, 2), 1.0).matrix
         zero = [np.zeros((2, 2), dtype=complex)] * 3
         a2 = gauge_transform(a, u, zero)
@@ -337,9 +336,25 @@ class TestGaugeTransform:
 
     def test_rejects_non_unitary(self, su2_half, rng):
         lam = _su2_point(rng)
-        a, _ = connection_spectral_at(su2_half, lam)
+        a, _ = spectral_connection(su2_half, lam)
         with pytest.raises(ValueError, match="unitary"):
             gauge_transform(a, 2.0 * np.eye(2), [np.zeros((2, 2))] * 3)
+
+    @pytest.mark.parametrize("u, du_0, match", [
+        (np.full((2, 2), np.nan), np.zeros((2, 2)), "non-finite"),
+        (np.eye(2), np.full((2, 2), np.nan), "non-finite"),
+        (np.eye(2), np.ones((2, 3)), "square"),
+    ], ids=["nan u", "nan dU", "non-square dU"])
+    def test_rejects_non_finite_or_non_square(self, su2_half, u, du_0, match):
+        a, _ = spectral_connection(su2_half, [1.0, 0.7, 0.2])
+        with pytest.raises(ValueError, match=match):
+            gauge_transform(a, u, [du_0, np.zeros((2, 2)), np.zeros((2, 2))])
+
+    def test_leaves_u_writable(self, su2_half):
+        a, _ = spectral_connection(su2_half, [1.0, 0.7, 0.2])
+        u = np.eye(2, dtype=complex)
+        gauge_transform(a, u, [np.zeros((2, 2))] * 3)
+        assert u.flags.writeable
 
     def test_offdiagonal_covariance(self, su2_half, rng):
         # rotated family: off-diagonal parts of the transformed connection
@@ -363,9 +378,9 @@ class TestGaugeTransform:
                 eval_fn=lambda lam_: u_of(lam_) @ su2_half.eval_h(lam_) @ u_of(lam_).conj().T,
                 param_names=("B", "theta", "phi"),
             )
-            a, _ = connection_spectral_at(su2_half, lam)
+            a, _ = spectral_connection(su2_half, lam)
             transformed = gauge_transform(a, u_of(lam), du_of(lam))
-            direct, spec_rot = connection_spectral_at(rotated, lam)
+            direct, spec_rot = spectral_connection(rotated, lam)
             v = spec_rot.frame.matrix
             for c_t, c_d in zip(transformed.components, direct.components):
                 w_t = v.conj().T @ c_t @ v

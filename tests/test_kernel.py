@@ -81,7 +81,7 @@ def ref_step(model, mid, delta):
 
 def ref_transport(model, path):
     u = np.eye(model.dim, dtype=complex)
-    for mid, delta in path.steps():
+    for mid, delta in zip(*path.step_arrays()):
         u = ref_step(model, mid, delta) @ u
     return u
 
@@ -235,7 +235,7 @@ def ref_fishbone(edges):
 
 def ref_flatness(model, loop, t):
     u = np.eye(model.dim, dtype=complex)
-    for mid, delta in loop.steps():
+    for mid, delta in zip(*loop.step_arrays()):
         spec = model.spectral_at(mid)
         g_eig = spec.to_eigenbasis(ref_contracted_gradient(model, mid, delta))
         d_e = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]

@@ -11,9 +11,9 @@ from adiaconn.models import (
     constant_model,
     parse_model_file,
     serialize_model_spec,
-    spherical_axes,
 )
 from adiaconn.geometry import su2_circle_loop
+from adiaconn.reference import su2_spherical_triple
 from adiaconn.transport import holonomy, wilson_loop_phases
 
 from conftest import random_hermitian, random_polynomial_model
@@ -70,8 +70,7 @@ class TestSu2Model:
 
     def test_grad_b_direction(self, su2_half):
         lam = [2.0, 1.1, 0.4]
-        n_hat, _, _ = spherical_axes(1.1, 0.4)
-        expected = su2_half.j_dot(n_hat)
+        expected = su2_spherical_triple(0.5, 1.1, 0.4)[0]
         assert np.allclose(su2_half.grad_h(lam)[0], expected, atol=1e-13)
 
     def test_grad_theta_closed_form(self, su2_half):
@@ -84,8 +83,8 @@ class TestSu2Model:
     def test_analytic_grad_matches_central_difference(self, su2_half, rng):
         for _ in range(5):
             lam = [rng.uniform(0.5, 2), rng.uniform(0.3, 2.8), rng.uniform(0, 6)]
-            exact = su2_half.grad_h(lam, scheme="analytic")
-            fd = su2_half.grad_h(lam, scheme="central")
+            exact = su2_half.grad_h(lam)
+            fd = su2_half._central_difference(np.array(lam), None)
             for a, b in zip(exact, fd):
                 scale = max(np.linalg.norm(a), 1.0)
                 assert np.linalg.norm(a - b) / scale < 1e-6
@@ -94,10 +93,10 @@ class TestSu2Model:
         # with a coarse step the truncation term dominates and halving the
         # step divides the error by about four
         lam = np.array([1.0, 1.1, 0.7])
-        exact = su2_half.grad_h(lam, scheme="analytic")[1]
+        exact = su2_half.grad_h(lam)[1]
         errs = []
         for h in (1e-3, 5e-4):
-            fd = su2_half.grad_h(lam, scheme="central", step=h)[1]
+            fd = su2_half._central_difference(lam, h)[1]
             errs.append(np.linalg.norm(fd - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -111,10 +110,9 @@ class TestSu2Model:
         for k, (b, theta, phi) in enumerate(lams):
             # a few roundings of entries no larger than B * mu * 2l
             tol = 8 * np.finfo(float).eps * max(b, 1.0) * 2.0 * l
-            n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
-            grads = [0.7 * model.j_dot(n_hat), b * 0.7 * model.j_dot(theta_hat),
-                     b * 0.7 * np.sin(theta) * model.j_dot(phi_hat)]
-            assert np.max(np.abs(h[k] - b * 0.7 * model.j_dot(n_hat))) <= tol
+            j_n, j_theta, j_phi = su2_spherical_triple(l, theta, phi)
+            grads = [0.7 * j_n, b * 0.7 * j_theta, b * 0.7 * np.sin(theta) * j_phi]
+            assert np.max(np.abs(h[k] - b * 0.7 * j_n)) <= tol
             for m, row in enumerate(directions[k]):
                 expected = sum(d * g_mu for d, g_mu in zip(row, grads))
                 assert np.max(np.abs(g[k, m] - expected)) <= tol * np.sum(np.abs(row))
@@ -206,22 +204,22 @@ class TestOscillatorModel:
         osc = OscillatorModel(12, 4)
         # ZX - Y^2 = 4e-6 at this point; the default step crosses the edge
         lam = np.array([1.0, 0.0, 4e-6])
-        grads = osc.grad_h(lam, scheme="central")
+        grads = osc._central_difference(lam, None)
         assert all(np.all(np.isfinite(g.view(float))) for g in grads)
 
     def test_fd_step_errors_when_shrink_insufficient(self):
         osc = OscillatorModel(12, 4)
         # even the shrunk step crosses the domain edge here
         with pytest.raises(DomainViolationError, match="shrinking"):
-            osc.grad_h(np.array([1.0, 0.0, 1e-8]), scheme="central")
+            osc._central_difference(np.array([1.0, 0.0, 1e-8]), None)
 
 
 class TestPolynomialModels:
     def test_gradients_match_finite_differences(self, rng):
         model = random_polynomial_model(rng)
         lam = [0.3, -0.2]
-        exact = model.grad_h(lam, scheme="analytic")
-        fd = model.grad_h(lam, scheme="central")
+        exact = model.grad_h(lam)
+        fd = model._central_difference(np.array(lam), None)
         for a, b in zip(exact, fd):
             assert np.linalg.norm(a - b) < 1e-6
 
@@ -236,8 +234,8 @@ class TestPolynomialModels:
                         + a * b * c * m[4] + a**3 * c**5 * m[5] + c**7 * m[6])
             assert np.max(np.abs(h_k - expected)) <= 1e-13 * np.max(np.abs(expected))
         for lam in lams[:5]:
-            exact = model.grad_h(lam, scheme="analytic")
-            fd = model.grad_h(lam, scheme="central")
+            exact = model.grad_h(lam)
+            fd = model._central_difference(lam, None)
             for a, b in zip(exact, fd):
                 assert np.linalg.norm(a - b) < 1e-6 * max(np.linalg.norm(a), 1.0)
 

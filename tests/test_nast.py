@@ -104,12 +104,7 @@ class TestSurfaceOrderedProduct:
 
         n = 16
         patch = su2_cap_patch(1.1, grid=(n, n))
-        edges = _EdgeCache(su2_half, patch)
-        lassos = [
-            [lasso_holonomy(su2_half, patch, (i, j), _edges=edges).value.matrix
-             for j in range(n)]
-            for i in range(n)
-        ]
+        lassos = _EdgeCache(su2_half, patch).lassos
 
         def product(order):
             total = np.eye(2, dtype=complex)

@@ -19,7 +19,8 @@ from adiaconn.operator_core import (
     expm_hermitian,
     expm_hermitian_derivative,
     fix_phase,
-    hermitize,
+    hermitian_part,
+    hermiticity_defect,
     spectral_decompose,
     wrap_phase,
 )
@@ -31,30 +32,41 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-class TestHermitize:
+class TestHermitianPart:
     def test_hermitian_input_unchanged(self):
         m = np.array([[1.0, 1j], [-1j, 2.0]])
-        out = hermitize(m)
-        assert np.allclose(out.matrix, m)
-        assert not out.was_asymmetric
+        assert np.allclose(hermitian_part(m), m)
 
     def test_symmetrization(self):
-        out = hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert np.allclose(out.matrix, [[0.0, 0.5], [0.5, 0.0]])
-        assert out.was_asymmetric
+        out = hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.allclose(out, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_output_exactly_hermitian(self, rng):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = hermitize(m).matrix
-        assert np.array_equal(out, out.conj().T)
+        m = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        out = hermitian_part(m)
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        assert np.array_equal(hermitian_part(m[2]), out[2])
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitize(np.ones((2, 3)))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            hermitize(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+class TestHermiticityRule:
+    def test_one_matrix_and_stack_agree(self, rng):
+        # relative defects on both sides of HERMITICITY_TOL, and at scales
+        # below and above the norm floor of 1
+        h = np.stack([random_hermitian(rng, 3, scale=s) for s in (0.01, 0.01, 50.0, 50.0)])
+        for k, rel in enumerate((0.5, 2.0, 0.5, 2.0)):
+            scale = max(np.linalg.norm(h[k]), 1.0)
+            h[k, 0, 1] += rel * operator_core.HERMITICITY_TOL * scale / np.sqrt(2)
+        defect, miss = hermiticity_defect(h)
+        assert miss.tolist() == [False, True, False, True]
+        for k in range(len(h)):
+            one = hermiticity_defect(h[k])
+            assert one[1] == miss[k]
+            assert one[0] == pytest.approx(defect[k], rel=1e-12)
+
+    def test_nan_misses(self):
+        h = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        assert hermiticity_defect(h)[1]
+        assert hermiticity_defect(h[None])[1].tolist() == [True]
 
 
 class TestSpectralDecompose:
@@ -535,6 +547,22 @@ class TestBlockEigh:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
+    def test_only_operator_core_holds_the_hermiticity_rule(self):
+        # one Hermiticity rule, in hermiticity_defect: no other module
+        # compares against its tolerance
+        src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "operator_core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and node.id == "HERMITICITY_TOL" \
+                        or isinstance(node, ast.Attribute) and node.attr == "HERMITICITY_TOL" \
+                        or isinstance(node, ast.ImportFrom) and any(
+                            alias.name == "HERMITICITY_TOL" for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
     def test_only_eigh_block_takes_the_closed_form(self):
         # every 2x2 decomposition meets the one degeneracy rule through
         # eigh_block, its only caller: no other name refers to the form
@@ -558,8 +586,9 @@ class TestBlockEigh:
 
     def test_no_public_callable_takes_removed_knobs(self):
         # one degeneracy rule, one overlap guard and one drift budget: no
-        # caller can loosen them
-        removed = {"gap_tol", "min_overlap", "norm_drift_tol"}
+        # caller can loosen them; no gradient scheme, edge-cache hook or
+        # base point rides on a public signature
+        removed = {"gap_tol", "min_overlap", "norm_drift_tol", "scheme", "_edges", "base_point"}
         modules = [importlib.import_module(f"adiaconn.{m.name}")
                    for m in pkgutil.iter_modules(adiaconn.__path__)]
         offenders = []

@@ -37,7 +37,7 @@ class TestPathSpec:
 
     def test_steps_cover_segments(self):
         path = PathSpec(np.array([[0.0], [1.0]]), refinement=5)
-        mids, deltas = zip(*path.steps())
+        mids, deltas = path.step_arrays()
         assert len(mids) == 5
         assert np.allclose(np.sum(deltas, axis=0), [1.0])
 
