@@ -266,7 +266,7 @@ def gauge_transform(a: ConnectionOneForm, u, du: list[np.ndarray]) -> Connection
     per dimension; ValueError for a ``u`` that misses it, or for a
     non-square or non-finite ``u`` or dU.
     """
-    u = UnitaryOperator(as_matrix(u).copy(), tol=1e-8).matrix
+    u = UnitaryOperator(as_matrix(u), tol=1e-8).matrix
     if len(du) != a.n_params:
         raise ValueError("need one dU component per parameter direction")
     components = []

@@ -14,8 +14,9 @@ go through it, so the two sides of the Stokes comparison share one
 formula.  The surface sweep evaluates the model a chunk of cell centres
 at a time through the stacked evaluation of the path kernel in
 :mod:`adiaconn.transport`, and works block by block over the joint
-nonzero pattern of H and the two tangent gradients, as the step kernel
-does: each block is decomposed once, the merged eigenvalues rank the
+nonzero pattern of H and the two tangent gradients (the fixed term
+pattern of a term family), as the step kernel does: each block is
+decomposed once, the merged eigenvalues rank the
 levels and feed the degeneracy guard, and each requested level is
 contracted against the eigenvectors of its own block only, since the
 gradients couple no two blocks.  A :class:`SurfacePatch` chart
@@ -51,7 +52,7 @@ from .operator_core import (
 )
 from .models import FD_STEP_SCALE, DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
-from .transport import PathSpec, _check_level, _chunk_size, _hamiltonians, _is_int, holonomy
+from .transport import PathSpec, _check_level, _chunk_size, _is_int, holonomy
 
 __all__ = [
     "CurvatureTwoForm",
@@ -408,8 +409,8 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
     level on the merged spectrum, gaps to levels of other blocks included:
     only gaps to the level itself enter the denominators.
     """
-    h, g = _hamiltonians(model, lams, np.stack([t_u, t_v], axis=1))
-    system = decompose_blocks(h, g)
+    h, g, blocks = model._kernel_batch(lams, np.stack([t_u, t_v], axis=1))
+    system = decompose_blocks(h, g, blocks=blocks)
     evals = system.evals
     threshold = default_gap_tol(evals)
     levels = np.asarray(levels)

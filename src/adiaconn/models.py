@@ -6,18 +6,23 @@ generalized oscillator over quadratic-form coefficients (X, Y, Z) in a
 truncated Fock basis -- and a text model-file format for user-defined
 polynomial families H(lambda) = sum_k c_k(lambda) M_k with monomial
 coefficients.  A model evaluates H, its parameter gradients and its
-domain on a stack of points through two batch hooks; every per-point
-call is a one-point batch.
+domain on a stack of points through batch hooks; every per-point call is
+a one-point batch.  Every built-in family is a term family, H(lambda) =
+sum_t c_t(lambda) M_t with fixed matrices M_t, and supplies only the
+real coefficients c_t and their gradients.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import operator_core
 from .operator_core import (
+    Block,
     PhaseConvention,
     DEFAULT_PHASE_CONVENTION,
     SpectralDecomposition,
@@ -65,20 +70,38 @@ class ModelFileError(Exception):
 class ParametricHamiltonian:
     """A smooth family of Hermitian matrices over N real parameters.
 
-    Every evaluation runs through :meth:`eval_batch` and its two hooks,
-    ``_domain_batch(lams)`` (a boolean per point) and
-    ``_evaluate_batch(lams, directions)`` (H and the direction-contracted
-    gradients, all Hermitian).  :meth:`domain_check`, :meth:`eval_h` and
-    :meth:`grad_h` are one-point calls of it, so a subclass overrides the
-    two hooks and nothing else.  The default hooks accept every point and
-    call the functional constructor's ``eval_fn`` point by point; its
-    gradients are central finite differences with a per-direction step
-    1e-5 * (1 + |lambda_mu|).
+    Every evaluation runs through :meth:`eval_batch`; :meth:`domain_check`,
+    :meth:`eval_h` and :meth:`grad_h` are one-point calls of it.  A family
+    supplies ``_domain_batch(lams)`` (a boolean per point; the default
+    accepts every point) and one of two evaluation hooks:
+
+    * A term family, H(lambda) = sum_t c_t(lambda) M_t with fixed matrices
+      M_t, declares its (T, d, d) term stack once with
+      :meth:`_declare_terms` and implements ``_coefficients(lams,
+      directions)``, which returns the real coefficient rows of H, (K, T),
+      and of the direction-contracted gradients, (K, M, T).  The terms are
+      made exactly Hermitian once, and their union nonzero pattern fixes
+      the entries H and G can ever hold and the blocks that the chunked
+      kernels decompose over.  Only those entries are written, each from
+      real products of the coefficients with the real and imaginary parts
+      of the terms.
+    * Any other family overrides ``_evaluate_batch(lams, directions)`` and
+      returns the dense H and direction-contracted gradients, all
+      Hermitian; the default calls the functional constructor's
+      ``eval_fn`` point by point, with central-difference gradients of
+      per-direction step 1e-5 * (1 + |lambda_mu|).  The kernels find the
+      blocks of every chunk from its entries.  So does a subclass of a
+      term family that overrides ``_evaluate_batch``: the base class
+      cannot know which entries the override adds.
     """
 
     # Degeneracy checks cover the gaps among the lowest ``check_levels``
     # levels (all when None), in spectral_at and in the path kernel alike.
     check_levels: int | None = None
+    # Set by _declare_terms for a term family: the real and imaginary
+    # parts of the terms at the float slots of a flattened complex (d, d)
+    # matrix that some term fills, as a (T, S) array.
+    _term_values: np.ndarray | None = None
 
     def __init__(
         self,
@@ -163,6 +186,11 @@ class ParametricHamiltonian:
         all Hermitian.  Raises DomainViolationError for the first point
         outside the domain.
         """
+        return self._evaluate_batch(*self._checked_points(lams, directions))
+
+    def _checked_points(self, lams, directions):
+        """``lams`` and ``directions`` as float arrays, (K, N) and
+        (K, M, N), once every point is finite and inside the domain."""
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 2 or lams.shape[1] != self.n_params:
             raise ValueError(
@@ -172,35 +200,101 @@ class ParametricHamiltonian:
         if directions is None:
             directions = np.zeros((len(lams), 0, self.n_params))
         directions = np.asarray(directions, dtype=float)
-        if not np.all(np.isfinite(lams)):
+        if not np.isfinite(lams).all():
             raise ValueError("parameter point has non-finite entries")
-        outside = np.flatnonzero(~self._domain_batch(lams))
-        if outside.size:
+        inside = self._domain_batch(lams)
+        if not inside.all():
             raise DomainViolationError(
-                f"{type(self).__name__}: point {lams[outside[0]].tolist()} outside model domain"
+                f"{type(self).__name__}: point {lams[np.argmin(inside)].tolist()} "
+                "outside model domain"
             )
-        return self._evaluate_batch(lams, directions)
+        return lams, directions
+
+    def _kernel_batch(self, lams, directions=None):
+        """:meth:`eval_batch` for the chunked kernels: H, G and the blocks
+        to decompose them over, as a tuple of
+        :class:`~adiaconn.operator_core.Block` (None: find the blocks of
+        this chunk from its entries).  ValueError when H has a non-finite
+        entry, which no decomposition downstream would report.
+
+        A term family that keeps the base ``_evaluate_batch`` is checked
+        on its pattern entries only and returns the blocks of its term
+        pattern, found once per pattern; every other family returns None.
+        """
+        lams, directions = self._checked_points(lams, directions)
+        if self._term_values is None or (
+                type(self)._evaluate_batch is not ParametricHamiltonian._evaluate_batch):
+            h, g = self._evaluate_batch(lams, directions)
+            if not np.isfinite(h.view(float)).all():
+                raise ValueError("Hamiltonian has non-finite entries")
+            return h, g, None
+        h, g = self._pattern_values(lams, directions)
+        if not np.isfinite(h).all():
+            raise ValueError("Hamiltonian has non-finite entries")
+        blocks = operator_core._pattern_blocks(self._pattern, self.dim)
+        return (self._scatter(h), self._scatter(g),
+                blocks or (Block(np.arange(self.dim), None),))
 
     def _domain_batch(self, lams: np.ndarray) -> np.ndarray:
         return np.ones(len(lams), dtype=bool)
 
     def _evaluate_batch(self, lams: np.ndarray, directions: np.ndarray):
+        if self._term_values is not None:
+            h, g = self._pattern_values(lams, directions)
+            return self._scatter(h), self._scatter(g)
         if self._eval_fn is None:
             raise NotImplementedError
         h = hermitian_part(np.array([self._eval_fn(lam) for lam in lams], dtype=complex))
         grads = (np.array([self._central_difference(lam, None) for lam in lams])
-                 if directions.shape[1] else np.empty((len(lams), 0, self.dim, self.dim)))
+                 if directions.shape[1] else np.empty((len(lams), 0, self.dim, self.dim), complex))
         return h, _contract(grads, directions)
+
+    # -- term families ----------------------------------------------------
+
+    def _declare_terms(self, terms) -> None:
+        """Fix the (T, d, d) term matrices M_t of H = sum_t c_t M_t.
+
+        The terms are made exactly Hermitian ((M + M^dag)/2, which leaves
+        an exactly Hermitian term as it is), so that real coefficients give
+        an exactly Hermitian H.  Their union nonzero pattern is kept for
+        the block lookup, and the real and imaginary parts of the terms at
+        every float slot that some term fills, for the products of
+        :meth:`_pattern_values`.
+        """
+        parts = hermitian_part(terms).reshape(len(terms), -1).view(float)  # (re, im) pairs
+        filled = np.any(parts != 0.0, axis=0)
+        self._slots = np.flatnonzero(filled)
+        self._term_values = np.ascontiguousarray(parts[:, self._slots])
+        self._pattern = filled.reshape(-1, 2).any(axis=1).tobytes()
+
+    def _pattern_values(self, lams: np.ndarray, directions: np.ndarray):
+        """The filled float slots of H, (K, S), and of G, (K, M, S): the
+        coefficient rows of :meth:`_coefficients` times the real and
+        imaginary parts of the terms, real products only.  Each is one
+        two-dimensional matrix product, so that every row rounds alike,
+        one point or a stack, one direction or several."""
+        c, c_dirs = self._coefficients(lams, directions)
+        g = c_dirs.reshape(-1, c_dirs.shape[-1]) @ self._term_values
+        return c @ self._term_values, g.reshape(c_dirs.shape[:-1] + g.shape[-1:])
+
+    def _scatter(self, values: np.ndarray) -> np.ndarray:
+        """Complex (..., d, d) matrices from their filled float slots
+        (..., S), exactly zero elsewhere."""
+        lead = values.shape[:-1]
+        out = np.zeros(lead + (2 * self.dim * self.dim,))
+        out[..., self._slots] = values
+        return out.view(complex).reshape(lead + (self.dim, self.dim))
 
 
 def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """G[k, m] = sum_mu directions[k, m, mu] grads[k, mu], accumulated in
-    parameter order and skipping zero direction entries."""
+    parameter order and skipping zero direction entries; grads[k, mu] is
+    a matrix, or a row of term coefficients."""
     k, n_dirs, n_params = directions.shape
-    g = np.zeros((k, n_dirs, *grads.shape[2:]), dtype=complex)
+    g = np.zeros((k, n_dirs, *grads.shape[2:]), dtype=grads.dtype)
     for mu in range(n_params):
         for m in range(n_dirs):
-            d = directions[:, m, mu, None, None]
+            d = directions[:, m, mu].reshape((k,) + (1,) * (grads.ndim - 2))
             g[:, m] += np.where(d != 0.0, d * grads[:, mu], 0.0)
     return g
 
@@ -236,17 +330,16 @@ def angular_momentum(l: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def spherical_axes(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal radial/polar/azimuthal unit vectors at (theta, phi).
+def spherical_axes(theta, phi) -> np.ndarray:
+    """Orthonormal radial/polar/azimuthal unit vectors at (theta, phi),
+    stacked as the rows (n_hat, theta_hat, phi_hat) of one array.
 
-    Arrays of angles give (3, ...) arrays of components.
+    Arrays of angles give a (3, 3, ...) array of components.
     """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    n_hat = np.array([st * cp, st * sp, ct])
-    theta_hat = np.array([ct * cp, ct * sp, -st])
-    phi_hat = np.array([-sp, cp, np.zeros_like(sp)])
-    return n_hat, theta_hat, phi_hat
+    return np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st],
+                     [-sp, cp, np.zeros_like(sp)]])
 
 
 class Su2Model(ParametricHamiltonian):
@@ -257,12 +350,13 @@ class Su2Model(ParametricHamiltonian):
     theta may touch the coordinate poles 0 and pi; curvature maps should
     stay in the open interval since the phi chart degenerates there.
     H and its gradients are coefficient rows in the spherical axes
-    (n_hat, theta_hat, phi_hat) times the stack ``j`` = (Jx, Jy, Jz).
+    (n_hat, theta_hat, phi_hat) of the terms (Jx, Jy, Jz).
     """
 
     def __init__(self, l: float, mu: float = 1.0):
-        self.j = np.stack(angular_momentum(l))
-        super().__init__(dim=self.j.shape[1], n_params=3, param_names=("B", "theta", "phi"))
+        terms = np.stack(angular_momentum(l))
+        super().__init__(dim=terms.shape[1], n_params=3, param_names=("B", "theta", "phi"))
+        self._declare_terms(terms)
         self.l = l
         self.mu = float(mu)
 
@@ -270,17 +364,21 @@ class Su2Model(ParametricHamiltonian):
         b, theta = lams[:, 0], lams[:, 1]
         return (b > 0.0) & (theta >= -1e-12) & (theta <= np.pi + 1e-12)
 
-    def _evaluate_batch(self, lams, directions):
+    def _coefficients(self, lams, directions):
         b, theta, phi = lams.T
         scale = b * self.mu
         n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
-        # (Jx, Jy, Jz) coefficients of dH/dB, dH/dtheta, dH/dphi, point-major
-        jacobian = (self.mu * n_hat.T, (scale * theta_hat).T,
-                    (scale * np.sin(theta) * phi_hat).T)
-        g_coeff = sum(directions[:, :, mu, None] * jacobian[mu][:, None] for mu in range(3))
-        j = self.j.reshape(3, -1)
-        h, g = (scale * n_hat).T @ j, g_coeff @ j
-        return h.reshape(-1, self.dim, self.dim), g.reshape(*g.shape[:2], self.dim, self.dim)
+        h_coeff = (scale * n_hat).T
+        if not directions.shape[1]:
+            return h_coeff, np.zeros((len(lams), 0, 3))
+        # (Jx, Jy, Jz) coefficients of dH/dB, dH/dtheta, dH/dphi, as (mu, K, 3)
+        jacobian = np.array([self.mu * n_hat, scale * theta_hat,
+                             scale * np.sin(theta) * phi_hat]).transpose(0, 2, 1)
+        # summed over mu in parameter order from 0, the roundings of a plain
+        # Python sum of the three products
+        g_coeff = np.add.reduce(directions.transpose(2, 0, 1)[..., None] * jacobian[:, :, None],
+                                axis=0, initial=0.0)
+        return h_coeff, g_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +406,8 @@ class OscillatorModel(ParametricHamiltonian):
     levels actually meet an eigenvalue-drift tolerance.  Construction
     self-checks the canonical commutator and the drift at the reference
     point (1, 0, 1), where the truncation is exact.  H is linear in
-    (X, Y, Z): one product of the parameters with the stacked halved
-    quadratics, and the gradients are the quadratics themselves.
+    (X, Y, Z): its terms are the halved quadratics, its coefficients the
+    parameters, and the gradient coefficients the directions.
     """
 
     def __init__(self, nmax: int = 60, buffer: int = 20):
@@ -332,9 +430,8 @@ class OscillatorModel(ParametricHamiltonian):
         q2 = 0.5 * (a2 + adag2 + number_term)
         p2 = 0.5 * (-a2 - adag2 + number_term)
         qp_pq = 1j * (adag2 - a2)
-        # Halving is exact, so H = sum_mu lambda_mu (Q_mu / 2) is one matrix
-        # product for a whole stack of points.
-        self._half_quadratics = 0.5 * np.stack([q2, qp_pq, p2])
+        # Halving is exact, so H = sum_mu lambda_mu (Q_mu / 2).
+        self._declare_terms(0.5 * np.stack([q2, qp_pq, p2]))
         # The artificial top of the truncated spectrum may cluster; gaps
         # there are not meaningful and must not abort a computation whose
         # conclusions are read off the trusted subspace.
@@ -362,9 +459,8 @@ class OscillatorModel(ParametricHamiltonian):
         x, y, z = lams.T
         return z * x - y * y > 0.0
 
-    def _evaluate_batch(self, lams, directions):
-        return (np.tensordot(lams, self._half_quadratics, axes=1),
-                np.tensordot(directions, self._half_quadratics, axes=1))
+    def _coefficients(self, lams, directions):
+        return lams, directions
 
     # The base method, with the gap check on the lowest check_levels =
     # trust_levels + 1 levels; named on the class for the per-class
@@ -431,26 +527,19 @@ class _PolynomialModel(ParametricHamiltonian):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec.dim, spec.n_params, param_names=spec.param_names)
         self._exponents = np.array([e for e, _ in spec.terms], dtype=int)
-        self._matrices = np.array([m for _, m in spec.terms], dtype=complex)
+        self._declare_terms(np.array([m for _, m in spec.terms], dtype=complex))
 
-    def _evaluate_batch(self, lams, directions):
+    def _coefficients(self, lams, directions):
         exps = self._exponents
         powers = lams[:, None, :] ** exps  # [k, term, mu]
         coeff = np.prod(powers, axis=-1)
-        h = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
-        for t, matrix in enumerate(self._matrices):
-            h += coeff[:, t, None, None] * matrix
         if not directions.shape[1]:
-            return hermitian_part(h), np.zeros((len(lams), 0, self.dim, self.dim), dtype=complex)
+            return coeff, np.zeros((len(lams), 0, len(exps)))
         # d/dlambda_mu of a term: e_mu times its powers with lambda_mu's lowered by one
         lowered = lams[:, None, :] ** np.maximum(exps - 1, 0)
         diag = np.eye(self.n_params, dtype=bool)
         d_coeff = exps * np.prod(np.where(diag, lowered[:, :, None], powers[:, :, None]), axis=-1)
-        grads = np.zeros((len(lams), self.n_params, self.dim, self.dim), dtype=complex)
-        for t, matrix in enumerate(self._matrices):
-            for mu in np.flatnonzero(exps[t]):
-                grads[:, mu] += d_coeff[:, t, mu, None, None] * matrix
-        return hermitian_part(h), _contract(hermitian_part(grads), directions)
+        return coeff, _contract(d_coeff.swapaxes(1, 2), directions)
 
 
 _COMPLEX_RE = re.compile(
@@ -470,19 +559,24 @@ def _parse_complex(token: str, line: int) -> complex:
             # purely real; a dangling sign group means garbage like "1+"
             if real_s is None or imag_s is not None:
                 raise ValueError
-            return complex(float(real_s), 0.0)
-        if imag_s is None:
+            value = complex(float(real_s), 0.0)
+        elif imag_s is None:
             # "i", "2i", "-1.5i": any sign/digits were captured as real_s
-            return complex(0.0, 1.0 if real_s is None else float(real_s))
-        if real_s is None:
+            value = complex(0.0, 1.0 if real_s is None else float(real_s))
+        elif real_s is None:
             # "+i" / "-i"
             if imag_s not in ("+", "-"):
                 raise ValueError
-            return complex(0.0, float(imag_s + "1"))
-        imag = float(imag_s + "1") if imag_s in ("+", "-") else float(imag_s)
-        return complex(float(real_s), imag)
+            value = complex(0.0, float(imag_s + "1"))
+        else:
+            imag = float(imag_s + "1") if imag_s in ("+", "-") else float(imag_s)
+            value = complex(float(real_s), imag)
     except ValueError:
         raise ModelFileError(line, f"cannot parse complex entry {token!r}") from None
+    # float() reads an overflowing literal such as 1e999 as inf
+    if not cmath.isfinite(value):
+        raise ModelFileError(line, f"non-finite complex entry {token!r}")
+    return value
 
 
 def _format_complex(z: complex) -> str:

@@ -150,7 +150,7 @@ class UnitaryOperator:
     tol: float = UNITARITY_TOL
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writeable
         _check_square_finite(m, "UnitaryOperator")
         defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
         if defect > self.tol * m.shape[0]:
@@ -536,17 +536,19 @@ class BlockSystem(NamedTuple):
         return vecs
 
 
-def decompose_blocks(stack: np.ndarray, *others) -> BlockSystem:
+def decompose_blocks(stack: np.ndarray, *others, blocks=None) -> BlockSystem:
     """Decompose a (K, d, d) Hermitian stack block by block.
 
     The blocks are those of the joint nonzero pattern of ``stack`` and
     the ``others`` (see :func:`split_blocks`), so that every block of the
     others is also block diagonal over them; a connected pattern is one
-    block holding every index.  Each block is decomposed once by
-    :func:`eigh_block`, and the eigenvalues are merged in ascending order
-    by a stable sort, so exact ties keep block order.
+    block holding every index.  ``blocks``, when given, are used instead:
+    blocks of any pattern that covers every entry of the stack and the
+    others, such as the fixed pattern of a model's terms.  Each block is
+    decomposed once by :func:`eigh_block`, and the eigenvalues are merged
+    in ascending order by a stable sort, so exact ties keep block order.
     """
-    return _decompose(stack, split_blocks(stack, *others))
+    return _decompose(stack, split_blocks(stack, *others) if blocks is None else blocks)
 
 
 def _decompose(stack: np.ndarray, blocks) -> BlockSystem:

@@ -67,9 +67,7 @@ def su2_spherical_triple(l: float, theta: float, phi: float):
     return along(n_hat), along(theta_hat), along(phi_hat)
 
 
-def su2_analytic_connection(
-    l: float, b: float, theta: float, phi: float
-) -> ConnectionOneForm:
+def su2_analytic_connection(l: float, theta: float, phi: float) -> ConnectionOneForm:
     """Connection components in parameter order (B, theta, phi):
 
     A_B = 0, A_theta = -J_phi, A_phi = sin(theta) J_theta.
@@ -89,7 +87,7 @@ def su2_analytic_connection(
     )
 
 
-def su2_analytic_curvature(l: float, b: float, theta: float, phi: float) -> CurvatureTwoForm:
+def su2_analytic_curvature(l: float, theta: float, phi: float) -> CurvatureTwoForm:
     """Field strength: the only non-zero component is
     F_theta_phi = -sin(theta) J_n."""
     j_n, _, _ = su2_spherical_triple(l, theta, phi)

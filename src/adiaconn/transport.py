@@ -41,7 +41,10 @@ gauge (see :mod:`adiaconn.operator_core`), and the connection is
 contracted in that gauge with real matrix products.  The Wilson loop
 works on the blocks of H in the same way: overlaps are taken within each
 block, and only the frames at chunk seams and at the base point are
-written densely.
+written densely.  For a term family (every built-in model) no chunk is
+scanned: the blocks are those of the union pattern of its terms, which
+covers H and every gradient at every point, and the model hands them
+over with H and G (:meth:`ParametricHamiltonian._kernel_batch`).
 """
 
 from __future__ import annotations
@@ -204,16 +207,6 @@ def _chunk_size(dim: int) -> int:
     return max(1, min(CHUNK_MATRICES, CHUNK_BYTES // (16 * dim * dim)))
 
 
-def _hamiltonians(model: ParametricHamiltonian, lams, directions=None):
-    """H at ``lams`` and the gradients contracted with ``directions`` (see
-    :meth:`ParametricHamiltonian.eval_batch`); ValueError when H has a
-    non-finite entry, which no decomposition downstream would report."""
-    h, g = model.eval_batch(lams, directions)
-    if not np.all(np.isfinite(h.view(float))):
-        raise ValueError("Hamiltonian has non-finite entries")
-    return h, g
-
-
 def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     """exp(i W(mid_k) . delta_k) for every step, yielded one chunk at a time.
 
@@ -230,9 +223,9 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     size = _chunk_size(model.dim)
     for start in range(0, len(mids), size):
         mid = mids[start:start + size]
-        h, g = _hamiltonians(model, mid, deltas[start:start + size, None])
+        h, g, blocks = model._kernel_batch(mid, deltas[start:start + size, None])
         g = g[:, 0]
-        system = decompose_blocks(h, g)
+        system = decompose_blocks(h, g, blocks=blocks)
         min_gap = spectral_gaps(system.evals, model.check_levels)
         if model.dim > 1 and np.any(min_gap <= 0.0):
             raise ValueError("the connection requires a non-degenerate spectrum")
@@ -437,7 +430,9 @@ def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarr
     product = np.ones(model.dim, dtype=complex)
     size = _chunk_size(model.dim)
     for start in range(0, len(nodes), size):
-        system = decompose_blocks(_hamiltonians(model, nodes[start:start + size])[0])
+        h, _, blocks = model._kernel_batch(nodes[start:start + size])
+        system = decompose_blocks(h, blocks=blocks)
+        del h  # the dense stack is not needed past the decomposition
         spectral_gaps(system.evals, model.check_levels)
         ends = system.frames([0, -1])
         overlaps = _block_overlaps(system)

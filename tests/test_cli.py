@@ -91,7 +91,7 @@ class TestConnectionCommand:
         run_ok(runner, ["connection", "--model", "su2", "--l", "0.5",
                         "--at", "1.0,1.0,0.3", "--out", str(tmp_path)])
         report = load_report(tmp_path)
-        ref = su2_analytic_connection(0.5, 1.0, 1.0, 0.3)
+        ref = su2_analytic_connection(0.5, 1.0, 0.3)
         for name, want in zip(("B", "theta", "phi"), ref.components):
             got = as_complex(report["results"]["components"][name])
             assert np.linalg.norm(got - want) < 1e-10

@@ -736,6 +736,146 @@ class TestBlockSweeps:
         assert (blocked.value.level, blocked.value.gap) == (dense.value.level, dense.value.gap)
 
 
+def planted_block_spec(rng, sizes=(3, 3, 2, 1)):
+    """A random 2-parameter polynomial family, H0 + l1 M1 + l2 M2 + l1 l2
+    M3, whose terms share a planted block structure in a permuted basis:
+    the first block dense (a cycle), the second a chain (a tree), then a
+    pair and a single level.  Returns its ModelSpec and the planted blocks
+    as sorted index lists."""
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    groups = np.split(np.arange(dim), np.cumsum(sizes)[:-1])
+
+    def term(scale):
+        m = np.zeros((dim, dim), dtype=complex)
+        for b, idx in enumerate(groups):
+            block = random_hermitian(rng, len(idx), scale)
+            if b == 1:  # keep only the chain's couplings
+                block = np.triu(np.tril(block, 1), -1)
+            m[np.ix_(idx, idx)] = block
+        return m[np.ix_(np.argsort(perm), np.argsort(perm))]
+
+    h0 = term(0.08) + np.diag(1.5 * np.arange(dim))[np.ix_(np.argsort(perm), np.argsort(perm))]
+    spec = ModelSpec(dim=dim, param_names=("l1", "l2"), terms=(
+        ((0, 0), h0), ((1, 0), term(0.25)), ((0, 1), term(0.25)), ((1, 1), term(0.1)),
+    ))
+    return spec, sorted(sorted(perm[idx].tolist()) for idx in groups)
+
+
+class TestTermPattern:
+    """Term families evaluate H and the gradients on the fixed nonzero
+    pattern of their terms and hand its blocks to the kernels; every
+    other family, and any subclass that overrides ``_evaluate_batch``,
+    is split chunk by chunk."""
+
+    @staticmethod
+    def dense(monkeypatch):
+        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+
+    @staticmethod
+    def same_blocks(got, want):
+        want = want or (operator_core.Block(np.arange(len(got[0].index)), None),)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.index, b.index)
+            assert (a.parent is None) == (b.parent is None)
+            assert a.parent is None or np.array_equal(a.parent, b.parent)
+
+    def test_blocks_are_those_of_the_term_stack(self, rng):
+        from adiaconn.models import angular_momentum
+
+        planted, groups = planted_block_spec(rng)
+        dense = ModelSpec(dim=3, param_names=("l1", "l2"), terms=tuple(
+            (e, random_hermitian(rng, 3)) for e in [(0, 0), (1, 0), (0, 1)]))
+        cases = [(Su2Model(l), np.stack(angular_momentum(l)), [1.1, 0.7, 0.3])
+                 for l in (0.5, 1.0, 1.5)]
+        for osc in (OscillatorModel(60, 20), OscillatorModel(14, 4)):
+            # H is linear in (X, Y, Z): its gradients are the terms
+            cases.append((osc, np.array(osc.grad_h([1.0, 0.0, 1.0])), [2.0, 0.3, 1.4]))
+        for spec in (planted, dense):
+            cases.append((spec.to_model(), np.array([m for _, m in spec.terms]), [0.1, -0.2]))
+        found = []
+        for model, terms, point in cases:
+            found.append(model._kernel_batch(np.array([point]))[2])
+            self.same_blocks(found[-1], operator_core.split_blocks(terms))
+        # the oscillators split into their parity sectors, the planted model into four blocks
+        assert [len(b) for b in found] == [1, 1, 1, 2, 2, 4, 1]
+        assert [b.index.tolist() for b in found[5]] == groups
+        assert sum(b.parent is None for b in found[5]) == 1  # only the dense block has a cycle
+
+    @pytest.mark.parametrize("chunk", [7, 2048])
+    def test_planted_blocks_match_the_dense_route(self, rng, chunk, monkeypatch):
+        monkeypatch.setattr(transport, "CHUNK_MATRICES", chunk)
+        loop = planar_rectangle_loop([-0.1, -0.1], [0.2, 0.0], [0.0, 0.2], refinement=15)
+        patch = planar_patch([-0.1, -0.1], [0.2, 0.0], [0.0, 0.2], grid=(6, 5))
+        models = [planted_block_spec(rng)[0].to_model() for _ in range(3)]
+
+        def outputs():
+            return [(holonomy(m, loop).operator.matrix, wilson_loop_phases(m, loop),
+                     berry_phase_surface(m, patch, range(m.dim))) for m in models]
+
+        blocked = outputs()
+        self.dense(monkeypatch)
+        for got, want in zip(blocked, outputs()):
+            for b, d in zip(got, want):
+                assert np.max(np.abs(b - d)) <= TOL
+
+    def test_override_coupling_the_parity_sectors(self, monkeypatch):
+        class Coupled(OscillatorModel):
+            """The top two Fock levels, of opposite parity, coupled in H;
+            at the reference point (1, 0, 1) they form a block of their
+            own, so the certified levels are those of the oscillator."""
+
+            def _evaluate_batch(self, lams, directions):
+                h, g = super()._evaluate_batch(lams, directions)
+                coupling = np.zeros((self.dim, self.dim), dtype=complex)
+                coupling[-2, -1], coupling[-1, -2] = 0.3j, -0.3j
+                return h + coupling, g
+
+        model = Coupled(14, 4)
+        loop = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=6)
+        patch = planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(3, 2))
+        h, _, blocks = model._kernel_batch(loop.samples)
+        assert blocks is None and len(operator_core.split_blocks(h)) == 1
+
+        def outputs():
+            return (holonomy(model, loop).operator.matrix, wilson_loop_phases(model, loop),
+                    berry_phase_surface(model, patch, [0, 1, 2]))
+
+        coupled = outputs()
+        # the coupling moves the results away from the split oscillator's
+        plain = OscillatorModel(14, 4)
+        assert np.max(np.abs(coupled[0] - holonomy(plain, loop).operator.matrix)) > 1e-6
+        self.dense(monkeypatch)
+        for c, d in zip(coupled, outputs()):
+            assert np.max(np.abs(c - d)) <= TOL
+
+    def test_no_built_in_family_overrides_the_evaluation(self):
+        from adiaconn import models
+
+        families = [c for c in vars(models).values() if isinstance(c, type)
+                    and issubclass(c, models.ParametricHamiltonian)
+                    and c is not models.ParametricHamiltonian]
+        assert {c.__name__ for c in families} == {"Su2Model", "OscillatorModel",
+                                                 "_PolynomialModel"}
+        for family in families:
+            assert "_evaluate_batch" not in vars(family)
+            assert "_coefficients" in vars(family)
+
+    def test_overflowing_coefficient_is_non_finite(self):
+        model = ModelSpec(dim=2, param_names=("l1", "l2"), terms=(
+            ((0, 0), SZ), ((16, 0), SX), ((0, 1), SX))).to_model()
+        # l1^16 overflows near l1 = 1e20; H is finite at the base point
+        loop = planar_rectangle_loop([0.0, 0.0], [1e20, 0.0], [0.0, 1.0], refinement=2)
+        patch = planar_patch([0.0, 0.0], [1e20, 0.0], [0.0, 1.0], grid=(2, 2))
+        for run in (lambda: holonomy(model, loop), lambda: wilson_loop_phases(model, loop),
+                    lambda: berry_phase_surface(model, patch, 0)):
+            # the power itself overflows with a RuntimeWarning
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
+                run()
+
+
 @pytest.mark.usefixtures("tiny_chunks")
 class TestOrderedProducts:
     """Segments reduced by levels within each chunk, against a sequential

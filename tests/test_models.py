@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,6 +347,17 @@ class TestModelFiles:
 
         with pytest.raises(ModelFileError, match="complex entry"):
             _parse_complex(token, line=7)
+
+    @pytest.mark.parametrize("token", ["1e999", "-1e999i", "1e999+1i"])
+    def test_non_finite_entry_rejected(self, token):
+        # float() reads an overflowing literal as inf; the entry is named,
+        # before any Hermiticity arithmetic on it can warn
+        text = f"dim = 2\nparams = a\nterm 0\n1 0\n0 {token}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFileError,
+                               match=rf"^line 5: non-finite complex entry '{re.escape(token)}'$"):
+                parse_model_file(text)
 
     def test_garbage_entry_in_file(self):
         with pytest.raises(ModelFileError, match="line 4"):

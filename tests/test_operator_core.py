@@ -15,6 +15,7 @@ from adiaconn.models import Su2Model
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
     PhaseConvention,
+    UnitaryOperator,
     block_eigh,
     expm_hermitian,
     expm_hermitian_derivative,
@@ -30,6 +31,17 @@ from conftest import random_hermitian, record_eigh_calls
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+class TestUnitaryOperator:
+    def test_leaves_the_callers_array_writeable(self):
+        u = np.eye(2, dtype=complex)
+        op = UnitaryOperator(u)
+        assert u.flags.writeable and not op.matrix.flags.writeable
+        u[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 5.0
 
 
 class TestHermitianPart:
