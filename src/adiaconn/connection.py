@@ -136,7 +136,7 @@ def connection_spectral(
     assembled in the eigenbasis and rotated back.  Requires a
     non-degenerate decomposition.
     """
-    if spec.dim > 1 and spec.min_gap <= 0.0:
+    if spec.dim > 1 and not spec.min_gap > 0.0:  # a NaN gap fails too
         raise ValueError("connection_spectral requires a non-degenerate spectrum")
     if not len(grad_h):
         return ConnectionOneForm(())

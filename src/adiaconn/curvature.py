@@ -16,10 +16,10 @@ at a time through the stacked evaluation of the path kernel in
 :mod:`adiaconn.transport`, and works block by block over the joint
 nonzero pattern of H and the two tangent gradients (the fixed term
 pattern of a term family), as the step kernel does: each block is
-decomposed once, the merged eigenvalues rank the
-levels and feed the degeneracy guard, and each requested level is
-contracted against the eigenvectors of its own block only, since the
-gradients couple no two blocks.  A :class:`SurfacePatch` chart
+decomposed once, the merged eigenvalues rank the levels and feed the
+degeneracy guard, and each requested level is contracted against its
+own block's gradient stack and eigenvectors only, since the gradients
+couple no two blocks.  A :class:`SurfacePatch` chart
 works on arrays: it takes u and v as (..., 1) arrays and returns the
 (..., N) points, so a chunk of cells costs one chart call.  The
 small-loop square is the boundary of a one-cell affine patch.
@@ -157,59 +157,44 @@ def yang_mills_curvature(
     return CurvatureTwoForm(components=components)
 
 
-def _level_curvature(system: BlockSystem, g, levels) -> np.ndarray:
+def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
     """Per-level curvature along two directions at a stack of eigensystems.
 
     ``system`` holds the eigensystems of the stack (any phase: the value is
-    phase-free), block by block, and ``g`` (K, 2, d, d) the gradients dH_u,
-    dH_v along the two directions, block diagonal over the same blocks;
+    phase-free), block by block, and ``gs[b]`` (K, 2, b, b) the gradients
+    dH_u, dH_v along the two directions on block b, in its local indices;
     one row per stack entry, one column per entry of ``levels``:
 
     W^(n)_uv = -2 sum_{n' != n} Im(<n|dH_u|n'><n'|dH_v|n>) / (E_n - E_{n'})^2,
 
     the diagonal entry <n|F_uv|n> of the field strength.  Exactly equal
-    eigenvalues contribute 0.  Tree blocks keep their eigenvectors as D R
-    (see :class:`~adiaconn.operator_core.BlockSystem`), and R multiplies
-    as a real matrix (:func:`~adiaconn.operator_core.sandwich`).  When one
-    block holds every level, the elements are R^T (D^dag dH D) R.
-    Otherwise only the bras of the requested levels are written densely,
-    as a (K, R, d) array, and the sum over n' runs block by block: the
-    rows of levels outside a block meet exact zeros there, and the kets
-    of a block are (<n|dH * D) R, so no complex eigenvector stack is
-    built.
+    eigenvalues contribute 0.  The gradients couple no two blocks, so the
+    sum over n' runs over the block of level n only: each block takes the
+    rows of the levels that lie in it at that stack entry.  Tree blocks
+    keep their eigenvectors as D R (see
+    :class:`~adiaconn.operator_core.BlockSystem`), so the elements are
+    R^T (D^dag dH D) R, with R multiplied as a real matrix
+    (:func:`~adiaconn.operator_core.sandwich`).
     """
     levels = np.asarray(levels)
     column = system.order[:, levels]  # [k, row]: concatenated column of the level
     rows = system.evals[:, levels]
     batch, dim = np.arange(len(column))[:, None], system.evals.shape[-1]
-    if len(system.blocks) == 1:
-        (e, v), gauge = system.parts[0], system.gauges[0]
+    out, start = 0.0, 0
+    for (e, v), gauge, g in zip(system.parts, system.gauges, gs):
+        local = column - start
+        start += e.shape[-1]
+        delta = rows[:, :, None] - e[:, None, :]  # [k, row, n']
+        keep = delta != 0.0
+        if e.shape[-1] < dim:  # a row whose level is in another block reads column 0, counts 0
+            inside = (local >= 0) & (local < e.shape[-1])
+            local = np.where(inside, local, 0)
+            keep &= inside[..., None]
         if gauge is not None:
             g = g * gauge_phase(gauge)[:, None]
-        pairs = [(e, sandwich(v[batch, :, column].conj()[:, None], g, v[:, None]))]
-    else:
-        bras = np.zeros((len(column), len(levels), dim), dtype=complex)
-        start = 0
-        for block, (_, v), gauge in zip(system.blocks, system.parts, system.gauges):
-            local = column - start
-            start += len(block.index)
-            inside = (local >= 0) & (local < len(block.index))
-            picked = v[batch, :, np.where(inside, local, 0)]  # [k, row, i]
-            if gauge is not None:
-                picked = picked * gauge[:, None, :]
-            bras[..., block.index] = np.where(inside[..., None], picked.conj(), 0.0)
-        left = bras[:, None] @ g  # [k, u/v, row, :] = <n|dH
-        pairs = []
-        for block, (e, v), gauge in zip(system.blocks, system.parts, system.gauges):
-            ket = left[..., block.index]  # <n|dH D R> = (<n|dH * D) R
-            if gauge is not None:
-                ket = ket * gauge[:, None, None, :]
-            pairs.append((e, sandwich(None, ket, v[:, None])))
-    out = 0.0
-    for e, elements in pairs:  # <n|dH|n'>, n' in the block
-        delta = rows[:, :, None] - e[:, None, :]  # [k, row, n']
+        elements = sandwich(v[batch, :, local].conj()[:, None], g, v[:, None])  # <n|dH|n'>
         inv2 = np.zeros_like(delta)
-        np.divide(1.0, delta**2, out=inv2, where=delta != 0.0)
+        np.divide(1.0, delta**2, out=inv2, where=keep)
         out = out - 2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
     return out
 
@@ -226,7 +211,7 @@ def berry_curvature_levels(
     system = BlockSystem((Block(np.arange(dim), None),),
                          ((spec.eigenvalues[None], spec.frame.matrix[None]),), (None,),
                          spec.eigenvalues[None], np.arange(dim)[None])
-    w = _level_curvature(system, g, np.arange(dim))
+    w = _level_curvature(system, (g,), np.arange(dim))
     return BerryCurvatureTable(pairs=tuple(zip(mu.tolist(), nu.tolist())), table=w.T)
 
 
@@ -409,8 +394,8 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
     level on the merged spectrum, gaps to levels of other blocks included:
     only gaps to the level itself enter the denominators.
     """
-    h, g, blocks = model._kernel_batch(lams, np.stack([t_u, t_v], axis=1))
-    system = decompose_blocks(h, g, blocks=blocks)
+    blocks, hs, gs = model._kernel_batch(lams, np.stack([t_u, t_v], axis=1))
+    system = decompose_blocks(blocks, hs)
     evals = system.evals
     threshold = default_gap_tol(evals)
     levels = np.asarray(levels)
@@ -423,7 +408,7 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
         k, row = (int(i[0]) for i in np.nonzero(bad))
         raise DegenerateSpectrumError(min(int(levels[row]), int(nearest_at[k, row])),
                                       float(nearest[k, row]), float(threshold[k]))
-    return _level_curvature(system, g, levels)
+    return _level_curvature(system, gs, levels)
 
 
 def berry_phase_surface(

@@ -211,15 +211,17 @@ class ParametricHamiltonian:
         return lams, directions
 
     def _kernel_batch(self, lams, directions=None):
-        """:meth:`eval_batch` for the chunked kernels: H, G and the blocks
-        to decompose them over, as a tuple of
-        :class:`~adiaconn.operator_core.Block` (None: find the blocks of
-        this chunk from its entries).  ValueError when H has a non-finite
-        entry, which no decomposition downstream would report.
+        """:meth:`eval_batch` for the chunked kernels, block by block: the
+        blocks to decompose over, as a tuple of
+        :class:`~adiaconn.operator_core.Block`, and each block's own H and
+        G stacks, (K, b, b) and (K, M, b, b).  ValueError when H has a
+        non-finite entry, which no decomposition downstream would report.
 
         A term family that keeps the base ``_evaluate_batch`` is checked
-        on its pattern entries only and returns the blocks of its term
-        pattern, found once per pattern; every other family returns None.
+        on its pattern entries only, and writes the blocks of its term
+        pattern (found once per pattern) from its pattern values into one
+        zeroed buffer per chunk, whose views the stacks are.  Every other
+        family splits its dense H and G by their joint pattern.
         """
         lams, directions = self._checked_points(lams, directions)
         if self._term_values is None or (
@@ -227,13 +229,22 @@ class ParametricHamiltonian:
             h, g = self._evaluate_batch(lams, directions)
             if not np.isfinite(h.view(float)).all():
                 raise ValueError("Hamiltonian has non-finite entries")
-            return h, g, None
+            blocks = (operator_core.split_blocks(h, g) if g.shape[1]
+                      else operator_core.split_blocks(h)) or (Block(np.arange(self.dim), None),)
+            return blocks, [b.take(h) for b in blocks], [b.take(g) for b in blocks]
         h, g = self._pattern_values(lams, directions)
         if not np.isfinite(h).all():
             raise ValueError("Hamiltonian has non-finite entries")
-        blocks = operator_core._pattern_blocks(self._pattern, self.dim)
-        return (self._scatter(h), self._scatter(g),
-                blocks or (Block(np.arange(self.dim), None),))
+        blocks = (operator_core._pattern_blocks(self._pattern, self.dim)
+                  or (Block(np.arange(self.dim), None),))
+        # one buffer, not one per block: the chunk's largest allocation then
+        # keeps glibc from trimming and refaulting the heap after every chunk
+        slots, sizes = self._packed_slots(blocks), [len(b.index) for b in blocks]
+        packed = np.zeros((len(h), 1 + g.shape[1], 2 * sum(n * n for n in sizes)))
+        packed[:, 0, slots], packed[:, 1:, slots] = h, g
+        parts = np.split(packed, 2 * np.cumsum(np.square(sizes))[:-1], axis=-1)
+        stacks = [p.view(complex).reshape(p.shape[:2] + (n, n)) for p, n in zip(parts, sizes)]
+        return blocks, [s[:, 0] for s in stacks], [s[:, 1:] for s in stacks]
 
     def _domain_batch(self, lams: np.ndarray) -> np.ndarray:
         return np.ones(len(lams), dtype=bool)
@@ -266,6 +277,7 @@ class ParametricHamiltonian:
         self._slots = np.flatnonzero(filled)
         self._term_values = np.ascontiguousarray(parts[:, self._slots])
         self._pattern = filled.reshape(-1, 2).any(axis=1).tobytes()
+        self._slot_maps = {}
 
     def _pattern_values(self, lams: np.ndarray, directions: np.ndarray):
         """The filled float slots of H, (K, S), and of G, (K, M, S): the
@@ -284,6 +296,20 @@ class ParametricHamiltonian:
         out = np.zeros(lead + (2 * self.dim * self.dim,))
         out[..., self._slots] = values
         return out.view(complex).reshape(lead + (self.dim, self.dim))
+
+    def _packed_slots(self, blocks):
+        """Where every filled float slot lies when the blocks' flattened
+        complex (b, b) matrices follow one another; found once per block
+        pattern.  Every filled entry lies in exactly one block."""
+        key = tuple(b.index.tobytes() for b in blocks)
+        if key not in self._slot_maps:
+            position, start = np.zeros((self.dim, self.dim), dtype=int), 0  # complex entries
+            for b in blocks:
+                n = len(b.index)
+                position[np.ix_(b.index, b.index)] = start + np.arange(n * n).reshape(n, n)
+                start += n * n
+            self._slot_maps[key] = 2 * position.ravel()[self._slots // 2] + self._slots % 2
+        return self._slot_maps[key]
 
 
 def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:

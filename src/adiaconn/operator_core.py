@@ -18,15 +18,17 @@ products replace a second eigendecomposition per step; above
 
 Every eigendecomposition in the library goes through this module, which
 is also the one place that finds blocks.  :func:`split_blocks` takes the
-union of the exactly nonzero entries of one or more stacks; when that
-pattern falls apart into connected components (a conserved symmetry such
-as the oscillator's Fock parity), :func:`eigh_block` decomposes each
-block on its own.  :func:`decompose_blocks` does this for every block of
-a stack and ranks the merged eigenvalues, so that callers can work block
-by block and still see the whole spectrum; a connected pattern is its
-one-block case.  :func:`block_eigh` scatters the blocks back into one
-dense ascending eigensystem; a matrix or stack whose pattern is
-connected takes ``numpy.linalg.eigh`` as is there.
+union of the exactly nonzero entries of one or more stacks; its
+connected components (a conserved symmetry such as the oscillator's Fock
+parity) are the blocks.  The kernels carry each block's own (K, b, b)
+stacks, as the model hands them over; :func:`decompose_blocks`
+decomposes each by :func:`eigh_block` and ranks the merged eigenvalues,
+so that callers can work block by block and still see the whole
+spectrum; a connected pattern is its one-block case.  :func:`block_eigh`
+cuts one dense matrix or stack into its blocks and scatters their
+eigenvectors back into one dense ascending eigensystem; a matrix or
+stack whose pattern is connected takes ``numpy.linalg.eigh`` as is
+there.
 
 A block whose coupling graph is a tree is decomposed as a real symmetric
 matrix.  A diagonal unitary D changes the phase of every coupling H_ab
@@ -271,8 +273,8 @@ def spectral_gaps(evals, check_levels: int | None = None):
     Raises :class:`DegenerateSpectrumError` for the first matrix whose
     smallest gap falls below its :func:`default_gap_tol`, the library's one
     degeneracy rule; a degenerate spectrum invalidates every construction
-    downstream that divides by eigenvalue differences.
-    Fewer than two checked levels give an infinite gap.
+    downstream that divides by eigenvalue differences.  A NaN gap misses
+    the rule too.  Fewer than two checked levels give an infinite gap.
     """
     evals = np.asarray(evals, dtype=float)
     gaps = np.diff(evals[..., :check_levels], axis=-1)
@@ -281,7 +283,7 @@ def spectral_gaps(evals, check_levels: int | None = None):
     worst = np.argmin(gaps, axis=-1)
     min_gap = np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0]
     threshold = np.broadcast_to(default_gap_tol(evals), min_gap.shape)
-    bad = np.flatnonzero(min_gap < threshold)
+    bad = np.flatnonzero(~(min_gap >= threshold))
     if bad.size:
         k = bad[0]
         raise DegenerateSpectrumError(int(worst.flat[k]), float(min_gap.flat[k]),
@@ -315,10 +317,7 @@ class Block(NamedTuple):
     parent: np.ndarray | None
 
     def take(self, stack: np.ndarray) -> np.ndarray:
-        """The block's diagonal sub-stack of a (..., d, d) stack; the stack
-        itself when the block covers every index."""
-        if len(self.index) == stack.shape[-1]:
-            return stack
+        """The block's diagonal sub-stack of a (..., d, d) stack."""
         return stack[..., self.index[:, None], self.index]
 
 
@@ -382,12 +381,11 @@ def split_blocks(*stacks):
     return _pattern_blocks(np.broadcast_to(pattern, (dim, dim)).tobytes(), dim)
 
 
-def _tree_links(stack: np.ndarray, block: Block):
+def _tree_links(stack: np.ndarray, parent: np.ndarray):
     """Local child indices of a tree block and the coupling H_pc of every
-    child c to its parent p, as a (K, children) array."""
-    idx, parent = block
-    child = np.flatnonzero(parent != np.arange(len(idx)))
-    return child, stack[:, idx[parent[child]], idx[child]]
+    child c to its parent p in its (K, b, b) stack, as (K, children)."""
+    child = np.flatnonzero(parent != np.arange(len(parent)))
+    return child, stack[:, parent[child], child]
 
 
 def _eigh_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -405,8 +403,8 @@ def _eigh_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 
 def eigh_block(stack: np.ndarray, block: Block):
-    """``eigh`` of one diagonal block of a (K, d, d) Hermitian stack, in
-    the block's tree gauge.
+    """``eigh`` of a block's own (K, b, b) Hermitian stack, in the block's
+    tree gauge.
 
     A block whose coupling graph is a tree carries no gauge-invariant
     flux: with the diagonal unitary D of :func:`tree_gauge`, D^dag H D is
@@ -419,16 +417,16 @@ def eigh_block(stack: np.ndarray, block: Block):
     block, and any real input, takes ``numpy.linalg.eigh`` as it is
     (D = 1).
     """
-    idx, parent = block
+    parent = block.parent
     if parent is None or not np.iscomplexobj(stack):
-        return np.linalg.eigh(block.take(stack))
-    child, link = _tree_links(stack, block)
+        return np.linalg.eigh(stack)
+    child, link = _tree_links(stack, parent)
     size = np.abs(link)
-    diag = stack[:, idx, idx].real
-    if len(idx) == 2:
+    local = np.arange(len(parent))
+    diag = stack[:, local, local].real
+    if len(parent) == 2:
         return _eigh_2x2(diag[:, 0], size[:, 0], diag[:, 1])
-    real = np.zeros((len(stack), len(idx), len(idx)), dtype=float)
-    local = np.arange(len(idx))
+    real = np.zeros(stack.shape, dtype=float)
     real[:, local, local] = diag
     real[:, parent[child], child] = size
     real[:, child, parent[child]] = size
@@ -436,23 +434,23 @@ def eigh_block(stack: np.ndarray, block: Block):
 
 
 def tree_gauge(stack: np.ndarray, block: Block):
-    """The diagonal of the gauge D of a tree block of a complex (K, d, d)
-    stack, as a (K, b) array of unit phases; None for a block with a
-    cycle and for real input, which :func:`eigh_block` decomposes as it
-    is.
+    """The diagonal of the gauge D of a tree block, from the block's own
+    complex (K, b, b) stack, as a (K, b) array of unit phases; None for a
+    block with a cycle and for real input, which :func:`eigh_block`
+    decomposes as it is.
 
     D is propagated from the root so that D_c = D_p conj(H_pc)/|H_pc|
     along every tree edge p -> c (1 where H_pc is exactly 0), which makes
     every coupling of D^dag H D real and non-negative.
     """
-    idx, parent = block
+    parent = block.parent
     if parent is None or not np.iscomplexobj(stack):
         return None
-    child, link = _tree_links(stack, block)
+    child, link = _tree_links(stack, parent)
     size = np.abs(link)
     unit = np.ones_like(link)
     np.divide(link.conj(), size, out=unit, where=size > 0)
-    gauge = np.ones((len(stack), len(idx)), dtype=complex)
+    gauge = np.ones((len(stack), len(parent)), dtype=complex)
     gauge[:, child] = unit
     up = parent
     while np.any(up):  # pointer jumping: products along each path to the root
@@ -536,30 +534,19 @@ class BlockSystem(NamedTuple):
         return vecs
 
 
-def decompose_blocks(stack: np.ndarray, *others, blocks=None) -> BlockSystem:
-    """Decompose a (K, d, d) Hermitian stack block by block.
-
-    The blocks are those of the joint nonzero pattern of ``stack`` and
-    the ``others`` (see :func:`split_blocks`), so that every block of the
-    others is also block diagonal over them; a connected pattern is one
-    block holding every index.  ``blocks``, when given, are used instead:
-    blocks of any pattern that covers every entry of the stack and the
-    others, such as the fixed pattern of a model's terms.  Each block is
-    decomposed once by :func:`eigh_block`, and the eigenvalues are merged
-    in ascending order by a stable sort, so exact ties keep block order.
+def decompose_blocks(blocks, stacks) -> BlockSystem:
+    """Decompose a (K, d, d) Hermitian stack block by block: ``stacks[b]``
+    is the (K, b, b) stack of ``blocks[b]``, the blocks of a pattern that
+    covers every entry.  Each block is decomposed once by
+    :func:`eigh_block`, and the eigenvalues are merged in ascending order
+    by a stable sort, so exact ties keep block order.
     """
-    return _decompose(stack, split_blocks(stack, *others) if blocks is None else blocks)
-
-
-def _decompose(stack: np.ndarray, blocks) -> BlockSystem:
-    """:func:`decompose_blocks` over the given blocks (None: one block)."""
-    dim = stack.shape[-1]
-    blocks = blocks or (Block(np.arange(dim), None),)
-    parts = tuple(eigh_block(stack, block) for block in blocks)
-    gauges = tuple(tree_gauge(stack, block) for block in blocks)
+    parts = tuple(eigh_block(s, block) for block, s in zip(blocks, stacks))
+    gauges = tuple(tree_gauge(s, block) for block, s in zip(blocks, stacks))
     if len(parts) == 1:  # eigh's eigenvalues ascend already
-        order = np.arange(dim)[None].repeat(len(stack), 0)
-        return BlockSystem(blocks, parts, gauges, parts[0][0], order)
+        evals = parts[0][0]
+        return BlockSystem(blocks, parts, gauges, evals,
+                           np.arange(evals.shape[-1])[None].repeat(len(evals), 0))
     evals = np.concatenate([w for w, _ in parts], axis=-1)
     order = np.argsort(evals, axis=-1, kind="stable")
     return BlockSystem(blocks, parts, gauges, np.take_along_axis(evals, order, axis=-1), order)
@@ -584,7 +571,7 @@ def block_eigh(h):
     blocks = None if np.count_nonzero(stack[:1]) == dim * dim else split_blocks(stack)
     if blocks is None or len(blocks) == 1:
         return np.linalg.eigh(h)
-    system = _decompose(stack, blocks)
+    system = decompose_blocks(blocks, [block.take(stack) for block in blocks])
     return system.evals.reshape(h.shape[:-1]), system.frames().reshape(h.shape)
 
 

@@ -41,10 +41,11 @@ gauge (see :mod:`adiaconn.operator_core`), and the connection is
 contracted in that gauge with real matrix products.  The Wilson loop
 works on the blocks of H in the same way: overlaps are taken within each
 block, and only the frames at chunk seams and at the base point are
-written densely.  For a term family (every built-in model) no chunk is
-scanned: the blocks are those of the union pattern of its terms, which
-covers H and every gradient at every point, and the model hands them
-over with H and G (:meth:`ParametricHamiltonian._kernel_batch`).
+written densely.  The model hands over the blocks with each block's own
+stacks of H and G (:meth:`ParametricHamiltonian._kernel_batch`); for a
+term family (every built-in model) no chunk is scanned and no dense
+stack is built: the blocks are those of the union pattern of its terms,
+which covers H and every gradient at every point.
 """
 
 from __future__ import annotations
@@ -223,14 +224,11 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     size = _chunk_size(model.dim)
     for start in range(0, len(mids), size):
         mid = mids[start:start + size]
-        h, g, blocks = model._kernel_batch(mid, deltas[start:start + size, None])
-        g = g[:, 0]
-        system = decompose_blocks(h, g, blocks=blocks)
-        min_gap = spectral_gaps(system.evals, model.check_levels)
-        if model.dim > 1 and np.any(min_gap <= 0.0):
-            raise ValueError("the connection requires a non-degenerate spectrum")
-        gens = [contract_stack(e, v, b.take(g), weight, gauge)
-                for b, (e, v), gauge in zip(system.blocks, system.parts, system.gauges)]
+        blocks, hs, gs = model._kernel_batch(mid, deltas[start:start + size, None])
+        system = decompose_blocks(blocks, hs)
+        spectral_gaps(system.evals, model.check_levels)
+        gens = [contract_stack(e, v, g[:, 0], weight, gauge)
+                for g, (e, v), gauge in zip(gs, system.parts, system.gauges)]
         finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
                          for w in gens], axis=0)
         if not finite.all():
@@ -430,9 +428,8 @@ def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarr
     product = np.ones(model.dim, dtype=complex)
     size = _chunk_size(model.dim)
     for start in range(0, len(nodes), size):
-        h, _, blocks = model._kernel_batch(nodes[start:start + size])
-        system = decompose_blocks(h, blocks=blocks)
-        del h  # the dense stack is not needed past the decomposition
+        blocks, hs, _ = model._kernel_batch(nodes[start:start + size])
+        system = decompose_blocks(blocks, hs)
         spectral_gaps(system.evals, model.check_levels)
         ends = system.frames([0, -1])
         overlaps = _block_overlaps(system)

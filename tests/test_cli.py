@@ -399,3 +399,152 @@ def test_readme_cli_examples_parse():
         with main.make_context("adiaconn", list(args)) as ctx:
             name, cmd, rest = main.resolve_command(ctx, args)
             cmd.make_context(name, rest, parent=ctx)
+
+
+def _wrapped(a, b):
+    return np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))
+
+
+def _check_connection(results, out):
+    from adiaconn.reference import su2_analytic_connection
+
+    ref = su2_analytic_connection(1.0, 1.0, 0.3)
+    for name, want in zip(("B", "theta", "phi"), ref.components):
+        assert np.linalg.norm(as_complex(results["components"][name]) - want) < 1e-10
+
+
+def _check_shift(results, out):
+    # E_m = m B mu: dE/dB = m, and the angles leave the levels unchanged
+    m = np.array([-1.0, 0.0, 1.0])
+    assert np.allclose(results["level_slopes"], np.column_stack([m, 0 * m, 0 * m]),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(results["eigenvalues"], 1.3 * m, rtol=0, atol=1e-12)
+
+
+def _check_time_average(results, out):
+    from adiaconn.reference import su2_analytic_connection
+
+    ref = su2_analytic_connection(0.5, 1.1, 0.4)
+    for name, want in zip(("B", "theta", "phi"), ref.components):
+        got = as_complex(results["components"][name])
+        assert np.linalg.norm(got - want) <= results["error_estimate"]
+
+
+def _check_transport(results, out):
+    from adiaconn.operator_core import expm_hermitian
+    from adiaconn.reference import su2_analytic_connection
+
+    # along the phi = 0 meridian A_theta = -J_phi is constant, so the
+    # transport is exp(i A_theta * (1.1 - 0.2)) exactly
+    a_theta = su2_analytic_connection(1.0, 0.5, 0.0).components[1]
+    want = expm_hermitian(a_theta, 0.9).matrix
+    assert np.max(np.abs(as_complex(results["operator"]) - want)) < 1e-12
+    assert results["transported_eigenvector_residual"] < 1e-12
+
+
+def _check_loop_phases(key):
+    def check(results, out):
+        from adiaconn.reference import su2_triangle_phases
+
+        assert np.max(_wrapped(results[key], su2_triangle_phases(1.0, 1.2))) < 1e-9
+    return check
+
+
+def _check_holonomy(results, out):
+    _check_loop_phases("phases")(results, out)
+    assert results["reliable"] and results["offdiag_residual"] < 1e-9
+
+
+def _check_curvature(results, out):
+    from adiaconn.reference import su2_analytic_curvature, su2_berry_curvature
+
+    ref = su2_analytic_curvature(1.0, 1.0, 0.3)
+    # the components come from a central stencil with noise near 1e-10
+    for key, pair in (("B_theta", (0, 1)), ("B_phi", (0, 2)), ("theta_phi", (1, 2))):
+        assert np.max(np.abs(as_complex(results["components"][key]) - ref.components[pair])) < 1e-8
+    assert results["diagonality_residual"] < 1e-8
+    levels = results["berry_levels"]
+    assert np.allclose(levels["theta_phi"], su2_berry_curvature(1.0, 1.0), rtol=0, atol=1e-12)
+    assert np.allclose([levels["B_theta"], levels["B_phi"]], 0.0, rtol=0, atol=1e-12)
+
+
+def _check_curvature_map(results, out):
+    from adiaconn.reference import su2_berry_curvature
+
+    with (out / "curvature_map.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 3 and results["cells_ok"] == 6
+    for row in rows:
+        want = su2_berry_curvature(1.0, float(row["lambda_2"]))[int(row["level"])]
+        assert row["status"] == "ok" and abs(float(row["W"]) - want) < 1e-9
+
+
+def _check_berry_surface(results, out):
+    from adiaconn.reference import su2_triangle_phases
+
+    # a cap of solid angle 1.2 encloses the triangle's flux
+    assert abs(results["phase"] - su2_triangle_phases(1.0, 1.2)[2]) < 1e-4
+
+
+def _check_nast(results, out):
+    from adiaconn.reference import su2_triangle_phases
+
+    assert results["nast_residual"] <= 1e-3
+    assert np.max(_wrapped(results["surface_phases"], su2_triangle_phases(0.5, 1.2))) <= 1e-3
+
+
+def _check_flatness(results, out):
+    from adiaconn.reference import su2_triangle_phases
+
+    assert results["flatness_residual"] < 1e-4
+    assert np.max(_wrapped(results["averaged_connection_phases"],
+                           su2_triangle_phases(1.0, 1.2))) < 1e-9
+
+
+def _check_drive(results, out):
+    # level 1 of spin 1/2 rides E = +B mu / 2 for tau = 0.5: no geometric
+    # phase along a meridian, so the phase is the dynamical -E tau
+    assert results["min_fidelity"] >= 1 - 1e-6
+    assert _wrapped(results["final_phase"], -0.25) < 1e-9
+    assert (out / "trajectory.csv").stat().st_size > 0
+
+
+def _check_validate_model(results, out):
+    assert results == {"dim": 2, "params": ["a"], "n_terms": 2, "exponents": [[0], [1]],
+                       "round_trip_ok": True}
+
+
+LOOP = ["--l", "1", "--omega", "1.2"]
+SUCCESS_RUNS = {
+    "connection": (["--l", "1", "--at", "1,1,0.3"], _check_connection),
+    "shift": (["--l", "1", "--at", "1.3,0.9,0.2"], _check_shift),
+    "time-average": (["--at", "1,1.1,0.4", "--horizon", "150"], _check_time_average),
+    "transport": (["--l", "1", "--sweep-theta", "0.2,1.1", "--steps", "200"], _check_transport),
+    "holonomy": (LOOP + ["--steps", "200"], _check_holonomy),
+    "wilson": (LOOP + ["--steps", "200"], _check_loop_phases("phases")),
+    "curvature": (["--l", "1", "--at", "1,1,0.3"], _check_curvature),
+    "curvature-map": (["--l", "1", "--axes", "theta,phi", "--u-range", "0.1,3",
+                       "--v-range", "0,0", "--grid", "6x1"], _check_curvature_map),
+    "berry-surface": (["--l", "1", "--surface", "cap", "--omega", "1.2", "--grid", "40",
+                       "--level", "2"], _check_berry_surface),
+    "nast-check": (["--cap", "1.2", "--grid", "30"], _check_nast),
+    "flatness": (LOOP + ["--steps", "300"], _check_flatness),
+    "drive": (["--tau", "0.5", "--dt", "0.001", "--level", "1"], _check_drive),
+    "validate-model": ([], _check_validate_model),
+}
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_every_command_runs_to_success(runner, tmp_path, name):
+    # a command added without an entry here fails this test
+    assert sorted(SUCCESS_RUNS) == sorted(main.commands) and len(main.commands) == 13
+    args, check = SUCCESS_RUNS[name]
+    if name == "validate-model":
+        model_path = tmp_path / "toy.model"
+        model_path.write_text(TOY_MODEL)
+        args = ["--file", str(model_path)]
+    out = tmp_path / "out"
+    run_ok(runner, [name, *args, "--out", str(out)])
+    report = load_report(out)
+    assert report["command"] == name and report["status"] == "ok"
+    check(report["results"], out)

@@ -15,6 +15,7 @@ from adiaconn.curvature import yang_mills_curvature
 from adiaconn.models import OscillatorModel, constant_model
 from adiaconn.operator_core import (
     PhaseConvention,
+    SpectralDecomposition,
     expm_hermitian,
     expm_hermitian_derivative,
 )
@@ -43,6 +44,15 @@ class TestSpectralConnection:
             ref = su2_analytic_connection(l, *lam[1:])
             for got, want in zip(a.components, ref.components):
                 assert np.linalg.norm(got - want) < 1e-10
+
+    def test_nan_gap_rejected(self, su2_half):
+        # SpectralDecomposition is public, so a hand-built one can carry
+        # any min_gap; a NaN gap must not pass as non-degenerate
+        lam = [1.0, 0.7, 0.2]
+        spec = su2_half.spectral_at(lam)
+        broken = SpectralDecomposition(spec.eigenvalues, spec.frame, float("nan"))
+        with pytest.raises(ValueError, match="non-degenerate"):
+            connection_spectral(broken, su2_half.grad_h(lam))
 
     def test_constant_model_vanishes(self):
         model = constant_model(SZ, n_params=2)

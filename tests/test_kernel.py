@@ -8,6 +8,9 @@ kernel existed.  The ``tiny_chunks`` fixture shrinks the chunk size so
 that small paths cross many chunk seams.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -683,8 +686,9 @@ class TestBlockSweeps:
         patch = planar_patch([-0.3, 0.2], [0.6, 0.0], [0.0, 0.4], grid=(7, 5))
         centres = patch.points(np.stack(np.meshgrid((np.arange(7) + 0.5) / 7,
                                                     (np.arange(5) + 0.5) / 5), axis=-1))
-        h, g = model.eval_batch(centres.reshape(-1, 2), np.eye(2)[None].repeat(35, axis=0))
-        system = operator_core.decompose_blocks(h, g)
+        blocks, hs, _ = model._kernel_batch(centres.reshape(-1, 2),
+                                            np.eye(2)[None].repeat(35, axis=0))
+        system = operator_core.decompose_blocks(blocks, hs)
         assert len(system.blocks) == 2
         assert set(system.order[:, 1] >= 2) == {False, True}  # level 1 in either block
         blocked = berry_phase_surface(model, patch, [0, 1, 2])
@@ -713,7 +717,9 @@ class TestBlockSweeps:
         for k, b in enumerate([2.0, 1.5, -1.5, -2.0]):
             h[k, :2, :2] = np.diag([-1.0, 1.0]) + 0.2 * random_hermitian(rng, 2)
             h[k, 2, 2] = b
-        system = operator_core.decompose_blocks(h)
+        blocks = operator_core.split_blocks(h)
+        system = operator_core.decompose_blocks(blocks, [h[:, b.index[:, None], b.index]
+                                                         for b in blocks])
         assert len(system.blocks) == 2
         assert list(system.order[1]) == [0, 1, 2] and list(system.order[2]) == [2, 0, 1]
         frames = system.frames()
@@ -796,7 +802,7 @@ class TestTermPattern:
             cases.append((spec.to_model(), np.array([m for _, m in spec.terms]), [0.1, -0.2]))
         found = []
         for model, terms, point in cases:
-            found.append(model._kernel_batch(np.array([point]))[2])
+            found.append(model._kernel_batch(np.array([point]))[0])
             self.same_blocks(found[-1], operator_core.split_blocks(terms))
         # the oscillators split into their parity sectors, the planted model into four blocks
         assert [len(b) for b in found] == [1, 1, 1, 2, 2, 4, 1]
@@ -835,8 +841,8 @@ class TestTermPattern:
         model = Coupled(14, 4)
         loop = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=6)
         patch = planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(3, 2))
-        h, _, blocks = model._kernel_batch(loop.samples)
-        assert blocks is None and len(operator_core.split_blocks(h)) == 1
+        blocks, hs, _ = model._kernel_batch(loop.samples)
+        assert len(blocks) == 1 and len(operator_core.split_blocks(hs[0])) == 1
 
         def outputs():
             return (holonomy(model, loop).operator.matrix, wilson_loop_phases(model, loop),
@@ -861,6 +867,46 @@ class TestTermPattern:
         for family in families:
             assert "_evaluate_batch" not in vars(family)
             assert "_coefficients" in vars(family)
+
+    def test_block_stacks_are_the_blocks_of_the_dense_stacks(self, rng):
+        from adiaconn.models import constant_model
+
+        cases = [(Su2Model(l), np.column_stack([rng.uniform(0.5, 2.0, 5),
+                                                rng.uniform(0.0, np.pi, 5),
+                                                rng.uniform(0.0, 2 * np.pi, 5)]))
+                 for l in (0.5, 1.0, 1.5)]
+        for osc in (OscillatorModel(60, 20), OscillatorModel(14, 4)):
+            cases.append((osc, [2.0, 0.3, 1.4] + rng.uniform(-0.2, 0.2, (5, 3))))
+        for model in (planted_block_spec(rng)[0].to_model(), random_polynomial_model(rng),
+                      constant_model(random_hermitian(rng, 3), n_params=2)):
+            cases.append((model, rng.uniform(-0.3, 0.3, (5, 2))))
+        for model, lams in cases:
+            directions = rng.normal(size=(len(lams), 2, model.n_params))
+            blocks, hs, gs = model._kernel_batch(lams, directions)
+            h, g = model.eval_batch(lams, directions)
+            inside = np.zeros((model.dim, model.dim), dtype=bool)
+            for b, hb, gb in zip(blocks, hs, gs):
+                assert np.array_equal(hb, b.take(h)) and np.array_equal(gb, b.take(g))
+                inside[np.ix_(b.index, b.index)] = True
+            assert np.all(h[:, ~inside] == 0) and np.all(g[..., ~inside] == 0)
+
+    def test_only_the_model_and_block_eigh_take_blocks(self):
+        # the kernels carry each block's own stacks from the model on: no
+        # other code cuts a block out of a dense stack
+        src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
+        takers = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scope = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for inner in ast.walk(node):
+                        scope[inner] = node.name  # innermost function wins
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "take"):
+                    takers.add((path.name, scope.get(node)))
+        assert takers == {("models.py", "_kernel_batch"), ("operator_core.py", "block_eigh")}
 
     def test_overflowing_coefficient_is_non_finite(self):
         model = ModelSpec(dim=2, param_names=("l1", "l2"), terms=(

@@ -121,6 +121,11 @@ class TestSpectralDecompose:
         spec = spectral_decompose(np.array([[2.0]], dtype=complex))
         assert spec.min_gap == np.inf
 
+    def test_nan_gap_fails_closed(self):
+        # nan < threshold is False, so a NaN gap must be caught explicitly
+        with pytest.raises(DegenerateSpectrumError):
+            operator_core.spectral_gaps(np.array([0.0, np.nan, 1.0]))
+
 
 class TestExpm:
     def test_zero_time_is_identity(self, rng):
@@ -315,7 +320,7 @@ class TestClosedForm2x2:
         stack[:, 0, 0], stack[:, 1, 1] = [0.4, 0.7, -1.0], [1.1, 0.7, 2.0]
         stack[:, 0, 1] = [0.2 + 0.1j, 0.0, -0.5j]
         stack[:, 1, 0] = stack[:, 0, 1].conj()
-        system = operator_core.decompose_blocks(stack)
+        system = operator_core.decompose_blocks(operator_core.split_blocks(stack), [stack])
         assert system.evals[1, 0] == system.evals[1, 1] == 0.7
         with pytest.raises(DegenerateSpectrumError) as caught:
             operator_core.spectral_gaps(system.evals)
