@@ -110,7 +110,7 @@ def contract_stack(evals, vecs, g, weight=connection_weight, gauge=None) -> np.n
     contracted with whatever direction G is the gradient along.
 
     With a ``gauge`` D (..., d) of unit phases, as a tree block keeps it
-    (see :func:`~adiaconn.operator_core.tree_gauge`), the eigenvectors
+    (see :func:`~adiaconn.operator_core.eigh_block`), the eigenvectors
     are V = D ``vecs``: G is rephased to D^dag G D, contracted against
     ``vecs`` and rephased back.  Real ``vecs`` rotate with real matrix
     products only.
@@ -134,13 +134,16 @@ def connection_spectral(
 
     A_mu = i * sum_{m != n} |m><m| dH/dlambda_mu |n><n| / (E_m - E_n),
     assembled in the eigenbasis and rotated back.  Requires a
-    non-degenerate decomposition.
+    non-degenerate decomposition and finite gradients.
     """
     if spec.dim > 1 and not spec.min_gap > 0.0:  # a NaN gap fails too
         raise ValueError("connection_spectral requires a non-degenerate spectrum")
     if not len(grad_h):
         return ConnectionOneForm(())
-    a = contract_stack(spec.eigenvalues, spec.frame.matrix, np.asarray(grad_h, dtype=complex))
+    g = np.asarray(grad_h, dtype=complex)
+    if not np.isfinite(g).all():
+        raise ValueError("connection_spectral requires finite gradients")
+    a = contract_stack(spec.eigenvalues, spec.frame.matrix, g)
     return ConnectionOneForm(tuple(a))
 
 

@@ -181,7 +181,7 @@ def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
     rows = system.evals[:, levels]
     batch, dim = np.arange(len(column))[:, None], system.evals.shape[-1]
     out, start = 0.0, 0
-    for (e, v), gauge, g in zip(system.parts, system.gauges, gs):
+    for (e, v, gauge), g in zip(system.parts, gs):
         local = column - start
         start += e.shape[-1]
         delta = rows[:, :, None] - e[:, None, :]  # [k, row, n']
@@ -209,7 +209,7 @@ def berry_curvature_levels(
     g = np.asarray(grad_h)[np.stack([mu, nu], axis=1)]
     dim = spec.dim
     system = BlockSystem((Block(np.arange(dim), None),),
-                         ((spec.eigenvalues[None], spec.frame.matrix[None]),), (None,),
+                         ((spec.eigenvalues[None], spec.frame.matrix[None], None),),
                          spec.eigenvalues[None], np.arange(dim)[None])
     w = _level_curvature(system, (g,), np.arange(dim))
     return BerryCurvatureTable(pairs=tuple(zip(mu.tolist(), nu.tolist())), table=w.T)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import operator_core
 from .operator_core import (
-    Block,
     PhaseConvention,
     DEFAULT_PHASE_CONVENTION,
     SpectralDecomposition,
@@ -214,8 +213,9 @@ class ParametricHamiltonian:
         """:meth:`eval_batch` for the chunked kernels, block by block: the
         blocks to decompose over, as a tuple of
         :class:`~adiaconn.operator_core.Block`, and each block's own H and
-        G stacks, (K, b, b) and (K, M, b, b).  ValueError when H has a
-        non-finite entry, which no decomposition downstream would report.
+        G stacks, (K, b, b) and (K, M, b, b).  ValueError when H or G has
+        a non-finite entry, which no decomposition or contraction
+        downstream would report.
 
         A term family that keeps the base ``_evaluate_batch`` is checked
         on its pattern entries only, and writes the blocks of its term
@@ -227,16 +227,12 @@ class ParametricHamiltonian:
         if self._term_values is None or (
                 type(self)._evaluate_batch is not ParametricHamiltonian._evaluate_batch):
             h, g = self._evaluate_batch(lams, directions)
-            if not np.isfinite(h.view(float)).all():
-                raise ValueError("Hamiltonian has non-finite entries")
-            blocks = (operator_core.split_blocks(h, g) if g.shape[1]
-                      else operator_core.split_blocks(h)) or (Block(np.arange(self.dim), None),)
+            _check_finite(h.view(float), g)
+            blocks = operator_core.split_blocks(h, g)
             return blocks, [b.take(h) for b in blocks], [b.take(g) for b in blocks]
         h, g = self._pattern_values(lams, directions)
-        if not np.isfinite(h).all():
-            raise ValueError("Hamiltonian has non-finite entries")
-        blocks = (operator_core._pattern_blocks(self._pattern, self.dim)
-                  or (Block(np.arange(self.dim), None),))
+        _check_finite(h, g)
+        blocks = operator_core._pattern_blocks(self._pattern, self.dim)
         # one buffer, not one per block: the chunk's largest allocation then
         # keeps glibc from trimming and refaulting the heap after every chunk
         slots, sizes = self._packed_slots(blocks), [len(b.index) for b in blocks]
@@ -310,6 +306,15 @@ class ParametricHamiltonian:
                 start += n * n
             self._slot_maps[key] = 2 * position.ravel()[self._slots // 2] + self._slots % 2
         return self._slot_maps[key]
+
+
+def _check_finite(h: np.ndarray, g: np.ndarray) -> None:
+    """ValueError when the Hamiltonian values ``h`` or the gradient values
+    ``g`` of a chunk have a non-finite entry, H first."""
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    if not np.isfinite(g).all():
+        raise ValueError("Hamiltonian gradient has non-finite entries")
 
 
 def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:

@@ -20,15 +20,15 @@ Every eigendecomposition in the library goes through this module, which
 is also the one place that finds blocks.  :func:`split_blocks` takes the
 union of the exactly nonzero entries of one or more stacks; its
 connected components (a conserved symmetry such as the oscillator's Fock
-parity) are the blocks.  The kernels carry each block's own (K, b, b)
+parity) are the blocks, and a connected pattern, with or without a
+cycle, is one block.  The kernels carry each block's own (K, b, b)
 stacks, as the model hands them over; :func:`decompose_blocks`
 decomposes each by :func:`eigh_block` and ranks the merged eigenvalues,
 so that callers can work block by block and still see the whole
-spectrum; a connected pattern is its one-block case.  :func:`block_eigh`
-cuts one dense matrix or stack into its blocks and scatters their
-eigenvectors back into one dense ascending eigensystem; a matrix or
-stack whose pattern is connected takes ``numpy.linalg.eigh`` as is
-there.
+spectrum.  :func:`block_eigh` cuts one dense matrix or stack into its
+blocks and scatters their eigenvectors back into one dense ascending
+eigensystem; a matrix or stack whose pattern is connected takes
+``numpy.linalg.eigh`` as is there.
 
 A block whose coupling graph is a tree is decomposed as a real symmetric
 matrix.  A diagonal unitary D changes the phase of every coupling H_ab
@@ -38,12 +38,14 @@ only phases a change of eigenvector gauge cannot remove, much as a
 holonomy comes from curvature and not from the gauge of the connection.
 A tree has no cycle, so all its coupling phases are pure gauge: one D,
 built by walking the tree from its root, removes them all, D^dag H D is
-real, and a real ``eigh`` of it costs roughly half the complex one.  The
-block keeps its eigenvectors as D and the real R of that ``eigh``, so
-that callers can rotate into the eigenbasis with real matrix products.
-The 60-level oscillator couples level n only to n +- 2, so each parity
-sector is a chain and takes the real path; so does a connected tree,
-such as spin 1/2 (two levels) and the tridiagonal higher spins.
+real, and a real ``eigh`` of it costs roughly half the complex one.
+:func:`eigh_block` finds D and the real matrix from one pass over the
+tree's couplings and returns the block's eigensystem as one record: its
+eigenvalues, the real R of that ``eigh``, and D, so that callers can
+rotate into the eigenbasis with real matrix products.  The 60-level
+oscillator couples level n only to n +- 2, so each parity sector is a
+chain and takes the real path; so does a connected tree, such as spin
+1/2 (two levels) and the tridiagonal higher spins.
 
 Spin 1/2 makes every stacked matrix 2x2, where ``eigh`` and stacked
 ``matmul`` cost mostly per-matrix call overhead.  A two-node tree block
@@ -83,7 +85,6 @@ __all__ = [
     "BlockSystem",
     "split_blocks",
     "eigh_block",
-    "tree_gauge",
     "gauge_phase",
     "matmul",
     "sandwich",
@@ -342,7 +343,7 @@ def _tree_parents(adjacent: np.ndarray) -> np.ndarray | None:
 def _pattern_blocks(pattern: bytes, dim: int):
     """Connected components of a (dim, dim) boolean nonzero pattern, each
     a :class:`Block` with its tree when it has one; a connected pattern is
-    one block if it is a tree, and None if it has a cycle."""
+    one block."""
     adjacent = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
     adjacent = (adjacent | adjacent.T) & ~np.eye(dim, dtype=bool)
     reach = (adjacent | np.eye(dim, dtype=bool)).astype(float)
@@ -352,9 +353,6 @@ def _pattern_blocks(pattern: bytes, dim: int):
             break
         reach = grown
     label = np.argmax(reach, axis=0)  # lowest index of each component
-    if not label.any():
-        parent = _tree_parents(adjacent)
-        return None if parent is None else (Block(np.arange(dim), parent),)
     blocks = (np.flatnonzero(label == first) for first in np.unique(label))
     return tuple(Block(idx, _tree_parents(adjacent[idx[:, None], idx])) for idx in blocks)
 
@@ -362,15 +360,13 @@ def _pattern_blocks(pattern: bytes, dim: int):
 def split_blocks(*stacks):
     """Blocks of the union of the exactly nonzero entries of one or more
     (..., d, d) stacks, as a tuple of :class:`Block`; a connected union is
-    one block when it is a tree.  None when that union is connected and
-    has a cycle, so that neither a block split nor the real tree path
-    applies."""
+    one block, and an empty stack adds no entry to the union."""
     dim = stacks[0].shape[-1]
     pattern = False
     for s in stacks:
         s = s.reshape(-1, dim, dim)
         if len(s) == 0:
-            return None
+            continue
         if np.count_nonzero(s[0]) == dim * dim:
             pattern = True  # one dense matrix makes the union dense
             break
@@ -379,13 +375,6 @@ def split_blocks(*stacks):
         nonzero = np.any(np.ascontiguousarray(s).view(s.real.dtype) != 0, axis=0)
         pattern = pattern | nonzero.reshape(dim, dim, -1).any(axis=-1)
     return _pattern_blocks(np.broadcast_to(pattern, (dim, dim)).tobytes(), dim)
-
-
-def _tree_links(stack: np.ndarray, parent: np.ndarray):
-    """Local child indices of a tree block and the coupling H_pc of every
-    child c to its parent p in its (K, b, b) stack, as (K, children)."""
-    child = np.flatnonzero(parent != np.arange(len(parent)))
-    return child, stack[:, parent[child], child]
 
 
 def _eigh_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -404,49 +393,27 @@ def _eigh_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 def eigh_block(stack: np.ndarray, block: Block):
     """``eigh`` of a block's own (K, b, b) Hermitian stack, in the block's
-    tree gauge.
+    tree gauge: ``(evals, vecs, gauge)``, where the block's eigenvectors
+    are ``gauge[..., :, None] * vecs``, or ``vecs`` when ``gauge`` is None.
 
     A block whose coupling graph is a tree carries no gauge-invariant
-    flux: with the diagonal unitary D of :func:`tree_gauge`, D^dag H D is
-    real symmetric, with the entries |H_pc| along the tree edges.  That
-    real matrix is decomposed instead; its eigenvectors R give the
-    block's eigenvectors D R.  A two-node tree block, [[a, |H_01|],
-    [|H_01|, c]], is decomposed in closed form from one rotation angle
-    (:func:`_eigh_2x2`), the only caller of that form, so its eigenvalues
-    meet the same degeneracy rule as every other block's.  Any other
-    block, and any real input, takes ``numpy.linalg.eigh`` as it is
-    (D = 1).
+    flux.  Its gauge D, a (K, b) array of unit phases, is propagated from
+    the root so that D_c = D_p conj(H_pc)/|H_pc| along every tree edge
+    p -> c (1 where H_pc is exactly 0); then D^dag H D is real symmetric,
+    with the entries |H_pc| along the tree edges.  That real matrix is
+    decomposed instead, and ``vecs`` are its real eigenvectors R.  A
+    two-node tree block, [[a, |H_01|], [|H_01|, c]], is decomposed in
+    closed form from one rotation angle (:func:`_eigh_2x2`), the only
+    caller of that form, so its eigenvalues meet the same degeneracy rule
+    as every other block's.  A block with a cycle, and any real input,
+    takes ``numpy.linalg.eigh`` as it is, with ``gauge`` None.
     """
     parent = block.parent
     if parent is None or not np.iscomplexobj(stack):
-        return np.linalg.eigh(stack)
-    child, link = _tree_links(stack, parent)
-    size = np.abs(link)
+        return (*np.linalg.eigh(stack), None)
     local = np.arange(len(parent))
-    diag = stack[:, local, local].real
-    if len(parent) == 2:
-        return _eigh_2x2(diag[:, 0], size[:, 0], diag[:, 1])
-    real = np.zeros(stack.shape, dtype=float)
-    real[:, local, local] = diag
-    real[:, parent[child], child] = size
-    real[:, child, parent[child]] = size
-    return np.linalg.eigh(real)
-
-
-def tree_gauge(stack: np.ndarray, block: Block):
-    """The diagonal of the gauge D of a tree block, from the block's own
-    complex (K, b, b) stack, as a (K, b) array of unit phases; None for a
-    block with a cycle and for real input, which :func:`eigh_block`
-    decomposes as it is.
-
-    D is propagated from the root so that D_c = D_p conj(H_pc)/|H_pc|
-    along every tree edge p -> c (1 where H_pc is exactly 0), which makes
-    every coupling of D^dag H D real and non-negative.
-    """
-    parent = block.parent
-    if parent is None or not np.iscomplexobj(stack):
-        return None
-    child, link = _tree_links(stack, parent)
+    child = np.flatnonzero(parent != local)
+    link = stack[:, parent[child], child]  # H_pc of every child c, (K, children)
     size = np.abs(link)
     unit = np.ones_like(link)
     np.divide(link.conj(), size, out=unit, where=size > 0)
@@ -456,7 +423,14 @@ def tree_gauge(stack: np.ndarray, block: Block):
     while np.any(up):  # pointer jumping: products along each path to the root
         gauge = gauge * gauge[:, up]
         up = up[up]
-    return gauge
+    diag = stack[:, local, local].real
+    if len(parent) == 2:
+        return (*_eigh_2x2(diag[:, 0], size[:, 0], diag[:, 1]), gauge)
+    real = np.zeros(stack.shape, dtype=float)
+    real[:, local, local] = diag
+    real[:, parent[child], child] = size
+    real[:, child, parent[child]] = size
+    return (*np.linalg.eigh(real), gauge)
 
 
 def gauge_phase(gauge: np.ndarray) -> np.ndarray:
@@ -478,44 +452,38 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sandwich(a, x, b) -> np.ndarray:
-    """a @ x @ b for stacks, or x @ b when ``a`` is None; with real a and
-    b, the real and imaginary parts of x are multiplied as real matrices,
-    several times faster than a complex product for small matrices, and
-    no complex copy of a or b is made.  A 2x2 x (d = 2) is multiplied by
-    :func:`matmul` instead, real by complex, with no split and no complex
-    re-assembly."""
+    """a @ x @ b for stacks; with real a and b, the real and imaginary
+    parts of x are multiplied as real matrices, several times faster than
+    a complex product for small matrices, and no complex copy of a or b
+    is made.  A 2x2 x (d = 2) is multiplied by :func:`matmul` instead,
+    real by complex, with no split and no complex re-assembly."""
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return x @ b if a is None else a @ x @ b
+        return a @ x @ b
     if x.shape[-1] == 2:
-        return matmul(x, b) if a is None else matmul(matmul(a, x), b)
-    if a is None:
-        return (x.real @ b) + 1j * (x.imag @ b)
+        return matmul(matmul(a, x), b)
     return (a @ x.real @ b) + 1j * (a @ x.imag @ b)
 
 
 class BlockSystem(NamedTuple):
     """Eigensystems of a (K, d, d) stack, one per block of its pattern.
 
-    ``parts[b]`` is what :func:`eigh_block` returns for ``blocks[b]``, and
-    ``gauges[b]`` what :func:`tree_gauge` returns for it: the eigenvectors
-    of the block are ``gauges[b][..., :, None] * parts[b][1]`` (the
-    vectors as they are when the gauge is None).  ``evals`` (K, d) merges
-    the block eigenvalues in ascending order, and ``order[k, n]`` is the
-    column of the block eigenvalues, concatenated in block order, that
-    holds level n of matrix k.
+    ``parts[b]`` is the ``(evals, vecs, gauge)`` that :func:`eigh_block`
+    returns for ``blocks[b]``.  ``evals`` (K, d) merges the block
+    eigenvalues in ascending order, and ``order[k, n]`` is the column of
+    the block eigenvalues, concatenated in block order, that holds level
+    n of matrix k.
     """
 
     blocks: tuple
     parts: tuple
-    gauges: tuple
     evals: np.ndarray
     order: np.ndarray
 
     def vectors(self, b: int, which=slice(None)) -> np.ndarray:
         """Eigenvectors of block ``b`` of the selected matrices, gauge
         applied."""
-        v, gauge = self.parts[b][1][which], self.gauges[b]
-        return v if gauge is None else gauge[which][..., :, None] * v
+        _, v, gauge = self.parts[b]
+        return v[which] if gauge is None else gauge[which][..., :, None] * v[which]
 
     def frames(self, which=slice(None)) -> np.ndarray:
         """Dense eigenvector stacks of the selected matrices, levels in
@@ -542,14 +510,13 @@ def decompose_blocks(blocks, stacks) -> BlockSystem:
     by a stable sort, so exact ties keep block order.
     """
     parts = tuple(eigh_block(s, block) for block, s in zip(blocks, stacks))
-    gauges = tuple(tree_gauge(s, block) for block, s in zip(blocks, stacks))
     if len(parts) == 1:  # eigh's eigenvalues ascend already
         evals = parts[0][0]
-        return BlockSystem(blocks, parts, gauges, evals,
+        return BlockSystem(blocks, parts, evals,
                            np.arange(evals.shape[-1])[None].repeat(len(evals), 0))
-    evals = np.concatenate([w for w, _ in parts], axis=-1)
+    evals = np.concatenate([w for w, _, _ in parts], axis=-1)
     order = np.argsort(evals, axis=-1, kind="stable")
-    return BlockSystem(blocks, parts, gauges, np.take_along_axis(evals, order, axis=-1), order)
+    return BlockSystem(blocks, parts, np.take_along_axis(evals, order, axis=-1), order)
 
 
 def block_eigh(h):
@@ -567,9 +534,10 @@ def block_eigh(h):
     h = np.asarray(h)
     dim = h.shape[-1]
     stack = h.reshape(-1, dim, dim)
-    # a dense first matrix makes the pattern connected: no pattern analysis
-    blocks = None if np.count_nonzero(stack[:1]) == dim * dim else split_blocks(stack)
-    if blocks is None or len(blocks) == 1:
+    # an empty stack has nothing to split, and a dense first matrix makes
+    # the pattern connected: no pattern analysis
+    blocks = split_blocks(stack) if len(stack) and np.count_nonzero(stack[0]) < dim * dim else ()
+    if len(blocks) < 2:
         return np.linalg.eigh(h)
     system = decompose_blocks(blocks, [block.take(stack) for block in blocks])
     return system.evals.reshape(h.shape[:-1]), system.frames().reshape(h.shape)

@@ -228,7 +228,7 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
         system = decompose_blocks(blocks, hs)
         spectral_gaps(system.evals, model.check_levels)
         gens = [contract_stack(e, v, g[:, 0], weight, gauge)
-                for g, (e, v), gauge in zip(gs, system.parts, system.gauges)]
+                for g, (e, v, gauge) in zip(gs, system.parts)]
         finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
                          for w in gens], axis=0)
         if not finite.all():
@@ -364,7 +364,7 @@ def _block_overlaps(system) -> np.ndarray:
     """
     now, later = system.order[:-1], system.order[1:]
     aligned = []
-    for (_, v), gauge in zip(system.parts, system.gauges):
+    for _, v, gauge in system.parts:
         if gauge is None:
             aligned.append(np.einsum("kic,kic->kc", v[:-1].conj(), v[1:]))
         else:

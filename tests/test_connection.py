@@ -54,6 +54,10 @@ class TestSpectralConnection:
         with pytest.raises(ValueError, match="non-degenerate"):
             connection_spectral(broken, su2_half.grad_h(lam))
 
+    def test_no_gradients_give_an_empty_form(self, su2_half):
+        a = connection_spectral(su2_half.spectral_at([1.0, 0.7, 0.2]), [])
+        assert a.components == () and a.n_params == 0
+
     def test_constant_model_vanishes(self):
         model = constant_model(SZ, n_params=2)
         a, _ = spectral_connection(model, [0.1, 0.2])
@@ -343,6 +347,11 @@ class TestGaugeTransform:
         a2 = gauge_transform(a, u, zero)
         for c1, c2 in zip(a.components, a2.components):
             assert np.linalg.norm(c2 - u @ c1 @ u.conj().T) < 1e-12
+
+    def test_rejects_wrong_number_of_du_components(self, su2_half):
+        a, _ = spectral_connection(su2_half, [1.0, 0.7, 0.2])
+        with pytest.raises(ValueError, match="need one dU component per parameter direction"):
+            gauge_transform(a, np.eye(2), [np.zeros((2, 2))] * 2)
 
     def test_rejects_non_unitary(self, su2_half, rng):
         lam = _su2_point(rng)

@@ -507,6 +507,34 @@ class TestErrorParity:
         assert str(batched.value) == str(reference.value)
 
 
+class InfiniteCoupling(Su2Model):
+    """Spin 1/2 with a finite H and an infinite gradient entry."""
+
+    def _evaluate_batch(self, lams, directions):
+        h, g = super()._evaluate_batch(lams, directions)
+        g[..., 0, 1] = np.inf
+        return h, g
+
+
+class TestNonFiniteGradient:
+    """A non-finite gradient fails closed with a named ValueError, before
+    any arithmetic on it can warn or return NaN."""
+
+    def test_surface(self):
+        patch = SurfacePatch(chart=su2_wedge_patch(1.0).chart, grid=(4, 4))
+        with pytest.raises(ValueError, match="Hamiltonian gradient has non-finite entries"):
+            berry_phase_surface(InfiniteCoupling(0.5), patch, [0, 1])
+
+    def test_holonomy(self):
+        with pytest.raises(ValueError, match="Hamiltonian gradient has non-finite entries"):
+            holonomy(InfiniteCoupling(0.5), su2_triangle_loop(1.0, refinement=10))
+
+    def test_connection_spectral(self):
+        model, lam = InfiniteCoupling(0.5), [1.0, 1.0, 0.3]
+        with pytest.raises(ValueError, match="connection_spectral requires finite gradients"):
+            connection_spectral(model.spectral_at(lam), model.grad_h(lam))
+
+
 def test_spectral_decompose_check_levels():
     h = np.diag([0.0, 1.0, 3.0, 3.0])
     with pytest.raises(DegenerateSpectrumError) as err:
@@ -565,7 +593,8 @@ class TestBlockKernel:
                     maurer_cartan_flatness(oscillator, loop, 1.7))
 
         blocked = outputs()
-        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        monkeypatch.setattr(operator_core, "_pattern_blocks",
+                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
         dense = outputs()
         for b, d in zip(blocked, dense):
             assert np.max(np.abs(b - d)) <= TOL
@@ -634,7 +663,8 @@ class TestTreeRoute:
                     nast_residual(model, cap, boundary_refinement=4))
 
         tree = outputs()
-        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        monkeypatch.setattr(operator_core, "_pattern_blocks",
+                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
         dense = outputs()
         for t, d in zip(tree, dense):
             assert np.max(np.abs(t - d)) <= 1e-13
@@ -661,7 +691,8 @@ class TestBlockSweeps:
 
     @staticmethod
     def dense(monkeypatch):
-        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        monkeypatch.setattr(operator_core, "_pattern_blocks",
+                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
 
     @pytest.mark.parametrize("chunk", [7, 256])
     @pytest.mark.parametrize("sizes", [(60, 20), (14, 4)])
@@ -776,7 +807,8 @@ class TestTermPattern:
 
     @staticmethod
     def dense(monkeypatch):
-        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        monkeypatch.setattr(operator_core, "_pattern_blocks",
+                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
 
     @staticmethod
     def same_blocks(got, want):
@@ -921,6 +953,16 @@ class TestTermPattern:
                     pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
                 run()
 
+    def test_overflowing_gradient_is_non_finite(self):
+        # at l1 = 12 the term 9e290 l1^16 is finite and its derivative is not
+        model = ModelSpec(dim=2, param_names=("l1",), terms=(
+            ((0,), SZ), ((16,), 9e290 * SX))).to_model()
+        lam = np.array([[12.0]])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(model.eval_h(lam[0])).all()
+            with pytest.raises(ValueError, match="Hamiltonian gradient has non-finite entries"):
+                model._kernel_batch(lam, np.ones((1, 1, 1)))
+
 
 @pytest.mark.usefixtures("tiny_chunks")
 class TestOrderedProducts:
@@ -954,7 +996,8 @@ class TestOrderedProducts:
         blocked = transport.ordered_products(oscillator, mids, deltas, lengths)
         # levels of opposite Fock parity stay exactly uncoupled
         assert not np.any(blocked[:, ::2, 1::2]) and not np.any(blocked[:, 1::2, ::2])
-        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        monkeypatch.setattr(operator_core, "_pattern_blocks",
+                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
         dense = transport.ordered_products(oscillator, mids, deltas, lengths)
         assert np.max(np.abs(blocked - dense)) <= TOL
 

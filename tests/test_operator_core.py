@@ -500,6 +500,15 @@ class TestBlockEigh:
         assert np.all(even ^ odd)
         assert np.all(even.sum(axis=-1) == 30)
 
+    def test_empty_stack_adds_nothing_to_the_split(self, oscillator):
+        # a (K, 0, d, d) gradient stack, as a kernel asks for no direction
+        h, _ = oscillator.eval_batch(np.array([[2.0, 0.3, 1.4], [2.1, 0.3, 1.4]]))
+        empty = np.empty((len(h), 0) + h.shape[1:], dtype=complex)
+        got, want = operator_core.split_blocks(h, empty), operator_core.split_blocks(h)
+        assert len(want) == 2
+        assert [(b.index.tolist(), b.parent.tolist()) for b in got] == \
+            [(b.index.tolist(), b.parent.tolist()) for b in want]
+
     def test_oscillator_phases_match_the_dense_path(self, oscillator, monkeypatch):
         corner = ([2.0, 0.3, 1.4], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25])
         patch = planar_patch(*corner, (12, 12))
@@ -511,7 +520,8 @@ class TestBlockEigh:
                     berry_phase_surface(oscillator, patch, [0, 1, 2, 3]))
 
         blocked = phases()
-        monkeypatch.setattr(operator_core, "_pattern_blocks", lambda pattern, dim: None)
+        monkeypatch.setattr(operator_core, "_pattern_blocks",
+                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
         dense = phases()
         for b, d in zip(blocked, dense):
             assert np.max(np.abs(b - d)) < 1e-12

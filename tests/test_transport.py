@@ -46,12 +46,21 @@ class TestPathSpec:
         with pytest.raises(ValueError, match="refinement"):
             PathSpec(np.array([[0.0], [1.0]]), refinement=refinement)
 
+    def test_rejects_three_dimensional_samples(self):
+        with pytest.raises(ValueError, match=r"path samples must be a \(K\+1, N\) array"):
+            PathSpec(np.zeros((2, 2, 3)))
+
     def test_accepts_numpy_integer_refinement(self):
         path = PathSpec(np.array([[0.0], [1.0]]), refinement=np.int64(3))
         assert len(path.refined_points()) == 4
 
 
 class TestTransport:
+    def test_rejects_path_of_another_dimension(self, su2_half):
+        path = PathSpec(np.array([[1.0, 0.7], [1.0, 0.8]]))
+        with pytest.raises(ValueError, match="path dimensionality does not match the model"):
+            transport_operator(su2_half, path)
+
     def test_single_point_path_is_identity(self, su2_half):
         path = PathSpec(np.array([[1.0, 0.7, 0.2]]), closed=True, refinement=10)
         result = transport_operator(su2_half, path)
@@ -171,6 +180,11 @@ class TestHolonomy:
 
 
 class TestWilson:
+    def test_requires_closed_loop(self, su2_half):
+        path = PathSpec(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError, match="wilson_loop_phases requires a closed loop"):
+            wilson_loop_phases(su2_half, path)
+
     def test_triangle_matches_closed_form(self, su2_half):
         phases = wilson_loop_phases(su2_half, su2_triangle_loop(np.pi / 2, refinement=800))
         assert phases[0] == pytest.approx(+np.pi / 4, abs=1e-6)
@@ -220,9 +234,10 @@ class TestWilson:
         eigh, calls = operator_core.eigh_block, []
 
         def rephased(stack, block):
-            evals, vecs = eigh(stack, block)
+            evals, vecs, gauge = eigh(stack, block)
             calls.append(len(vecs) * len(block.index))
-            return evals, vecs * np.exp(2j * np.pi * rng.random((len(vecs), 1, vecs.shape[-1])))
+            phase = np.exp(2j * np.pi * rng.random((len(vecs), 1, vecs.shape[-1])))
+            return evals, vecs * phase, gauge
 
         monkeypatch.setattr(operator_core, "eigh_block", rephased)
         alt = wilson_loop_phases(su2_half, loop)
