@@ -3,11 +3,9 @@ parameter-dependent Hermitian matrix families."""
 
 from .operator_core import (
     DegenerateSpectrumError,
-    PhaseConvention,
     SpectralDecomposition,
     UnitaryOperator,
     expm_hermitian,
-    expm_hermitian_derivative,
     fix_phase,
     spectral_decompose,
     wrap_phase,

@@ -55,7 +55,7 @@ from .curvature import (
     diagonality_residual,
     yang_mills_curvature,
 )
-from .nast import maurer_cartan_flatness, nast_residual, surface_ordered_product
+from .nast import _boundary_residual, maurer_cartan_flatness, surface_ordered_product
 from .geometry import (
     planar_patch,
     su2_cap_patch,
@@ -580,7 +580,7 @@ def nast_check(cfg, mdl):
         raise CliError("provide --cap, --wedge, or --surface")
     patch = build_surface(cfg["model"], surface, omega, cfg["b"], cfg["grid"])
     product = surface_ordered_product(mdl, patch)
-    residual = nast_residual(mdl, patch, boundary_refinement=cfg["boundary_refinement"])
+    residual = _boundary_residual(mdl, patch, product, cfg["boundary_refinement"])
     w = product.operator.matrix
     return {
         "nast_residual": float(residual),

@@ -355,10 +355,6 @@ class SurfacePatch:
                 f"got shape {out.shape} for (u, v) pairs of shape {uv.shape}")
         return out
 
-    def node(self, i: int, j: int) -> np.ndarray:
-        nu, nv = self.grid
-        return self.point(i / nu, j / nv)
-
     def boundary_nodes(self) -> np.ndarray:
         """Grid-resolution boundary polyline, counterclockwise from (0, 0)."""
         nu, nv = self.grid

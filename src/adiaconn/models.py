@@ -9,7 +9,9 @@ coefficients.  A model evaluates H, its parameter gradients and its
 domain on a stack of points through batch hooks; every per-point call is
 a one-point batch.  Every built-in family is a term family, H(lambda) =
 sum_t c_t(lambda) M_t with fixed matrices M_t, and supplies only the
-real coefficients c_t and their gradients.
+real coefficients c_t and their gradients.  A term family hands its
+values to the chunked kernels block by block, in one layout per model
+that its first kernel call finds and keeps.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 
 from . import operator_core
 from .operator_core import (
-    PhaseConvention,
-    DEFAULT_PHASE_CONVENTION,
     SpectralDecomposition,
     as_matrix,
     hermitian_part,
@@ -101,6 +101,9 @@ class ParametricHamiltonian:
     # parts of the terms at the float slots of a flattened complex (d, d)
     # matrix that some term fills, as a (T, S) array.
     _term_values: np.ndarray | None = None
+    # A term family's kernel layout, (blocks, packed slots) of _pack, found
+    # on its first _kernel_batch call: construction does not pay for it.
+    _layout: tuple | None = None
 
     def __init__(
         self,
@@ -166,13 +169,10 @@ class ParametricHamiltonian:
             grads.append(hermitian_part((self.eval_h(plus) - self.eval_h(minus)) / (2.0 * h_mu)))
         return grads
 
-    def spectral_at(
-        self, lam, convention: PhaseConvention = DEFAULT_PHASE_CONVENTION
-    ) -> SpectralDecomposition:
+    def spectral_at(self, lam) -> SpectralDecomposition:
         """Eigen-decomposition of H(lambda) with degeneracy detection on
         the lowest ``check_levels`` levels."""
-        return spectral_decompose(self.eval_h(lam), convention=convention,
-                                  check_levels=self.check_levels)
+        return spectral_decompose(self.eval_h(lam), check_levels=self.check_levels)
 
     # -- batches ----------------------------------------------------------
 
@@ -214,28 +214,32 @@ class ParametricHamiltonian:
         blocks to decompose over, as a tuple of
         :class:`~adiaconn.operator_core.Block`, and each block's own H and
         G stacks, (K, b, b) and (K, M, b, b).  ValueError when H or G has
-        a non-finite entry, which no decomposition or contraction
-        downstream would report.
+        a non-finite entry, or H an entry too large for the norms
+        downstream, which no decomposition or contraction would report.
 
         A term family that keeps the base ``_evaluate_batch`` is checked
         on its pattern entries only, and writes the blocks of its term
-        pattern (found once per pattern) from its pattern values into one
-        zeroed buffer per chunk, whose views the stacks are.  Every other
-        family splits its dense H and G by their joint pattern.
+        pattern from its pattern values into one zeroed buffer per chunk,
+        whose views the stacks are; its layout is found on the first call
+        and kept on the model.  Every other family splits its dense H and
+        G by their joint pattern.
         """
         lams, directions = self._checked_points(lams, directions)
         if self._term_values is None or (
                 type(self)._evaluate_batch is not ParametricHamiltonian._evaluate_batch):
             h, g = self._evaluate_batch(lams, directions)
-            _check_finite(h.view(float), g)
+            _check_entries(h.view(float), g, self.dim)
             blocks = operator_core.split_blocks(h, g)
             return blocks, [b.take(h) for b in blocks], [b.take(g) for b in blocks]
-        h, g = self._pattern_values(lams, directions)
-        _check_finite(h, g)
-        blocks = operator_core._pattern_blocks(self._pattern, self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned of
+            h, g = self._pattern_values(lams, directions)
+        _check_entries(h, g, self.dim)
+        if self._layout is None:
+            self._layout = self._pack(operator_core._pattern_blocks(self._pattern, self.dim))
+        blocks, slots = self._layout
         # one buffer, not one per block: the chunk's largest allocation then
         # keeps glibc from trimming and refaulting the heap after every chunk
-        slots, sizes = self._packed_slots(blocks), [len(b.index) for b in blocks]
+        sizes = [len(b.index) for b in blocks]
         packed = np.zeros((len(h), 1 + g.shape[1], 2 * sum(n * n for n in sizes)))
         packed[:, 0, slots], packed[:, 1:, slots] = h, g
         parts = np.split(packed, 2 * np.cumsum(np.square(sizes))[:-1], axis=-1)
@@ -273,7 +277,6 @@ class ParametricHamiltonian:
         self._slots = np.flatnonzero(filled)
         self._term_values = np.ascontiguousarray(parts[:, self._slots])
         self._pattern = filled.reshape(-1, 2).any(axis=1).tobytes()
-        self._slot_maps = {}
 
     def _pattern_values(self, lams: np.ndarray, directions: np.ndarray):
         """The filled float slots of H, (K, S), and of G, (K, M, S): the
@@ -293,28 +296,30 @@ class ParametricHamiltonian:
         out[..., self._slots] = values
         return out.view(complex).reshape(lead + (self.dim, self.dim))
 
-    def _packed_slots(self, blocks):
-        """Where every filled float slot lies when the blocks' flattened
-        complex (b, b) matrices follow one another; found once per block
-        pattern.  Every filled entry lies in exactly one block."""
-        key = tuple(b.index.tobytes() for b in blocks)
-        if key not in self._slot_maps:
-            position, start = np.zeros((self.dim, self.dim), dtype=int), 0  # complex entries
-            for b in blocks:
-                n = len(b.index)
-                position[np.ix_(b.index, b.index)] = start + np.arange(n * n).reshape(n, n)
-                start += n * n
-            self._slot_maps[key] = 2 * position.ravel()[self._slots // 2] + self._slots % 2
-        return self._slot_maps[key]
+    def _pack(self, blocks) -> tuple:
+        """The kernel layout of ``blocks``: the blocks, and where every
+        filled float slot lies when their flattened complex (b, b)
+        matrices follow one another.  Every filled entry lies in exactly
+        one block."""
+        position, start = np.zeros((self.dim, self.dim), dtype=int), 0  # complex entries
+        for b in blocks:
+            n = len(b.index)
+            position[np.ix_(b.index, b.index)] = start + np.arange(n * n).reshape(n, n)
+            start += n * n
+        return blocks, 2 * position.ravel()[self._slots // 2] + self._slots % 2
 
 
-def _check_finite(h: np.ndarray, g: np.ndarray) -> None:
+def _check_entries(h: np.ndarray, g: np.ndarray, dim: int) -> None:
     """ValueError when the Hamiltonian values ``h`` or the gradient values
-    ``g`` of a chunk have a non-finite entry, H first."""
-    if not np.isfinite(h).all():
+    ``g`` of a chunk have a non-finite entry, H first, or when an entry of
+    H is too large for the norms downstream
+    (:func:`~adiaconn.operator_core._check_magnitude`)."""
+    largest = np.max(np.abs(h), initial=0.0)
+    if not np.isfinite(largest):
         raise ValueError("Hamiltonian has non-finite entries")
     if not np.isfinite(g).all():
         raise ValueError("Hamiltonian gradient has non-finite entries")
+    operator_core._check_magnitude(largest, dim, "Hamiltonian")
 
 
 def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -699,6 +704,10 @@ def parse_model_file(text: str) -> ModelSpec:
                 rows.append([_parse_complex(tok, i + 1) for tok in entries])
                 i += 1
             matrix = np.array(rows, dtype=complex)
+            try:  # the Hermiticity rule below needs a finite norm
+                operator_core._check_magnitude(np.abs(matrix.view(float)).max(), dim, "term matrix")
+            except ValueError as err:
+                raise ModelFileError(lineno, str(err)) from None
             if hermiticity_defect(matrix)[1]:
                 raise ModelFileError(lineno, "term matrix is not Hermitian")
             matrix.setflags(write=False)

@@ -204,6 +204,13 @@ def nast_residual(
     surface side's discretization error rather than sharing it.
     """
     surface = surface_ordered_product(model, patch, edge_refinement=edge_refinement)
+    return _boundary_residual(model, patch, surface, boundary_refinement)
+
+
+def _boundary_residual(model, patch, surface: SurfaceOrderedProduct,
+                       boundary_refinement: int) -> float:
+    """The residual of :func:`nast_residual` for a surface-ordered product
+    already built on ``patch``."""
     boundary = holonomy(model, patch.boundary_path(boundary_refinement))
     return frobenius(surface.operator.matrix - boundary.operator.matrix)
 

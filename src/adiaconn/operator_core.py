@@ -1,8 +1,9 @@
 """Dense complex linear algebra substrate.
 
 Certified unitary values, the one symmetrizer and the one Hermiticity
-rule, spectral decomposition with degeneracy detection, Hermitian matrix
-exponentials, and a deterministic eigenvector phase convention.  The
+rule, the one bound on the size of an entry, spectral decomposition with
+degeneracy detection, Hermitian matrix exponentials, and the one
+eigenvector phase rule (:func:`fix_phase`).  The
 degeneracy check, the Hermiticity rule and the exponential also work on
 stacks of matrices (leading batch axes), which is how the path kernel in
 :mod:`adiaconn.transport` decomposes and exponentiates a whole chunk of
@@ -68,6 +69,7 @@ UNITARITY_TOL = 1e-10
 # Largest max 1-norm of a stack that expm_hermitian_stack exponentiates by
 # its Taylor series (degree 23 there); larger stacks take the eigenbasis.
 TAYLOR_MAX_NORM = 2.0
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -75,7 +77,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "UnitaryOperator",
     "SpectralDecomposition",
-    "PhaseConvention",
     "as_matrix",
     "frobenius",
     "wrap_phase",
@@ -95,7 +96,6 @@ __all__ = [
     "default_gap_tol",
     "expm_hermitian",
     "expm_hermitian_stack",
-    "expm_hermitian_derivative",
     "fix_phase",
 ]
 
@@ -133,11 +133,25 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_magnitude(largest: float, dim: int, what: str) -> None:
+    """ValueError when ``largest``, the largest real or imaginary part of
+    the entries of a d x d matrix or stack, reaches sqrt(float max) / (4 d).
+    Frobenius norms sum the squares of the entries, so above that bound a
+    norm, and with it the Hermiticity rule and the unitarity checks,
+    overflows to inf and no longer checks anything."""
+    limit = _SQRT_FLOAT_MAX / (4 * max(dim, 1))
+    if largest >= limit:
+        raise ValueError(f"{what} has an entry of magnitude {largest:.3e}, at or above "
+                         f"the limit {limit:.3e} for dimension {dim}")
+
+
 def _check_square_finite(m: np.ndarray, what: str) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    largest = np.abs(m.view(float)).max(initial=0.0)
+    if not math.isfinite(largest):
         raise ValueError(f"{what} has non-finite entries")
+    _check_magnitude(largest, m.shape[0], what)
 
 
 @dataclass(frozen=True)
@@ -164,37 +178,6 @@ class UnitaryOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class PhaseConvention:
-    """Deterministic rule fixing the free unit phase of each eigenvector.
-
-    ``largest-real-positive`` multiplies each column by a unit phase that
-    makes its largest-magnitude component real and positive;
-    ``first-nonzero-real-positive`` does the same with the first component
-    above a small floor.  Both are idempotent.  Ties break to the lowest
-    index.
-    """
-
-    rule: str = "largest-real-positive"
-
-    _RULES = ("largest-real-positive", "first-nonzero-real-positive")
-
-    def __post_init__(self):
-        if self.rule not in self._RULES:
-            raise ValueError(f"unknown phase rule {self.rule!r}; choose from {self._RULES}")
-
-    def anchor_indices(self, frame: np.ndarray) -> np.ndarray:
-        """Row index of the anchor entry of every column of ``frame``."""
-        mags = np.abs(frame)
-        if self.rule == "largest-real-positive":
-            return np.argmax(mags, axis=0)
-        floor = 1e-12 * np.maximum(mags.max(axis=0), 1e-300)
-        return np.argmax(mags > floor, axis=0)
-
-
-DEFAULT_PHASE_CONVENTION = PhaseConvention()
 
 
 @dataclass(frozen=True)
@@ -292,19 +275,18 @@ def spectral_gaps(evals, check_levels: int | None = None):
     return min_gap
 
 
-def fix_phase(frame, convention: PhaseConvention = DEFAULT_PHASE_CONVENTION) -> UnitaryOperator:
-    """Apply the phase convention to every column at once.  Idempotent."""
+def fix_phase(frame) -> UnitaryOperator:
+    """Make each column's largest-magnitude entry real and positive, ties
+    going to the lowest index: the library's one eigenvector phase rule.
+    Idempotent."""
     v = as_matrix(frame)
     zero = np.flatnonzero(np.linalg.norm(v, axis=0) == 0.0)
     if zero.size:
         raise ValueError(f"column {zero[0]} is zero; cannot phase-fix")
-    z = v[convention.anchor_indices(v), np.arange(v.shape[1])]
+    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     # hypot rounds like abs() of a single complex number; np.abs of an
     # array may differ in the last bit
     modulus = np.hypot(z.real, z.imag)
-    zero = np.flatnonzero(modulus == 0.0)
-    if zero.size:
-        raise ValueError(f"column {zero[0]} anchor entry is zero; cannot phase-fix")
     return UnitaryOperator(v * (z.conj() / modulus))
 
 
@@ -543,11 +525,7 @@ def block_eigh(h):
     return system.evals.reshape(h.shape[:-1]), system.frames().reshape(h.shape)
 
 
-def spectral_decompose(
-    h,
-    convention: PhaseConvention = DEFAULT_PHASE_CONVENTION,
-    check_levels: int | None = None,
-) -> SpectralDecomposition:
+def spectral_decompose(h, check_levels: int | None = None) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix with degeneracy detection.
 
     Raises :class:`DegenerateSpectrumError` when an adjacent gap among the
@@ -562,7 +540,7 @@ def spectral_decompose(
     evals, vecs = block_eigh(m)
     return SpectralDecomposition(
         eigenvalues=evals,
-        frame=fix_phase(vecs, convention),
+        frame=fix_phase(vecs),
         min_gap=float(spectral_gaps(evals, check_levels)),
     )
 
@@ -657,26 +635,3 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"step {bad[0]} is not unitary: ||U^dag U - I|| = {defect[bad[0]]:.3e}")
     return u
-
-
-def expm_hermitian_derivative(h, dh, s: float = 1.0) -> np.ndarray:
-    """Directional derivative of H -> exp(i s H) along the Hermitian dH.
-
-    Exact first-order variation via the eigenbasis divided-difference
-    kernel: between eigenvectors m, n of H,
-
-        <m| d exp(isH) |n> = <m|dH|n> * (e^{isE_m} - e^{isE_n})/(E_m - E_n)
-
-    evaluated as i s e^{is(E_m + E_n)/2} sinc(s (E_m - E_n)/2), which has
-    no cancellation for close eigenvalues and takes the confluent limit
-    i s e^{isE_n} wherever E_m = E_n (the diagonal and any repeated
-    eigenvalue).  The denominator never carries an extra i, which is
-    fixed by the small-s limit d exp(isH) -> i s dH.
-    """
-    m = as_matrix(h)
-    evals, vecs = block_eigh(m)
-    g = vecs.conj().T @ as_matrix(dh) @ vecs
-    mean = 0.5 * (evals[:, None] + evals[None, :])
-    delta = evals[:, None] - evals[None, :]
-    kernel = 1j * s * np.exp(1j * s * mean) * np.sinc(s * delta / (2 * np.pi))
-    return vecs @ (g * kernel) @ vecs.conj().T

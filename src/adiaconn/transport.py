@@ -63,6 +63,7 @@ from .operator_core import (
     expm_hermitian_stack,
     frobenius,
     matmul,
+    spectral_decompose,
     spectral_gaps,
     wrap_phase,
 )
@@ -525,23 +526,32 @@ def counterdiabatic_evolve(
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     _check_level(n0, model.dim)
 
+    # The last RK4 stage of one step and the record after it, and usually
+    # the first stage of the next step, share lambda bit for bit, so the
+    # last point's H, and its decomposition once asked for, are kept.
     memo = {}
 
-    def spectral(lam) -> SpectralDecomposition:
-        # The last RK4 stage of one step and the record after it, and
-        # usually the first stage of the next step, share lambda bit for bit.
-        key = np.asarray(lam, dtype=float).tobytes()
+    def point(lam: np.ndarray, h=None) -> list:
+        """[H, decomposition or None] at lam; H is evaluated unless given."""
+        key = lam.tobytes()
         if key not in memo:
             memo.clear()
-            memo[key] = model.spectral_at(lam)
+            memo[key] = [model.eval_h(lam) if h is None else h, None]
         return memo[key]
+
+    def spectral(lam) -> SpectralDecomposition:
+        entry = point(np.asarray(lam, dtype=float))
+        if entry[1] is None:
+            entry[1] = spectral_decompose(entry[0], check_levels=model.check_levels)
+        return entry[1]
 
     def generator(t: float) -> np.ndarray:
         lam = np.asarray(schedule.position(t), dtype=float)
         if not include_cd:
-            return model.eval_h(lam)
+            return point(lam)[0]
         vel = np.asarray(schedule.velocity(t), dtype=float)
         h, g_vel = model.eval_batch(lam[None], vel[None, None])
+        point(lam, h[0])
         return h[0] - connection_spectral(spectral(lam), [g_vel[0, 0]]).components[0]
 
     n_steps = max(int(round(schedule.total_time / dt)), 1)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from adiaconn import OscillatorModel, ParametricHamiltonian, Su2Model, connection_spectral
+from adiaconn import (
+    OscillatorModel,
+    ParametricHamiltonian,
+    Su2Model,
+    connection_spectral,
+    operator_core,
+)
 from adiaconn.models import ModelSpec
-from adiaconn.operator_core import expm_hermitian
+from adiaconn.operator_core import Block, as_matrix, block_eigh, expm_hermitian
 
 
 @pytest.fixture
@@ -77,3 +83,49 @@ def record_eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return calls
+
+
+def one_block(monkeypatch, *models):
+    """Switch the block split off, for the dense route that the split is
+    checked against: each term-family model's kernel layout becomes one
+    block over every level, without a tree, and so does every split of a
+    dense stack.  Returns a check that kernel batches of the models'
+    classes have run since, and each handed over that one block."""
+    seen = []
+    monkeypatch.setattr(operator_core, "split_blocks",
+                        lambda *stacks: (Block(np.arange(stacks[0].shape[-1]), None),))
+    for model in models:
+        monkeypatch.setattr(model, "_layout", model._pack((Block(np.arange(model.dim), None),)))
+    for family in {type(model) for model in models}:
+        kernel = family._kernel_batch
+
+        def recording(self, lams, directions=None, kernel=kernel):
+            out = kernel(self, lams, directions)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(family, "_kernel_batch", recording)
+    return lambda: bool(seen) and all(len(b) == 1 and b[0].parent is None for b in seen)
+
+
+def expm_hermitian_derivative(h, dh, s=1.0):
+    """Directional derivative of H -> exp(i s H) along the Hermitian dH:
+    the reference that the kernels' derivatives are compared against.
+
+    Exact first-order variation via the eigenbasis divided-difference
+    kernel: between eigenvectors m, n of H,
+
+        <m| d exp(isH) |n> = <m|dH|n> * (e^{isE_m} - e^{isE_n})/(E_m - E_n)
+
+    evaluated as i s e^{is(E_m + E_n)/2} sinc(s (E_m - E_n)/2), which has
+    no cancellation for close eigenvalues and takes the confluent limit
+    i s e^{isE_n} wherever E_m = E_n (the diagonal and any repeated
+    eigenvalue).  The denominator never carries an extra i, which is
+    fixed by the small-s limit d exp(isH) -> i s dH.
+    """
+    evals, vecs = block_eigh(as_matrix(h))
+    g = vecs.conj().T @ as_matrix(dh) @ vecs
+    mean = 0.5 * (evals[:, None] + evals[None, :])
+    delta = evals[:, None] - evals[None, :]
+    kernel = 1j * s * np.exp(1j * s * mean) * np.sinc(s * delta / (2 * np.pi))
+    return vecs @ (g * kernel) @ vecs.conj().T

@@ -37,7 +37,7 @@ from adiaconn.geometry import (
 )
 from adiaconn.models import ParametricHamiltonian, Su2Model
 from adiaconn.nast import maurer_cartan_flatness, nast_residual
-from adiaconn.operator_core import expm_hermitian, expm_hermitian_derivative
+from adiaconn.operator_core import expm_hermitian
 from adiaconn.reference import (
     oscillator_analytic_connection,
     su2_analytic_connection,
@@ -50,7 +50,12 @@ from adiaconn.transport import (
     wilson_loop_phases,
 )
 
-from conftest import random_hermitian, random_polynomial_model, spectral_connection
+from conftest import (
+    expm_hermitian_derivative,
+    random_hermitian,
+    random_polynomial_model,
+    spectral_connection,
+)
 
 
 def passed(num, message):

@@ -13,15 +13,15 @@ from adiaconn.connection import (
 )
 from adiaconn.curvature import yang_mills_curvature
 from adiaconn.models import OscillatorModel, constant_model
-from adiaconn.operator_core import (
-    PhaseConvention,
-    SpectralDecomposition,
-    expm_hermitian,
-    expm_hermitian_derivative,
-)
+from adiaconn.operator_core import SpectralDecomposition, UnitaryOperator, expm_hermitian
 from adiaconn.reference import su2_analytic_connection
 
-from conftest import random_hermitian, random_polynomial_model, spectral_connection
+from conftest import (
+    expm_hermitian_derivative,
+    random_hermitian,
+    random_polynomial_model,
+    spectral_connection,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -99,17 +99,14 @@ class TestSpectralConnection:
                 assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(g_mu)
 
     def test_phase_convention_independence(self, su2_one, rng):
+        # every eigenvector takes its own random unit phase
         lam = _su2_point(rng)
-        a1 = connection_spectral(
-            su2_one.spectral_at(lam, convention=PhaseConvention()),
-            su2_one.grad_h(lam),
-        )
-        a2 = connection_spectral(
-            su2_one.spectral_at(
-                lam, convention=PhaseConvention(rule="first-nonzero-real-positive")
-            ),
-            su2_one.grad_h(lam),
-        )
+        spec = su2_one.spectral_at(lam)
+        phases = np.exp(2j * np.pi * rng.random(spec.dim))
+        rephased = SpectralDecomposition(spec.eigenvalues,
+                                         UnitaryOperator(spec.frame.matrix * phases), spec.min_gap)
+        a1 = connection_spectral(spec, su2_one.grad_h(lam))
+        a2 = connection_spectral(rephased, su2_one.grad_h(lam))
         for c1, c2 in zip(a1.components, a2.components):
             assert np.linalg.norm(c1 - c2) < 1e-12
 

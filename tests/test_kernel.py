@@ -24,7 +24,14 @@ from adiaconn.geometry import (
     su2_triangle_loop,
     su2_wedge_patch,
 )
-from adiaconn.models import DomainViolationError, ModelSpec, OscillatorModel, Su2Model
+from adiaconn.models import (
+    DomainViolationError,
+    ModelFileError,
+    ModelSpec,
+    OscillatorModel,
+    Su2Model,
+    parse_model_file,
+)
 from adiaconn.nast import (
     _EdgeCache,
     lasso_holonomy,
@@ -34,7 +41,6 @@ from adiaconn.nast import (
 )
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
-    PhaseConvention,
     default_gap_tol,
     expm_hermitian,
     fix_phase,
@@ -53,6 +59,7 @@ from adiaconn.transport import (
 
 from conftest import (
     isospectral_model,
+    one_block,
     random_hermitian,
     random_polynomial_model,
     record_eigh_calls,
@@ -60,6 +67,7 @@ from conftest import (
 
 TOL = 1e-12
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -406,8 +414,6 @@ class TestFixPhase:
         frame = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="column 1 is zero"):
             fix_phase(frame)
-        with pytest.raises(ValueError, match="column 1 is zero"):
-            fix_phase(frame, PhaseConvention(rule="first-nonzero-real-positive"))
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +549,34 @@ def test_spectral_decompose_check_levels():
     assert spectral_decompose(h, check_levels=3).min_gap == 1.0
 
 
-def test_drive_reuses_decompositions():
-    class Counting(Su2Model):
-        calls = 0
+def test_drive_reuses_decompositions(monkeypatch):
+    evaluations, decompositions = [], []
+    eval_batch, decompose = Su2Model.eval_batch, transport.spectral_decompose
 
-        def spectral_at(self, lam, convention=PhaseConvention()):
-            Counting.calls += 1
-            return super().spectral_at(lam, convention)
+    def evaluating(self, lams, directions=None):
+        evaluations.append(len(lams))
+        return eval_batch(self, lams, directions)
 
+    def decomposing(h, check_levels=None):
+        decompositions.append(check_levels)
+        return decompose(h, check_levels=check_levels)
+
+    monkeypatch.setattr(Su2Model, "eval_batch", evaluating)
+    monkeypatch.setattr(transport, "spectral_decompose", decomposing)
     sched = linear_schedule([1.0, 0.0, 0.4], [1.0, 1.2, 0.4], 0.5)
-    counterdiabatic_evolve(Counting(0.5), sched, n0=1, dt=5e-3)
+    counterdiabatic_evolve(Su2Model(0.5), sched, n0=1, dt=5e-3)
     # 100 steps: two fresh points per step, plus the first point of a step
     # whenever it differs in the last bit from the end of the step before;
-    # without reuse there were four per step
-    assert 2 * 100 + 1 <= Counting.calls <= 3 * 100 + 1
+    # without reuse there were four per step.  H is evaluated once per RK4
+    # stage and once for the start frame: the record after a step
+    # decomposes the H of the step's last stage.
+    assert 2 * 100 + 1 <= len(decompositions) <= 3 * 100 + 1
+    assert len(evaluations) == 3 * 100 + 1
+    del evaluations[:], decompositions[:]
+    counterdiabatic_evolve(Su2Model(0.5), sched, n0=1, dt=5e-3, include_cd=False)
+    # without the connection only the records decompose
+    assert len(decompositions) == 100 + 1
+    assert 2 * 100 + 1 <= len(evaluations) <= 3 * 100 + 1
 
 
 class TestBlockKernel:
@@ -593,9 +613,9 @@ class TestBlockKernel:
                     maurer_cartan_flatness(oscillator, loop, 1.7))
 
         blocked = outputs()
-        monkeypatch.setattr(operator_core, "_pattern_blocks",
-                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
+        ran_as_one_block = one_block(monkeypatch, oscillator)
         dense = outputs()
+        assert ran_as_one_block()
         for b, d in zip(blocked, dense):
             assert np.max(np.abs(b - d)) <= TOL
 
@@ -663,9 +683,9 @@ class TestTreeRoute:
                     nast_residual(model, cap, boundary_refinement=4))
 
         tree = outputs()
-        monkeypatch.setattr(operator_core, "_pattern_blocks",
-                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
+        ran_as_one_block = one_block(monkeypatch, model)
         dense = outputs()
+        assert ran_as_one_block()
         for t, d in zip(tree, dense):
             assert np.max(np.abs(t - d)) <= 1e-13
 
@@ -689,11 +709,6 @@ class TestBlockSweeps:
     """The surface sweep and the Wilson loop work block by block; with
     the block split switched off everything runs as one block."""
 
-    @staticmethod
-    def dense(monkeypatch):
-        monkeypatch.setattr(operator_core, "_pattern_blocks",
-                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
-
     @pytest.mark.parametrize("chunk", [7, 256])
     @pytest.mark.parametrize("sizes", [(60, 20), (14, 4)])
     def test_oscillator_against_dense_path(self, sizes, chunk, monkeypatch):
@@ -708,9 +723,10 @@ class TestBlockSweeps:
                     wilson_loop_phases(model, loop))
 
         blocked = phases()
-        self.dense(monkeypatch)
+        ran_as_one_block = one_block(monkeypatch, model)
         for b, d in zip(blocked, phases()):
             assert np.max(np.abs(b - d)) <= 1e-13
+        assert ran_as_one_block()
 
     def test_level_changing_block_on_the_surface(self, monkeypatch):
         model = crossing_block_model()
@@ -723,8 +739,9 @@ class TestBlockSweeps:
         assert len(system.blocks) == 2
         assert set(system.order[:, 1] >= 2) == {False, True}  # level 1 in either block
         blocked = berry_phase_surface(model, patch, [0, 1, 2])
-        self.dense(monkeypatch)
+        ran_as_one_block = one_block(monkeypatch, model)
         dense = berry_phase_surface(model, patch, [0, 1, 2])
+        assert ran_as_one_block()
         assert np.max(np.abs(blocked - dense)) <= 1e-13
         assert np.all(blocked != 0.0)
 
@@ -735,9 +752,10 @@ class TestBlockSweeps:
         model = crossing_block_model()
         with pytest.raises(ValueError, match=r"level 1, \|overlap\| = 0.000") as blocked:
             wilson_loop_phases(model, loop)
-        self.dense(monkeypatch)
+        ran_as_one_block = one_block(monkeypatch, model)
         with pytest.raises(ValueError) as dense:
             wilson_loop_phases(model, loop)
+        assert ran_as_one_block()
         assert str(blocked.value) == str(dense.value)
 
     def test_overlaps_where_levels_change_column(self, rng):
@@ -767,9 +785,10 @@ class TestBlockSweeps:
         with pytest.raises(DegenerateSpectrumError) as blocked:
             berry_phase_surface(model, patch, [1])
         assert blocked.value.level == 1
-        self.dense(monkeypatch)
+        ran_as_one_block = one_block(monkeypatch, model)
         with pytest.raises(DegenerateSpectrumError) as dense:
             berry_phase_surface(model, patch, [1])
+        assert ran_as_one_block()
         assert (blocked.value.level, blocked.value.gap) == (dense.value.level, dense.value.gap)
 
 
@@ -804,11 +823,6 @@ class TestTermPattern:
     pattern of their terms and hand its blocks to the kernels; every
     other family, and any subclass that overrides ``_evaluate_batch``,
     is split chunk by chunk."""
-
-    @staticmethod
-    def dense(monkeypatch):
-        monkeypatch.setattr(operator_core, "_pattern_blocks",
-                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
 
     @staticmethod
     def same_blocks(got, want):
@@ -853,10 +867,11 @@ class TestTermPattern:
                      berry_phase_surface(m, patch, range(m.dim))) for m in models]
 
         blocked = outputs()
-        self.dense(monkeypatch)
+        ran_as_one_block = one_block(monkeypatch, *models)
         for got, want in zip(blocked, outputs()):
             for b, d in zip(got, want):
                 assert np.max(np.abs(b - d)) <= TOL
+        assert ran_as_one_block()
 
     def test_override_coupling_the_parity_sectors(self, monkeypatch):
         class Coupled(OscillatorModel):
@@ -884,9 +899,10 @@ class TestTermPattern:
         # the coupling moves the results away from the split oscillator's
         plain = OscillatorModel(14, 4)
         assert np.max(np.abs(coupled[0] - holonomy(plain, loop).operator.matrix)) > 1e-6
-        self.dense(monkeypatch)
+        ran_as_one_block = one_block(monkeypatch, model)
         for c, d in zip(coupled, outputs()):
             assert np.max(np.abs(c - d)) <= TOL
+        assert ran_as_one_block()
 
     def test_no_built_in_family_overrides_the_evaluation(self):
         from adiaconn import models
@@ -948,9 +964,8 @@ class TestTermPattern:
         patch = planar_patch([0.0, 0.0], [1e20, 0.0], [0.0, 1.0], grid=(2, 2))
         for run in (lambda: holonomy(model, loop), lambda: wilson_loop_phases(model, loop),
                     lambda: berry_phase_surface(model, patch, 0)):
-            # the power itself overflows with a RuntimeWarning
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
+            # the power overflows, and the overflow is named, not warned of
+            with pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
                 run()
 
     def test_overflowing_gradient_is_non_finite(self):
@@ -958,10 +973,28 @@ class TestTermPattern:
         model = ModelSpec(dim=2, param_names=("l1",), terms=(
             ((0,), SZ), ((16,), 9e290 * SX))).to_model()
         lam = np.array([[12.0]])
-        with np.errstate(over="ignore"):
-            assert np.isfinite(model.eval_h(lam[0])).all()
-            with pytest.raises(ValueError, match="Hamiltonian gradient has non-finite entries"):
-                model._kernel_batch(lam, np.ones((1, 1, 1)))
+        assert np.isfinite(model.eval_h(lam[0])).all()
+        with pytest.raises(ValueError, match="Hamiltonian gradient has non-finite entries"):
+            model._kernel_batch(lam, np.ones((1, 1, 1)))
+
+    def test_hamiltonian_near_the_float_limit_is_named(self):
+        # 9e290 x^16 is finite up to x = 12, but the squares that every
+        # Frobenius norm sums are not: the Hermiticity rule and the
+        # unitarity checks would read inf, and a transport the identity
+        model = ModelSpec(dim=2, param_names=("x", "y"), terms=(
+            ((0, 0), SZ), ((16, 0), 9e290 * SX), ((0, 1), SY))).to_model()
+        path = PathSpec(np.array([[11.9, 0.0], [12.0, 0.0]]), refinement=10)
+        loop = planar_rectangle_loop([11.9, 0.0], [0.1, 0.0], [0.0, 0.1], refinement=4)
+        patch = planar_patch([11.9, 0.0], [0.1, 0.0], [0.0, 0.1], grid=(2, 2))
+        for run in (lambda: spectral_decompose(model.eval_h([12.0, 0.0])),
+                    lambda: transport_operator(model, path), lambda: holonomy(model, loop),
+                    lambda: wilson_loop_phases(model, loop),
+                    lambda: berry_phase_surface(model, patch, 0)):
+            with pytest.raises(ValueError, match="has an entry of magnitude 1.[0-9]*e\\+308, "
+                                                 "at or above the limit"):
+                run()
+        with pytest.raises(ModelFileError, match="line 3: term matrix has an entry"):
+            parse_model_file("dim = 2\nparams = x\nterm 1\n0 9e290\n9e290 0\n")
 
 
 @pytest.mark.usefixtures("tiny_chunks")
@@ -996,9 +1029,9 @@ class TestOrderedProducts:
         blocked = transport.ordered_products(oscillator, mids, deltas, lengths)
         # levels of opposite Fock parity stay exactly uncoupled
         assert not np.any(blocked[:, ::2, 1::2]) and not np.any(blocked[:, 1::2, ::2])
-        monkeypatch.setattr(operator_core, "_pattern_blocks",
-                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
+        ran_as_one_block = one_block(monkeypatch, oscillator)
         dense = transport.ordered_products(oscillator, mids, deltas, lengths)
+        assert ran_as_one_block()
         assert np.max(np.abs(blocked - dense)) <= TOL
 
     def test_surface_ordered_product_against_cell_loop(self, su2_half, su2_one):

@@ -66,7 +66,7 @@ class TestLasso:
         n = 12
         omega_cap = 1.3
         patch = su2_cap_patch(omega_cap, grid=(n, n))
-        spec = su2_half.spectral_at(patch.node(0, 0))
+        spec = su2_half.spectral_at(patch.point(0.0, 0.0))
         v = spec.frame.matrix
         theta_max = np.arccos(1 - omega_cap / (2 * np.pi))
         cell_area = (theta_max / n) * (2 * np.pi / n)

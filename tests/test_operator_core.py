@@ -14,11 +14,9 @@ from adiaconn.geometry import planar_patch, planar_rectangle_loop, su2_triangle_
 from adiaconn.models import Su2Model
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
-    PhaseConvention,
     UnitaryOperator,
     block_eigh,
     expm_hermitian,
-    expm_hermitian_derivative,
     fix_phase,
     hermitian_part,
     hermiticity_defect,
@@ -26,7 +24,7 @@ from adiaconn.operator_core import (
     wrap_phase,
 )
 
-from conftest import random_hermitian, record_eigh_calls
+from conftest import expm_hermitian_derivative, one_block, random_hermitian, record_eigh_calls
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -520,9 +518,9 @@ class TestBlockEigh:
                     berry_phase_surface(oscillator, patch, [0, 1, 2, 3]))
 
         blocked = phases()
-        monkeypatch.setattr(operator_core, "_pattern_blocks",
-                            lambda pattern, dim: (operator_core.Block(np.arange(dim), None),))
+        ran_as_one_block = one_block(monkeypatch, oscillator)
         dense = phases()
+        assert ran_as_one_block()
         for b, d in zip(blocked, dense):
             assert np.max(np.abs(b - d)) < 1e-12
 
@@ -612,10 +610,12 @@ class TestBlockEigh:
         assert refs == [("operator_core.py", "eigh_block")]
 
     def test_no_public_callable_takes_removed_knobs(self):
-        # one degeneracy rule, one overlap guard and one drift budget: no
-        # caller can loosen them; no gradient scheme, edge-cache hook or
-        # base point rides on a public signature
-        removed = {"gap_tol", "min_overlap", "norm_drift_tol", "scheme", "_edges", "base_point"}
+        # one degeneracy rule, one overlap guard, one drift budget and one
+        # eigenvector phase rule: no caller can loosen or swap them; no
+        # gradient scheme, edge-cache hook or base point rides on a public
+        # signature
+        removed = {"gap_tol", "min_overlap", "norm_drift_tol", "scheme", "_edges", "base_point",
+                   "convention"}
         modules = [importlib.import_module(f"adiaconn.{m.name}")
                    for m in pkgutil.iter_modules(adiaconn.__path__)]
         offenders = []
@@ -668,16 +668,6 @@ class TestFixPhase:
         frame = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError, match="zero"):
             fix_phase(frame)
-
-    def test_alternative_convention_is_idempotent(self, rng):
-        conv = PhaseConvention(rule="first-nonzero-real-positive")
-        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        once = fix_phase(u, conv).matrix
-        assert np.allclose(once, fix_phase(once, conv).matrix, atol=1e-14)
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError, match="unknown phase rule"):
-            PhaseConvention(rule="whatever")
 
 
 def test_wrap_phase_range():
