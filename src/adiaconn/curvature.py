@@ -6,7 +6,7 @@ eigenbasis; its diagonal entries are the per-level Berry curvatures, whose
 surface integrals are Berry phases.  This module computes the field
 strength by central differences of the spectral connection, the
 diagonality residual, the small-loop holonomy consistency check, and
-pulled-back surface integrals over parametrized patches.  One routine,
+surface integrals over parallelogram patches.  One routine,
 :func:`_level_curvature`, evaluates the exact sum-over-states formula for
 the per-level curvature on a stack of eigensystems; both the point table
 (:func:`berry_curvature_levels`) and the integrand of the surface sweep
@@ -19,10 +19,12 @@ pattern of a term family), as the step kernel does: each block is
 decomposed once, the merged eigenvalues rank the levels and feed the
 degeneracy guard, and each requested level is contracted against its
 own block's gradient stack and eigenvectors only, since the gradients
-couple no two blocks.  A :class:`SurfacePatch` chart
-works on arrays: it takes u and v as (..., 1) arrays and returns the
-(..., N) points, so a chunk of cells costs one chart call.  The
-small-loop square is the boundary of a one-cell affine patch.
+couple no two blocks.  A :class:`SurfacePatch` is the parallelogram
+origin + u edge_u + v edge_v, so its two edges are the exact tangents
+of every cell: the sweep evaluates the model at the cell centres only,
+a chunk of cells per :meth:`SurfacePatch.points` call, and contracts
+the gradients with the edges.  The small-loop square is the boundary
+of a one-cell patch.
 
 Sign and factor conventions are pinned by the spin-1/2 anchor: stored
 components satisfy F_theta_phi = -sin(theta) J_n, so the per-level value
@@ -33,7 +35,6 @@ integral of W over the enclosed patch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -265,8 +266,7 @@ class SmallLoopReport:
 def _square_loop(lam, mu, nu, eps, n_params) -> PathSpec:
     e = eps * np.eye(n_params)
     c = np.asarray(lam, dtype=float) - 0.5 * (e[mu] + e[nu])
-    patch = SurfacePatch(_affine_chart(c, e[mu], e[nu]), (1, 1))
-    return patch.boundary_path(SMALL_LOOP_REFINEMENT)
+    return SurfacePatch(c, e[mu], e[nu], (1, 1)).boundary_path(SMALL_LOOP_REFINEMENT)
 
 
 def small_loop_check(
@@ -310,34 +310,36 @@ def small_loop_check(
 # ---------------------------------------------------------------------------
 
 
-def _affine_chart(origin, edge_u, edge_v) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The chart lambda(u, v) = origin + u * edge_u + v * edge_v; ValueError
-    unless the three are 1-D vectors of one length."""
-    origin, edge_u, edge_v = (np.asarray(a, dtype=float) for a in (origin, edge_u, edge_v))
-    if origin.ndim != 1 or not origin.shape == edge_u.shape == edge_v.shape:
-        raise ValueError("origin, edge_u and edge_v must be 1-D vectors of one length, got "
-                         f"shapes {origin.shape}, {edge_u.shape} and {edge_v.shape}")
-    return lambda u, v: origin + u * edge_u + v * edge_v
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfacePatch:
-    """A parametrized 2-surface (u, v) in [0,1]^2 -> lambda with a grid.
+    """The parallelogram lambda(u, v) = origin + u * edge_u + v * edge_v,
+    (u, v) in [0,1]^2, with a grid of cells.
 
-    The chart works on arrays: it is called once per :meth:`points` call
-    with ``u`` and ``v`` as (..., 1) arrays and returns the (..., N)
-    points, so an affine chart written as for scalars,
-    ``origin + u * edge_u + v * edge_v``, broadcasts unchanged.  The
-    boundary is traversed counterclockwise in (u, v) starting from
-    (0, 0).  Charts may collapse an edge to a point (a polar cap does);
-    boundary extraction drops the resulting duplicate nodes.
+    ``origin``, ``edge_u`` and ``edge_v`` are stored as read-only float
+    copies.  ValueError if they are not 1-D vectors of one length, if an
+    edge is all zero, or if ``grid`` is not a positive integer cell count
+    per axis.  Collinear edges are legal and span zero area.  The edges
+    are the exact tangents of every cell.  The boundary is traversed
+    counterclockwise in (u, v) starting from (0, 0).
     """
 
-    chart: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    origin: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
     grid: tuple[int, int]
 
     def __post_init__(self):
-        grid = self.grid
+        for name in ("origin", "edge_u", "edge_v"):
+            vector = np.array(getattr(self, name), dtype=float)
+            vector.setflags(write=False)
+            object.__setattr__(self, name, vector)
+        origin, edge_u, edge_v, grid = self.origin, self.edge_u, self.edge_v, self.grid
+        if origin.ndim != 1 or not origin.shape == edge_u.shape == edge_v.shape:
+            raise ValueError("origin, edge_u and edge_v must be 1-D vectors of one length, got "
+                             f"shapes {origin.shape}, {edge_u.shape} and {edge_v.shape}")
+        for name, edge in (("edge_u", edge_u), ("edge_v", edge_v)):
+            if not np.any(edge):
+                raise ValueError(f"{name} must be nonzero, got {edge.tolist()}")
         if len(grid) != 2 or not all(_is_int(n) and n >= 1 for n in grid):
             raise ValueError(f"grid must have a positive integer cell count per axis, got {grid!r}")
 
@@ -345,34 +347,20 @@ class SurfacePatch:
         return self.points([u, v])
 
     def points(self, uv) -> np.ndarray:
-        """Chart values at an (..., 2) array of (u, v) pairs, as (..., N);
-        one chart call.  ValueError if the chart breaks the array contract."""
+        """The points at an (..., 2) array of (u, v) pairs, as (..., N)."""
         uv = np.asarray(uv, dtype=float)
-        out = np.asarray(self.chart(uv[..., :1], uv[..., 1:]), dtype=float)
-        if out.shape[:-1] != uv.shape[:-1] or out.ndim != uv.ndim:
-            raise ValueError(
-                "a chart maps u and v given as (..., 1) arrays to (..., N) points; "
-                f"got shape {out.shape} for (u, v) pairs of shape {uv.shape}")
-        return out
+        return self.origin + uv[..., :1] * self.edge_u + uv[..., 1:] * self.edge_v
 
     def boundary_nodes(self) -> np.ndarray:
         """Grid-resolution boundary polyline, counterclockwise from (0, 0)."""
         nu, nv = self.grid
-        pts = self.points(
+        return self.points(
             [(i / nu, 0.0) for i in range(nu)]
             + [(1.0, j / nv) for j in range(nv)]
             + [(i / nu, 1.0) for i in range(nu, 0, -1)]
             + [(0.0, j / nv) for j in range(nv, 0, -1)]
             + [(0.0, 0.0)]
         )
-        deduped = [pts[0]]
-        for p in pts[1:]:
-            if np.linalg.norm(p - deduped[-1]) > 1e-14:
-                deduped.append(p)
-        # reclose in case deduplication swallowed the final node
-        if len(deduped) > 1 and np.linalg.norm(deduped[-1] - deduped[0]) > 1e-14:
-            deduped.append(deduped[0])
-        return np.asarray(deduped)
 
     def boundary_path(self, refinement: int = 1) -> PathSpec:
         return PathSpec(self.boundary_nodes(), closed=True, refinement=refinement)
@@ -381,7 +369,8 @@ class SurfacePatch:
 def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels) -> np.ndarray:
     """Per-level curvature contracted with the tangent bivector, sum over
     mu < nu of W^(n)_mu_nu (t_u^mu t_v^nu - t_v^mu t_u^nu), at a stack of
-    points; one row per point, one column per requested level.
+    points; one row per point, one column per requested level.  The
+    tangents ``t_u`` and ``t_v`` are shared by every point.
 
     The pair sum is :func:`_level_curvature` with dH_u, dH_v the gradients
     along the tangents, so the model only contracts its gradient with two
@@ -390,7 +379,8 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
     level on the merged spectrum, gaps to levels of other blocks included:
     only gaps to the level itself enter the denominators.
     """
-    blocks, hs, gs = model._kernel_batch(lams, np.stack([t_u, t_v], axis=1))
+    directions = np.broadcast_to(np.stack([t_u, t_v]), (len(lams), 2, len(t_u)))
+    blocks, hs, gs = model._kernel_batch(lams, directions)
     system = decompose_blocks(blocks, hs)
     evals = system.evals
     threshold = default_gap_tol(evals)
@@ -416,11 +406,11 @@ def berry_phase_surface(
     """Surface-integrated Berry phase over a patch, per level.
 
     Midpoint rule over the patch's (u, v) grid; the integrand is the per-level
-    curvature contracted with the pullback Jacobian, whose tangents come
-    from central differences of the chart at each cell centre.  ``level``
-    may be an int or a sequence of ints (one grid sweep either way), each
-    in ``[0, dim)``; anything else, floats and bools included, raises
-    ValueError.  The returned phase(s) are not wrapped.
+    curvature at each cell centre contracted with the patch's two edges,
+    which are its exact tangents.  ``level`` may be an int or a sequence
+    of ints (one grid sweep either way), each in ``[0, dim)``; anything
+    else, floats and bools included, raises ValueError.  The returned
+    phase(s) are not wrapped.
 
     With ``refine_check_tol`` set, the integral is recomputed on a doubled
     grid; disagreement above the tolerance raises
@@ -436,8 +426,6 @@ def berry_phase_surface(
         raise ValueError(f"refine_check_tol must be finite and non-negative, "
                          f"got {refine_check_tol!r}")
     nu_grid, nv_grid = patch.grid
-    n_params = model.n_params
-    all_pairs = [(mu, nu) for mu in range(n_params) for nu in range(mu + 1, n_params)]
 
     def integrate(nu_grid: int, nv_grid: int) -> np.ndarray:
         du, dv = 1.0 / nu_grid, 1.0 / nv_grid
@@ -445,21 +433,9 @@ def berry_phase_surface(
         size = _chunk_size(model.dim)
         for start in range(0, nu_grid * nv_grid, size):
             i, j = np.divmod(np.arange(start, min(start + size, nu_grid * nv_grid)), nv_grid)
-            uv = np.column_stack([(i + 0.5) * du, (j + 0.5) * dv])
-            # centre, then u -/+ du/2, then v -/+ dv/2
-            stencil = np.stack([
-                uv, uv - [0.5 * du, 0.0], uv + [0.5 * du, 0.0],
-                uv - [0.0, 0.5 * dv], uv + [0.0, 0.5 * dv],
-            ], axis=1)
-            pts = patch.points(stencil)
-            t_u = (pts[:, 2] - pts[:, 1]) / du
-            t_v = (pts[:, 4] - pts[:, 3]) / dv
-            live = np.zeros(len(uv), dtype=bool)
-            for mu, nu in all_pairs:
-                live |= t_u[:, mu] * t_v[:, nu] - t_v[:, mu] * t_u[:, nu] != 0.0
-            if np.any(live):
-                w = _level_curvature_sweep(model, pts[live, 0], t_u[live], t_v[live], levels)
-                total += np.sum(w, axis=0) * (du * dv)
+            centres = patch.points(np.column_stack([(i + 0.5) * du, (j + 0.5) * dv]))
+            w = _level_curvature_sweep(model, centres, patch.edge_u, patch.edge_v, levels)
+            total += np.sum(w, axis=0) * (du * dv)
         return total
 
     phase = integrate(nu_grid, nv_grid)

@@ -2,9 +2,10 @@
 
 Spherical builders work in the (B, theta, phi) chart of the spin model;
 planar builders produce flat patches/loops for any model (the oscillator's
-(X, Y, Z) space in particular).  Every patch is the affine array chart
+(X, Y, Z) space in particular).  Every patch is the parallelogram
 origin + u*edge_u + v*edge_v of :func:`planar_patch` (see
-:class:`SurfacePatch`).  Every loop is the boundary of its patch:
+:class:`SurfacePatch`); the spherical ones are parallelograms in
+(B, theta, phi).  Every loop is the boundary of its patch:
 the builder makes the patch on a one-cell grid and returns its
 ``boundary_path``, so a loop and the surface it bounds cannot drift apart.
 Loops that pass through the polar axis close there: the azimuthal leg
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .transport import PathSpec
-from .curvature import SurfacePatch, _affine_chart
+from .curvature import SurfacePatch
 
 __all__ = [
     "su2_triangle_loop",
@@ -30,16 +31,14 @@ __all__ = [
 ]
 
 
-def su2_triangle_loop(
-    omega: float, b: float = 1.0, refinement: int = 2000, theta_max: float = np.pi / 2
-) -> PathSpec:
+def su2_triangle_loop(omega: float, b: float = 1.0, refinement: int = 2000) -> PathSpec:
     """Geodesic triangle: pole -> equator at phi=0 -> along the equator by
     ``omega`` -> back to the pole, closed along the polar axis.
 
-    It is the boundary of :func:`su2_wedge_patch` with the same arguments.
-    For theta_max = pi/2 the enclosed solid angle equals ``omega``.
+    It is the boundary of :func:`su2_wedge_patch` with the same arguments;
+    the enclosed solid angle is ``omega``.
     """
-    return su2_wedge_patch(omega, b, (1, 1), theta_max).boundary_path(refinement)
+    return su2_wedge_patch(omega, b, (1, 1)).boundary_path(refinement)
 
 
 def su2_circle_loop(theta0: float, b: float = 1.0, refinement: int = 500) -> PathSpec:
@@ -55,20 +54,16 @@ def su2_circle_loop(theta0: float, b: float = 1.0, refinement: int = 500) -> Pat
         refinement)
 
 
-def su2_wedge_patch(
-    omega: float,
-    b: float = 1.0,
-    grid: tuple[int, int] = (50, 50),
-    theta_max: float = np.pi / 2,
-) -> SurfacePatch:
-    """Spherical wedge theta in [0, theta_max], phi in [0, omega].
+def su2_wedge_patch(omega: float, b: float = 1.0,
+                    grid: tuple[int, int] = (50, 50)) -> SurfacePatch:
+    """Spherical wedge theta in [0, pi/2], phi in [0, omega].
 
     Its boundary is :func:`su2_triangle_loop`; the enclosed solid angle is
-    omega * (1 - cos(theta_max)).
+    ``omega``.
     """
     if not 0.0 < omega < 2.0 * np.pi:
         raise ValueError("azimuthal span must lie in (0, 2*pi)")
-    return planar_patch([b, 0, 0], [0, theta_max, 0], [0, 0, omega], grid)
+    return planar_patch([b, 0, 0], [0, np.pi / 2, 0], [0, 0, omega], grid)
 
 
 def cap_polar_angle(omega: float) -> float:
@@ -88,9 +83,9 @@ def planar_patch(origin, edge_u, edge_v, grid: tuple[int, int] = (50, 50)) -> Su
     """Flat parallelogram patch lambda(u, v) = origin + u*edge_u + v*edge_v.
 
     ``origin``, ``edge_u`` and ``edge_v`` must be 1-D vectors of one
-    length; anything else raises ValueError.
+    length, and neither edge may be zero; anything else raises ValueError.
     """
-    return SurfacePatch(chart=_affine_chart(origin, edge_u, edge_v), grid=grid)
+    return SurfacePatch(origin, edge_u, edge_v, grid)
 
 
 def planar_rectangle_loop(origin, edge_u, edge_v, refinement: int = 500) -> PathSpec:

@@ -17,7 +17,10 @@ time averaging as the ingredient that makes the holonomy non-trivial.
 
 Both constructions run on the path kernel of :mod:`adiaconn.transport`:
 the edge cache transports the substeps of all grid edges when it is
-built, a chunk of edges at a time, and the flatness loop passes the
+built, a chunk of edges at a time.  A
+:class:`~adiaconn.curvature.SurfacePatch` is a parallelogram with
+nonzero edges, so every substep is a step along one of them and each
+grid edge takes the same number of steps.  The flatness loop passes the
 fixed-time Maurer-Cartan weight in place of the connection's.  The cell
 loops and their tail conjugations are stacked products over the whole
 grid; the tails and the column strips are recurrences up the columns,
@@ -80,8 +83,7 @@ class _EdgeCache:
     directions cancel exactly.  ``edge_refinement`` substeps per edge
     sharpen every transport without disturbing that cancellation.  All
     edges are transported on construction, a chunk of edges per kernel
-    call; substeps that the chart collapses to a point carry no transport
-    and are skipped.
+    call.
     """
 
     def __init__(self, model: ParametricHamiltonian, patch: SurfacePatch, edge_refinement: int = 2):
@@ -103,10 +105,10 @@ class _EdgeCache:
             chunk = slice(start, start + size)
             points = patch.points(
                 uv_from[chunk, None] + (uv_to - uv_from)[chunk, None] * frac[None, :, None])
-            deltas = points[:, 1:r + 1] - points[:, :r]
-            moves = np.linalg.norm(deltas, axis=-1) != 0.0
-            edges[chunk] = ordered_products(model, points[:, r + 1:][moves], deltas[moves],
-                                            moves.sum(axis=1))
+            n = points.shape[-1]
+            mids = points[:, r + 1:].reshape(-1, n)
+            deltas = (points[:, 1:r + 1] - points[:, :r]).reshape(-1, n)
+            edges[chunk] = ordered_products(model, mids, deltas, np.full(len(points), r))
         edges.setflags(write=False)
         self._h = edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:])
         self._v = edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:])

@@ -341,6 +341,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("surface", [
         {"origin": 2.0, "edge_u": 0.25, "edge_v": 0.25},
         {"origin": [2.0, 0.3, 1.4], "edge_u": [0, 0.25, 0], "edge_v": [[0, 0, 0.1]]},
+        {"origin": [2.0, 0.3, 1.4], "edge_u": [0, 0.25, 0], "edge_v": [0, 0, 0]},
     ])
     def test_surface_file_without_vectors_exits_2(self, runner, tmp_path, surface):
         path = tmp_path / "s.json"

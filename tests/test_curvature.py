@@ -165,6 +165,25 @@ class TestSurfaceIntegrals:
                                  grid=(8, 8))
         assert berry_phase_surface(su2_half, collinear, level=0) == pytest.approx(0.0, abs=1e-15)
 
+    def test_tangents_are_the_exact_edges(self, monkeypatch):
+        # on this grid the half-cell central differences of the parallelogram
+        # round away from its edges
+        model = random_polynomial_model(np.random.default_rng(5))
+        edge_u, edge_v = [0.3, 0.1], [-0.1, 0.7]
+        patch = planar_patch([0.1, -0.2], edge_u, edge_v, grid=(7, 5))
+        kernel_batch, handed = model._kernel_batch, []
+
+        def spy(lams, directions):
+            handed.append(np.array(directions))
+            return kernel_batch(lams, directions)
+
+        monkeypatch.setattr(model, "_kernel_batch", spy)
+        berry_phase_surface(model, patch, [0, 1])
+        directions = np.concatenate(handed)
+        assert directions.shape == (35, 2, 2)
+        assert np.array_equal(directions[:, 0], np.broadcast_to(edge_u, (35, 2)))
+        assert np.array_equal(directions[:, 1], np.broadcast_to(edge_v, (35, 2)))
+
     def test_l1_cap_per_level(self, su2_one):
         omega = 1.2
         patch = su2_cap_patch(omega, grid=(120, 120))
@@ -254,10 +273,20 @@ class TestSurfaceIntegrals:
 class TestSurfacePatch:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="grid"):
-            SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=(0, 3))
+            SurfacePatch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(0, 3))
         for grid in [(2.5, 2), (2, -1), (True, 2), (2,)]:
             with pytest.raises(ValueError, match="grid"):
-                SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=grid)
+                SurfacePatch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=grid)
+
+    @pytest.mark.parametrize("origin, edge_u, edge_v, match", [
+        ([1.0, 0.5], [0.0, 0.0], [0.0, 0.8], r"edge_u must be nonzero, got \[0.0, 0.0\]"),
+        ([1.0, 0.5], [0.3, 0.0], [-0.0, 0.0], "edge_v must be nonzero"),
+        ([1.0, 0.5], [0.3, 0.0], [0.0, 0.8, 0.0], "1-D vectors of one length"),
+        (1.0, 0.3, 0.8, "1-D vectors of one length"),
+    ])
+    def test_vectors_validated(self, origin, edge_u, edge_v, match):
+        with pytest.raises(ValueError, match=match):
+            planar_patch(origin, edge_u, edge_v, grid=(2, 2))
 
     def test_cap_boundary_dedupes_pole_edge(self, su2_half):
         patch = su2_cap_patch(1.0, grid=(4, 4))
@@ -268,29 +297,20 @@ class TestSurfacePatch:
 
     def test_chart_called_once_per_chunk(self, monkeypatch):
         monkeypatch.setattr(transport, "CHUNK_MATRICES", 7)
-        plane = planar_patch([0.0, 0.0], [0.3, 0.0], [0.0, 0.25])
         calls = []
+        points = SurfacePatch.points
 
-        def chart(u, v):
-            calls.append(u.shape)
-            return plane.chart(u, v)
+        def counted(self, uv):
+            calls.append(np.shape(uv))
+            return points(self, uv)
 
-        patch = SurfacePatch(chart=chart, grid=(4, 5))
+        monkeypatch.setattr(SurfacePatch, "points", counted)
+        patch = planar_patch([0.0, 0.0], [0.3, 0.0], [0.0, 0.25], grid=(4, 5))
         model = random_polynomial_model(np.random.default_rng(3))
         berry_phase_surface(model, patch, [0, 1])
-        # 20 cells in chunks of 7, five stencil points per cell
-        assert calls == [(7, 5, 1), (7, 5, 1), (6, 5, 1)]
+        # 20 cells in chunks of 7, one centre per cell
+        assert calls == [(7, 2), (7, 2), (6, 2)]
         calls.clear()
         _EdgeCache(model, patch, edge_refinement=2)
         # 4 * 6 + 5 * 5 = 49 edges in chunks of 7 // 2 = 3, five points per edge
-        assert len(calls) == 17 and calls[0] == (3, 5, 1) and calls[-1] == (1, 5, 1)
-
-    def test_scalar_chart_breaks_the_contract(self):
-        # written for scalar u and v: stacks the (..., 1) arrays instead of broadcasting
-        scalar = SurfacePatch(chart=lambda u, v: np.array([u, v]), grid=(2, 2))
-        with pytest.raises(ValueError, match=r"chart maps u and v given as \(\.\.\., 1\)"):
-            scalar.point(0.5, 0.5)
-        with pytest.raises(ValueError, match="chart maps"):
-            scalar.points(np.zeros((3, 4, 2)))
-        with pytest.raises(ValueError, match="chart maps"):
-            berry_phase_surface(constant_model(SZ, n_params=2), scalar, 0)
+        assert len(calls) == 17 and calls[0] == (3, 5, 2) and calls[-1] == (1, 5, 2)
