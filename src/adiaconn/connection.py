@@ -80,8 +80,7 @@ def connection_weight(delta: np.ndarray) -> np.ndarray:
     """Eigenbasis weight of the connection: i / (E_m - E_n) off the
     diagonal, 0 on it and wherever the difference vanishes."""
     inv = np.zeros(delta.shape)
-    mask = delta != 0.0
-    inv[mask] = 1.0 / delta[mask]
+    np.divide(1.0, delta, out=inv, where=delta != 0.0)
     return 1j * inv
 
 

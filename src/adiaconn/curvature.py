@@ -43,6 +43,7 @@ from .operator_core import (
     BlockSystem,
     DegenerateSpectrumError,
     SpectralDecomposition,
+    _stack_first,
     decompose_blocks,
     default_gap_tol,
     expm_hermitian,
@@ -196,7 +197,10 @@ def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
         elements = sandwich(v[batch, :, local].conj()[:, None], g, v[:, None])  # <n|dH|n'>
         inv2 = np.zeros_like(delta)
         np.divide(1.0, delta**2, out=inv2, where=keep)
-        out = out - 2.0 * np.sum(np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2, axis=-1)
+        terms = np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2
+        # NumPy sums a last axis of 3 or more in another order than along the stack
+        out = out - 2.0 * (_stack_first(terms).sum(axis=0) if e.shape[-1] == 2
+                           else np.sum(terms, axis=-1))
     return out
 
 
@@ -387,12 +391,11 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
     levels = np.asarray(levels)
     gaps = np.abs(evals[:, levels, None] - evals[:, None, :])  # [k, row, n']
     gaps[:, np.arange(len(levels)), levels] = np.inf
-    nearest_at = np.argmin(gaps, axis=-1)
-    nearest = np.min(gaps, axis=-1)
+    nearest = np.min(_stack_first(gaps), axis=0)
     bad = nearest < threshold[:, None]
     if np.any(bad):
         k, row = (int(i[0]) for i in np.nonzero(bad))
-        raise DegenerateSpectrumError(min(int(levels[row]), int(nearest_at[k, row])),
+        raise DegenerateSpectrumError(min(int(levels[row]), int(np.argmin(gaps[k, row]))),
                                       float(nearest[k, row]), float(threshold[k]))
     return _level_curvature(system, gs, levels)
 

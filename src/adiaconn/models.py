@@ -242,7 +242,8 @@ class ParametricHamiltonian:
         sizes = [len(b.index) for b in blocks]
         packed = np.zeros((len(h), 1 + g.shape[1], 2 * sum(n * n for n in sizes)))
         packed[:, 0, slots], packed[:, 1:, slots] = h, g
-        parts = np.split(packed, 2 * np.cumsum(np.square(sizes))[:-1], axis=-1)
+        parts = ([packed] if len(sizes) == 1 else
+                 np.split(packed, 2 * np.cumsum(np.square(sizes))[:-1], axis=-1))
         stacks = [p.view(complex).reshape(p.shape[:2] + (n, n)) for p, n in zip(parts, sizes)]
         return blocks, [s[:, 0] for s in stacks], [s[:, 1:] for s in stacks]
 

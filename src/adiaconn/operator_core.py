@@ -51,8 +51,13 @@ chain and takes the real path; so does a connected tree, such as spin
 Spin 1/2 makes every stacked matrix 2x2, where ``eigh`` and stacked
 ``matmul`` cost mostly per-matrix call overhead.  A two-node tree block
 is therefore decomposed in closed form from one rotation angle, and
-:func:`matmul` writes a product whose contraction has length 2 as two
-elementwise products; every other size goes to LAPACK and ``@``.
+:func:`matmul` writes a product whose contraction has length 2 entry by
+entry, each term one elementwise product along the whole stack; every
+other size goes to LAPACK and ``@``.  For the same reason a reduction
+over a short axis of a stack (a spectral radius, a 1-norm, a nearest
+gap) runs over a copy with that axis in front (:func:`_stack_first`),
+so that NumPy's inner loops run along the stack and not along the
+axis, once per matrix.
 """
 
 from __future__ import annotations
@@ -240,14 +245,27 @@ def hermiticity_defect(h):
     return defect, ~(defect <= HERMITICITY_TOL * scale)
 
 
+def _stack_first(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``x`` with its short ``axis`` moved to the front, as a contiguous
+    copy.  Reducing the copy over axis 0 runs every step of the reduction
+    along the whole stack, where reducing ``x`` over ``axis`` runs one
+    inner loop of that axis's length per matrix.  Max, min and argmin
+    (first index on ties) give exactly the same values; a sum adds its
+    terms in order, which is NumPy's order for a length of 2 or a
+    non-last axis, but not for a last axis of 3 or more."""
+    return np.ascontiguousarray(np.moveaxis(x, axis, 0))
+
+
 def default_gap_tol(eigenvalues: np.ndarray):
     """Scale-aware degeneracy threshold: 1e-8 * (1 + spectral radius).
 
     Eigenvalues of a stack of matrices (leading batch axes) give one
     threshold per matrix.
     """
-    radius = np.max(np.abs(np.asarray(eigenvalues, dtype=float)), axis=-1, initial=0.0)
-    return 1e-8 * (1.0 + radius)
+    radius = np.abs(np.asarray(eigenvalues, dtype=float))
+    if radius.ndim > 1:
+        radius = _stack_first(radius)
+    return 1e-8 * (1.0 + np.max(radius, axis=0, initial=0.0))
 
 
 def spectral_gaps(evals, check_levels: int | None = None):
@@ -417,19 +435,34 @@ def eigh_block(stack: np.ndarray, block: Block):
 
 def gauge_phase(gauge: np.ndarray) -> np.ndarray:
     """conj(D_m) D_n for a (..., d) stack of gauge diagonals D, as
-    (..., d, d): the elementwise factor that takes G to D^dag G D."""
-    return gauge.conj()[..., :, None] * gauge[..., None, :]
+    (..., d, d): the elementwise factor that takes G to D^dag G D.  For
+    d = 2 each entry is one product of two strided entry views."""
+    conj = gauge.conj()
+    if gauge.shape[-1] != 2:
+        return conj[..., :, None] * gauge[..., None, :]
+    out = np.empty(gauge.shape + (2,), dtype=gauge.dtype)
+    for m in range(2):
+        for n in range(2):
+            out[..., m, n] = conj[..., m] * gauge[..., n]
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks; a contraction of length 2 is unrolled into two
-    broadcast elementwise products, several times faster than a stacked
-    ``matmul`` of 2x2 matrices, which is mostly per-matrix overhead.
-    Every other inner size is ``a @ b`` itself."""
+    """a @ b for stacks; a contraction of length 2 is written entry by
+    entry, out[..., i, j] = a[..., i, 0] b[..., 0, j] + a[..., i, 1]
+    b[..., 1, j], each term one elementwise product of strided entry
+    views over the whole stack.  A stacked ``matmul`` of 2x2 matrices,
+    or a broadcast product of their rows and columns, spends most of its
+    time in inner loops of length 2, one per matrix.  Every other inner
+    size is ``a @ b`` itself."""
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    out += a[..., :, 1, None] * b[..., None, 1, :]
+    rows, cols = a.shape[-2], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, cols),
+                   dtype=np.result_type(a, b))
+    for i in range(rows):
+        for j in range(cols):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
     return out
 
 
@@ -619,7 +652,7 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     error names the first step that misses it.
     """
     h = np.asarray(h)
-    theta = float(np.max(np.abs(h).sum(axis=-2), initial=0.0))
+    theta = float(np.max(_stack_first(np.abs(h), -2).sum(axis=0), initial=0.0))
     if theta <= TAYLOR_MAX_NORM:
         u = _taylor_exp(1j * h, _taylor_degree(theta))
     else:
@@ -629,9 +662,13 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
             raise ValueError(f"step {bad[0]} is not unitary: its generator is not Hermitian, "
                              f"||H - H^dag|| = {asym[bad[0]]:.3e}")
         u = _expm_eig(h, 1.0)
-    eye = np.eye(h.shape[-1])
-    defect = np.linalg.norm(matmul(u.conj().swapaxes(-1, -2), u) - eye, axis=(-2, -1))
-    bad = np.flatnonzero(~(defect <= UNITARITY_TOL * h.shape[-1]))
+    dim = h.shape[-1]
+    off = matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim)
+    if dim == 2:  # Frobenius norms, the four squares summed along the stack in norm's order
+        defect = np.sqrt(_stack_first((off.conj() * off).real.reshape(len(off), 4)).sum(axis=0))
+    else:
+        defect = np.linalg.norm(off, axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= UNITARITY_TOL * dim))
     if bad.size:
         raise ValueError(f"step {bad[0]} is not unitary: ||U^dag U - I|| = {defect[bad[0]]:.3e}")
     return u

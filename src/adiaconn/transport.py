@@ -230,9 +230,9 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
         spectral_gaps(system.evals, model.check_levels)
         gens = [contract_stack(e, v, g[:, 0], weight, gauge)
                 for g, (e, v, gauge) in zip(gs, system.parts)]
-        finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
-                         for w in gens], axis=0)
-        if not finite.all():
+        if not all(np.isfinite(w.view(float)).all() for w in gens):  # rows only to name the point
+            finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
+                             for w in gens], axis=0)
             raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
         yield [(b.index, expm_hermitian_stack(w)) for b, w in zip(system.blocks, gens)]
 

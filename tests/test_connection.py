@@ -6,6 +6,7 @@ from adiaconn.connection import (
     _maurer_cartan_kernel,
     connection_spectral,
     connection_time_average,
+    connection_weight,
     contract_stack,
     gauge_transform,
     maurer_cartan_sample,
@@ -29,6 +30,20 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 def _su2_point(rng):
     return np.array([rng.uniform(0.5, 2.0), rng.uniform(0.2, np.pi - 0.2),
                      rng.uniform(0.0, 2 * np.pi)])
+
+
+def test_connection_weight_is_the_masked_reciprocal_bit_for_bit(rng):
+    # the form it replaced: a boolean gather of the nonzero differences
+    # and a scatter of their reciprocals
+    evals = np.sort(rng.normal(size=(64, 3)), axis=-1)
+    evals[::4, 1] = evals[::4, 0]  # exact zeros off the diagonal too
+    delta = evals[..., :, None] - evals[..., None, :]
+    inv = np.zeros(delta.shape)
+    mask = delta != 0.0
+    inv[mask] = 1.0 / delta[mask]
+    got = connection_weight(delta)
+    assert np.count_nonzero(~mask) > 64 * 3
+    assert got.dtype == complex and np.array_equal(got, 1j * inv)
 
 
 class TestSpectralConnection:

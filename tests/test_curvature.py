@@ -202,6 +202,19 @@ class TestSurfaceIntegrals:
         with pytest.raises(ValueError, match="refine_check_tol"):
             berry_phase_surface(su2_half, patch, level=0, refine_check_tol=tol)
 
+    def test_degenerate_level_is_named(self):
+        # level 2 ties with levels 1 and 3 at gap 0: the first of them,
+        # level 1, is the one named, with the gap and threshold it missed
+        from adiaconn.operator_core import DegenerateSpectrumError, default_gap_tol
+
+        evals = np.array([1.0, 2.0, 2.0, 2.0])
+        model = constant_model(np.diag(evals).astype(complex), n_params=2)
+        patch = planar_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(2, 3))
+        with pytest.raises(DegenerateSpectrumError) as err:
+            berry_phase_surface(model, patch, level=[0, 2])
+        assert (err.value.level, err.value.gap) == (1, 0.0)
+        assert err.value.threshold == default_gap_tol(evals)
+
     def test_degenerate_level_guard(self):
         from adiaconn.operator_core import DegenerateSpectrumError
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adiaconn import operator_core, transport
-from adiaconn.connection import connection_spectral
+from adiaconn.connection import connection_spectral, connection_weight
 from adiaconn.curvature import GridTooCoarseError, SurfacePatch, berry_phase_surface
 from adiaconn.geometry import (
     planar_patch,
@@ -494,6 +494,23 @@ class TestErrorParity:
         with pytest.raises(ValueError) as batched:
             wilson_loop_phases(su2_half, loop)
         assert str(batched.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("chunk", [7, 2048])
+def test_non_finite_connection_names_its_point(su2_half, monkeypatch, chunk):
+    # a weight that is NaN wherever the level spacing B exceeds 1.5: the
+    # first such midpoint, mid-chunk for chunks of 7, is the one named
+    monkeypatch.setattr(transport, "CHUNK_MATRICES", chunk)
+    path = PathSpec(np.array([[1.0, 0.7, 0.3], [2.0, 0.7, 0.3]]), refinement=40)
+    mids, deltas = path.step_arrays()
+
+    def weight(delta):
+        return np.where(np.abs(delta) > 1.5, np.nan, connection_weight(delta))
+
+    first = mids[np.argmax(mids[:, 0] > 1.5)]
+    with pytest.raises(ValueError) as err:
+        transport.ordered_products(su2_half, mids, deltas, [len(mids)], weight=weight)
+    assert str(err.value) == f"non-finite connection at {first.tolist()}"
 
 
 class InfiniteCoupling(Su2Model):

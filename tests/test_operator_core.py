@@ -257,6 +257,73 @@ class TestMatmul:
         got, ref = operator_core.matmul(a, b), a @ b
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("kinds", [(complex, complex), (float, complex), (complex, float)])
+    @pytest.mark.parametrize("shapes", [
+        ((2048, 2, 2), (2048, 2, 2)),
+        ((9, 1, 1, 2), (9, 2, 2, 2)),  # the level bras of _level_curvature, R = 1, 2, 3
+        ((9, 1, 2, 2), (9, 2, 2, 2)),
+        ((9, 1, 3, 2), (9, 2, 2, 2)),
+        ((9, 2, 2, 2), (9, 1, 2, 2)),
+    ])
+    def test_length_two_is_the_broadcast_product_bit_for_bit(self, rng, shapes, kinds):
+        # the entry-by-entry product makes the same two products and one
+        # sum per entry as the broadcast rows-times-columns form it replaced
+        a, b = (random_array(rng, shape, kind) for shape, kind in zip(shapes, kinds))
+        ref = a[..., :, 0, None] * b[..., None, 0, :]
+        ref += a[..., :, 1, None] * b[..., None, 1, :]
+        got = operator_core.matmul(a, b)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+class TestStackFirst:
+    """The short axis moved to the front: reductions over axis 0 of the
+    copy give exactly the reductions over that axis."""
+
+    @staticmethod
+    def tied(rng, d):
+        # few distinct values, so that most rows tie on their extremes
+        x = rng.integers(0, 3, size=(40, d, d)).astype(float)
+        x[0] = 1.0  # every entry tied
+        return x
+
+    @pytest.mark.parametrize("reduce", [np.max, np.min, np.argmin])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 30])
+    def test_max_min_argmin_are_exact(self, rng, d, axis, reduce):
+        x = self.tied(rng, d)
+        got = reduce(operator_core._stack_first(x, axis), axis=0)
+        ref = reduce(x, axis=axis)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 30])
+    def test_sums_in_order(self, rng, d):
+        # a sum over a non-last axis adds its terms in order, as the copy
+        # does; a last axis only for length 2
+        x = rng.normal(size=(40, d, d)) * 10.0 ** rng.integers(-8, 8, size=(40, d, d))
+        assert np.array_equal(operator_core._stack_first(x, -2).sum(axis=0), x.sum(axis=-2))
+        if d == 2:
+            assert np.array_equal(operator_core._stack_first(x).sum(axis=0), x.sum(axis=-1))
+
+    @pytest.mark.parametrize("shape", [(50, 2), (6, 5, 4), (3, 30)])
+    def test_gap_tolerance_of_a_stack_is_that_of_each_spectrum(self, rng, shape):
+        evals = np.sort(rng.normal(size=shape), axis=-1).reshape(-1, shape[-1])
+        rows = [operator_core.default_gap_tol(e) for e in evals]
+        got = operator_core.default_gap_tol(evals.reshape(shape))
+        assert np.array_equal(got.ravel(), rows)
+
+    def test_one_dimensional_input_is_itself(self):
+        x = np.array([3.0, -1.0, 2.0])
+        assert np.array_equal(operator_core._stack_first(x), x)
+
+
+class TestGaugePhase:
+    @pytest.mark.parametrize("shape", [(2048, 2), (5, 3, 2), (7, 3), (2,)])
+    def test_is_the_broadcast_outer_product_bit_for_bit(self, rng, shape):
+        gauge = np.exp(1j * rng.uniform(-np.pi, np.pi, size=shape))
+        ref = gauge.conj()[..., :, None] * gauge[..., None, :]
+        got = operator_core.gauge_phase(gauge)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 def symmetric_2x2(a, b, c) -> np.ndarray:
     h = np.empty((len(a), 2, 2))
