@@ -288,11 +288,14 @@ def small_loop_check(
     the floor well below the cubic term at SMALL_LOOP_REFINEMENT steps
     per side).
     ``mu`` and ``nu`` must be distinct parameter indices in
-    ``[0, n_params)``; anything else raises ValueError.
+    ``[0, n_params)`` and ``eps`` finite and positive; anything else
+    raises ValueError.
     """
     if not all(_is_int(i) and 0 <= i < model.n_params for i in (mu, nu)) or mu == nu:
         raise ValueError(f"mu and nu must be distinct parameter indices in "
                          f"[0, {model.n_params}), got {mu!r} and {nu!r}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     lam = np.asarray(lam, dtype=float)
     f = yang_mills_curvature(model, lam)
 

@@ -180,10 +180,6 @@ class UnitaryOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

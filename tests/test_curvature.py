@@ -152,6 +152,12 @@ class TestSmallLoop:
                 small_loop_check(model, [0.0, 0.0], mu, nu, eps=1e-2)
 
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+    def test_eps_finite_and_positive(self, su2_half, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            small_loop_check(su2_half, [1.0, 0.8, 0.3], 1, 2, eps=eps)
+
+
 class TestSurfaceIntegrals:
     def test_cap_phase_matches_solid_angle(self, su2_half):
         omega = np.pi / 2
