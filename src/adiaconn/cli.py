@@ -622,7 +622,14 @@ def flatness(cfg, mdl):
 @click.option("--stride", type=click.IntRange(min=1), default=10, show_default=True,
               help="CSV row stride")
 def drive(cfg, mdl):
-    """Driven evolution along a schedule; trajectory written as CSV."""
+    """Driven evolution along a schedule; trajectory written as CSV.
+
+    The phase column is the argument of the overlap with the tracked
+    eigenvector, whose phase is fixed by making its largest-magnitude
+    entry real and positive (ties to the lowest index).  Where two
+    entries trade places as the largest along the sweep, the phase jumps
+    by their relative phase; the fidelity does not.
+    """
     if cfg["model"] != "su2":
         raise CliError("the drive subcommand currently generates su2 sweeps only")
     a, bb = parse_point(cfg["sweep_theta"], 2, "--sweep-theta")

@@ -74,6 +74,8 @@ UNITARITY_TOL = 1e-10
 # Largest max 1-norm of a stack that expm_hermitian_stack exponentiates by
 # its Taylor series (degree 23 there); larger stacks take the eigenbasis.
 TAYLOR_MAX_NORM = 2.0
+# Relative spread of entry magnitudes that fix_phase treats as a tie.
+PHASE_TIE_TOL = 1e-12
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 __all__ = [
@@ -292,12 +294,22 @@ def spectral_gaps(evals, check_levels: int | None = None):
 def fix_phase(frame) -> UnitaryOperator:
     """Make each column's largest-magnitude entry real and positive, ties
     going to the lowest index: the library's one eigenvector phase rule.
-    Idempotent."""
+    Idempotent.
+
+    Magnitudes within a relative ``PHASE_TIE_TOL`` of the column's
+    largest count as tied, so that entries of exactly equal magnitude
+    (spin 1, level m = 0: the entries for m = -1 and m = +1) do not let
+    roundoff pick the anchor.  Where two entries trade places as the
+    largest by more than that, the anchor still jumps, and with it the
+    phase of the column."""
     v = as_matrix(frame)
-    zero = np.flatnonzero(np.linalg.norm(v, axis=0) == 0.0)
+    magnitude = np.abs(v)
+    largest = magnitude.max(axis=0, initial=0.0)
+    zero = np.flatnonzero(largest == 0.0)
     if zero.size:
         raise ValueError(f"column {zero[0]} is zero; cannot phase-fix")
-    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    anchor = np.argmax(magnitude >= (1.0 - PHASE_TIE_TOL) * largest, axis=0)
+    z = v[anchor, np.arange(v.shape[1])]
     # hypot rounds like abs() of a single complex number; np.abs of an
     # array may differ in the last bit
     modulus = np.hypot(z.real, z.imag)

@@ -484,6 +484,14 @@ class DrivingResult:
     instantaneous eigenvector of the tracked level; ``final_phase`` is the
     argument of that overlap at the end (dynamical plus geometric, gauge
     fixed by the phase convention).
+
+    ``phases`` inherit that gauge.  The phase rule anchors each
+    eigenvector on its largest-magnitude entry, and entries of equal
+    magnitude tie to the lowest index, but where two entries trade places
+    as the largest along the sweep the anchor moves, and ``phases`` jump
+    by the relative phase of the two entries (for spin 1, level m = 0,
+    by phi where cos(theta) falls below sin(theta)/sqrt(2), at
+    theta = 0.955).  Fidelities do not depend on the gauge.
     """
 
     times: np.ndarray

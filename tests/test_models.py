@@ -15,6 +15,7 @@ from adiaconn.models import (
     parse_model_file,
     serialize_model_spec,
 )
+from adiaconn import operator_core
 from adiaconn.geometry import su2_circle_loop
 from adiaconn.reference import su2_spherical_triple
 from adiaconn.transport import holonomy, wilson_loop_phases
@@ -65,6 +66,19 @@ class TestSu2Model:
     def test_l1_equally_spaced(self, su2_one):
         spec = su2_one.spectral_at([1.7, 0.9, 2.2])
         assert np.allclose(spec.eigenvalues, [-1.7, 0.0, 1.7], atol=1e-12)
+
+    def test_spin1_tied_level_gets_one_frame_from_both_routes(self, su2_one):
+        # level m = 0 of spin 1 has two entries of exactly equal magnitude,
+        # sin(theta)/sqrt(2), at every point: the one-point route and the
+        # stack route reach them with different roundoff, and the phase
+        # rule must still anchor both on the same entry
+        lams = np.column_stack([np.ones(2001), np.linspace(0.3, 1.3, 2001), np.full(2001, 0.7)])
+        blocks, hs, _ = su2_one._kernel_batch(lams)
+        stack = operator_core.decompose_blocks(blocks, hs).frames()
+        worst = max(np.max(np.abs(su2_one.spectral_at(lam).frame.matrix
+                                  - operator_core.fix_phase(f).matrix))
+                    for lam, f in zip(lams, stack))
+        assert worst <= 1e-14
 
     def test_phi_periodicity(self, su2_half, rng):
         lam = np.array([1.2, rng.uniform(0.1, 3.0), rng.uniform(0, 2 * np.pi)])

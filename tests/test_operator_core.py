@@ -718,6 +718,18 @@ class TestFixPhase:
         assert fixed[0, 1].imag == pytest.approx(0.0, abs=1e-15)
         assert fixed[0, 1].real > 0
 
+    @pytest.mark.parametrize("spread, anchor", [(4e-16, 0), (-4e-16, 0), (1e-9, 1)])
+    def test_roundoff_does_not_break_a_tie(self, spread, anchor):
+        # magnitudes within PHASE_TIE_TOL of the largest count as tied;
+        # a wider spread is a real largest entry
+        high = 0.6 * (1 + spread)
+        col = np.array([0.6 * np.exp(0.3j), high * np.exp(-1.1j), np.sqrt(0.64 - high**2)])
+        frame = np.linalg.qr(np.column_stack([col, np.eye(3)[:, 1:]]))[0]
+        frame[:, 0] = col  # the orthonormal complement, with the column exactly as built
+        fixed = fix_phase(frame).matrix[:, 0]
+        assert abs(np.angle(fixed[anchor])) <= 1e-15
+        assert abs(np.angle(fixed[1 - anchor])) > 1.0
+
     def test_idempotent_on_random_unitaries(self, rng):
         for _ in range(5):
             u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
