@@ -280,13 +280,13 @@ def spectral_gaps(evals, check_levels: int | None = None):
     gaps = np.diff(evals[..., :check_levels], axis=-1)
     if gaps.shape[-1] == 0:
         return np.full(evals.shape[:-1], np.inf)
-    worst = np.argmin(gaps, axis=-1)
-    min_gap = np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0]
+    min_gap = np.min(_stack_first(gaps) if gaps.ndim > 1 else gaps, axis=0)
     threshold = np.broadcast_to(default_gap_tol(evals), min_gap.shape)
     bad = np.flatnonzero(~(min_gap >= threshold))
     if bad.size:
         k = bad[0]
-        raise DegenerateSpectrumError(int(worst.flat[k]), float(min_gap.flat[k]),
+        worst = np.argmin(gaps.reshape(-1, gaps.shape[-1])[k])
+        raise DegenerateSpectrumError(int(worst), float(min_gap.flat[k]),
                                       float(threshold.flat[k]))
     return min_gap
 
@@ -672,7 +672,7 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
         u = _expm_eig(h, 1.0)
     dim = h.shape[-1]
     off = matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim)
-    if dim == 2:  # Frobenius norms, the four squares summed along the stack in norm's order
+    if dim == 2:  # Frobenius norms: the four squares in order, as numpy.linalg.norm adds them
         defect = np.sqrt(_stack_first((off.conj() * off).real.reshape(len(off), 4)).sum(axis=0))
     else:
         defect = np.linalg.norm(off, axis=(-2, -1))

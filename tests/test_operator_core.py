@@ -311,6 +311,17 @@ class TestStackFirst:
         got = operator_core.default_gap_tol(evals.reshape(shape))
         assert np.array_equal(got.ravel(), rows)
 
+    def test_gaps_of_a_stack_are_those_of_each_spectrum(self, rng):
+        evals = np.sort(rng.normal(size=(50, 4)), axis=-1)
+        gaps = operator_core.spectral_gaps(evals)
+        assert np.array_equal(gaps, [operator_core.spectral_gaps(e) for e in evals])
+        evals[7, 2:] = evals[7, 1]  # two zero gaps: the first names the level
+        evals[30, 3] = evals[30, 2]
+        with pytest.raises(DegenerateSpectrumError) as err:
+            operator_core.spectral_gaps(evals)
+        assert (err.value.level, err.value.gap) == (1, 0.0)
+        assert err.value.threshold == operator_core.default_gap_tol(evals[7])
+
     def test_one_dimensional_input_is_itself(self):
         x = np.array([3.0, -1.0, 2.0])
         assert np.array_equal(operator_core._stack_first(x), x)
