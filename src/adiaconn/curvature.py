@@ -43,7 +43,7 @@ from .operator_core import (
     BlockSystem,
     DegenerateSpectrumError,
     SpectralDecomposition,
-    _stack_first,
+    _short_axis_first,
     decompose_blocks,
     default_gap_tol,
     expm_hermitian,
@@ -199,7 +199,7 @@ def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
         np.divide(1.0, delta**2, out=inv2, where=keep)
         terms = np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2
         # NumPy sums a last axis of 3 or more in another order than along the stack
-        out = out - 2.0 * (_stack_first(terms).sum(axis=0) if e.shape[-1] == 2
+        out = out - 2.0 * (_short_axis_first(terms).sum(axis=0) if e.shape[-1] == 2
                            else np.sum(terms, axis=-1))
     return out
 
@@ -394,7 +394,7 @@ def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels)
     levels = np.asarray(levels)
     gaps = np.abs(evals[:, levels, None] - evals[:, None, :])  # [k, row, n']
     gaps[:, np.arange(len(levels)), levels] = np.inf
-    nearest = np.min(_stack_first(gaps), axis=0)
+    nearest = np.min(_short_axis_first(gaps), axis=0)
     bad = nearest < threshold[:, None]
     if np.any(bad):
         k, row = (int(i[0]) for i in np.nonzero(bad))

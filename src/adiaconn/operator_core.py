@@ -55,7 +55,7 @@ is therefore decomposed in closed form from one rotation angle, and
 entry, each term one elementwise product along the whole stack; every
 other size goes to LAPACK and ``@``.  For the same reason a reduction
 over a short axis of a stack (a spectral radius, a 1-norm, a nearest
-gap) runs over a copy with that axis in front (:func:`_stack_first`),
+gap) runs over a copy with that axis in front (:func:`_short_axis_first`),
 so that NumPy's inner loops run along the stack and not along the
 axis, once per matrix.
 """
@@ -243,7 +243,7 @@ def hermiticity_defect(h):
     return defect, ~(defect <= HERMITICITY_TOL * scale)
 
 
-def _stack_first(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def _short_axis_first(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """``x`` with its short ``axis`` moved to the front, as a contiguous
     copy.  Reducing the copy over axis 0 runs every step of the reduction
     along the whole stack, where reducing ``x`` over ``axis`` runs one
@@ -262,7 +262,7 @@ def default_gap_tol(eigenvalues: np.ndarray):
     """
     radius = np.abs(np.asarray(eigenvalues, dtype=float))
     if radius.ndim > 1:
-        radius = _stack_first(radius)
+        radius = _short_axis_first(radius)
     return 1e-8 * (1.0 + np.max(radius, axis=0, initial=0.0))
 
 
@@ -280,7 +280,7 @@ def spectral_gaps(evals, check_levels: int | None = None):
     gaps = np.diff(evals[..., :check_levels], axis=-1)
     if gaps.shape[-1] == 0:
         return np.full(evals.shape[:-1], np.inf)
-    min_gap = np.min(_stack_first(gaps) if gaps.ndim > 1 else gaps, axis=0)
+    min_gap = np.min(_short_axis_first(gaps) if gaps.ndim > 1 else gaps, axis=0)
     threshold = np.broadcast_to(default_gap_tol(evals), min_gap.shape)
     bad = np.flatnonzero(~(min_gap >= threshold))
     if bad.size:
@@ -660,7 +660,7 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     error names the first step that misses it.
     """
     h = np.asarray(h)
-    theta = float(np.max(_stack_first(np.abs(h), -2).sum(axis=0), initial=0.0))
+    theta = float(np.max(_short_axis_first(np.abs(h), -2).sum(axis=0), initial=0.0))
     if theta <= TAYLOR_MAX_NORM:
         u = _taylor_exp(1j * h, _taylor_degree(theta))
     else:
@@ -673,7 +673,8 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     dim = h.shape[-1]
     off = matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim)
     if dim == 2:  # Frobenius norms: the four squares in order, as numpy.linalg.norm adds them
-        defect = np.sqrt(_stack_first((off.conj() * off).real.reshape(len(off), 4)).sum(axis=0))
+        squares = (off.conj() * off).real.reshape(len(off), 4)
+        defect = np.sqrt(_short_axis_first(squares).sum(axis=0))
     else:
         defect = np.linalg.norm(off, axis=(-2, -1))
     bad = np.flatnonzero(~(defect <= UNITARITY_TOL * dim))

@@ -275,7 +275,7 @@ class TestMatmul:
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
-class TestStackFirst:
+class TestShortAxisFirst:
     """The short axis moved to the front: reductions over axis 0 of the
     copy give exactly the reductions over that axis."""
 
@@ -291,7 +291,7 @@ class TestStackFirst:
     @pytest.mark.parametrize("d", [2, 3, 4, 30])
     def test_max_min_argmin_are_exact(self, rng, d, axis, reduce):
         x = self.tied(rng, d)
-        got = reduce(operator_core._stack_first(x, axis), axis=0)
+        got = reduce(operator_core._short_axis_first(x, axis), axis=0)
         ref = reduce(x, axis=axis)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -300,9 +300,9 @@ class TestStackFirst:
         # a sum over a non-last axis adds its terms in order, as the copy
         # does; a last axis only for length 2
         x = rng.normal(size=(40, d, d)) * 10.0 ** rng.integers(-8, 8, size=(40, d, d))
-        assert np.array_equal(operator_core._stack_first(x, -2).sum(axis=0), x.sum(axis=-2))
+        assert np.array_equal(operator_core._short_axis_first(x, -2).sum(axis=0), x.sum(axis=-2))
         if d == 2:
-            assert np.array_equal(operator_core._stack_first(x).sum(axis=0), x.sum(axis=-1))
+            assert np.array_equal(operator_core._short_axis_first(x).sum(axis=0), x.sum(axis=-1))
 
     @pytest.mark.parametrize("shape", [(50, 2), (6, 5, 4), (3, 30)])
     def test_gap_tolerance_of_a_stack_is_that_of_each_spectrum(self, rng, shape):
@@ -324,7 +324,7 @@ class TestStackFirst:
 
     def test_one_dimensional_input_is_itself(self):
         x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(operator_core._stack_first(x), x)
+        assert np.array_equal(operator_core._short_axis_first(x), x)
 
 
 class TestGaugePhase:
