@@ -151,7 +151,6 @@ class TestSmallLoop:
             with pytest.raises(ValueError, match="distinct parameter indices"):
                 small_loop_check(model, [0.0, 0.0], mu, nu, eps=1e-2)
 
-
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
     def test_eps_finite_and_positive(self, su2_half, eps):
         with pytest.raises(ValueError, match="eps must be finite and positive"):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adiaconn import operator_core
 from adiaconn.models import (
     DomainViolationError,
     ModelFileError,
@@ -15,7 +16,6 @@ from adiaconn.models import (
     parse_model_file,
     serialize_model_spec,
 )
-from adiaconn import operator_core
 from adiaconn.geometry import su2_circle_loop
 from adiaconn.reference import su2_spherical_triple
 from adiaconn.transport import holonomy, wilson_loop_phases
