@@ -95,7 +95,10 @@ def _maurer_cartan_kernel(delta: np.ndarray, osc: np.ndarray, t_diag: float) -> 
 
 
 def maurer_cartan_weight(t: float):
-    """Eigenbasis weight of the Maurer-Cartan 1-form at group time ``t``."""
+    """Eigenbasis weight of the Maurer-Cartan 1-form at group time ``t``;
+    ValueError unless ``t`` is finite."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     return lambda delta: _maurer_cartan_kernel(delta, np.exp(-1j * t * delta), t)
 
 

@@ -126,7 +126,8 @@ def yang_mills_curvature(
     The derivative terms use a two-sided stencil of half-width
     ``step`` (default 1e-5 * (1 + |lambda_mu|) per direction); the
     commutator term is exact.  Degeneracy anywhere inside the stencil
-    propagates as an error.
+    propagates as an error.  ValueError unless ``step`` is finite and
+    positive and moves every lambda_mu.
     """
     lam = np.asarray(lam, dtype=float)
     n = model.n_params
@@ -139,6 +140,9 @@ def yang_mills_curvature(
     derivs = []  # derivs[mu][nu] = dA_nu / dlambda_mu
     for mu in range(n):
         h_mu = step if step is not None else FD_STEP_SCALE * (1.0 + abs(lam[mu]))
+        if not (np.isfinite(h_mu) and lam[mu] - h_mu < lam[mu] < lam[mu] + h_mu):
+            raise ValueError(f"step must be finite and positive and move "
+                             f"{model.param_names[mu]} = {float(lam[mu])!r}, got {h_mu!r}")
         e = np.zeros(n)
         e[mu] = 1.0
         plus, minus = lam + h_mu * e, lam - h_mu * e

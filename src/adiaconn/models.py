@@ -28,7 +28,6 @@ from .operator_core import (
     as_matrix,
     hermitian_part,
     hermiticity_defect,
-    spectral_decompose,
 )
 
 __all__ = [
@@ -171,8 +170,11 @@ class ParametricHamiltonian:
 
     def spectral_at(self, lam) -> SpectralDecomposition:
         """Eigen-decomposition of H(lambda) with degeneracy detection on
-        the lowest ``check_levels`` levels."""
-        return spectral_decompose(self.eval_h(lam), check_levels=self.check_levels)
+        the lowest ``check_levels`` levels: the one-point case of the
+        kernels' block decomposition."""
+        blocks, stacks, _ = self._kernel_batch(self._as_point(lam)[None])
+        system = operator_core.decompose_blocks(blocks, stacks)
+        return operator_core._spectral(system.evals[0], system.frames()[0], self.check_levels)
 
     # -- batches ----------------------------------------------------------
 
@@ -222,13 +224,17 @@ class ParametricHamiltonian:
         pattern from its pattern values into one zeroed buffer per chunk,
         whose views the stacks are; its layout is found on the first call
         and kept on the model.  Every other family splits its dense H and
-        G by their joint pattern.
+        G by their joint pattern, once every H meets the Hermiticity rule
+        (ValueError otherwise; ``eigh`` reads one triangle only).
         """
         lams, directions = self._checked_points(lams, directions)
         if self._term_values is None or (
                 type(self)._evaluate_batch is not ParametricHamiltonian._evaluate_batch):
             h, g = self._evaluate_batch(lams, directions)
             _check_entries(h.view(float), g, self.dim)
+            miss = np.flatnonzero(hermiticity_defect(h)[1])
+            if miss.size:
+                raise ValueError(f"Hamiltonian is not Hermitian at {lams[miss[0]].tolist()}")
             blocks = operator_core.split_blocks(h, g)
             return blocks, [b.take(h) for b in blocks], [b.take(g) for b in blocks]
         with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned of

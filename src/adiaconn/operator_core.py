@@ -26,10 +26,10 @@ cycle, is one block.  The kernels carry each block's own (K, b, b)
 stacks, as the model hands them over; :func:`decompose_blocks`
 decomposes each by :func:`eigh_block` and ranks the merged eigenvalues,
 so that callers can work block by block and still see the whole
-spectrum.  :func:`block_eigh` cuts one dense matrix or stack into its
-blocks and scatters their eigenvectors back into one dense ascending
-eigensystem; a matrix or stack whose pattern is connected takes
-``numpy.linalg.eigh`` as is there.
+spectrum.  A model's decomposition at one point is the one-point case
+of the same route; :func:`spectral_decompose`, for a raw matrix, takes
+``numpy.linalg.eigh`` as it is, unsplit.  Both end in one shared tail:
+the phase rule, then the degeneracy rule.
 
 A block whose coupling graph is a tree is decomposed as a real symmetric
 matrix.  A diagonal unitary D changes the phase of every coupling H_ab
@@ -97,7 +97,6 @@ __all__ = [
     "matmul",
     "sandwich",
     "decompose_blocks",
-    "block_eigh",
     "spectral_decompose",
     "spectral_gaps",
     "default_gap_tol",
@@ -232,8 +231,9 @@ def hermiticity_defect(h):
         ||H - H^dag|| <= HERMITICITY_TOL * max(||H||, 1)   (Frobenius norms);
 
     a NaN misses it.  One matrix takes the plain ``numpy.linalg.norm``,
-    which costs less than a norm over axes for a small matrix; the check
-    runs once per point in :meth:`ParametricHamiltonian.spectral_at`.
+    which costs less than a norm over axes for a small matrix, as in
+    :func:`spectral_decompose`; a stack is checked in one call, as the
+    kernels check every chunk of a family that hands over dense H.
     """
     if h.ndim == 2:
         defect = np.linalg.norm(h - h.conj().T)
@@ -542,28 +542,13 @@ def decompose_blocks(blocks, stacks) -> BlockSystem:
     return BlockSystem(blocks, parts, np.take_along_axis(evals, order, axis=-1), order)
 
 
-def block_eigh(h):
-    """``numpy.linalg.eigh`` of one Hermitian matrix or a stack, one block
-    at a time when the stack's exact nonzero pattern splits.
-
-    The pattern is the union over the stack of the entries that are not
-    exactly zero; its connected components are blocks that no matrix of
-    the stack couples.  A dense or connected pattern, a tree included,
-    returns ``numpy.linalg.eigh(h)`` unchanged.  Otherwise the blocks are
-    decomposed as in :func:`decompose_blocks` and each block's
-    eigenvectors land at their sorted columns, exactly zero outside the
-    block.
-    """
-    h = np.asarray(h)
-    dim = h.shape[-1]
-    stack = h.reshape(-1, dim, dim)
-    # an empty stack has nothing to split, and a dense first matrix makes
-    # the pattern connected: no pattern analysis
-    blocks = split_blocks(stack) if len(stack) and np.count_nonzero(stack[0]) < dim * dim else ()
-    if len(blocks) < 2:
-        return np.linalg.eigh(h)
-    system = decompose_blocks(blocks, [block.take(stack) for block in blocks])
-    return system.evals.reshape(h.shape[:-1]), system.frames().reshape(h.shape)
+def _spectral(evals: np.ndarray, vecs: np.ndarray,
+              check_levels: int | None) -> SpectralDecomposition:
+    """The decomposition of one matrix from its ascending eigenvalues and
+    eigenvectors: the phase-fixed frame, then the degeneracy check on the
+    lowest ``check_levels`` levels."""
+    return SpectralDecomposition(eigenvalues=evals, frame=fix_phase(vecs),
+                                 min_gap=float(spectral_gaps(evals, check_levels)))
 
 
 def spectral_decompose(h, check_levels: int | None = None) -> SpectralDecomposition:
@@ -572,30 +557,30 @@ def spectral_decompose(h, check_levels: int | None = None) -> SpectralDecomposit
     Raises :class:`DegenerateSpectrumError` when an adjacent gap among the
     lowest ``check_levels`` levels (all when None) falls below
     :func:`default_gap_tol`; see :func:`spectral_gaps`.  ``min_gap``
-    covers the same levels.
+    covers the same levels.  The matrix goes to ``numpy.linalg.eigh`` as
+    it is, unsplit.
     """
     m = as_matrix(h)
     _check_square_finite(m, "spectral_decompose input")
     if hermiticity_defect(m)[1]:
         raise ValueError("spectral_decompose requires a Hermitian matrix")
-    evals, vecs = block_eigh(m)
-    return SpectralDecomposition(
-        eigenvalues=evals,
-        frame=fix_phase(vecs),
-        min_gap=float(spectral_gaps(evals, check_levels)),
-    )
+    return _spectral(*np.linalg.eigh(m), check_levels)
 
 
-def _expm_eig(h: np.ndarray, s: float) -> np.ndarray:
-    """exp(i s H) through the eigenbasis, for one matrix or a stack."""
-    evals, vecs = block_eigh(h)
-    phases = np.exp(1j * s * evals)
+def _expm_eig(h: np.ndarray) -> np.ndarray:
+    """exp(i H) through the eigenbasis, for one matrix or a stack."""
+    evals, vecs = np.linalg.eigh(h)
+    phases = np.exp(1j * evals)
     return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def expm_hermitian(h, s: float = 1.0) -> UnitaryOperator:
-    """exp(i s H) for Hermitian H, evaluated through the eigenbasis."""
-    return UnitaryOperator(_expm_eig(as_matrix(h), s))
+    """exp(i s H) for Hermitian H: the one-matrix case of
+    :func:`expm_hermitian_stack`, whose unitarity and Hermiticity checks
+    refuse a non-Hermitian H."""
+    m = as_matrix(h)
+    _check_square_finite(m, "expm_hermitian input")
+    return UnitaryOperator(expm_hermitian_stack(s * m[None])[0])
 
 
 def _taylor_degree(theta: float) -> int:
@@ -669,7 +654,7 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
         if bad.size:
             raise ValueError(f"step {bad[0]} is not unitary: its generator is not Hermitian, "
                              f"||H - H^dag|| = {asym[bad[0]]:.3e}")
-        u = _expm_eig(h, 1.0)
+        u = _expm_eig(h)
     dim = h.shape[-1]
     off = matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim)
     if dim == 2:  # Frobenius norms: the four squares in order, as numpy.linalg.norm adds them

@@ -368,6 +368,10 @@ CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range",
     ["drive", "--dt", "nan"],
     ["drive", "--l", "inf"],
     ["curvature", "--l", "inf"],
+    ["curvature", "--fd-step", "0"],
+    ["curvature", "--fd-step", "nan"],
+    ["curvature", "--fd-step", "1e-300"],
+    ["flatness", "--time", "nan"],
     ["berry-surface", "--level", "5"],
     CMAP + ["--level", "7"],
     CMAP + ["--grid", "0x2"],

@@ -302,6 +302,10 @@ class TestMaurerCartanSamples:
         for w in maurer_cartan_sample(su2_one, lam, 2.3):
             assert np.linalg.norm(w - w.conj().T) < 1e-12
 
+    def test_non_finite_time_is_named(self, su2_half):
+        with pytest.raises(ValueError, match="t must be finite"):
+            maurer_cartan_sample(su2_half, [1.0, 0.9, 0.3], np.nan)
+
     def test_su2_polar_component_diagonal_free(self, su2_half, rng):
         # the polar gradient has no diagonal in the eigenbasis, so the
         # sampled 1-form keeps a zero diagonal at every t

@@ -57,6 +57,13 @@ class TestYangMills:
             errs.append(np.linalg.norm(f.component(1, 2) - ref))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf, 1e-300])
+    def test_step_must_move_the_point(self, su2_half, step):
+        # 1e-300 is positive but leaves B = 1 and theta = 1 where they are:
+        # the stencil would difference a point with itself
+        with pytest.raises(ValueError, match="step"):
+            yang_mills_curvature(su2_half, [1.0, 1.0, 0.3], step=step)
+
     def test_stencil_domain_guard(self, oscillator):
         from adiaconn.models import DomainViolationError
 

@@ -445,6 +445,25 @@ class TestErrorParity:
         with pytest.raises(DomainViolationError):
             wilson_loop_phases(oscillator, squeeze)
 
+    def test_non_hermitian_override_is_refused(self):
+        class UpperEntry(Su2Model):
+            """An extra entry above the diagonal only: not Hermitian."""
+
+            def _evaluate_batch(self, lams, directions):
+                h, g = super()._evaluate_batch(lams, directions)
+                h[:, 0, 1] += 0.3
+                return h, g
+
+        model = UpperEntry(0.5)
+        loop = planar_rectangle_loop([1.0, 0.6, 0.2], [0.0, 0.5, 0.0], [0.0, 0.0, 0.7],
+                                     refinement=10)
+        patch = planar_patch([1.0, 0.6, 0.2], [0.0, 0.5, 0.0], [0.0, 0.0, 0.7], grid=(4, 4))
+        for run in (lambda: model.spectral_at(loop.start), lambda: holonomy(model, loop),
+                    lambda: wilson_loop_phases(model, loop),
+                    lambda: berry_phase_surface(model, patch, 0)):
+            with pytest.raises(ValueError, match="Hamiltonian is not Hermitian at"):
+                run()
+
     def test_oscillator_clustering_above_trusted_levels(self):
         class ClusteredTop(OscillatorModel):
             """Top Fock level pulled down onto the one below it."""
@@ -655,16 +674,16 @@ class TestTreeRoute:
 
         monkeypatch.setattr(operator_core, "_eigh_2x2", recording)
         holonomy(model, self.LOOP)
-        # the base point's frame is one matrix, decomposed as it is; a
-        # two-level chunk takes the closed form, a longer chain a real eigh
-        chunks = [((160, dim, dim), np.float64)] if dim > 2 else []
-        assert calls == [((dim, dim), np.complex128)] + chunks
+        # the base point's frame is a one-point chunk: a two-level chunk
+        # takes the closed form, a longer chain a real eigh
+        chunks = [((1, dim, dim), np.float64), ((160, dim, dim), np.float64)]
+        assert calls == (chunks if dim > 2 else [])
         del calls[:]
         wilson_loop_phases(model, self.LOOP)
         berry_phase_surface(model, self.PATCH, [0, 1])
         chunks = [((160, dim, dim), np.float64), ((120, dim, dim), np.float64)]
         assert calls == (chunks if dim > 2 else [])
-        assert closed == ([160, 160, 120] if dim == 2 else [])
+        assert closed == ([1, 160, 160, 120] if dim == 2 else [])
 
     @pytest.mark.parametrize("spin", SPINS)
     def test_matches_the_dense_complex_route(self, spin, monkeypatch):
@@ -938,7 +957,7 @@ class TestTermPattern:
                 inside[np.ix_(b.index, b.index)] = True
             assert np.all(h[:, ~inside] == 0) and np.all(g[..., ~inside] == 0)
 
-    def test_only_the_model_and_block_eigh_take_blocks(self):
+    def test_only_the_model_takes_blocks(self):
         # the kernels carry each block's own stacks from the model on: no
         # other code cuts a block out of a dense stack
         src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
@@ -954,7 +973,7 @@ class TestTermPattern:
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "take"):
                     takers.add((path.name, scope.get(node)))
-        assert takers == {("models.py", "_kernel_batch"), ("operator_core.py", "block_eigh")}
+        assert takers == {("models.py", "_kernel_batch")}
 
     def test_overflowing_coefficient_is_non_finite(self):
         model = ModelSpec(dim=2, param_names=("l1", "l2"), terms=(

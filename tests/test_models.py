@@ -177,6 +177,32 @@ class TestBatchHookOverrides:
         assert np.allclose(result.phases, holonomy(su2_half, loop).phases[::-1], atol=1e-12)
 
 
+class TestSpectralAt:
+    """spectral_at is the one-point case of the kernels' block
+    decomposition: it agrees with its row of any chunk."""
+
+    @staticmethod
+    def assert_rows(model, lams, tol):
+        blocks, hs, _ = model._kernel_batch(lams)
+        system = operator_core.decompose_blocks(blocks, hs)
+        for lam, evals, frame in zip(lams, system.evals, system.frames()):
+            spec = model.spectral_at(lam)
+            assert np.max(np.abs(spec.eigenvalues - evals)) <= tol
+            assert np.max(np.abs(spec.frame.matrix - operator_core.fix_phase(frame).matrix)) <= tol
+
+    @pytest.mark.parametrize("l", [0.5, 1.0, 1.5])
+    def test_spin_point_is_its_row_of_a_chunk(self, l, rng):
+        lams = np.column_stack([rng.uniform(0.5, 2.0, 37), rng.uniform(0.0, np.pi, 37),
+                                rng.uniform(0.0, 2 * np.pi, 37)])
+        lams[:3, 1:] = [[0.0, 0.4], [np.pi, 1.1], [0.8, 0.0]]  # both poles, and phi = 0
+        self.assert_rows(Su2Model(l), lams, 0.0)
+
+    def test_oscillator_point_is_its_row_of_a_chunk(self, oscillator, rng):
+        # LAPACK may take another path for a stack of 37 than for one matrix
+        lams = [2.0, 0.3, 1.4] + rng.uniform(-0.2, 0.2, (37, 3))
+        self.assert_rows(oscillator, lams, 1e-13)
+
+
 class TestOscillatorModel:
     def test_reference_point_spectrum(self, oscillator):
         spec = oscillator.spectral_at([1.0, 0.0, 1.0])

@@ -156,6 +156,12 @@ class TestFlatness:
         assert flat < 1e-3
         assert np.min(np.abs(averaged.phases)) > 0.7
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_named(self, su2_half, t):
+        loop = su2_triangle_loop(np.pi / 2, refinement=50)
+        with pytest.raises(ValueError, match="t must be finite"):
+            maurer_cartan_flatness(su2_half, loop, t=t)
+
     def test_requires_closed_loop(self, su2_half):
         from adiaconn.transport import PathSpec
 

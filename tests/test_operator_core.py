@@ -11,11 +11,9 @@ import adiaconn
 from adiaconn import operator_core, transport
 from adiaconn.curvature import berry_phase_surface
 from adiaconn.geometry import planar_patch, planar_rectangle_loop, su2_triangle_loop
-from adiaconn.models import Su2Model
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
     UnitaryOperator,
-    block_eigh,
     expm_hermitian,
     fix_phase,
     hermitian_part,
@@ -115,6 +113,14 @@ class TestSpectralDecompose:
         spec = spectral_decompose(random_hermitian(rng, 6))
         assert np.all(np.diff(spec.eigenvalues) > 0)
 
+    def test_raw_matrix_is_not_split(self, oscillator, monkeypatch):
+        # a raw matrix goes to eigh whole; a model point is split by its
+        # model's block layout instead (spectral_at)
+        h = oscillator.eval_h([2.0, 0.3, 1.4])
+        calls = record_eigh_calls(monkeypatch)
+        spectral_decompose(h, check_levels=oscillator.check_levels)
+        assert calls == [((60, 60), np.complex128)]
+
     def test_single_level(self):
         spec = spectral_decompose(np.array([[2.0]], dtype=complex))
         assert spec.min_gap == np.inf
@@ -141,6 +147,17 @@ class TestExpm:
         prod = expm_hermitian(h, s).matrix @ expm_hermitian(h, -s).matrix
         assert np.linalg.norm(prod - np.eye(5)) < 1e-12
 
+    @pytest.mark.parametrize("entry", [1.0, 5.0])
+    def test_rejects_non_hermitian(self, entry):
+        # eigh reads the lower triangle, all zero here; the Taylor route
+        # (1-norm 1) and the eigenbasis route (1-norm 5) both refuse
+        with pytest.raises(ValueError, match="not unitary"):
+            expm_hermitian([[0.0, entry], [0.0, 0.0]])
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="expm_hermitian input has non-finite entries"):
+            expm_hermitian([[np.nan, 0.0], [0.0, 1.0]])
+
     @pytest.mark.parametrize("s,t", [(0.3, 1.1), (-2.0, 0.7)])
     def test_one_parameter_group(self, rng, s, t):
         h = random_hermitian(rng, 4)
@@ -165,7 +182,7 @@ class TestExpmStack:
                                        operator_core.TAYLOR_MAX_NORM * (1 + 1e-6)])
     def test_agrees_with_the_eigenbasis(self, rng, monkeypatch, dim, theta):
         h = hermitian_stack(rng, 5, dim, 1.0) * theta if theta else np.zeros((5, dim, dim), complex)
-        ref = operator_core._expm_eig(h, 1.0)
+        ref = operator_core._expm_eig(h)
         calls = record_eigh_calls(monkeypatch)
         got = operator_core.expm_hermitian_stack(h)
         assert np.max(np.abs(got - ref)) <= 1e-14
@@ -493,11 +510,24 @@ def tree_block_stack(rng, kinds, k=5):
     return h[:, perm[:, None], perm], owner[perm]
 
 
+def split_and_decompose(h):
+    """The kernels' block decomposition of a (K, d, d) Hermitian stack,
+    split by its own nonzero pattern: ascending eigenvalues (K, d) and
+    dense eigenvector stacks (K, d, d)."""
+    blocks = operator_core.split_blocks(h)
+    system = operator_core.decompose_blocks(blocks, [block.take(h) for block in blocks])
+    return system.evals, system.frames()
+
+
 class TestBlockEigh:
+    """``eigh`` block by block: :func:`decompose_blocks` over the blocks
+    that :func:`split_blocks` finds, as the kernels and
+    :meth:`ParametricHamiltonian.spectral_at` run it."""
+
     @pytest.mark.parametrize("sizes", [(3, 1, 4), (2, 5), (1, 1, 3), (4, 4)])
     def test_hidden_blocks(self, rng, sizes):
         h, owner = hidden_block_stack(rng, sizes)
-        evals, vecs = block_eigh(h)
+        evals, vecs = split_and_decompose(h)
         ref = np.linalg.eigh(h)[0]
         norm = np.linalg.norm(h, ord=2, axis=(-2, -1))
         assert np.all(np.abs(evals - ref) <= 1e-13 * (1 + norm[:, None]))
@@ -516,56 +546,32 @@ class TestBlockEigh:
     def test_one_block_per_eigh_call(self, rng, monkeypatch):
         h, _ = hidden_block_stack(rng, (3, 1, 4), k=5)
         shapes = record_eigh_shapes(monkeypatch)
-        block_eigh(h)
+        split_and_decompose(h)
         assert sorted(shapes) == [(5, 1, 1), (5, 3, 3), (5, 4, 4)]
 
-    def test_connected_union_takes_the_dense_path(self, rng, monkeypatch):
+    def test_connected_union_is_one_block(self, rng, monkeypatch):
+        # neither matrix couples level 0 to level 2, but their union does
         h = np.zeros((2, 3, 3), dtype=complex)
         h[0, :2, :2] = random_hermitian(rng, 2)
         h[1, 1:, 1:] = random_hermitian(rng, 2)
         shapes = record_eigh_shapes(monkeypatch)
-        evals, vecs = block_eigh(h)
+        evals, vecs = split_and_decompose(h)
         assert shapes == [(2, 3, 3)]
-        ref = np.linalg.eigh(h)
-        assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
-
-    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 2)])
-    def test_dense_input_is_plain_eigh(self, rng, shape):
-        h = np.stack([random_hermitian(rng, shape[-1])
-                      for _ in range(int(np.prod(shape[:-1])))])
-        h = h.reshape(shape[:-1] + (shape[-1],) * 2)
-        evals, vecs = block_eigh(h)
-        ref = np.linalg.eigh(h)
-        assert evals.shape == ref[0].shape and vecs.shape == ref[1].shape
-        assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
-
-    @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5])
-    def test_one_connected_matrix_is_plain_eigh(self, spin, monkeypatch):
-        # spin stacks take the real tree route, but one matrix, and a
-        # stack whose pattern is connected, go to numpy.linalg.eigh as is
-        model = Su2Model(spin)
-        h = model.eval_batch(np.array([[1.3, 0.7, 0.4], [0.9, 1.1, -2.0]]))[0]
-        assert len(operator_core.split_blocks(h)) == 1
-        assert operator_core.split_blocks(h)[0].parent is not None
-        calls = record_eigh_calls(monkeypatch)
-        got = [block_eigh(h[0]), block_eigh(h)]
-        assert calls == [(h[0].shape, np.complex128), (h.shape, np.complex128)]
-        monkeypatch.undo()
-        for (evals, vecs), ref in zip(got, [np.linalg.eigh(h[0]), np.linalg.eigh(h)]):
-            assert np.array_equal(evals, ref[0]) and np.array_equal(vecs, ref[1])
+        assert np.allclose(h @ vecs, vecs * evals[:, None, :], atol=1e-13)
 
     def test_single_split_matrix(self, rng):
+        # the one-point case, as spectral_at decomposes
         h, _ = hidden_block_stack(rng, (2, 3), k=1)
-        evals, vecs = block_eigh(h[0])
-        assert evals.shape == (5,) and vecs.shape == (5, 5)
-        assert np.allclose(evals, np.linalg.eigh(h[0])[0], atol=1e-13)
-        assert np.allclose(h[0] @ vecs, vecs * evals, atol=1e-12)
+        evals, vecs = split_and_decompose(h)
+        assert evals.shape == (1, 5) and vecs.shape == (1, 5, 5)
+        assert np.allclose(evals[0], np.linalg.eigh(h[0])[0], atol=1e-13)
+        assert np.allclose(h[0] @ vecs[0], vecs[0] * evals[0], atol=1e-12)
 
     def test_oscillator_splits_into_parity_sectors(self, oscillator, monkeypatch):
         lams = np.array([2.0, 0.3, 1.4]) + 0.1 * np.eye(3)
         h, _ = oscillator.eval_batch(lams)
         shapes = record_eigh_shapes(monkeypatch)
-        evals, vecs = block_eigh(h)
+        evals, vecs = split_and_decompose(h)
         assert shapes == [(3, 30, 30), (3, 30, 30)]
         even = np.any(vecs[:, 0::2] != 0, axis=1)
         odd = np.any(vecs[:, 1::2] != 0, axis=1)
@@ -605,7 +611,7 @@ class TestBlockEigh:
     ])
     def test_tree_blocks(self, rng, kinds):
         h, owner = tree_block_stack(rng, kinds)
-        evals, vecs = block_eigh(h)
+        evals, vecs = split_and_decompose(h)
         norm = np.linalg.norm(h, ord=2, axis=(-2, -1))
         assert np.all(np.abs(evals - np.linalg.eigh(h)[0]) <= 1e-13 * (1 + norm[:, None]))
         resid = np.linalg.norm(h @ vecs - vecs * evals[:, None, :], axis=(-2, -1))
@@ -628,7 +634,7 @@ class TestBlockEigh:
         stack[:, 9:, 9:] = cycle
         ref = np.linalg.eigh(stack)[0]
         calls = record_eigh_calls(monkeypatch)
-        evals, _ = block_eigh(stack)
+        evals, _ = split_and_decompose(stack)
         assert sorted(calls) == [((3, 3, 3), np.complex128), ((3, 4, 4), np.float64),
                                  ((3, 5, 5), np.float64)]
         assert np.max(np.abs(evals - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
