@@ -590,33 +590,19 @@ _COMPLEX_RE = re.compile(
     r"(?P<imag>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?"
     r"(?P<unit>i)?$"
 )
+# a header's keyword is a whole word: "dim=1" is a header, "dimension = 1" is not
+_HEADER_RE = re.compile(r"(dim|params|term)(?=[\s=]|$)")
 
 
 def _parse_complex(token: str, line: int) -> complex:
-    m = _COMPLEX_RE.match(token)
-    if not m:
+    # the gate keeps Python's own syntax out: nan, inf, 1_0, (1+2j), 1j, 0x1
+    if not _COMPLEX_RE.match(token):
         raise ModelFileError(line, f"cannot parse complex entry {token!r}")
-    real_s, imag_s, unit = m.group("real"), m.group("imag"), m.group("unit")
     try:
-        if unit is None:
-            # purely real; a dangling sign group means garbage like "1+"
-            if real_s is None or imag_s is not None:
-                raise ValueError
-            value = complex(float(real_s), 0.0)
-        elif imag_s is None:
-            # "i", "2i", "-1.5i": any sign/digits were captured as real_s
-            value = complex(0.0, 1.0 if real_s is None else float(real_s))
-        elif real_s is None:
-            # "+i" / "-i"
-            if imag_s not in ("+", "-"):
-                raise ValueError
-            value = complex(0.0, float(imag_s + "1"))
-        else:
-            imag = float(imag_s + "1") if imag_s in ("+", "-") else float(imag_s)
-            value = complex(float(real_s), imag)
-    except ValueError:
+        value = complex(token.replace("i", "j"))
+    except ValueError:  # a dangling sign: "+", "1+", "1-2"
         raise ModelFileError(line, f"cannot parse complex entry {token!r}") from None
-    # float() reads an overflowing literal such as 1e999 as inf
+    # complex() reads an overflowing literal such as 1e999 as inf
     if not cmath.isfinite(value):
         raise ModelFileError(line, f"non-finite complex entry {token!r}")
     return value
@@ -642,24 +628,16 @@ def parse_model_file(text: str) -> ModelSpec:
     with ``#`` are comments.  Every term matrix must be Hermitian.
     """
     lines = text.splitlines()
+    numbered = ((n, s) for n, s in enumerate(map(str.strip, lines), 1)
+                if s and not s.startswith("#"))
     dim: int | None = None
     names: tuple[str, ...] | None = None
     terms: list[tuple[tuple[int, ...], np.ndarray]] = []
-
-    def content(idx):
-        stripped = lines[idx].strip()
-        return None if not stripped or stripped.startswith("#") else stripped
-
-    i = 0
-    n = len(lines)
-    while i < n:
-        line = content(i)
-        if line is None:
-            i += 1
-            continue
-        lineno = i + 1
-        if line.startswith("dim"):
-            parts = line.split("=")
+    for lineno, line in numbered:
+        header = _HEADER_RE.match(line)
+        keyword = header[1] if header else None
+        parts = line.split("=")
+        if keyword == "dim":
             if dim is not None:
                 raise ModelFileError(lineno, "duplicate dim header")
             if len(parts) != 2:
@@ -670,16 +648,13 @@ def parse_model_file(text: str) -> ModelSpec:
                 raise ModelFileError(lineno, f"bad dim value {parts[1].strip()!r}") from None
             if dim < 1:
                 raise ModelFileError(lineno, "dim must be positive")
-            i += 1
-        elif line.startswith("params"):
-            parts = line.split("=")
+        elif keyword == "params":
             if names is not None:
                 raise ModelFileError(lineno, "duplicate params header")
             if len(parts) != 2 or not parts[1].split():
                 raise ModelFileError(lineno, "expected 'params = <name1> <name2> ...'")
             names = tuple(parts[1].split())
-            i += 1
-        elif line.startswith("term"):
+        elif keyword == "term":
             if dim is None or names is None:
                 raise ModelFileError(lineno, "term block before dim/params headers")
             tokens = line.split()[1:]
@@ -695,21 +670,15 @@ def parse_model_file(text: str) -> ModelSpec:
                 raise ModelFileError(lineno, "exponents must be non-negative")
             if any(e > MAX_EXPONENT for e in exponents):
                 raise ModelFileError(lineno, f"exponent exceeds the cap {MAX_EXPONENT}")
-            i += 1
             rows = []
-            while len(rows) < dim:
-                while i < n and content(i) is None:
-                    i += 1
-                if i >= n:
-                    raise ModelFileError(n, f"term matrix truncated: need {dim} rows")
-                row_line = content(i)
-                if row_line.startswith(("term", "dim", "params")):
-                    raise ModelFileError(i + 1, f"term matrix truncated: need {dim} rows")
-                entries = row_line.split()
+            for _ in range(dim):  # each row is checked and parsed before the next is read
+                row_no, row = next(numbered, (len(lines), None))
+                if row is None or _HEADER_RE.match(row):
+                    raise ModelFileError(row_no, f"term matrix truncated: need {dim} rows")
+                entries = row.split()
                 if len(entries) != dim:
-                    raise ModelFileError(i + 1, f"row needs {dim} entries, got {len(entries)}")
-                rows.append([_parse_complex(tok, i + 1) for tok in entries])
-                i += 1
+                    raise ModelFileError(row_no, f"row needs {dim} entries, got {len(entries)}")
+                rows.append([_parse_complex(tok, row_no) for tok in entries])
             matrix = np.array(rows, dtype=complex)
             try:  # the Hermiticity rule below needs a finite norm
                 operator_core._check_magnitude(np.abs(matrix.view(float)).max(), dim, "term matrix")

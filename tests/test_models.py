@@ -381,14 +381,17 @@ class TestModelFiles:
 
         assert _parse_complex(token, line=1) == value
 
-    @pytest.mark.parametrize("token", ["foo", "1+", "--2", "1i2", "2+3"])
+    @pytest.mark.parametrize("token", ["foo", "1+", "--2", "1i2", "2+3",
+                                       # Python's own float and complex syntax is not the file's
+                                       "nan", "inf", "1_0", "(1+2i)", "1j", "0x1", "+", "1-2"])
     def test_garbage_tokens(self, token):
         from adiaconn.models import _parse_complex
 
-        with pytest.raises(ModelFileError, match="complex entry"):
+        with pytest.raises(ModelFileError,
+                           match=rf"^line 7: cannot parse complex entry '{re.escape(token)}'$"):
             _parse_complex(token, line=7)
 
-    @pytest.mark.parametrize("token", ["1e999", "-1e999i", "1e999+1i"])
+    @pytest.mark.parametrize("token", ["1e999", "-1e999i", "1e999+1i", "1e999i"])
     def test_non_finite_entry_rejected(self, token):
         # float() reads an overflowing literal as inf; the entry is named,
         # before any Hermiticity arithmetic on it can warn
@@ -402,3 +405,61 @@ class TestModelFiles:
     def test_garbage_entry_in_file(self):
         with pytest.raises(ModelFileError, match="line 4"):
             parse_model_file("dim = 1\nparams = a\nterm 0\nfoo\n")
+
+    @pytest.mark.parametrize(
+        "token,value",
+        [
+            ("-0", complex(-0.0, 0.0)),
+            ("-0i", complex(0.0, -0.0)),
+            ("-0-0i", complex(-0.0, -0.0)),
+            ("+i", complex(0.0, 1.0)),
+            ("1-i", complex(1.0, -1.0)),
+            ("5.i", complex(0.0, 5.0)),
+            ("-.5e-3+.25e2i", complex(-0.0005, 25.0)),
+        ],
+    )
+    def test_complex_token_bits(self, token, value):
+        # bit for bit: a signed zero is a different entry from its twin
+        from adiaconn.models import _parse_complex
+
+        got = _parse_complex(token, line=1)
+        assert np.array_equal(np.array([got]).view(np.uint64), np.array([value]).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # each row is checked and parsed before the next is read
+            ("dim = 2\nparams = a\nterm 0\n1 foo\n0\n",
+             "line 4: cannot parse complex entry 'foo'"),
+            # blank and comment lines count: the file's last line is named
+            ("dim = 2\nparams = a\nterm 0\n1 0\n\n# end\n",
+             "line 6: term matrix truncated: need 2 rows"),
+            ("dim = 2\nparams = a\nterm 0\n1 0\n# next\nterm 0\n1 0\n0 1\n",
+             "line 6: term matrix truncated: need 2 rows"),
+            ("dim = 2\nparams = a\nterm 0\n1 0\ndim = 2\n",
+             "line 5: term matrix truncated: need 2 rows"),
+        ],
+        ids=["bad-entry-before-short-row", "truncated-at-end", "term-inside-matrix",
+             "dim-inside-matrix"],
+    )
+    def test_error_order(self, text, message):
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            parse_model_file(text)
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("dimension = 1\nparams = a\nterm 0\n1\n", 1),
+            ("dim = 1\nparamsX = x\nterm 0\n1\n", 2),
+            ("dim = 1\nparams = a\nterms 0\n1\n", 3),
+        ],
+        ids=["dimension", "paramsX", "terms"],
+    )
+    def test_header_keywords_match_exactly(self, text, lineno):
+        message = f"line {lineno}: unrecognized line {text.splitlines()[lineno - 1]!r}"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            parse_model_file(text)
+
+    def test_headers_without_spaces(self):
+        spec = parse_model_file("dim=1\nparams=a\nterm 0\n1\n")
+        assert (spec.dim, spec.param_names, spec.terms[0][0]) == (1, ("a",), (0,))
