@@ -330,39 +330,31 @@ class Block(NamedTuple):
         return stack[..., self.index[:, None], self.index]
 
 
-def _tree_parents(adjacent: np.ndarray) -> np.ndarray | None:
-    """Breadth-first parents from node 0 of a connected undirected graph
-    given by its off-diagonal adjacency; None unless the graph is a tree."""
-    n = len(adjacent)
-    if np.count_nonzero(np.triu(adjacent, 1)) != n - 1:
-        return None
-    parent = np.full(n, -1)
-    parent[0] = 0
-    frontier = [0]
-    while frontier:
-        reached = [(p, c) for p in frontier for c in np.flatnonzero(adjacent[p]) if parent[c] < 0]
-        for p, c in reached:
-            parent[c] = p
-        frontier = [c for _, c in reached]
-    return parent
-
-
 @lru_cache(maxsize=64)
 def _pattern_blocks(pattern: bytes, dim: int):
     """Connected components of a (dim, dim) boolean nonzero pattern, each
     a :class:`Block` with its tree when it has one; a connected pattern is
-    one block."""
+    one block.  One breadth-first search per component, started from its
+    lowest index, reaches every node from a parent; a component with
+    n - 1 couplings is a tree, and those are its parents along the tree."""
     adjacent = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
     adjacent = (adjacent | adjacent.T) & ~np.eye(dim, dtype=bool)
-    reach = (adjacent | np.eye(dim, dtype=bool)).astype(float)
-    while True:  # square the reachability matrix until it stops growing
-        grown = np.minimum(reach @ reach, 1.0)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    label = np.argmax(reach, axis=0)  # lowest index of each component
-    blocks = (np.flatnonzero(label == first) for first in np.unique(label))
-    return tuple(Block(idx, _tree_parents(adjacent[idx[:, None], idx])) for idx in blocks)
+    neighbours = [np.flatnonzero(row).tolist() for row in adjacent]
+    parent = np.full(dim, -1)
+    blocks = []
+    for root in range(dim):
+        if parent[root] >= 0:
+            continue
+        parent[root], members = root, [root]
+        for p in members:  # the queue: nodes are appended as they are reached
+            for c in neighbours[p]:
+                if parent[c] < 0:
+                    parent[c] = p
+                    members.append(c)
+        idx = np.sort(members)
+        tree = sum(len(neighbours[p]) for p in members) == 2 * (len(idx) - 1)
+        blocks.append(Block(idx, np.searchsorted(idx, parent[idx]) if tree else None))
+    return tuple(blocks)
 
 
 def split_blocks(*stacks):
@@ -577,10 +569,15 @@ def _expm_eig(h: np.ndarray) -> np.ndarray:
 def expm_hermitian(h, s: float = 1.0) -> UnitaryOperator:
     """exp(i s H) for Hermitian H: the one-matrix case of
     :func:`expm_hermitian_stack`, whose unitarity and Hermiticity checks
-    refuse a non-Hermitian H."""
+    refuse a non-Hermitian H; their errors name the input, not a step."""
     m = as_matrix(h)
     _check_square_finite(m, "expm_hermitian input")
-    return UnitaryOperator(expm_hermitian_stack(s * m[None])[0])
+    try:
+        u = expm_hermitian_stack(s * m[None])[0]
+    except ValueError as err:  # the stack's step 0 is this one input
+        what = "exp(i s H) of the expm_hermitian input"
+        raise ValueError(str(err).replace("step 0", what, 1)) from None
+    return UnitaryOperator(u)
 
 
 def _taylor_degree(theta: float) -> int:

@@ -356,12 +356,13 @@ def _block_overlaps(system) -> np.ndarray:
     matrices k, k+1 of a :class:`~adiaconn.operator_core.BlockSystem`, as
     a (K-1, d) array.
 
-    Eigenvectors of different blocks have disjoint supports, so every
-    overlap is taken within one block; it is exactly 0 where the level
-    sits in different blocks at k and k+1.  For a tree block the overlap
-    of D_k R_k and D_k+1 R_k+1 is the sum over i of conj(D_k,i) D_k+1,i
-    R_k,i R_k+1,i, one stacked row-times-matrix product, and no gauged
-    eigenvector stack is built.
+    A level that keeps its column keeps its block, and its overlap is
+    taken within the block.  For a tree block the overlap of D_k R_k and
+    D_k+1 R_k+1 is the sum over i of conj(D_k,i) D_k+1,i R_k,i R_k+1,i,
+    one stacked row-times-matrix product, and no gauged eigenvector stack
+    is built.  A level that changes column is taken from the dense frames
+    of both matrices, exactly zero outside each vector's block, so the
+    overlap is exactly 0 where the level changes block.
     """
     now, later = system.order[:-1], system.order[1:]
     aligned = []
@@ -375,16 +376,9 @@ def _block_overlaps(system) -> np.ndarray:
         return aligned[0]
     overlaps = np.take_along_axis(np.concatenate(aligned, axis=-1), now, axis=-1)
     k, n = np.nonzero(now != later)  # levels that changed column
-    overlaps[k, n] = 0.0
-    start = 0
-    for b, block in enumerate(system.blocks):
-        a, c = now[k, n] - start, later[k, n] - start
-        start += len(block.index)
-        within = (a >= 0) & (a < len(block.index)) & (c >= 0) & (c < len(block.index))
-        kw, rows = k[within], np.arange(np.count_nonzero(within))
-        bras = system.vectors(b, kw)[rows, :, a[within]].conj()
-        kets = system.vectors(b, kw + 1)[rows, :, c[within]]
-        overlaps[kw, n[within]] = np.einsum("pi,pi->p", bras, kets)
+    rows, at = np.unique(k, return_inverse=True)  # one dense frame per matrix
+    overlaps[k, n] = np.einsum("pi,pi->p", system.frames(rows)[at, :, n].conj(),
+                               system.frames(rows + 1)[at, :, n])
     return overlaps
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import adiaconn
 from adiaconn import operator_core, transport
 from adiaconn.curvature import berry_phase_surface
 from adiaconn.geometry import planar_patch, planar_rectangle_loop, su2_triangle_loop
+from adiaconn.models import OscillatorModel, Su2Model
 from adiaconn.operator_core import (
     DegenerateSpectrumError,
     UnitaryOperator,
@@ -150,8 +152,12 @@ class TestExpm:
     @pytest.mark.parametrize("entry", [1.0, 5.0])
     def test_rejects_non_hermitian(self, entry):
         # eigh reads the lower triangle, all zero here; the Taylor route
-        # (1-norm 1) and the eigenbasis route (1-norm 5) both refuse
-        with pytest.raises(ValueError, match="not unitary"):
+        # (1-norm 1) and the eigenbasis route (1-norm 5) both refuse, and
+        # name the input: a caller of the one-matrix function passed no steps
+        reason = {1.0: "||U^dag U - I|| = 1.732e+00",
+                  5.0: "its generator is not Hermitian, ||H - H^dag|| = 7.071e+00"}[entry]
+        message = f"exp(i s H) of the expm_hermitian input is not unitary: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             expm_hermitian([[0.0, entry], [0.0, 0.0]])
 
     def test_rejects_non_finite_entries(self):
@@ -517,6 +523,96 @@ def split_and_decompose(h):
     blocks = operator_core.split_blocks(h)
     system = operator_core.decompose_blocks(blocks, [block.take(h) for block in blocks])
     return system.evals, system.frames()
+
+
+def squaring_pattern_blocks(pattern: bytes, dim: int):
+    """Blocks of a nonzero pattern found another way, as the reference
+    for ``operator_core._pattern_blocks``: components by squaring the
+    reachability matrix until it stops growing, then parents by a
+    breadth-first walk from each component's lowest index, kept only
+    when the component has n - 1 couplings, a tree."""
+    adjacent = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
+    adjacent = (adjacent | adjacent.T) & ~np.eye(dim, dtype=bool)
+    reach = (adjacent | np.eye(dim, dtype=bool)).astype(float)
+    while True:
+        grown = np.minimum(reach @ reach, 1.0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    label = np.argmax(reach, axis=0)
+    blocks = []
+    for first in np.unique(label):
+        idx = np.flatnonzero(label == first)
+        local = adjacent[idx[:, None], idx]
+        n = len(idx)
+        parent = None
+        if np.count_nonzero(np.triu(local, 1)) == n - 1:
+            parent = np.full(n, -1)
+            parent[0] = 0
+            frontier = [0]
+            while frontier:
+                reached = [(p, c) for p in frontier for c in np.flatnonzero(local[p])
+                           if parent[c] < 0]
+                for p, c in reached:
+                    parent[c] = p
+                frontier = [c for _, c in reached]
+        blocks.append((idx, parent))
+    return blocks
+
+
+def random_pattern(rng, dim):
+    """A (dim, dim) nonzero pattern whose components, in a shuffled basis,
+    are random trees, some with extra couplings (cycles), and single
+    nodes; each coupling is entered in one triangle or in both."""
+    pattern = np.diag(rng.random(dim) < 0.5)
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=rng.integers(0, dim), replace=False))
+    for nodes in np.split(rng.permutation(dim), cuts):
+        edges = [(nodes[i], nodes[rng.integers(i)]) for i in range(1, len(nodes))]
+        if len(nodes) > 2 and rng.random() < 0.5:
+            extra = rng.integers(1, 3)
+            edges += [tuple(rng.choice(nodes, 2, replace=False)) for _ in range(extra)]
+        for a, b in edges:
+            pattern[a, b] = True
+            pattern[b, a] |= rng.random() < 0.5
+    return pattern
+
+
+class TestPatternBlocks:
+    """The components of a nonzero pattern and their trees, against
+    :func:`squaring_pattern_blocks`: the same indices and the same
+    parents, since every tree gauge is built from those parents."""
+
+    @staticmethod
+    def assert_same_blocks(pattern: bytes, dim: int):
+        got = operator_core._pattern_blocks(pattern, dim)
+        want = squaring_pattern_blocks(pattern, dim)
+        assert len(got) == len(want)
+        for block, (idx, parent) in zip(got, want):
+            assert np.array_equal(block.index, idx)
+            assert (block.parent is None) == (parent is None)
+            assert parent is None or np.array_equal(block.parent, parent)
+        return got
+
+    @pytest.mark.parametrize("model", [Su2Model(0.5), Su2Model(1.0), Su2Model(1.5),
+                                       OscillatorModel(60, 20)],
+                             ids=["spin-1/2", "spin-1", "spin-3/2", "oscillator-60"])
+    def test_model_patterns(self, model):
+        blocks = self.assert_same_blocks(model._pattern, model.dim)
+        assert all(block.parent is not None for block in blocks)
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(20)
+        seen = {"tree": 0, "cycle": 0, "single": 0, "several": 0}
+        for _ in range(300):
+            dim = int(rng.integers(1, 15))
+            blocks = self.assert_same_blocks(random_pattern(rng, dim).tobytes(), dim)
+            seen["several"] += len(blocks) > 1
+            for block in blocks:
+                if block.parent is None:
+                    seen["cycle"] += 1
+                else:
+                    seen["tree" if len(block.index) > 1 else "single"] += 1
+        assert min(seen.values()) > 20
 
 
 class TestBlockEigh:
