@@ -8,9 +8,14 @@ origin + u*edge_u + v*edge_v of :func:`planar_patch` (see
 (B, theta, phi).  Every loop is the boundary of its patch:
 the builder makes the patch on a one-cell grid and returns its
 ``boundary_path``, so a loop and the surface it bounds cannot drift apart.
-Loops that pass through the polar axis close there: the azimuthal leg
-along the pole carries no transport, so it costs nothing and keeps paths
-coordinate-closed.
+Loops that pass through the polar axis close there, along an azimuthal
+leg on the pole that keeps paths coordinate-closed.  The leg carries no
+transport (every step factor on it is exactly the identity), but it is
+an edge of the boundary like the others, and its points are evaluated
+and decomposed like any other: the triangle and the circle (the wedge
+and cap boundaries) spend a quarter of their points there.
+``su2_triangle_loop(1.2, refinement=900)`` has 902 of its 3601 points
+on the pole.
 """
 
 from __future__ import annotations
