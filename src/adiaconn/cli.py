@@ -521,9 +521,9 @@ def curvature_map(cfg, mdl, base):
               + ["level", "W", "status"])
     with csv_output("curvature_map.csv", header) as (csv_path, writer):
         for i in range(n_u):
-            u = u_lo + (u_hi - u_lo) * ((i + 0.5) / n_u if n_u > 1 else 0.5)
+            u = u_lo + (u_hi - u_lo) * ((i + 0.5) / n_u)
             for j in range(n_v):
-                v = v_lo + (v_hi - v_lo) * ((j + 0.5) / n_v if n_v > 1 else 0.5)
+                v = v_lo + (v_hi - v_lo) * ((j + 0.5) / n_v)
                 lam = base.copy()
                 lam[mu_idx] = u
                 lam[nu_idx] = v

@@ -11,20 +11,19 @@ surface integrals over parallelogram patches.  One routine,
 the per-level curvature on a stack of eigensystems; both the point table
 (:func:`berry_curvature_levels`) and the integrand of the surface sweep
 go through it, so the two sides of the Stokes comparison share one
-formula.  The surface sweep evaluates the model a chunk of cell centres
-at a time through the stacked evaluation of the path kernel in
-:mod:`adiaconn.transport`, and works block by block over the joint
-nonzero pattern of H and the two tangent gradients (the fixed term
-pattern of a term family), as the step kernel does: each block is
-decomposed once, the merged eigenvalues rank the levels and feed the
-degeneracy guard, and each requested level is contracted against its
-own block's gradient stack and eigenvectors only, since the gradients
-couple no two blocks.  A :class:`SurfacePatch` is the parallelogram
-origin + u edge_u + v edge_v, so its two edges are the exact tangents
-of every cell: the sweep evaluates the model at the cell centres only,
-a chunk of cells per :meth:`SurfacePatch.points` call, and contracts
-the gradients with the edges.  The small-loop square is the boundary
-of a one-cell patch.
+formula.  The surface sweep runs on the chunk sweep of the path kernels
+(:func:`adiaconn.transport._decomposed_chunks`), block by block over the
+joint nonzero pattern of H and the two tangent gradients: each requested
+level is contracted against its own block's gradient stack and
+eigenvectors only, since the gradients couple no two blocks.  So the
+surface refuses the points the path refuses, by the one degeneracy rule:
+an adjacent gap among the lowest ``check_levels`` levels below
+:func:`~adiaconn.operator_core.default_gap_tol`.  A :class:`SurfacePatch`
+is the parallelogram origin + u edge_u + v edge_v, so its two edges are
+the exact tangents of every cell: the sweep evaluates the model at the
+cell centres only, all from one :meth:`SurfacePatch.points` call, and
+contracts the gradients with the edges.  The small-loop square is the
+boundary of a one-cell patch.
 
 Sign and factor conventions are pinned by the spin-1/2 anchor: stored
 components satisfy F_theta_phi = -sin(theta) J_n, so the per-level value
@@ -41,11 +40,8 @@ import numpy as np
 from .operator_core import (
     Block,
     BlockSystem,
-    DegenerateSpectrumError,
     SpectralDecomposition,
     _short_axis_first,
-    decompose_blocks,
-    default_gap_tol,
     expm_hermitian,
     frobenius,
     gauge_phase,
@@ -54,7 +50,7 @@ from .operator_core import (
 )
 from .models import FD_STEP_SCALE, DomainViolationError, ParametricHamiltonian
 from .connection import connection_spectral
-from .transport import PathSpec, _check_level, _chunk_size, _is_int, holonomy
+from .transport import PathSpec, _check_level, _decomposed_chunks, _is_int, holonomy
 
 __all__ = [
     "CurvatureTwoForm",
@@ -360,7 +356,10 @@ class SurfacePatch:
     def points(self, uv) -> np.ndarray:
         """The points at an (..., 2) array of (u, v) pairs, as (..., N)."""
         uv = np.asarray(uv, dtype=float)
-        return self.origin + uv[..., :1] * self.edge_u + uv[..., 1:] * self.edge_v
+        out = uv[..., :1] * self.edge_u  # summed in place: one (..., N) temporary, not three
+        out += self.origin
+        out += uv[..., 1:] * self.edge_v
+        return out
 
     def boundary_nodes(self) -> np.ndarray:
         """Grid-resolution boundary polyline, counterclockwise from (0, 0)."""
@@ -377,36 +376,6 @@ class SurfacePatch:
         return PathSpec(self.boundary_nodes(), closed=True, refinement=refinement)
 
 
-def _level_curvature_sweep(model: ParametricHamiltonian, lams, t_u, t_v, levels) -> np.ndarray:
-    """Per-level curvature contracted with the tangent bivector, sum over
-    mu < nu of W^(n)_mu_nu (t_u^mu t_v^nu - t_v^mu t_u^nu), at a stack of
-    points; one row per point, one column per requested level.  The
-    tangents ``t_u`` and ``t_v`` are shared by every point.
-
-    The pair sum is :func:`_level_curvature` with dH_u, dH_v the gradients
-    along the tangents, so the model only contracts its gradient with two
-    directions per point; H is decomposed block by block over the joint
-    pattern of H and both gradients.  Degeneracy is guarded per requested
-    level on the merged spectrum, gaps to levels of other blocks included:
-    only gaps to the level itself enter the denominators.
-    """
-    directions = np.broadcast_to(np.stack([t_u, t_v]), (len(lams), 2, len(t_u)))
-    blocks, hs, gs = model._kernel_batch(lams, directions)
-    system = decompose_blocks(blocks, hs)
-    evals = system.evals
-    threshold = default_gap_tol(evals)
-    levels = np.asarray(levels)
-    gaps = np.abs(evals[:, levels, None] - evals[:, None, :])  # [k, row, n']
-    gaps[:, np.arange(len(levels)), levels] = np.inf
-    nearest = np.min(_short_axis_first(gaps), axis=0)
-    bad = nearest < threshold[:, None]
-    if np.any(bad):
-        k, row = (int(i[0]) for i in np.nonzero(bad))
-        raise DegenerateSpectrumError(min(int(levels[row]), int(np.argmin(gaps[k, row]))),
-                                      float(nearest[k, row]), float(threshold[k]))
-    return _level_curvature(system, gs, levels)
-
-
 def berry_phase_surface(
     model: ParametricHamiltonian,
     patch: SurfacePatch,
@@ -421,6 +390,12 @@ def berry_phase_surface(
     of ints (one grid sweep either way), each in ``[0, dim)``; anything
     else, floats and bools included, raises ValueError.  The returned
     phase(s) are not wrapped.
+
+    Every cell centre meets the rule of the path kernels, whatever
+    ``level`` is: an adjacent gap among the lowest ``model.check_levels``
+    levels below :func:`~adiaconn.operator_core.default_gap_tol` raises
+    :class:`~adiaconn.operator_core.DegenerateSpectrumError`; higher levels
+    are not guarded.
 
     With ``refine_check_tol`` set, the integral is recomputed on a doubled
     grid; disagreement above the tolerance raises
@@ -439,13 +414,13 @@ def berry_phase_surface(
 
     def integrate(nu_grid: int, nv_grid: int) -> np.ndarray:
         du, dv = 1.0 / nu_grid, 1.0 / nv_grid
+        centres = patch.points(  # no (u, v) array outlives the call
+            (np.stack(np.divmod(np.arange(nu_grid * nv_grid), nv_grid), axis=-1) + 0.5) * [du, dv])
+        edges = np.broadcast_to(np.stack([patch.edge_u, patch.edge_v]),
+                                (len(centres), 2, len(patch.origin)))
         total = np.zeros(len(levels))
-        size = _chunk_size(model.dim)
-        for start in range(0, nu_grid * nv_grid, size):
-            i, j = np.divmod(np.arange(start, min(start + size, nu_grid * nv_grid)), nv_grid)
-            centres = patch.points(np.column_stack([(i + 0.5) * du, (j + 0.5) * dv]))
-            w = _level_curvature_sweep(model, centres, patch.edge_u, patch.edge_v, levels)
-            total += np.sum(w, axis=0) * (du * dv)
+        for _, _, system, gs in _decomposed_chunks(model, centres, edges):
+            total += np.sum(_level_curvature(system, gs, levels), axis=0) * (du * dv)
         return total
 
     phase = integrate(nu_grid, nv_grid)

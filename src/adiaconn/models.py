@@ -592,6 +592,14 @@ _COMPLEX_RE = re.compile(
 )
 # a header's keyword is a whole word: "dim=1" is a header, "dimension = 1" is not
 _HEADER_RE = re.compile(r"(dim|params|term)(?=[\s=]|$)")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    # a dim value or an exponent; int() alone also reads "1_0" and other scripts' digits
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def _parse_complex(token: str, line: int) -> complex:
@@ -643,7 +651,7 @@ def parse_model_file(text: str) -> ModelSpec:
             if len(parts) != 2:
                 raise ModelFileError(lineno, "expected 'dim = <int>'")
             try:
-                dim = int(parts[1].strip())
+                dim = _parse_int(parts[1].strip())
             except ValueError:
                 raise ModelFileError(lineno, f"bad dim value {parts[1].strip()!r}") from None
             if dim < 1:
@@ -663,7 +671,7 @@ def parse_model_file(text: str) -> ModelSpec:
                     lineno, f"term needs {len(names)} exponents, got {len(tokens)}"
                 )
             try:
-                exponents = tuple(int(t) for t in tokens)
+                exponents = tuple(_parse_int(t) for t in tokens)
             except ValueError:
                 raise ModelFileError(lineno, "exponents must be integers") from None
             if any(e < 0 for e in exponents):

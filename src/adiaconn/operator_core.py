@@ -569,7 +569,10 @@ def _expm_eig(h: np.ndarray) -> np.ndarray:
 def expm_hermitian(h, s: float = 1.0) -> UnitaryOperator:
     """exp(i s H) for Hermitian H: the one-matrix case of
     :func:`expm_hermitian_stack`, whose unitarity and Hermiticity checks
-    refuse a non-Hermitian H; their errors name the input, not a step."""
+    refuse a non-Hermitian H; their errors name the input, not a step.
+    ValueError unless the time ``s`` is finite."""
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     m = as_matrix(h)
     _check_square_finite(m, "expm_hermitian input")
     try:

@@ -23,7 +23,10 @@ factors of the same segment are multiplied as one stacked product per
 level, ceil(log2 k) levels for k steps, and each chunk's first piece is
 multiplied onto the product carried over from the chunk before.  Chunks
 hold at most 2048 matrices and about 2 MB per stacked array.  The Wilson
-loop shares the chunked evaluation.
+loop and the surface integral of :mod:`adiaconn.curvature` share the
+chunk sweep, :func:`_decomposed_chunks`, and its one degeneracy rule: an
+adjacent gap among the lowest ``check_levels`` levels below
+:func:`~adiaconn.operator_core.default_gap_tol` raises, on either side.
 
 The kernel splits by blocks of the joint nonzero pattern of H and the
 step-contracted gradient (:func:`~adiaconn.operator_core.decompose_blocks`).
@@ -209,6 +212,25 @@ def _chunk_size(dim: int) -> int:
     return max(1, min(CHUNK_MATRICES, CHUNK_BYTES // (16 * dim * dim)))
 
 
+def _decomposed_chunks(model: ParametricHamiltonian, points, directions=None):
+    """H at ``points`` (K, N) decomposed block by block, with the gradients
+    along ``directions`` ((K, M, N); None: M = 0), a :func:`_chunk_size`
+    chunk at a time: the one sweep of every chunked kernel.  Yields
+    ``(start, chunk, system, gs)``: the chunk's first index, its points,
+    its :class:`~adiaconn.operator_core.BlockSystem` and each block's
+    (k, M, b, b) gradient stack, once the chunk has met the one degeneracy
+    rule, :func:`~adiaconn.operator_core.spectral_gaps` on the lowest
+    ``model.check_levels`` levels."""
+    size = _chunk_size(model.dim)
+    for start in range(0, len(points), size):
+        chunk = points[start:start + size]
+        blocks, hs, gs = model._kernel_batch(
+            chunk, None if directions is None else directions[start:start + size])
+        system = decompose_blocks(blocks, hs)
+        spectral_gaps(system.evals, model.check_levels)
+        yield start, chunk, system, gs
+
+
 def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     """exp(i W(mid_k) . delta_k) for every step, yielded one chunk at a time.
 
@@ -217,24 +239,20 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     decomposition of H, whatever the number of parameters.  W and its
     exponential are block diagonal over the blocks of the joint nonzero
     pattern of H and the contracted gradient, so every block is
-    decomposed, contracted and exponentiated on its own.  Each chunk is a
-    list of (index, factors) pairs: the basis indices of a block (all of
-    them when the chunk does not split) and its (k, b, b) factor stack;
-    the factors are exactly zero outside the blocks.
+    decomposed, contracted and exponentiated on its own.  Each chunk comes
+    with the index of its first step, as a list of (index, factors) pairs:
+    the basis indices of a block (all of them when the chunk does not
+    split) and its (k, b, b) factor stack; the factors are exactly zero
+    outside the blocks.
     """
-    size = _chunk_size(model.dim)
-    for start in range(0, len(mids), size):
-        mid = mids[start:start + size]
-        blocks, hs, gs = model._kernel_batch(mid, deltas[start:start + size, None])
-        system = decompose_blocks(blocks, hs)
-        spectral_gaps(system.evals, model.check_levels)
+    for start, mid, system, gs in _decomposed_chunks(model, mids, deltas[:, None]):
         gens = [contract_stack(e, v, g[:, 0], weight, gauge)
                 for g, (e, v, gauge) in zip(gs, system.parts)]
         if not all(np.isfinite(w.view(float)).all() for w in gens):  # rows only to name the point
             finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
                              for w in gens], axis=0)
             raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
-        yield [(b.index, expm_hermitian_stack(w)) for b, w in zip(system.blocks, gens)]
+        yield start, [(b.index, expm_hermitian_stack(w)) for b, w in zip(system.blocks, gens)]
 
 
 def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -292,8 +310,7 @@ def ordered_products(
     out[lengths == 0] = np.eye(model.dim)
     segment = np.repeat(np.arange(len(lengths)), lengths)
     begun = np.cumsum(lengths) - lengths  # first step of every segment
-    start = 0
-    for chunk in _step_factors(model, mids, deltas, weight):
+    for start, chunk in _step_factors(model, mids, deltas, weight):
         stop = start + len(chunk[0][1])
         runs, counts = np.unique(segment[start:stop], return_counts=True)
         pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
@@ -302,7 +319,6 @@ def ordered_products(
         if begun[runs[0]] < start:
             pieces[0] = pieces[0] @ out[runs[0]]
         out[runs] = pieces
-        start = stop
     return out
 
 
@@ -421,11 +437,7 @@ def wilson_loop_phases(model: ParametricHamiltonian, loop: PathSpec) -> np.ndarr
         return np.einsum("kin,kin->kn", f_now.conj(), f_next)
 
     product = np.ones(model.dim, dtype=complex)
-    size = _chunk_size(model.dim)
-    for start in range(0, len(nodes), size):
-        blocks, hs, _ = model._kernel_batch(nodes[start:start + size])
-        system = decompose_blocks(blocks, hs)
-        spectral_gaps(system.evals, model.check_levels)
+    for start, _, system, _ in _decomposed_chunks(model, nodes):
         ends = system.frames([0, -1])
         overlaps = _block_overlaps(system)
         if start == 0:

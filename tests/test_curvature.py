@@ -333,8 +333,8 @@ class TestSurfacePatch:
         patch = planar_patch([0.0, 0.0], [0.3, 0.0], [0.0, 0.25], grid=(4, 5))
         model = random_polynomial_model(np.random.default_rng(3))
         berry_phase_surface(model, patch, [0, 1])
-        # 20 cells in chunks of 7, one centre per cell
-        assert calls == [(7, 2), (7, 2), (6, 2)]
+        # 20 cells in chunks of 7: the centres of all of them in one call
+        assert calls == [(20, 2)]
         calls.clear()
         _EdgeCache(model, patch, edge_refinement=2)
         # 4 * 6 + 5 * 5 = 49 edges in chunks of 7 // 2 = 3, five points per edge

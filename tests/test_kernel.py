@@ -464,6 +464,51 @@ class TestErrorParity:
             with pytest.raises(ValueError, match="Hamiltonian is not Hermitian at"):
                 run()
 
+    def test_path_and_surface_share_one_degeneracy_rule(self):
+        # levels 1 and 2 tie everywhere: the surface refuses the patch even
+        # for level 0, as the path kernels refuse its boundary
+        from adiaconn.models import constant_model
+
+        evals = np.array([1.0, 2.0, 2.0])
+        model = constant_model(np.diag(evals).astype(complex), n_params=2)
+        patch = planar_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], grid=(2, 2))
+        loop = patch.boundary_path()
+        runs = (lambda: berry_phase_surface(model, patch, 0),
+                lambda: holonomy(model, loop).phases, lambda: wilson_loop_phases(model, loop))
+        for run in runs:
+            with pytest.raises(DegenerateSpectrumError) as err:
+                run()
+            assert ((err.value.level, err.value.gap, err.value.threshold)
+                    == (1, 0.0, default_gap_tol(evals)))
+        model.check_levels = 2  # the tie now lies above the checked levels, and
+        # levels above them are not guarded on the surface either
+        for run in runs[1:] + (lambda: berry_phase_surface(model, patch, [0, 1, 2]),):
+            assert np.all(run() == 0.0)
+
+    def test_one_sweep_decomposes_every_chunk(self):
+        # every chunked kernel evaluates and decomposes through one sweep,
+        # which applies the degeneracy rule; spectral_at is the one-point case
+        src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
+        callers = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scope = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for inner in ast.walk(node):
+                        scope[inner] = node.name  # innermost function wins
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in ("_kernel_batch", "decompose_blocks"):
+                        callers.append((name, path.name, scope.get(node)))
+        assert sorted(callers) == [
+            ("_kernel_batch", "models.py", "spectral_at"),
+            ("_kernel_batch", "transport.py", "_decomposed_chunks"),
+            ("decompose_blocks", "models.py", "spectral_at"),
+            ("decompose_blocks", "transport.py", "_decomposed_chunks"),
+        ]
+
     def test_oscillator_clustering_above_trusted_levels(self):
         class ClusteredTop(OscillatorModel):
             """Top Fock level pulled down onto the one below it."""

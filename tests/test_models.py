@@ -463,3 +463,30 @@ class TestModelFiles:
     def test_headers_without_spaces(self):
         spec = parse_model_file("dim=1\nparams=a\nterm 0\n1\n")
         assert (spec.dim, spec.param_names, spec.terms[0][0]) == (1, ("a",), (0,))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # int() reads these; the file's integers are ASCII [+-]?[0-9]+ only
+            ("# c\ndim = 1_0\nparams = a\nterm 0\n1\n", "line 2: bad dim value '1_0'"),
+            ("dim = \u0663\nparams = a\nterm 0\n1\n", "line 1: bad dim value '\u0663'"),
+            ("dim = \uff12\nparams = a\nterm 0\n1\n", "line 1: bad dim value '\uff12'"),
+            ("dim = 1\nparams = a b\n\nterm 0 0_1\n1\n", "line 4: exponents must be integers"),
+            ("dim = 1\nparams = a\nterm \u0661\n1\n", "line 3: exponents must be integers"),
+            ("dim = 1.0\nparams = a\nterm 0\n1\n", "line 1: bad dim value '1.0'"),
+            # the range checks keep their messages
+            ("dim = 0\nparams = a\nterm 0\n1\n", "line 1: dim must be positive"),
+            ("dim = -2\nparams = a\nterm 0\n1\n", "line 1: dim must be positive"),
+            ("dim = 1\nparams = a b\nterm 0 -1\n1\n", "line 3: exponents must be non-negative"),
+        ],
+        ids=["dim-underscore", "dim-arabic-indic", "dim-fullwidth", "exponent-underscore",
+             "exponent-arabic-indic", "dim-float", "dim-zero", "dim-negative",
+             "exponent-negative"],
+    )
+    def test_integers_are_ascii_digits(self, text, message):
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            parse_model_file(text)
+
+    def test_signed_integers_parse(self):
+        spec = parse_model_file("dim = +1\nparams = a b\nterm +1 -0\n1\n")
+        assert (spec.dim, spec.terms[0][0]) == (1, (1, 0))

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,14 @@ class TestExpm:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="expm_hermitian input has non-finite entries"):
             expm_hermitian([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, s):
+        # named up front, for a Hermitian H, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^s must be finite, got {s!r}$"):
+                expm_hermitian(np.eye(2), s)
 
     @pytest.mark.parametrize("s,t", [(0.3, 1.1), (-2.0, 0.7)])
     def test_one_parameter_group(self, rng, s, t):
