@@ -6,6 +6,12 @@ trajectories) into the output directory.  Reports echo the fully resolved
 configuration, so identical configs on the same version produce
 byte-identical reports apart from the wall-time field.
 
+Every input has one spelling, shared by the commands that take it: a
+parameter point is ``--at``, a loop is ``--loop`` (:func:`loop_options`),
+a surface is ``--surface`` with ``--omega`` and ``--b``
+(:func:`surface_options`), and an su2 meridian sweep is ``--sweep-theta``
+(:func:`meridian_sweep`).
+
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (degeneracy, non-convergence, integrator rejection).
 """
@@ -70,15 +76,6 @@ NUMERICAL_ERRORS = (
     GridTooCoarseError,
     StepSizeError,
 )
-
-# Coordinate flags of the point commands and their help; they fold into
-# the ``at`` config key.
-POINT_FLAGS = {
-    "b": "field strength (su2)", "theta": "colatitude (su2)",
-    "phi": "azimuth (su2)", "x": "q^2 coefficient (oscillator)",
-    "y": "cross-term coefficient (oscillator)",
-    "z": "p^2 coefficient (oscillator)",
-}
 
 
 class CliError(click.ClickException):
@@ -177,21 +174,15 @@ def model_options(f):
 def run_options(f):
     f = click.option("--out", default="adiaconn-out", show_default=True,
                      help="output directory")(f)
-    f = click.option("--seed", type=int, default=0, show_default=True,
-                     help="seed for randomized suites (echoed in the report)")(f)
     f = click.option("--config", "config_path", default=None,
                      help="JSON file whose keys override flags")(f)
     return f
 
 
-def point_option(f):
-    f = click.option(
-        "--at", default=None,
-        help="parameter point, comma separated (default: su2 1,1,0 / oscillator 1,0,1)",
-    )(f)
-    for name, help_text in POINT_FLAGS.items():
-        f = click.option(f"--{name}", type=float, default=None, help=help_text)(f)
-    return f
+point_option = click.option(
+    "--at", default=None,
+    help="parameter point, comma separated (default: su2 1,1,0 / oscillator 1,0,1)",
+)
 
 
 def loop_options(f):
@@ -206,24 +197,33 @@ def loop_options(f):
     return f
 
 
-def default_point(model_name: str, model, at, coords: dict) -> np.ndarray:
+def surface_options(f):
+    """The surface generator and its shape, as read by :func:`build_surface`."""
+    f = click.option("--b", type=float, default=1.0, show_default=True)(f)
+    f = click.option("--omega", type=float, default=np.pi / 2, show_default=True,
+                     help="solid angle of the cap, azimuthal span of the wedge")(f)
+    f = click.option("--surface", default="cap", show_default=True,
+                     help="cap | wedge | file:<path>")(f)
+    return f
+
+
+def default_point(model_name: str, model, at) -> np.ndarray:
     if at is not None:
         return parse_point(at, model.n_params, "--at")
-    given = {k: v for k, v in coords.items() if v is not None}
     if model_name == "su2":
-        point = {"b": 1.0, "theta": 1.0, "phi": 0.0}
-    elif model_name == "oscillator":
-        point = {"x": 1.0, "y": 0.0, "z": 1.0}
-    else:
-        raise CliError("file models need an explicit --at point")
-    extraneous = set(given) - set(point)
-    if extraneous:
-        raise CliError(
-            f"coordinate flags {sorted('--' + k for k in extraneous)} do not "
-            f"apply to the {model_name} model"
-        )
-    point.update(given)
-    return np.array(list(point.values()))
+        return np.array([1.0, 1.0, 0.0])
+    if model_name == "oscillator":
+        return np.array([1.0, 0.0, 1.0])
+    raise CliError("file models need an explicit --at point")
+
+
+def meridian_sweep(cfg: dict) -> tuple[list, list]:
+    """End points ``[b, a, phi]`` and ``[b, a', phi]`` of the su2 sweep
+    ``--sweep-theta a,a'`` along the meridian at ``--phi``."""
+    if cfg["model"] != "su2":
+        raise CliError("--sweep-theta is specific to the su2 model")
+    a, bb = parse_point(cfg["sweep_theta"], 2, "--sweep-theta")
+    return [cfg["b"], a, cfg["phi"]], [cfg["b"], bb, cfg["phi"]]
 
 
 def load_path(source: str, steps: int, closed: bool) -> PathSpec:
@@ -250,9 +250,9 @@ def build_loop(cfg: dict) -> PathSpec:
     raise CliError(f"unknown loop {loop!r}; use triangle, circle, or file:<path>")
 
 
-def build_surface(model_name: str, surface: str, omega: float, b: float,
-                  grid: int):
-    if surface in ("cap", "wedge") and model_name != "su2":
+def build_surface(cfg: dict):
+    surface, omega, b, grid = cfg["surface"], cfg["omega"], cfg["b"], cfg["grid"]
+    if surface in ("cap", "wedge") and cfg["model"] != "su2":
         raise CliError(f"the {surface} surface generator is specific to the su2 model")
     if surface == "cap":
         return su2_cap_patch(omega, b=b, grid=(grid, grid))
@@ -282,8 +282,7 @@ def command(name: str, *, model: bool = True, point: bool = False):
     ``(cfg, model[, point])`` into the report's results.
 
     The config holds one key per option: the long flag name with ``-`` read
-    as ``_``.  --out and --config are not keys, and the coordinate flags of
-    a point command fold into ``at``.  Keys of the --config JSON file
+    as ``_``; --out and --config are not keys.  Keys of the --config JSON file
     override flags; each value goes through its option's type as the same
     text on the command line would (``at`` also takes the list that reports
     echo), so a report's ``config`` block can be fed back.  The body runs
@@ -294,7 +293,6 @@ def command(name: str, *, model: bool = True, point: bool = False):
         @functools.wraps(body)
         def run(out, config_path, **cfg):
             started = time.time()
-            coords = {k: cfg.pop(k) for k in POINT_FLAGS} if point else {}
             if config_path:
                 try:
                     overrides = json.loads(Path(config_path).read_text())
@@ -323,7 +321,7 @@ def command(name: str, *, model: bool = True, point: bool = False):
                     args.append(build_model(cfg["model"], cfg["l"], cfg["mu"],
                                             cfg["nmax"], cfg["buffer"]))
                 if point:
-                    args.append(default_point(cfg["model"], args[0], cfg["at"], coords))
+                    args.append(default_point(cfg["model"], args[0], cfg["at"]))
                     cfg["at"] = _floats(args[1])
                 results = body(cfg, *args)
             except NUMERICAL_ERRORS as exc:
@@ -414,14 +412,7 @@ def transport(cfg, mdl):
     if cfg["path_file"]:
         path = load_path(cfg["path_file"], cfg["steps"], closed=False)
     elif cfg["sweep_theta"]:
-        if cfg["model"] != "su2":
-            raise CliError("--sweep-theta is specific to the su2 model")
-        a, bb = parse_point(cfg["sweep_theta"], 2, "--sweep-theta")
-        path = PathSpec(
-            np.array([[cfg["b"], a, cfg["phi"]], [cfg["b"], bb, cfg["phi"]]]),
-            closed=False,
-            refinement=cfg["steps"],
-        )
+        path = PathSpec(np.array(meridian_sweep(cfg)), closed=False, refinement=cfg["steps"])
     else:
         raise CliError("provide --path-file or --sweep-theta")
     result = transport_operator(mdl, path)
@@ -546,39 +537,25 @@ def curvature_map(cfg, mdl, base):
 
 
 @command("berry-surface")
-@click.option("--surface", default="cap", show_default=True,
-              help="cap | wedge | file:<path>")
-@click.option("--omega", type=float, default=np.pi / 2, show_default=True)
-@click.option("--b", type=float, default=1.0, show_default=True)
+@surface_options
 @click.option("--grid", type=int, default=100, show_default=True)
 @click.option("--level", type=int, default=0, show_default=True)
 @click.option("--check-tol", type=float, default=None,
               help="grid-doubling self-check tolerance")
 def berry_surface(cfg, mdl):
     """Surface-integrated Berry phase of one level."""
-    patch = build_surface(cfg["model"], cfg["surface"], cfg["omega"], cfg["b"], cfg["grid"])
+    patch = build_surface(cfg)
     phase = berry_phase_surface(mdl, patch, cfg["level"], refine_check_tol=cfg["check_tol"])
     return {"phase": float(phase), "level": cfg["level"]}
 
 
 @command("nast-check")
-@click.option("--cap", type=float, default=None, help="cap solid angle (su2)")
-@click.option("--wedge", type=float, default=None, help="wedge azimuthal span (su2)")
-@click.option("--surface", default=None, help="file:<path> planar patch")
-@click.option("--b", type=float, default=1.0, show_default=True)
+@surface_options
 @click.option("--grid", type=int, default=50, show_default=True)
 @click.option("--boundary-refinement", type=int, default=8, show_default=True)
 def nast_check(cfg, mdl):
     """Surface-ordered product versus direct boundary holonomy."""
-    if cfg["cap"] is not None:
-        surface, omega = "cap", cfg["cap"]
-    elif cfg["wedge"] is not None:
-        surface, omega = "wedge", cfg["wedge"]
-    elif cfg["surface"]:
-        surface, omega = cfg["surface"], 0.0
-    else:
-        raise CliError("provide --cap, --wedge, or --surface")
-    patch = build_surface(cfg["model"], surface, omega, cfg["b"], cfg["grid"])
+    patch = build_surface(cfg)
     product = surface_ordered_product(mdl, patch)
     residual = _boundary_residual(mdl, patch, product, cfg["boundary_refinement"])
     w = product.operator.matrix
@@ -630,12 +607,7 @@ def drive(cfg, mdl):
     entries trade places as the largest along the sweep, the phase jumps
     by their relative phase; the fidelity does not.
     """
-    if cfg["model"] != "su2":
-        raise CliError("the drive subcommand currently generates su2 sweeps only")
-    a, bb = parse_point(cfg["sweep_theta"], 2, "--sweep-theta")
-    schedule = linear_schedule(
-        [cfg["b"], a, cfg["phi"]], [cfg["b"], bb, cfg["phi"]], cfg["tau"]
-    )
+    schedule = linear_schedule(*meridian_sweep(cfg), cfg["tau"])
     result = counterdiabatic_evolve(
         mdl, schedule, cfg["level"], cfg["dt"], include_cd=not cfg["no_cd"]
     )

@@ -586,8 +586,8 @@ class _PolynomialModel(ParametricHamiltonian):
 
 
 _COMPLEX_RE = re.compile(
-    r"^(?P<real>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<imag>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?"
+    r"^(?P<real>[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)?"
+    r"(?P<imag>[+-](?:[0-9]+\.?[0-9]*|\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)?"
     r"(?P<unit>i)?$"
 )
 # a header's keyword is a whole word: "dim=1" is a header, "dimension = 1" is not
@@ -603,7 +603,8 @@ def _parse_int(token: str) -> int:
 
 
 def _parse_complex(token: str, line: int) -> complex:
-    # the gate keeps Python's own syntax out: nan, inf, 1_0, (1+2j), 1j, 0x1
+    # the gate keeps Python's own syntax out: nan, inf, 1_0, (1+2j), 1j, 0x1,
+    # and the digits of other scripts, which complex() also reads
     if not _COMPLEX_RE.match(token):
         raise ModelFileError(line, f"cannot parse complex entry {token!r}")
     try:

@@ -80,8 +80,9 @@ class TestHolonomyCommand:
         run_ok(runner, ["holonomy", "--loop", "triangle", "--steps", "200",
                         "--out", str(tmp_path)])
         config = load_report(tmp_path)["config"]
-        for key in ("model", "l", "mu", "omega", "theta0", "b", "steps", "seed"):
+        for key in ("model", "l", "mu", "omega", "theta0", "b", "steps"):
             assert key in config
+        assert "seed" not in config
 
 
 class TestConnectionCommand:
@@ -98,10 +99,12 @@ class TestConnectionCommand:
         assert report["results"]["zero_diagonal_residual"] < 1e-10
 
     def test_coordinate_flags(self, runner, tmp_path):
-        run_ok(runner, ["connection", "--model", "su2", "--l", "0.5",
-                        "--theta", "1.0", "--phi", "0.3", "--out", str(tmp_path)])
-        report = load_report(tmp_path)
-        assert report["config"]["at"] == [1.0, 1.0, 0.3]
+        # a point is given by --at alone; without it each built-in model has
+        # its default, echoed in the report like a given one
+        for model, point in (("su2", [1.0, 1.0, 0.0]), ("oscillator", [1.0, 0.0, 1.0])):
+            run_ok(runner, ["connection", "--model", model, "--nmax", "12", "--buffer", "4",
+                            "--out", str(tmp_path)])
+            assert load_report(tmp_path)["config"]["at"] == point
 
     def test_mismatched_coordinate_flags_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["connection", "--model", "oscillator",
@@ -165,9 +168,10 @@ class TestConfigHandling:
         assert key in result.output and str(value) in result.output
 
     @pytest.mark.parametrize("args", [
-        ["connection", "--theta", "0.7", "--phi", "0.3"],
+        ["connection", "--at", "1,0.7,0.3"],
         ["curvature-map", "--axes", "theta,phi", "--u-range", "0.1,3.0",
          "--v-range", "0,0", "--grid", "5x1", "--level", "1"],
+        ["nast-check", "--surface", "wedge", "--omega", "1.2", "--grid", "6"],
     ])
     def test_report_config_feeds_back(self, runner, tmp_path, args):
         out = tmp_path / "out"
@@ -284,7 +288,7 @@ class TestOtherCommands:
 
     def test_nast_check(self, runner, tmp_path):
         run_ok(runner, ["nast-check", "--model", "su2", "--l", "0.5",
-                        "--cap", "1.5707963", "--grid", "30",
+                        "--surface", "cap", "--omega", "1.5707963", "--grid", "30",
                         "--out", str(tmp_path)])
         report = load_report(tmp_path)
         assert report["results"]["nast_residual"] <= 1e-3
@@ -357,7 +361,7 @@ CMAP = ["curvature-map", "--axes", "theta,phi", "--u-range", "0,1", "--v-range",
 
 @pytest.mark.parametrize("args", [
     ["holonomy", "--steps", "0"],
-    ["nast-check", "--cap", "1", "--grid", "0"],
+    ["nast-check", "--surface", "cap", "--omega", "1", "--grid", "0"],
     ["drive", "--level", "5"],
     ["drive", "--stride", "0"],
     ["drive", "--stride", "-3"],
@@ -387,6 +391,146 @@ def test_out_of_range_input_exits_2(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["connection", "--theta", "1.0"],
+    ["shift", "--b", "1.0"],
+    ["time-average", "--phi", "0.3"],
+    ["curvature", "--model", "oscillator", "--x", "1.0"],
+    ["curvature-map", "--model", "oscillator", "--y", "0.1"],
+    ["connection", "--model", "oscillator", "--z", "1.0"],
+    ["holonomy", "--seed", "1"],
+    ["validate-model", "--seed", "1"],
+    ["nast-check", "--cap", "1.0"],
+    ["nast-check", "--wedge", "1.0"],
+], ids=lambda args: f"{args[0]}{args[-2]}")
+def test_removed_spelling_exits_2(runner, tmp_path, args):
+    # one spelling per input: --at for points, --surface/--omega for surfaces
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output and args[-2] in result.output
+
+
+REFUSALS = [
+    # args ({dir} holds toy.model and list.json), exit code, message
+    (["connection", "--at", "1,2"], 2, "--at needs 3 components, got 2"),
+    (["connection", "--at", "1,x,0"], 2, "cannot parse --at '1,x,0'"),
+    (["connection", "--model", "file:{dir}/none.model", "--at", "0"], 2,
+     "model file {dir}/none.model does not exist"),
+    (["connection", "--model", "file:{dir}/toy.model"], 2, "file models need an explicit --at point"),
+    (["holonomy", "--model", "oscillator"], 2,
+     "the triangle loop generator is specific to the su2 model"),
+    (["wilson", "--model", "oscillator", "--loop", "circle"], 2,
+     "the circle loop generator is specific to the su2 model"),
+    (["berry-surface", "--model", "oscillator"], 2,
+     "the cap surface generator is specific to the su2 model"),
+    (["nast-check", "--model", "oscillator", "--surface", "wedge"], 2,
+     "the wedge surface generator is specific to the su2 model"),
+    (["holonomy", "--loop", "square"], 2,
+     "unknown loop 'square'; use triangle, circle, or file:<path>"),
+    (["nast-check", "--surface", "disk"], 2,
+     "unknown surface 'disk'; use cap, wedge, or file:<path>"),
+    (["holonomy", "--config", "{dir}/none.json"], 2, "cannot read config {dir}/none.json"),
+    (["holonomy", "--config", "{dir}/list.json"], 2, "config file must hold a JSON object"),
+    (["validate-model", "--file", "{dir}/toy.model", "--config", "{dir}/null-file.json"], 2,
+     "config key 'file' must not be null"),
+    (["curvature-map"], 2, "curvature-map needs --axes (two parameter names)"),
+    (["curvature-map", "--axes", "theta,psi"], 2, "--axes must name two of ['B', 'theta', 'phi']"),
+    (["curvature-map", "--axes", "theta"], 2, "--axes must name two of ['B', 'theta', 'phi']"),
+    (["curvature-map", "--axes", "theta,phi", "--u-range", "0,1"], 2,
+     "curvature-map needs --u-range and --v-range"),
+    (CMAP[:3] + ["--u-range", "0,1,2", "--v-range", "0,0"], 2, "--u-range needs 2 components, got 3"),
+    (CMAP + ["--grid", "40by20"], 2, "--grid must look like 40x20"),
+    (["transport"], 2, "provide --path-file or --sweep-theta"),
+    (["transport", "--model", "oscillator", "--sweep-theta", "0,1"], 2,
+     "--sweep-theta is specific to the su2 model"),
+    (["drive", "--model", "oscillator"], 2, "--sweep-theta is specific to the su2 model"),
+    (["drive", "--sweep-theta", "0"], 2, "--sweep-theta needs 2 components, got 1"),
+    # numerical failures: an unbound oscillator point, a sweep through the field zero
+    (["curvature", "--model", "oscillator", "--at", "1,2,1"], 3,
+     "numerical failure: OscillatorModel: point [1.0, 2.0, 1.0] outside model domain"),
+    (["transport", "--path-file", "{dir}/through-zero.json", "--steps", "4"], 3,
+     "numerical failure:"),
+]
+
+
+@pytest.mark.parametrize("args, code, message", REFUSALS,
+                         ids=[f"{i:02d}-{r[0][0]}" for i, r in enumerate(REFUSALS)])
+def test_refusal_names_its_cause(runner, tmp_path, args, code, message):
+    (tmp_path / "toy.model").write_text(TOY_MODEL)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "null-file.json").write_text('{"file": null}')
+    (tmp_path / "through-zero.json").write_text('{"samples": [[-1, 1, 0], [1, 1, 0]]}')
+    args = [a.replace("{dir}", str(tmp_path)) for a in args]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == code, result.output
+    assert message.replace("{dir}", str(tmp_path)) in result.output
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_circle_loop(runner, tmp_path):
+    from adiaconn.reference import su2_triangle_phases
+
+    theta0 = 0.7
+    run_ok(runner, ["holonomy", "--l", "1", "--loop", "circle", "--theta0", str(theta0),
+                    "--steps", "1500", "--out", str(tmp_path)])
+    phases = load_report(tmp_path)["results"]["phases"]
+    # the circle encloses the solid angle 2 pi (1 - cos theta0)
+    want = su2_triangle_phases(1.0, 2 * np.pi * (1 - np.cos(theta0)))
+    assert np.max(_wrapped(phases, want)) < 1e-5
+
+
+def test_wedge_surface(runner, tmp_path):
+    from adiaconn.reference import su2_triangle_phases
+
+    run_ok(runner, ["berry-surface", "--l", "1", "--surface", "wedge", "--omega", "1.2",
+                    "--grid", "60", "--level", "2", "--out", str(tmp_path)])
+    # the wedge is the surface of the triangle loop of the same span
+    assert abs(load_report(tmp_path)["results"]["phase"] - su2_triangle_phases(1.0, 1.2)[2]) < 1e-4
+
+
+def test_file_surface_on_both_sides_of_stokes(runner, tmp_path):
+    # the patch theta in [0.4, 0.9], phi in [0.1, 0.7] of the (B, theta, phi) chart
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({"origin": [1.0, 0.4, 0.1], "edge_u": [0, 0.5, 0],
+                                "edge_v": [0, 0, 0.6]}))
+    surface = f"file:{path}"
+    run_ok(runner, ["berry-surface", "--surface", surface, "--grid", "30", "--level", "1",
+                    "--out", str(tmp_path / "surface")])
+    run_ok(runner, ["nast-check", "--surface", surface, "--grid", "30",
+                    "--out", str(tmp_path / "nast")])
+    # level m = +1/2 has curvature -m sin(theta)
+    flux = -0.5 * (np.cos(0.4) - np.cos(0.9)) * 0.6
+    assert abs(load_report(tmp_path / "surface")["results"]["phase"] - flux) < 1e-5
+    assert load_report(tmp_path / "nast")["results"]["nast_residual"] <= 1e-3
+
+
+def test_path_files(runner, tmp_path):
+    # the triangle loop, written out as a polyline file, gives the triangle's holonomy
+    from adiaconn.geometry import su2_triangle_loop
+
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"samples": su2_triangle_loop(1.2).samples.tolist()}))
+    run_ok(runner, ["holonomy", "--loop", f"file:{loop}", "--steps", "200",
+                    "--out", str(tmp_path / "file")])
+    run_ok(runner, ["holonomy", "--omega", "1.2", "--steps", "200",
+                    "--out", str(tmp_path / "triangle")])
+    phases = [load_report(tmp_path / d)["results"]["phases"] for d in ("file", "triangle")]
+    assert np.max(_wrapped(*phases)) < 1e-12
+    run_ok(runner, ["transport", "--path-file", str(loop), "--steps", "50",
+                    "--out", str(tmp_path / "open")])
+    assert load_report(tmp_path / "open")["results"]["conjugation_residual"] < 1e-9
+
+
+def test_module_runs_as_script():
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "adiaconn.cli", "--version"],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0 and "version" in done.stdout
 
 
 def readme_cli_examples():
@@ -532,7 +676,7 @@ SUCCESS_RUNS = {
                        "--v-range", "0,0", "--grid", "6x1"], _check_curvature_map),
     "berry-surface": (["--l", "1", "--surface", "cap", "--omega", "1.2", "--grid", "40",
                        "--level", "2"], _check_berry_surface),
-    "nast-check": (["--cap", "1.2", "--grid", "30"], _check_nast),
+    "nast-check": (["--surface", "cap", "--omega", "1.2", "--grid", "30"], _check_nast),
     "flatness": (LOOP + ["--steps", "300"], _check_flatness),
     "drive": (["--tau", "0.5", "--dt", "0.001", "--level", "1"], _check_drive),
     "validate-model": ([], _check_validate_model),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from adiaconn.curvature import (
     GridTooCoarseError,
+    SmallLoopReport,
     SurfacePatch,
     berry_curvature_at,
     berry_curvature_levels,
@@ -13,9 +16,11 @@ from adiaconn.curvature import (
 )
 from adiaconn.models import OscillatorModel, ParametricHamiltonian, Su2Model, constant_model
 from adiaconn.geometry import (
+    cap_polar_angle,
     planar_patch,
     planar_rectangle_loop,
     su2_cap_patch,
+    su2_circle_loop,
     su2_wedge_patch,
 )
 from adiaconn.reference import su2_analytic_curvature, su2_berry_curvature
@@ -162,6 +167,31 @@ class TestSmallLoop:
     def test_eps_finite_and_positive(self, su2_half, eps):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             small_loop_check(su2_half, [1.0, 0.8, 0.3], 1, 2, eps=eps)
+
+
+    def test_ratio_of_an_exact_halved_loop(self):
+        # an exact eps/2 loop makes the scaling ratio infinite, not a division by zero
+        assert SmallLoopReport(1e-2, 1e-9, 0.0).ratio == np.inf
+        assert SmallLoopReport(1e-2, 8e-9, 2e-9).ratio == 4.0
+
+
+class TestGeometryGuards:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: su2_circle_loop(0.0), "theta0 must lie strictly between the poles"),
+            (lambda: su2_circle_loop(np.pi), "theta0 must lie strictly between the poles"),
+            (lambda: su2_wedge_patch(0.0), "azimuthal span must lie in (0, 2*pi)"),
+            (lambda: su2_wedge_patch(2 * np.pi), "azimuthal span must lie in (0, 2*pi)"),
+            (lambda: cap_polar_angle(0.0), "solid angle must lie in (0, 4*pi)"),
+            (lambda: su2_cap_patch(4 * np.pi), "solid angle must lie in (0, 4*pi)"),
+        ],
+        ids=["circle-pole", "circle-south-pole", "wedge-empty", "wedge-full-turn",
+             "cap-empty", "cap-full-sphere"],
+    )
+    def test_out_of_range_shape_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestSurfaceIntegrals:

@@ -10,6 +10,7 @@ from adiaconn.models import (
     ModelFileError,
     ModelSpec,
     OscillatorModel,
+    ParametricHamiltonian,
     Su2Model,
     angular_momentum,
     constant_model,
@@ -256,6 +257,24 @@ class TestOscillatorModel:
         with pytest.raises(DomainViolationError, match="shrinking"):
             osc._central_difference(np.array([1.0, 0.0, 1e-8]), None)
 
+    @pytest.mark.parametrize(
+        "nmax,buffer,message",
+        [
+            # the buffer check passes; the ladder operators need two levels
+            (1, 0, "need at least two Fock levels"),
+            (5, 5, "buffer must satisfy 0 <= buffer < nmax"),
+            (5, -1, "buffer must satisfy 0 <= buffer < nmax"),
+        ],
+        ids=["one-level", "buffer-equals-nmax", "negative-buffer"],
+    )
+    def test_truncation_refused(self, nmax, buffer, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OscillatorModel(nmax, buffer=buffer)
+
+    def test_frequency_refuses_unbound_point(self, oscillator):
+        with pytest.raises(DomainViolationError, match="unbound oscillator"):
+            oscillator.omega([1.0, 2.0, 1.0])
+
 
 class TestPolynomialModels:
     def test_gradients_match_finite_differences(self, rng):
@@ -305,6 +324,32 @@ term 0 2
 0.25 2i
 -2i -0.25
 """
+
+
+class TestPointGuards:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda m: m.eval_h([1.0, 1.0]), "expected 3 parameters ('B', 'theta', 'phi'), got shape (2,)"),
+            (lambda m: m.eval_h([1.0, np.nan, 0.0]), "parameter point has non-finite entries"),
+            (lambda m: m.eval_batch([1.0, 1.0, 0.0]),
+             "expected (K, 3) parameter points ('B', 'theta', 'phi'), got shape (3,)"),
+            (lambda m: m.eval_batch([[1.0, np.inf, 0.0]]), "parameter point has non-finite entries"),
+        ],
+        ids=["point-shape", "point-non-finite", "batch-shape", "batch-non-finite"],
+    )
+    def test_refused_points(self, su2_half, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(su2_half)
+
+    def test_param_names_must_match(self):
+        with pytest.raises(ValueError, match="^param_names length must match n_params$"):
+            ParametricHamiltonian(dim=2, n_params=2, param_names=("a",))
+
+    def test_family_needs_an_evaluation(self):
+        # neither a function nor declared terms: nothing can evaluate H
+        with pytest.raises(NotImplementedError):
+            ParametricHamiltonian(dim=2, n_params=1).eval_h([0.0])
 
 
 class TestModelFiles:
@@ -484,6 +529,44 @@ class TestModelFiles:
              "exponent-negative"],
     )
     def test_integers_are_ascii_digits(self, text, message):
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            parse_model_file(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim = 1\ndim = 1\nparams = a\nterm 0\n1\n", "line 2: duplicate dim header"),
+            ("dim = 1\nparams = a\nparams = b\nterm 0\n1\n", "line 3: duplicate params header"),
+            ("dim 1\nparams = a\nterm 0\n1\n", "line 1: expected 'dim = <int>'"),
+            ("dim = 1\nparams =\nterm 0\n1\n",
+             "line 2: expected 'params = <name1> <name2> ...'"),
+            ("dim = 1\nparams = a b\nterm 0\n1\n", "line 3: term needs 2 exponents, got 1"),
+            ("params = a\n", "line 1: missing 'dim = <int>' header"),
+            ("dim = 1\n", "line 1: missing 'params = ...' header"),
+            # the last line of the file is named, comment or not
+            ("dim = 1\nparams = a\n\n# no terms\n", "line 4: model defines no terms"),
+        ],
+        ids=["duplicate-dim", "duplicate-params", "dim-without-equals", "empty-params",
+             "exponent-count", "missing-dim", "missing-params", "no-terms"],
+    )
+    def test_header_refusals(self, text, message):
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            parse_model_file(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # complex() reads these digits; an entry is ASCII like dim and the exponents
+            ("dim = 2\nparams = a\nterm 0\n1 0\n0 \u0663\n",
+             "line 5: cannot parse complex entry '\u0663'"),
+            ("dim = 2\nparams = a\nterm 0\n\uff13 0\n0 1\n",
+             "line 4: cannot parse complex entry '\uff13'"),
+            ("dim = 2\nparams = a\nterm 0\n1 0\n0 1+\u0662i\n",
+             "line 5: cannot parse complex entry '1+\u0662i'"),
+        ],
+        ids=["entry-arabic-indic", "entry-fullwidth", "imaginary-arabic-indic"],
+    )
+    def test_entries_are_ascii_digits(self, text, message):
         with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
             parse_model_file(text)
 
