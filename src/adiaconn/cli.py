@@ -554,11 +554,16 @@ def berry_surface(cfg, mdl):
 @click.option("--grid", type=int, default=50, show_default=True)
 @click.option("--boundary-refinement", type=int, default=8, show_default=True)
 def nast_check(cfg, mdl):
-    """Surface-ordered product versus direct boundary holonomy."""
+    """Surface-ordered product versus direct boundary holonomy.
+
+    The product's phases and off-diagonal residual are read in the
+    eigenframe at the patch origin, as holonomy reads its loop operator.
+    """
     patch = build_surface(cfg)
     product = surface_ordered_product(mdl, patch)
     residual = _boundary_residual(mdl, patch, product, cfg["boundary_refinement"])
-    w = product.operator.matrix
+    v0 = mdl.spectral_at(patch.origin).frame.matrix  # read out in the base frame, as holonomy does
+    w = v0.conj().T @ product.operator.matrix @ v0
     return {
         "nast_residual": float(residual),
         "cell_count": product.cell_count,

@@ -11,7 +11,10 @@ surface integrals over parallelogram patches.  One routine,
 the per-level curvature on a stack of eigensystems; both the point table
 (:func:`berry_curvature_levels`) and the integrand of the surface sweep
 go through it, so the two sides of the Stokes comparison share one
-formula.  The surface sweep runs on the chunk sweep of the path kernels
+formula.  On a two-node tree block (spin 1/2) the sum has one term, from
+one eigenbasis element per direction, the same element the transport
+kernel builds its spin-1/2 step factors from.  The surface sweep runs on
+the chunk sweep of the path kernels
 (:func:`adiaconn.transport._decomposed_chunks`), block by block over the
 joint nonzero pattern of H and the two tangent gradients: each requested
 level is contracted against its own block's gradient stack and
@@ -42,6 +45,7 @@ from .operator_core import (
     BlockSystem,
     SpectralDecomposition,
     _short_axis_first,
+    _two_level_element,
     expm_hermitian,
     frobenius,
     gauge_phase,
@@ -176,7 +180,10 @@ def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
     keep their eigenvectors as D R (see
     :class:`~adiaconn.operator_core.BlockSystem`), so the elements are
     R^T (D^dag dH D) R, with R multiplied as a real matrix
-    (:func:`~adiaconn.operator_core.sandwich`).
+    (:func:`~adiaconn.operator_core.sandwich`).  A two-node tree block
+    has one term per level, from the one element x = <0|dH|1> along each
+    direction (:func:`~adiaconn.operator_core._two_level_element`):
+    W^(0) = -W^(1) = -2 Im(x_u conj(x_v)) / (E_0 - E_1)^2.
     """
     levels = np.asarray(levels)
     column = system.order[:, levels]  # [k, row]: concatenated column of the level
@@ -186,10 +193,19 @@ def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
     for (e, v, gauge), g in zip(system.parts, gs):
         local = column - start
         start += e.shape[-1]
+        inside = (local >= 0) & (local < e.shape[-1])
+        if gauge is not None and e.shape[-1] == 2:
+            x_u, x_v = _two_level_element(v, gauge, g)
+            gap = e[:, 0] - e[:, 1]
+            inv2 = np.zeros_like(gap)
+            np.divide(1.0, gap**2, out=inv2, where=gap != 0.0)
+            sign = np.where(inside, 1 - 2 * local, 0)  # +1 for level 0, -1 for level 1
+            # rows in front, so that the product runs along the stack
+            out = out - 2.0 * (sign.T * (np.imag(x_u * x_v.conj()) * inv2)).T
+            continue
         delta = rows[:, :, None] - e[:, None, :]  # [k, row, n']
         keep = delta != 0.0
         if e.shape[-1] < dim:  # a row whose level is in another block reads column 0, counts 0
-            inside = (local >= 0) & (local < e.shape[-1])
             local = np.where(inside, local, 0)
             keep &= inside[..., None]
         if gauge is not None:
@@ -354,11 +370,17 @@ class SurfacePatch:
         return self.points([u, v])
 
     def points(self, uv) -> np.ndarray:
-        """The points at an (..., 2) array of (u, v) pairs, as (..., N)."""
+        """The points at an (..., 2) array of (u, v) pairs, as (..., N):
+        (u a + o) + v b per coordinate, each coordinate one column along
+        the whole stack, not one inner loop of length N per point."""
         uv = np.asarray(uv, dtype=float)
-        out = uv[..., :1] * self.edge_u  # summed in place: one (..., N) temporary, not three
-        out += self.origin
-        out += uv[..., 1:] * self.edge_v
+        u, v = uv[..., 0], uv[..., 1]
+        out = np.empty(uv.shape[:-1] + self.origin.shape)
+        for n, (a, o, b) in enumerate(zip(self.edge_u, self.origin, self.edge_v)):
+            column = out[..., n]
+            np.multiply(u, a, out=column)
+            column += o
+            column += v * b
         return out
 
     def boundary_nodes(self) -> np.ndarray:

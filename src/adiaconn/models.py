@@ -224,17 +224,21 @@ class ParametricHamiltonian:
         pattern from its pattern values into one zeroed buffer per chunk,
         whose views the stacks are; its layout is found on the first call
         and kept on the model.  Every other family splits its dense H and
-        G by their joint pattern, once every H meets the Hermiticity rule
-        (ValueError otherwise; ``eigh`` reads one triangle only).
+        G by their joint pattern, once every H and every G meets the
+        Hermiticity rule (ValueError otherwise, naming the first point:
+        ``eigh`` reads one triangle of H, and the two-level closed forms
+        one triangle of G).
         """
         lams, directions = self._checked_points(lams, directions)
         if self._term_values is None or (
                 type(self)._evaluate_batch is not ParametricHamiltonian._evaluate_batch):
             h, g = self._evaluate_batch(lams, directions)
             _check_entries(h.view(float), g, self.dim)
-            miss = np.flatnonzero(hermiticity_defect(h)[1])
-            if miss.size:
-                raise ValueError(f"Hamiltonian is not Hermitian at {lams[miss[0]].tolist()}")
+            for what, stack in (("Hamiltonian", h), ("Hamiltonian gradient", g)):
+                miss = hermiticity_defect(stack)[1]  # (K,) for H, (K, M) for G
+                miss = np.flatnonzero(miss.any(axis=tuple(range(1, miss.ndim))))
+                if miss.size:
+                    raise ValueError(f"{what} is not Hermitian at {lams[miss[0]].tolist()}")
             blocks = operator_core.split_blocks(h, g)
             return blocks, [b.take(h) for b in blocks], [b.take(g) for b in blocks]
         with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned of

@@ -52,8 +52,16 @@ Spin 1/2 makes every stacked matrix 2x2, where ``eigh`` and stacked
 ``matmul`` cost mostly per-matrix call overhead.  A two-node tree block
 is therefore decomposed in closed form from one rotation angle, and
 :func:`matmul` writes a product whose contraction has length 2 entry by
-entry, each term one elementwise product along the whole stack; every
-other size goes to LAPACK and ``@``.  For the same reason a reduction
+entry, each term one elementwise product along the whole stack, for
+stacks long enough to repay the entry views (a short stack takes the
+broadcast product); every other size goes to LAPACK and ``@``.  For two
+levels the sum-over-states formulas need one number per point, the
+eigenbasis element x = <0|G|1> (:func:`_two_level_element`): the
+transport kernel builds the spin-1/2 step factor from it, and the
+surface integrand the level curvature, with no contraction of whole
+matrices and no series.  Every step factor, by series, eigenbasis or
+closed form, meets one unitarity check (:func:`_check_unitary_steps`).
+For the same reason a reduction
 over a short axis of a stack (a spectral radius, a 1-norm, a nearest
 gap) runs over a copy with that axis in front (:func:`_short_axis_first`),
 so that NumPy's inner loops run along the stack and not along the
@@ -74,6 +82,9 @@ UNITARITY_TOL = 1e-10
 # Largest max 1-norm of a stack that expm_hermitian_stack exponentiates by
 # its Taylor series (degree 23 there); larger stacks take the eigenbasis.
 TAYLOR_MAX_NORM = 2.0
+# Fewest matrices for which matmul writes a 2x2 contraction entry by
+# entry; below it the broadcast product costs less.
+ENTRYWISE_MIN_STACK = 256
 # Relative spread of entry magnitudes that fix_phase treats as a tie.
 PHASE_TIE_TOL = 1e-12
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
@@ -433,33 +444,48 @@ def eigh_block(stack: np.ndarray, block: Block):
     return (*np.linalg.eigh(real), gauge)
 
 
+def _two_level_element(vecs: np.ndarray, gauge: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x = <0|G|1> = (R^T D^dag G D R)_01 of a two-node tree block, from its
+    (K, 2, 2) real eigenvectors R and (K, 2) gauge D (see
+    :func:`eigh_block`), for a (K, M, 2, 2) Hermitian G, as (M, K) with M
+    in front so that every product runs along the stack.  For two levels
+    the connection and the level curvature need only x.  Only the real
+    diagonal and the upper triangle of G are read, which is why the
+    kernels hold every dense gradient to the Hermiticity rule."""
+    g = np.moveaxis(g, 1, 0)
+    upper = g[..., 0, 1] * (gauge[:, 0].conj() * gauge[:, 1])
+    r00, r01, r10, r11 = vecs[:, 0, 0], vecs[:, 0, 1], vecs[:, 1, 0], vecs[:, 1, 1]
+    return ((r00 * r01) * g[..., 0, 0].real + (r10 * r11) * g[..., 1, 1].real
+            + (r00 * r11) * upper + (r10 * r01) * upper.conj())
+
+
 def gauge_phase(gauge: np.ndarray) -> np.ndarray:
     """conj(D_m) D_n for a (..., d) stack of gauge diagonals D, as
-    (..., d, d): the elementwise factor that takes G to D^dag G D.  For
-    d = 2 each entry is one product of two strided entry views."""
-    conj = gauge.conj()
-    if gauge.shape[-1] != 2:
-        return conj[..., :, None] * gauge[..., None, :]
-    out = np.empty(gauge.shape + (2,), dtype=gauge.dtype)
-    for m in range(2):
-        for n in range(2):
-            out[..., m, n] = conj[..., m] * gauge[..., n]
-    return out
+    (..., d, d): the elementwise factor that takes G to D^dag G D."""
+    return gauge.conj()[..., :, None] * gauge[..., None, :]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks; a contraction of length 2 is written entry by
-    entry, out[..., i, j] = a[..., i, 0] b[..., 0, j] + a[..., i, 1]
-    b[..., 1, j], each term one elementwise product of strided entry
-    views over the whole stack.  A stacked ``matmul`` of 2x2 matrices,
-    or a broadcast product of their rows and columns, spends most of its
-    time in inner loops of length 2, one per matrix.  Every other inner
-    size is ``a @ b`` itself."""
+    """a @ b for stacks; a contraction of length 2 is a sum of two
+    products, out[..., i, j] = a[..., i, 0] b[..., 0, j] + a[..., i, 1]
+    b[..., 1, j].  For a stack of at least ``ENTRYWISE_MIN_STACK``
+    matrices each entry is written on its own, each term one elementwise
+    product of strided entry views over the whole stack: a stacked
+    ``matmul`` of 2x2 matrices, or a broadcast product of their rows and
+    columns, spends most of its time in inner loops of length 2, one per
+    matrix.  A shorter stack is that broadcast product, whose fixed cost
+    is a quarter of the entrywise form's; both add the same two products
+    per entry, so they agree bit for bit.  Every other inner size is
+    ``a @ b`` itself."""
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return a @ b
     rows, cols = a.shape[-2], b.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, cols),
-                   dtype=np.result_type(a, b))
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    if math.prod(stack) < ENTRYWISE_MIN_STACK:
+        out = a[..., :, 0, None] * b[..., None, 0, :]
+        out += a[..., :, 1, None] * b[..., None, 1, :]
+        return out
+    out = np.empty(stack + (rows, cols), dtype=np.result_type(a, b))
     for i in range(rows):
         for j in range(cols):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
@@ -655,7 +681,14 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
             raise ValueError(f"step {bad[0]} is not unitary: its generator is not Hermitian, "
                              f"||H - H^dag|| = {asym[bad[0]]:.3e}")
         u = _expm_eig(h)
-    dim = h.shape[-1]
+    return _check_unitary_steps(u)
+
+
+def _check_unitary_steps(u: np.ndarray) -> np.ndarray:
+    """``u``, a (K, d, d) stack of step factors, once every factor meets
+    the unitarity budget of :class:`UnitaryOperator`; ValueError naming
+    the first step that misses it (a NaN misses it)."""
+    dim = u.shape[-1]
     off = matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim)
     if dim == 2:  # Frobenius norms: the four squares in order, as numpy.linalg.norm adds them
         squares = (off.conj() * off).real.reshape(len(off), 4)

@@ -18,14 +18,18 @@ model evaluates H and the step-contracted gradient as stacked arrays, one
 stacked decomposition of H handles them, and the connection is contracted
 in the eigenbasis and exponentiated as a stack by a Taylor series
 (:func:`~adiaconn.operator_core.expm_hermitian_stack`), with no second
-decomposition.  The ordered product is a pairwise reduction: adjacent
-factors of the same segment are multiplied as one stacked product per
-level, ceil(log2 k) levels for k steps, and each chunk's first piece is
-multiplied onto the product carried over from the chunk before.  Chunks
-hold at most 2048 matrices and about 2 MB per stacked array.  The Wilson
-loop and the surface integral of :mod:`adiaconn.curvature` share the
-chunk sweep, :func:`_decomposed_chunks`, and its one degeneracy rule: an
-adjacent gap among the lowest ``check_levels`` levels below
+decomposition.  A two-node tree block (spin 1/2) skips both: its step
+generator W = m v_0 v_1^dag + h.c. squares to |m|^2, so its factor is
+cos|m| I + i sinc|m| W, from one eigenbasis element per step
+(:func:`_two_level_factors`).  The ordered product is a pairwise
+reduction: adjacent factors of the same segment are multiplied as one
+stacked product per level, ceil(log2 k) levels for k steps, and each
+chunk's first piece is multiplied onto the product carried over from
+the chunk before.  Chunks hold at most 2048 matrices and about 2 MB per
+stacked array.  The Wilson loop and the surface integral of
+:mod:`adiaconn.curvature` share the chunk sweep,
+:func:`_decomposed_chunks`, and its one degeneracy rule: an adjacent gap
+among the lowest ``check_levels`` levels below
 :func:`~adiaconn.operator_core.default_gap_tol` raises, on either side.
 
 The kernel splits by blocks of the joint nonzero pattern of H and the
@@ -61,7 +65,9 @@ import numpy as np
 from .operator_core import (
     SpectralDecomposition,
     UnitaryOperator,
+    _check_unitary_steps,
     _is_int,
+    _two_level_element,
     decompose_blocks,
     expm_hermitian_stack,
     frobenius,
@@ -231,6 +237,29 @@ def _decomposed_chunks(model: ParametricHamiltonian, points, directions=None):
         yield start, chunk, system, gs
 
 
+def _two_level_factors(m: np.ndarray, vecs: np.ndarray, gauge: np.ndarray) -> np.ndarray:
+    """exp(i W) for the connection step W = m v_0 v_1^dag + h.c. of a
+    two-node tree block, with v_n = D R[:, n] (see
+    :func:`~adiaconn.operator_core.eigh_block`): W^2 = |m|^2 I, so
+    exp(i W) = cos|m| I + i sinc|m| W.  In the gauge frame W is
+    P = R [[0, m], [conj(m), 0]] R^T, and D P D^dag differs from P only
+    off the diagonal.  Each factor is held to the unitarity budget of
+    every step factor."""
+    size = np.abs(m)
+    cos, sinc = np.cos(size), np.ones_like(size)
+    np.divide(np.sin(size), size, out=sinc, where=size != 0.0)
+    r00, r01, r10, r11 = vecs[:, 0, 0], vecs[:, 0, 1], vecs[:, 1, 0], vecs[:, 1, 1]
+    twice_real = 2.0 * m.real
+    upper = ((r00 * r11) * m + (r01 * r10) * m.conj()) * (gauge[:, 0] * gauge[:, 1].conj())
+    u = np.empty(m.shape + (2, 2), dtype=complex)
+    u.real[:, 0, 0] = u.real[:, 1, 1] = cos
+    u.imag[:, 0, 0] = sinc * (r00 * r01) * twice_real
+    u.imag[:, 1, 1] = sinc * (r10 * r11) * twice_real
+    u[:, 0, 1] = 1j * (sinc * upper)
+    u[:, 1, 0] = 1j * (sinc * upper.conj())
+    return _check_unitary_steps(u)
+
+
 def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     """exp(i W(mid_k) . delta_k) for every step, yielded one chunk at a time.
 
@@ -244,15 +273,27 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
     the basis indices of a block (all of them when the chunk does not
     split) and its (k, b, b) factor stack; the factors are exactly zero
     outside the blocks.
+
+    A two-node tree block under the default weight takes its factor in
+    closed form from one eigenbasis element per step
+    (:func:`_two_level_factors`), with no contraction and no series;
+    every other block is contracted by :func:`contract_stack` and
+    exponentiated by :func:`~adiaconn.operator_core.expm_hermitian_stack`.
+    Both routes name the first point whose connection is not finite.
     """
     for start, mid, system, gs in _decomposed_chunks(model, mids, deltas[:, None]):
-        gens = [contract_stack(e, v, g[:, 0], weight, gauge)
+        # a two-level block carries m, one number per step; any other its (k, b, b) W
+        gens = [connection_weight(e[:, 0] - e[:, 1]) * _two_level_element(v, gauge, g)[0]
+                if weight is connection_weight and gauge is not None and v.shape[-1] == 2
+                else contract_stack(e, v, g[:, 0], weight, gauge)
                 for g, (e, v, gauge) in zip(gs, system.parts)]
         if not all(np.isfinite(w.view(float)).all() for w in gens):  # rows only to name the point
             finite = np.all([np.isfinite(w.view(float)).reshape(len(w), -1).all(axis=1)
                              for w in gens], axis=0)
             raise ValueError(f"non-finite connection at {mid[np.argmin(finite)].tolist()}")
-        yield start, [(b.index, expm_hermitian_stack(w)) for b, w in zip(system.blocks, gens)]
+        yield start, [(b.index, expm_hermitian_stack(w) if w.ndim == 3
+                       else _two_level_factors(w, v, gauge))
+                      for b, w, (_, v, gauge) in zip(system.blocks, gens, system.parts)]
 
 
 def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -293,6 +293,23 @@ class TestOtherCommands:
         report = load_report(tmp_path)
         assert report["results"]["nast_residual"] <= 1e-3
 
+    @pytest.mark.parametrize("surface", ["cap", "wedge"])
+    def test_nast_check_reads_pole_patches_as_before(self, runner, tmp_path, surface):
+        # a spin-1 patch from the pole starts where the eigenframe is exactly
+        # the computational basis: the read-out in that frame is the plain
+        # diagonal of the product, bit for bit
+        from adiaconn.geometry import su2_cap_patch, su2_wedge_patch
+        from adiaconn.models import Su2Model
+        from adiaconn.nast import surface_ordered_product
+
+        run_ok(runner, ["nast-check", "--model", "su2", "--l", "1", "--surface", surface,
+                        "--omega", "1.1", "--grid", "8", "--out", str(tmp_path)])
+        patch = {"cap": su2_cap_patch, "wedge": su2_wedge_patch}[surface](1.1, grid=(8, 8))
+        w = surface_ordered_product(Su2Model(1.0), patch).operator.matrix
+        results = load_report(tmp_path)["results"]
+        assert results["surface_phases"] == np.angle(np.diag(w)).tolist()
+        assert results["surface_offdiag"] == np.max(np.abs(w - np.diag(np.diag(w))))
+
     def test_flatness(self, runner, tmp_path):
         run_ok(runner, ["flatness", "--loop", "triangle", "--omega", "1.5707963",
                         "--time", "1.7", "--steps", "1500", "--out", str(tmp_path)])
@@ -500,10 +517,19 @@ def test_file_surface_on_both_sides_of_stokes(runner, tmp_path):
                     "--out", str(tmp_path / "surface")])
     run_ok(runner, ["nast-check", "--surface", surface, "--grid", "30",
                     "--out", str(tmp_path / "nast")])
+    run_ok(runner, ["berry-surface", "--surface", surface, "--grid", "30", "--level", "0",
+                    "--out", str(tmp_path / "surface0")])
     # level m = +1/2 has curvature -m sin(theta)
     flux = -0.5 * (np.cos(0.4) - np.cos(0.9)) * 0.6
     assert abs(load_report(tmp_path / "surface")["results"]["phase"] - flux) < 1e-5
-    assert load_report(tmp_path / "nast")["results"]["nast_residual"] <= 1e-3
+    nast = load_report(tmp_path / "nast")["results"]
+    assert nast["nast_residual"] <= 1e-3
+    # the product is read out in the eigenframe at the patch origin, as
+    # the holonomy is, so both sides of the comparison give each level's
+    # flux (the computational basis read +-0.0828 against +-0.0898)
+    fluxes = [load_report(tmp_path / d)["results"]["phase"] for d in ("surface0", "surface")]
+    assert np.max(np.abs(np.array(nast["surface_phases"]) - fluxes)) < 1e-5
+    assert nast["surface_offdiag"] < 1e-5
 
 
 def test_path_files(runner, tmp_path):

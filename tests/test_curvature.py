@@ -350,6 +350,25 @@ class TestSurfacePatch:
         deltas = np.diff(path.samples, axis=0)
         assert np.min(np.linalg.norm(deltas, axis=1)) > 0
 
+    def test_points_are_the_broadcast_chart_bit_for_bit(self):
+        # one column per coordinate along the stack: the same products and
+        # sums, in the same order, as origin + u edge_u + v edge_v broadcast
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            scales = 10.0 ** rng.integers(-3, 4, 3)[:, None]
+            origin, edge_u, edge_v = rng.normal(size=(3, n)) * scales
+            patch = SurfacePatch(origin, edge_u, edge_v, (3, 4))
+            shape = [(), (int(rng.integers(1, 40)),), (5, int(rng.integers(1, 9)))][rng.integers(3)]
+            uv = rng.uniform(-0.5, 1.5, size=shape + (2,))
+            ref = uv[..., :1] * patch.edge_u
+            ref += patch.origin
+            ref += uv[..., 1:] * patch.edge_v
+            got = patch.points(uv)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            if not shape:
+                assert np.array_equal(patch.point(*uv), ref)
+
     def test_chart_called_once_per_chunk(self, monkeypatch):
         monkeypatch.setattr(transport, "CHUNK_MATRICES", 7)
         calls = []

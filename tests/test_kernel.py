@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adiaconn import operator_core, transport
-from adiaconn.connection import connection_spectral, connection_weight
+from adiaconn.connection import connection_spectral, connection_weight, contract_stack
 from adiaconn.curvature import GridTooCoarseError, SurfacePatch, berry_phase_surface
 from adiaconn.geometry import (
     planar_patch,
@@ -463,6 +463,30 @@ class TestErrorParity:
                     lambda: berry_phase_surface(model, patch, 0)):
             with pytest.raises(ValueError, match="Hamiltonian is not Hermitian at"):
                 run()
+
+    def test_non_hermitian_gradient_is_refused(self, su2_half):
+        class UpperGradient(Su2Model):
+            """An extra entry above the diagonal of every gradient only."""
+
+            def _evaluate_batch(self, lams, directions):
+                h, g = super()._evaluate_batch(lams, directions)
+                g[..., 0, 1] += 0.3
+                return h, g
+
+        model = UpperGradient(0.5)
+        loop = planar_rectangle_loop([1.0, 0.6, 0.2], [0.0, 0.5, 0.0], [0.0, 0.0, 0.7],
+                                     refinement=10)
+        cap = su2_cap_patch(1.0, grid=(4, 4))
+        first_mid = loop.step_arrays()[0][0]
+        with pytest.raises(ValueError) as err:
+            holonomy(model, loop)
+        assert str(err.value) == f"Hamiltonian gradient is not Hermitian at {first_mid.tolist()}"
+        first_centre = cap.point(0.125, 0.125)
+        with pytest.raises(ValueError) as err:
+            berry_phase_surface(model, cap, [0, 1])
+        assert str(err.value) == f"Hamiltonian gradient is not Hermitian at {first_centre.tolist()}"
+        # the Wilson loop reads no gradient: the phases of the honest model
+        assert np.array_equal(wilson_loop_phases(model, loop), wilson_loop_phases(su2_half, loop))
 
     def test_path_and_surface_share_one_degeneracy_rule(self):
         # levels 1 and 2 tie everywhere: the surface refuses the patch even
@@ -1111,3 +1135,193 @@ class TestOrderedProducts:
             else:
                 assert np.max(np.abs(got - total)) <= TOL
                 assert np.max(np.abs(lasso - lassos[2, 3])) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# Two-level closed forms
+# ---------------------------------------------------------------------------
+
+
+PAIR = operator_core.Block(np.arange(2), np.array([0, 0]))
+
+# Three blocks in one model file: a pair {0, 1}, a chain {2, 3, 4} and a
+# single level {5}, every coupling complex.
+SPLIT_MODEL_FILE = """\
+dim = 6
+params = a b
+term 0 0
+0 0.1+0.05i 0 0 0 0
+0.1-0.05i 1.5 0 0 0 0
+0 0 3 0.2i 0 0
+0 0 -0.2i 4.5 0.1 0
+0 0 0 0.1 6 0
+0 0 0 0 0 7.5
+term 1 0
+0.3 0.2-0.4i 0 0 0 0
+0.2+0.4i -0.3 0 0 0 0
+0 0 0.2 0.1+0.1i 0 0
+0 0 0.1-0.1i 0 0.3i 0
+0 0 0 -0.3i -0.2 0
+0 0 0 0 0 0.1
+term 0 1
+-0.2 0.5i 0 0 0 0
+-0.5i 0.2 0 0 0 0
+0 0 0 0.2 0 0
+0 0 0.2 0.1 -0.1+0.2i 0
+0 0 0 -0.1-0.2i 0 0
+0 0 0 0 0 -0.1
+term 1 1
+0 -0.3+0.1i 0 0 0 0
+-0.3-0.1i 0 0 0 0 0
+0 0 0.1 0 0 0
+0 0 0 0 0.2 0
+0 0 0 0.2 0.1 0
+0 0 0 0 0 0
+"""
+
+
+def pair_eigensystem(rng, k, gap):
+    """The tree-gauge eigensystem of K random two-level Hermitian
+    matrices whose spacing is about ``gap``, with couplings of random
+    phase, so that no gauge is trivial."""
+    h = np.zeros((k, 2, 2), dtype=complex)
+    mean, split = rng.normal(size=k), 0.5 * gap * rng.uniform(-1.0, 1.0, k)
+    h[:, 0, 0], h[:, 1, 1] = mean + split, mean - split
+    h[:, 0, 1] = 0.5 * gap * rng.uniform(0.2, 1.0, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    h[:, 1, 0] = h[:, 0, 1].conj()
+    e, v, gauge = operator_core.eigh_block(h, PAIR)
+    assert gauge is not None and v.dtype == float
+    return e, v, gauge
+
+
+def gradient_stack(rng, k, m, scale):
+    g = rng.normal(size=(k, m, 2, 2)) + 1j * rng.normal(size=(k, m, 2, 2))
+    return scale * (g + g.conj().swapaxes(-1, -2))
+
+
+def record_closed_forms(monkeypatch):
+    """Stack lengths of every two-level step factor, two-level curvature
+    and general step exponential, in call order."""
+    from adiaconn import curvature
+
+    calls = {"factors": [], "curvature": [], "series": []}
+
+    def recording(module, name, key, length):
+        original = getattr(module, name)
+
+        def wrapped(*args):
+            calls[key].append(length(*args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    recording(transport, "_two_level_factors", "factors", lambda m, v, gauge: len(m))
+    recording(curvature, "_two_level_element", "curvature", lambda v, gauge, g: len(v))
+    recording(transport, "expm_hermitian_stack", "series", lambda w: len(w))
+    return calls
+
+
+class TestTwoLevelClosedForm:
+    """A two-node tree block takes its step factor and its level
+    curvature from the one eigenbasis element x = <0|G|1>; both agree with
+    the general route, contraction plus series and the sum over states,
+    per factor and per cell.  A flipped sign of m or of the curvature, or
+    a dropped gauge phase, moves them by the size of the step or of the
+    curvature, far above the tolerances here."""
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-6])
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 2.0])
+    def test_factors_match_contraction_and_series(self, rng, gap, scale):
+        e, v, gauge = pair_eigensystem(rng, 300, gap)
+        g = gradient_stack(rng, 300, 1, scale * gap)  # |m| about scale
+        m = connection_weight(e[:, 0] - e[:, 1]) * operator_core._two_level_element(v, gauge, g)[0]
+        closed = transport._two_level_factors(m, v, gauge)
+        general = operator_core.expm_hermitian_stack(
+            contract_stack(e, v, g[:, 0], connection_weight, gauge))
+        assert np.max(np.abs(np.angle(gauge[:, 1]))) > 3.0  # gauges of every phase
+        assert np.max(np.abs(closed - general)) <= 1e-13
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-6])
+    def test_curvature_matches_the_sum_over_states(self, rng, gap):
+        from adiaconn.curvature import _level_curvature
+
+        e, v, gauge = pair_eigensystem(rng, 300, gap)
+        g = gradient_stack(rng, 300, 2, gap)
+        order = np.arange(2)[None].repeat(300, 0)
+        levels = [1, 0, 1]
+        closed = _level_curvature(operator_core.BlockSystem((PAIR,), ((e, v, gauge),), e, order),
+                                  (g,), levels)
+        dense = operator_core.BlockSystem((operator_core.Block(np.arange(2), None),),
+                                          ((e, gauge[:, :, None] * v, None),), e, order)
+        general = _level_curvature(dense, (g,), levels)
+        assert closed.shape == general.shape == (300, 3)
+        assert np.max(np.abs(closed - general)) <= 1e-13 * np.max(np.abs(general))
+        assert np.array_equal(closed[:, 0], -closed[:, 1])
+
+    def test_equal_eigenvalues_contribute_nothing(self, rng):
+        from adiaconn.curvature import _level_curvature
+
+        e, v, gauge = pair_eigensystem(rng, 4, 1.0)
+        e[2] = e[2, 0]  # an exact tie at row 2
+        g = gradient_stack(rng, 4, 2, 1.0)
+        system = operator_core.BlockSystem((PAIR,), ((e, v, gauge),), e, np.zeros((4, 2), int))
+        w = _level_curvature(system, (g,), [0])
+        assert w[2, 0] == 0.0 and np.all(w[[0, 1, 3], 0] != 0.0)
+
+    def test_split_model_file_per_factor_and_per_cell(self, rng, monkeypatch):
+        from adiaconn.curvature import _level_curvature
+
+        model = parse_model_file(SPLIT_MODEL_FILE).to_model()
+        points = rng.uniform(-0.2, 0.2, size=(40, 2))
+        tangents = rng.normal(size=(40, 2, 2))
+        levels = [5, 0, 1, 3, 2, 4, 1]
+
+        def outputs():
+            factors = transport.ordered_products(model, points, 0.05 * tangents[:, 0],
+                                                 np.ones(len(points), int))
+            cells = np.concatenate([_level_curvature(system, gs, levels) for _, _, system, gs
+                                    in transport._decomposed_chunks(model, points, tangents)])
+            return factors, cells
+
+        calls = record_closed_forms(monkeypatch)
+        blocked = outputs()
+        blocks = model._kernel_batch(points[:1])[0]
+        assert [b.index.tolist() for b in blocks] == [[0, 1], [2, 3, 4], [5]]
+        # the pair takes both closed forms; the chain and the single level the series
+        assert calls == {"factors": [40], "curvature": [40], "series": [40, 40]}
+        ran_as_one_block = one_block(monkeypatch, model)
+        dense = outputs()
+        assert ran_as_one_block()
+        assert np.max(np.abs(blocked[0] - dense[0])) <= 1e-13
+        assert np.max(np.abs(blocked[1] - dense[1])) <= 1e-12 * np.max(np.abs(dense[1]))
+
+    @pytest.mark.parametrize("model, closed", [
+        (Su2Model(0.5), True), (Su2Model(1.0), False), (Su2Model(1.5), False),
+        (OscillatorModel(14, 4), False)])
+    def test_only_two_level_blocks_take_the_closed_form(self, model, closed, monkeypatch):
+        if model.dim == 14:
+            loop = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=10)
+            patch = planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(6, 5))
+        else:
+            loop, patch = TestTreeRoute.LOOP, TestTreeRoute.PATCH
+        calls = record_closed_forms(monkeypatch)
+        holonomy(model, loop)
+        berry_phase_surface(model, patch, [0, 1])
+        steps, cells = 4 * loop.refinement, np.prod(patch.grid)
+        if closed:
+            assert calls == {"factors": [steps], "curvature": [cells], "series": []}
+        else:  # the oscillator's two parity sectors each take the series
+            assert calls == {"factors": [], "curvature": [],
+                             "series": [steps] * len(model._kernel_batch(loop.samples[:1])[0])}
+
+    def test_spin_half_benchmark_phases_keep_sign_and_value(self, su2_half):
+        # -m Omega for m = -1/2, +1/2; the values are those of the general
+        # route (contraction, series and sum over states) before the closed
+        # forms, to which the closed forms agree to roundoff
+        omega = 1.2
+        exact = np.array([0.5 * omega, -0.5 * omega])
+        hol = holonomy(su2_half, su2_triangle_loop(omega, refinement=900)).phases
+        surf = berry_phase_surface(su2_half, su2_wedge_patch(omega, grid=(110, 110)), [0, 1])
+        assert np.max(np.abs(hol - [0.5999999999999999, -0.5999999999999999])) <= 1e-13
+        assert np.max(np.abs(surf - [0.6000050979664787, -0.6000050979664787])) <= 1e-13
+        assert np.max(np.abs(hol - exact)) <= 1e-12 and np.max(np.abs(surf - exact)) <= 1e-5

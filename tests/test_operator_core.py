@@ -296,6 +296,12 @@ class TestMatmul:
         ((9, 1, 2, 2), (9, 2, 2, 2)),
         ((9, 1, 3, 2), (9, 2, 2, 2)),
         ((9, 2, 2, 2), (9, 1, 2, 2)),
+        # below ENTRYWISE_MIN_STACK = 256 matrices matmul is the broadcast form
+        ((1, 2, 2), (1, 2, 2)),
+        ((7, 2, 2), (7, 2, 2)),
+        ((199, 2, 2), (199, 2, 2)),
+        ((256, 2, 2), (256, 2, 2)),
+        ((2, 128, 2, 2), (1, 2, 2)),  # 256 matrices by broadcasting
     ])
     def test_length_two_is_the_broadcast_product_bit_for_bit(self, rng, shapes, kinds):
         # the entry-by-entry product makes the same two products and one
