@@ -46,6 +46,7 @@ from .connection import (
     shift_operator,
 )
 from .transport import (
+    HolonomyResult,
     PathSpec,
     StepSizeError,
     counterdiabatic_evolve,
@@ -57,6 +58,7 @@ from .transport import (
 from .curvature import (
     GridTooCoarseError,
     berry_curvature_at,
+    berry_curvature_levels,
     berry_phase_surface,
     diagonality_residual,
     yang_mills_curvature,
@@ -459,7 +461,7 @@ def curvature(cfg, mdl, lam):
     """Field-strength components and per-level curvature at a point."""
     f = yang_mills_curvature(mdl, lam, step=cfg["fd_step"])
     spec = mdl.spectral_at(lam)
-    table = berry_curvature_at(mdl, lam)
+    table = berry_curvature_levels(spec, mdl.grad_h(lam))
     names = mdl.param_names
     return {
         "components": {
@@ -562,15 +564,13 @@ def nast_check(cfg, mdl):
     patch = build_surface(cfg)
     product = surface_ordered_product(mdl, patch)
     residual = _boundary_residual(mdl, patch, product, cfg["boundary_refinement"])
-    v0 = mdl.spectral_at(patch.origin).frame.matrix  # read out in the base frame, as holonomy does
-    w = v0.conj().T @ product.operator.matrix @ v0
+    read = HolonomyResult.in_base_frame(product.operator, mdl.spectral_at(patch.origin).frame)
     return {
         "nast_residual": float(residual),
         "cell_count": product.cell_count,
         "ordering": product.ordering,
-        "surface_phases": _floats(np.angle(np.diag(w))),
-        "surface_offdiag": float(np.max(np.abs(w - np.diag(np.diag(w)))))
-        if w.shape[0] > 1 else 0.0,
+        "surface_phases": _floats(read.phases),
+        "surface_offdiag": read.offdiag_residual,
     }
 
 

@@ -44,7 +44,6 @@ from .operator_core import (
     Block,
     BlockSystem,
     SpectralDecomposition,
-    _short_axis_first,
     _two_level_element,
     expm_hermitian,
     frobenius,
@@ -214,9 +213,7 @@ def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
         inv2 = np.zeros_like(delta)
         np.divide(1.0, delta**2, out=inv2, where=keep)
         terms = np.imag(elements[:, 0] * elements[:, 1].conj()) * inv2
-        # NumPy sums a last axis of 3 or more in another order than along the stack
-        out = out - 2.0 * (_short_axis_first(terms).sum(axis=0) if e.shape[-1] == 2
-                           else np.sum(terms, axis=-1))
+        out = out - 2.0 * np.sum(terms, axis=-1)
     return out
 
 

@@ -524,10 +524,7 @@ class OscillatorModel(ParametricHamiltonian):
         omega = self.omega(lam)
         evals = np.linalg.eigvalsh(self.eval_h(lam))
         exact = omega * (np.arange(self.nmax) + 0.5)
-        drift = np.abs(evals - exact)
-        bad = np.nonzero(drift >= CERTIFIED_DRIFT)[0]
-        first_bad = int(bad[0]) if bad.size else self.nmax
-        return min(first_bad, self.trust_levels)
+        return self._first_failing(np.abs(evals - exact) >= CERTIFIED_DRIFT)
 
     def certified_vector_levels(self, lam) -> int:
         """Levels whose eigenvectors carry less than CERTIFIED_TAIL amplitude
@@ -541,9 +538,13 @@ class OscillatorModel(ParametricHamiltonian):
         spec = self.spectral_at(lam)
         edge = max(self.buffer // 2, 1)
         tails = np.linalg.norm(spec.frame.matrix[-edge:, :], axis=0)
-        bad = np.nonzero(tails >= CERTIFIED_TAIL)[0]
-        first_bad = int(bad[0]) if bad.size else self.nmax
-        return min(first_bad, self.trust_levels)
+        return self._first_failing(tails >= CERTIFIED_TAIL)
+
+    def _first_failing(self, failing: np.ndarray) -> int:
+        """The first level flagged in ``failing`` (one flag per level), or
+        trust_levels when no level below it is flagged."""
+        first = np.flatnonzero(failing[:self.trust_levels])
+        return int(first[0]) if first.size else self.trust_levels
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +552,52 @@ class OscillatorModel(ParametricHamiltonian):
 # ---------------------------------------------------------------------------
 
 
+def _check_exponents(exponents, n_params: int) -> None:
+    """ValueError unless a term's ``exponents`` are ``n_params`` integers
+    in [0, MAX_EXPONENT]."""
+    if len(exponents) != n_params:
+        raise ValueError(f"term needs {n_params} exponents, got {len(exponents)}")
+    if not all(map(operator_core._is_int, exponents)):
+        raise ValueError("exponents must be integers")
+    if any(e < 0 for e in exponents):
+        raise ValueError("exponents must be non-negative")
+    if any(e > MAX_EXPONENT for e in exponents):
+        raise ValueError(f"exponent exceeds the cap {MAX_EXPONENT}")
+
+
+def _check_matrix(matrix, dim: int) -> None:
+    """ValueError unless a term's ``matrix`` is a finite (dim, dim) matrix
+    that meets the Hermiticity rule
+    (:func:`~adiaconn.operator_core.hermiticity_defect`).  A term with an
+    entry above 1 is judged scaled to a largest entry of 1, the same rule
+    with norms that cannot overflow."""
+    # view(float) below needs a contiguous last axis; a transposed term has none
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"term matrix must be {dim} x {dim}, got shape {matrix.shape}")
+    largest = np.abs(matrix.view(float)).max(initial=0.0)
+    if not np.isfinite(largest):
+        raise ValueError("term matrix has non-finite entries")
+    if hermiticity_defect(matrix / max(largest, 1.0))[1]:
+        raise ValueError("term matrix is not Hermitian")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """A validated polynomial family H(lambda) = sum_k monomial_k(lambda) M_k."""
+    """A polynomial family H(lambda) = sum_k monomial_k(lambda) M_k; every
+    term is checked on construction (ValueError naming the term index)."""
 
     dim: int
     param_names: tuple[str, ...]
     terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+    def __post_init__(self):
+        for t, (exponents, matrix) in enumerate(self.terms):
+            try:
+                _check_exponents(exponents, self.n_params)
+                _check_matrix(matrix, self.dim)
+            except ValueError as err:
+                raise ValueError(f"term {t}: {err}") from None
 
     @property
     def n_params(self) -> int:
@@ -596,14 +636,8 @@ _COMPLEX_RE = re.compile(
 )
 # a header's keyword is a whole word: "dim=1" is a header, "dimension = 1" is not
 _HEADER_RE = re.compile(r"(dim|params|term)(?=[\s=]|$)")
+# the dim value and the exponents; int() alone also reads "1_0" and other scripts' digits
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-
-
-def _parse_int(token: str) -> int:
-    # a dim value or an exponent; int() alone also reads "1_0" and other scripts' digits
-    if not _INT_RE.fullmatch(token):
-        raise ValueError(token)
-    return int(token)
 
 
 def _parse_complex(token: str, line: int) -> complex:
@@ -655,10 +689,9 @@ def parse_model_file(text: str) -> ModelSpec:
                 raise ModelFileError(lineno, "duplicate dim header")
             if len(parts) != 2:
                 raise ModelFileError(lineno, "expected 'dim = <int>'")
-            try:
-                dim = _parse_int(parts[1].strip())
-            except ValueError:
-                raise ModelFileError(lineno, f"bad dim value {parts[1].strip()!r}") from None
+            if not _INT_RE.fullmatch(parts[1].strip()):
+                raise ModelFileError(lineno, f"bad dim value {parts[1].strip()!r}")
+            dim = int(parts[1])
             if dim < 1:
                 raise ModelFileError(lineno, "dim must be positive")
         elif keyword == "params":
@@ -670,19 +703,12 @@ def parse_model_file(text: str) -> ModelSpec:
         elif keyword == "term":
             if dim is None or names is None:
                 raise ModelFileError(lineno, "term block before dim/params headers")
-            tokens = line.split()[1:]
-            if len(tokens) != len(names):
-                raise ModelFileError(
-                    lineno, f"term needs {len(names)} exponents, got {len(tokens)}"
-                )
+            # a token that is not an ASCII integer stays a string, which the check refuses
+            exponents = tuple(int(t) if _INT_RE.fullmatch(t) else t for t in line.split()[1:])
             try:
-                exponents = tuple(_parse_int(t) for t in tokens)
-            except ValueError:
-                raise ModelFileError(lineno, "exponents must be integers") from None
-            if any(e < 0 for e in exponents):
-                raise ModelFileError(lineno, "exponents must be non-negative")
-            if any(e > MAX_EXPONENT for e in exponents):
-                raise ModelFileError(lineno, f"exponent exceeds the cap {MAX_EXPONENT}")
+                _check_exponents(exponents, len(names))
+            except ValueError as err:
+                raise ModelFileError(lineno, str(err)) from None
             rows = []
             for _ in range(dim):  # each row is checked and parsed before the next is read
                 row_no, row = next(numbered, (len(lines), None))
@@ -693,12 +719,11 @@ def parse_model_file(text: str) -> ModelSpec:
                     raise ModelFileError(row_no, f"row needs {dim} entries, got {len(entries)}")
                 rows.append([_parse_complex(tok, row_no) for tok in entries])
             matrix = np.array(rows, dtype=complex)
-            try:  # the Hermiticity rule below needs a finite norm
+            try:  # a file's entries also stay below the kernels' magnitude bound
                 operator_core._check_magnitude(np.abs(matrix.view(float)).max(), dim, "term matrix")
+                _check_matrix(matrix, dim)
             except ValueError as err:
                 raise ModelFileError(lineno, str(err)) from None
-            if hermiticity_defect(matrix)[1]:
-                raise ModelFileError(lineno, "term matrix is not Hermitian")
             matrix.setflags(write=False)
             terms.append((exponents, matrix))
         else:

@@ -16,14 +16,13 @@ transport collapses to the identity under refinement, which isolates the
 time averaging as the ingredient that makes the holonomy non-trivial.
 
 Both constructions run on the path kernel of :mod:`adiaconn.transport`:
-the edge cache transports the substeps of all grid edges when it is
-built, a chunk of edges at a time.  A
-:class:`~adiaconn.curvature.SurfacePatch` is a parallelogram with
-nonzero edges, so every substep is a step along one of them and each
-grid edge takes the same number of steps.  The flatness loop passes the
-fixed-time Maurer-Cartan weight in place of the connection's.  The cell
-loops and their tail conjugations are stacked products over the whole
-grid; the tails and the column strips are recurrences up the columns,
+the substeps of all grid edges are one call of the kernel, which chunks
+them as it chunks any path.  A :class:`~adiaconn.curvature.SurfacePatch`
+is a parallelogram with nonzero edges, so every substep is a step along
+one of them and each grid edge takes the same number of steps.  The
+flatness loop passes the fixed-time Maurer-Cartan weight in place of the
+connection's.  The cell loops and their tail conjugations are stacked
+products over the whole grid; the tails and the column strips are recurrences up the columns,
 all columns at once; only the product of the strips is a loop over the
 columns.  Every matrix is still the product of the same factors in the
 same order as in a cell-by-cell fishbone.  The loop that the
@@ -35,14 +34,13 @@ surface-ordered product is compared with is the patch's own
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .operator_core import UnitaryOperator, frobenius, matmul
 from .models import ParametricHamiltonian
 from .connection import maurer_cartan_weight
-from .transport import PathSpec, _check_count, _chunk_size, _is_int, holonomy, ordered_products
+from .transport import PathSpec, _check_count, _is_int, holonomy, ordered_products
 from .curvature import SurfacePatch
 
 __all__ = [
@@ -76,67 +74,56 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-class _EdgeCache:
-    """Transports along the grid edges of a patch.
+def _grid_edges(model: ParametricHamiltonian, patch: SurfacePatch, r: int):
+    """Transports along the grid edges of a patch, ``r`` substeps each:
+    ``h`` (nu, nv + 1, d, d) from node (i, j) to (i + 1, j), and ``v``
+    (nu + 1, nv, d, d) from (i, j) to (i, j + 1), all from one
+    :func:`~adiaconn.transport.ordered_products` call.
 
-    Shared between tails and cell loops so that edges traversed in both
-    directions cancel exactly.  ``edge_refinement`` substeps per edge
-    sharpen every transport without disturbing that cancellation.  All
-    edges are transported on construction, a chunk of edges per kernel
-    call.
+    Tails and cell loops share them, so that edges traversed in both
+    directions cancel exactly; more substeps sharpen every transport
+    without disturbing that cancellation.
     """
+    nu, nv = patch.grid
+    _check_count(r, "edge_refinement")
+    i_h, j_h = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv + 1), indexing="ij"))
+    i_v, j_v = (a.ravel() for a in np.meshgrid(np.arange(nu + 1), np.arange(nv), indexing="ij"))
+    uv_from = np.concatenate([np.column_stack([i_h / nu, j_h / nv]),
+                              np.column_stack([i_v / nu, j_v / nv])])
+    uv_to = np.concatenate([np.column_stack([(i_h + 1) / nu, j_h / nv]),
+                            np.column_stack([i_v / nu, (j_v + 1) / nv])])
+    # r + 1 nodes then r midpoints along every edge
+    frac = np.concatenate([np.arange(r + 1) / r, (np.arange(r) + 0.5) / r])
+    points = patch.points(uv_from[:, None] + (uv_to - uv_from)[:, None] * frac[None, :, None])
+    n = points.shape[-1]
+    mids = points[:, r + 1:].reshape(-1, n)
+    deltas = (points[:, 1:r + 1] - points[:, :r]).reshape(-1, n)
+    edges = ordered_products(model, mids, deltas, np.full(len(points), r))
+    return (edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:]),
+            edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:]))
 
-    def __init__(self, model: ParametricHamiltonian, patch: SurfacePatch, edge_refinement: int = 2):
-        self.dim = model.dim
-        self.nu, self.nv = nu, nv = patch.grid
-        _check_count(edge_refinement, "edge_refinement")
-        r = edge_refinement
-        i_h, j_h = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv + 1), indexing="ij"))
-        i_v, j_v = (a.ravel() for a in np.meshgrid(np.arange(nu + 1), np.arange(nv), indexing="ij"))
-        uv_from = np.concatenate([np.column_stack([i_h / nu, j_h / nv]),
-                                  np.column_stack([i_v / nu, j_v / nv])])
-        uv_to = np.concatenate([np.column_stack([(i_h + 1) / nu, j_h / nv]),
-                                np.column_stack([i_v / nu, (j_v + 1) / nv])])
-        # r + 1 nodes then r midpoints along every edge
-        frac = np.concatenate([np.arange(r + 1) / r, (np.arange(r) + 0.5) / r])
-        edges = np.empty((len(uv_from), model.dim, model.dim), dtype=complex)
-        size = max(_chunk_size(model.dim) // r, 1)
-        for start in range(0, len(edges), size):
-            chunk = slice(start, start + size)
-            points = patch.points(
-                uv_from[chunk, None] + (uv_to - uv_from)[chunk, None] * frac[None, :, None])
-            n = points.shape[-1]
-            mids = points[:, r + 1:].reshape(-1, n)
-            deltas = (points[:, 1:r + 1] - points[:, :r]).reshape(-1, n)
-            edges[chunk] = ordered_products(model, mids, deltas, np.full(len(points), r))
-        edges.setflags(write=False)
-        self._h = edges[:nu * (nv + 1)].reshape(nu, nv + 1, *edges.shape[1:])
-        self._v = edges[nu * (nv + 1):].reshape(nu + 1, nv, *edges.shape[1:])
 
-    @cached_property
-    def lassos(self) -> np.ndarray:
-        """Tail-conjugated holonomies of all cells, an (nu, nv, d, d) array.
+def _lassos(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Tail-conjugated holonomies of all cells, an (nu, nv, d, d) array,
+    from the edge transports of :func:`_grid_edges`.
 
-        Cell (i, j) has the counterclockwise loop anchored at its
-        lower-left node, and the tail runs from the base (0, 0) along the
-        bottom row, then up column i.  The tails are one recurrence over j
-        for all columns at once, and the loops and their conjugation are
-        stacked products over the whole grid
-        (:func:`~adiaconn.operator_core.matmul`, unrolled for 2x2).
-        """
-        dim = self.dim
-        tails = np.empty((self.nu, self.nv, dim, dim), dtype=complex)
-        bottom = np.eye(dim, dtype=complex)
-        for i in range(self.nu):
-            tails[i, 0] = bottom
-            bottom = self._h[i, 0] @ bottom
-        for j in range(1, self.nv):
-            tails[:, j] = matmul(self._v[:-1, j - 1], tails[:, j - 1])
-        loops = matmul(matmul(matmul(_dagger(self._v[:-1]), _dagger(self._h[:, 1:])),
-                              self._v[1:]), self._h[:, :-1])
-        lassos = matmul(matmul(_dagger(tails), loops), tails)
-        lassos.setflags(write=False)
-        return lassos
+    Cell (i, j) has the counterclockwise loop anchored at its lower-left
+    node, and the tail runs from the base (0, 0) along the bottom row,
+    then up column i.  The tails are one recurrence over j for all
+    columns at once, and the loops and their conjugation are stacked
+    products over the whole grid (:func:`~adiaconn.operator_core.matmul`,
+    unrolled for 2x2).
+    """
+    nu, nv, dim = h.shape[0], v.shape[1], h.shape[-1]
+    tails = np.empty((nu, nv, dim, dim), dtype=complex)
+    bottom = np.eye(dim, dtype=complex)
+    for i in range(nu):
+        tails[i, 0] = bottom
+        bottom = h[i, 0] @ bottom
+    for j in range(1, nv):
+        tails[:, j] = matmul(v[:-1, j - 1], tails[:, j - 1])
+    loops = matmul(matmul(matmul(_dagger(v[:-1]), _dagger(h[:, 1:])), v[1:]), h[:, :-1])
+    return matmul(matmul(_dagger(tails), loops), tails)
 
 
 def lasso_holonomy(
@@ -149,7 +136,7 @@ def lasso_holonomy(
 
     The base point is always the patch origin S(0, 0).  The cell loop is the
     ordered product of its four edge transports; the lassos of all cells
-    are built together, once per edge cache.
+    are built together, from one sweep over the grid edges.
     """
     nu, nv = patch.grid
     if not (np.shape(cell) == (2,) and all(map(_is_int, cell))):
@@ -157,11 +144,11 @@ def lasso_holonomy(
     i, j = (int(c) for c in cell)
     if not (0 <= i < nu and 0 <= j < nv):
         raise ValueError(f"cell {cell} outside grid {patch.grid}")
-    edges = _EdgeCache(model, patch, edge_refinement)
+    lassos = _lassos(*_grid_edges(model, patch, edge_refinement))
     return Lasso(
         cell=(i, j),
         center=patch.point((i + 0.5) / nu, (j + 0.5) / nv),
-        value=UnitaryOperator(edges.lassos[i, j].copy(), tol=1e-8),
+        value=UnitaryOperator(lassos[i, j], tol=1e-8),
     )
 
 
@@ -177,18 +164,19 @@ def surface_ordered_product(
     discrete form of trading a loop integral for a surface of elementary
     fluxes.
     """
-    edges = _EdgeCache(model, patch, edge_refinement)
+    nu, nv = patch.grid
+    lassos = _lassos(*_grid_edges(model, patch, edge_refinement))
     eye = np.eye(model.dim, dtype=complex)
-    strips = np.broadcast_to(eye, (edges.nu, *eye.shape))
-    for j in range(edges.nv):  # every column at once, bottom cell first
-        strips = edges.lassos[:, j] @ strips
+    strips = np.broadcast_to(eye, (nu, *eye.shape))
+    for j in range(nv):  # every column at once, bottom cell first
+        strips = lassos[:, j] @ strips
     total = eye
     for strip in strips:
         total = total @ strip
     return SurfaceOrderedProduct(
         operator=UnitaryOperator(total, tol=1e-8),
         ordering="fishbone: columns left-to-right, cells bottom-first",
-        cell_count=edges.nu * edges.nv,
+        cell_count=nu * nv,
     )
 
 

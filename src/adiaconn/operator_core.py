@@ -393,11 +393,14 @@ def _eigh_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     with b >= 0: ascending eigenvalues mean -+ hypot((a - c)/2, b), and
     the eigenvectors of the rotation by half the angle atan2(b, (a - c)/2),
     which lies in [0, pi].  Halving a and c before they are combined keeps
-    every intermediate finite whenever the eigenvalues are."""
+    every intermediate finite whenever the eigenvalues are.  A diagonal
+    matrix with a < c turns by exactly pi/2: the cosine of the rounded
+    half angle, 6.1e-17, is set to 0."""
     mean, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
     radius = np.hypot(half, b)
     angle = 0.5 * np.arctan2(b, half)
     cos, sin = np.cos(angle), np.sin(angle)
+    cos[(b == 0.0) & (half < 0.0)] = 0.0
     vecs = np.stack([-sin, cos, cos, sin], axis=-1).reshape(len(a), 2, 2)
     return np.stack([mean - radius, mean + radius], axis=-1), vecs
 

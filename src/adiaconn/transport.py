@@ -26,8 +26,11 @@ reduction: adjacent factors of the same segment are multiplied as one
 stacked product per level, ceil(log2 k) levels for k steps, and each
 chunk's first piece is multiplied onto the product carried over from
 the chunk before.  Chunks hold at most 2048 matrices and about 2 MB per
-stacked array.  The Wilson loop and the surface integral of
-:mod:`adiaconn.curvature` share the chunk sweep,
+stacked array; only this module knows the chunk size, and callers hand
+over all their steps at once, every NAST grid edge in one call.  A loop
+operator is read in its base eigenframe by one constructor,
+:meth:`HolonomyResult.in_base_frame`.  The Wilson loop and the surface
+integral of :mod:`adiaconn.curvature` share the chunk sweep,
 :func:`_decomposed_chunks`, and its one degeneracy rule: an adjacent gap
 among the lowest ``check_levels`` levels below
 :func:`~adiaconn.operator_core.default_gap_tol` raises, on either side.
@@ -197,8 +200,8 @@ class TransportResult:
 class HolonomyResult:
     """Closed-loop transport, reduced to the starting eigenbasis.
 
-    ``phases[n]`` is the argument of the n-th diagonal entry of the loop
-    operator in the eigenbasis at the base point, in (-pi, pi];
+    ``phases[n]`` is the argument (``np.angle``) of the n-th diagonal
+    entry of the loop operator in the eigenbasis at the base point;
     ``offdiag_residual`` is the largest off-diagonal magnitude there.  A
     residual above 1e-3 marks the phase readout unreliable.
     """
@@ -206,6 +209,15 @@ class HolonomyResult:
     operator: UnitaryOperator
     phases: np.ndarray
     offdiag_residual: float
+
+    @classmethod
+    def in_base_frame(cls, operator: UnitaryOperator, frame: UnitaryOperator) -> "HolonomyResult":
+        """The loop operator U read in the eigenframe V at its base point:
+        the phases np.angle(diag(V^dag U V)) and the largest off-diagonal
+        magnitude of V^dag U V."""
+        v0 = frame.matrix
+        w = v0.conj().T @ operator.matrix @ v0
+        return cls(operator, np.angle(np.diag(w)), float(np.max(np.abs(w - np.diag(np.diag(w))))))
 
     @property
     def reliable(self) -> bool:
@@ -396,16 +408,7 @@ def holonomy(model: ParametricHamiltonian, loop: PathSpec) -> HolonomyResult:
     if not loop.closed:
         raise ValueError("holonomy requires a closed loop")
     result = transport_operator(model, loop)
-    v0 = result.start_spec.frame.matrix
-    w = v0.conj().T @ result.operator.matrix @ v0
-    off = w - np.diag(np.diag(w))
-    offdiag_residual = float(np.max(np.abs(off))) if w.shape[0] > 1 else 0.0
-    phases = wrap_phase(np.angle(np.diag(w)))
-    return HolonomyResult(
-        operator=result.operator,
-        phases=phases,
-        offdiag_residual=offdiag_residual,
-    )
+    return HolonomyResult.in_base_frame(result.operator, result.start_spec.frame)
 
 
 def _block_overlaps(system) -> np.ndarray:

@@ -293,22 +293,44 @@ class TestOtherCommands:
         report = load_report(tmp_path)
         assert report["results"]["nast_residual"] <= 1e-3
 
+    @pytest.mark.parametrize("l", ["0.5", "1"])
     @pytest.mark.parametrize("surface", ["cap", "wedge"])
-    def test_nast_check_reads_pole_patches_as_before(self, runner, tmp_path, surface):
-        # a spin-1 patch from the pole starts where the eigenframe is exactly
-        # the computational basis: the read-out in that frame is the plain
-        # diagonal of the product, bit for bit
+    def test_nast_check_reads_pole_patches_as_before(self, runner, tmp_path, surface, l):
+        # a patch from the pole starts where the eigenframe is exactly the
+        # computational basis, for spin 1/2 as for spin 1: the read-out in
+        # that frame is the plain diagonal of the product, bit for bit
         from adiaconn.geometry import su2_cap_patch, su2_wedge_patch
         from adiaconn.models import Su2Model
         from adiaconn.nast import surface_ordered_product
 
-        run_ok(runner, ["nast-check", "--model", "su2", "--l", "1", "--surface", surface,
+        run_ok(runner, ["nast-check", "--model", "su2", "--l", l, "--surface", surface,
                         "--omega", "1.1", "--grid", "8", "--out", str(tmp_path)])
         patch = {"cap": su2_cap_patch, "wedge": su2_wedge_patch}[surface](1.1, grid=(8, 8))
-        w = surface_ordered_product(Su2Model(1.0), patch).operator.matrix
+        w = surface_ordered_product(Su2Model(float(l)), patch).operator.matrix
         results = load_report(tmp_path)["results"]
         assert results["surface_phases"] == np.angle(np.diag(w)).tolist()
         assert results["surface_offdiag"] == np.max(np.abs(w - np.diag(np.diag(w))))
+
+    def test_nast_check_reads_the_product_as_holonomy_does(self, runner, tmp_path):
+        # off the pole the base frame is not the computational basis; the
+        # product is read by the same constructor as a loop holonomy
+        from adiaconn.curvature import SurfacePatch
+        from adiaconn.models import Su2Model
+        from adiaconn.nast import surface_ordered_product
+        from adiaconn.transport import HolonomyResult
+
+        path = tmp_path / "patch.json"
+        path.write_text(json.dumps({"origin": [1.0, 0.4, 0.1], "edge_u": [0.0, 0.5, 0.0],
+                                    "edge_v": [0.0, 0.0, 0.6]}))
+        run_ok(runner, ["nast-check", "--surface", f"file:{path}", "--grid", "10",
+                        "--out", str(tmp_path)])
+        model = Su2Model(0.5)
+        patch = SurfacePatch([1.0, 0.4, 0.1], [0.0, 0.5, 0.0], [0.0, 0.0, 0.6], (10, 10))
+        read = HolonomyResult.in_base_frame(surface_ordered_product(model, patch).operator,
+                                            model.spectral_at(patch.origin).frame)
+        results = load_report(tmp_path)["results"]
+        assert results["surface_phases"] == read.phases.tolist()
+        assert results["surface_offdiag"] == read.offdiag_residual
 
     def test_flatness(self, runner, tmp_path):
         run_ok(runner, ["flatness", "--loop", "triangle", "--omega", "1.5707963",

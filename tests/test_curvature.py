@@ -25,7 +25,7 @@ from adiaconn.geometry import (
 )
 from adiaconn.reference import su2_analytic_curvature, su2_berry_curvature
 from adiaconn import transport
-from adiaconn.nast import _EdgeCache
+from adiaconn.nast import _grid_edges
 from adiaconn.transport import holonomy
 
 from conftest import random_polynomial_model
@@ -385,6 +385,6 @@ class TestSurfacePatch:
         # 20 cells in chunks of 7: the centres of all of them in one call
         assert calls == [(20, 2)]
         calls.clear()
-        _EdgeCache(model, patch, edge_refinement=2)
-        # 4 * 6 + 5 * 5 = 49 edges in chunks of 7 // 2 = 3, five points per edge
-        assert len(calls) == 17 and calls[0] == (3, 5, 2) and calls[-1] == (1, 5, 2)
+        _grid_edges(model, patch, 2)
+        # 4 * 6 + 5 * 5 = 49 edges, five points per edge, all in one call
+        assert calls == [(49, 5, 2)]

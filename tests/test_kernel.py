@@ -33,7 +33,7 @@ from adiaconn.models import (
     parse_model_file,
 )
 from adiaconn.nast import (
-    _EdgeCache,
+    _grid_edges,
     lasso_holonomy,
     maurer_cartan_flatness,
     nast_residual,
@@ -217,18 +217,18 @@ def ref_ordered_products(model, mids, deltas, lengths):
     return np.array(out)
 
 
-def ref_fishbone(edges):
-    """The fishbone product and every lasso of an edge cache, one cell at
-    a time.  The lassos use the library's product (unrolled for 2x2
-    matrices, ``@`` otherwise), so that the stacked lassos can be held to
-    them bit for bit."""
-    h, v = edges._h, edges._v
+def ref_fishbone(h, v):
+    """The fishbone product and every lasso of the grid edges ``h`` and
+    ``v``, one cell at a time.  The lassos use the library's product
+    (unrolled for 2x2 matrices, ``@`` otherwise), so that the stacked
+    lassos can be held to them bit for bit."""
+    nu, nv = v.shape[0] - 1, v.shape[1]
     eye = np.eye(h.shape[-1], dtype=complex)
-    lassos = np.empty((edges.nu, edges.nv) + eye.shape, dtype=complex)
+    lassos = np.empty((nu, nv) + eye.shape, dtype=complex)
     total, bottom = eye, eye
-    for i in range(edges.nu):
+    for i in range(nu):
         tail, strip = bottom, eye
-        for j in range(edges.nv):
+        for j in range(nv):
             loop = matmul(matmul(matmul(v[i, j].conj().T, h[i, j + 1].conj().T),
                                  v[i + 1, j]), h[i, j])
             lassos[i, j] = matmul(matmul(tail.conj().T, loop), tail)
@@ -1127,7 +1127,7 @@ class TestOrderedProducts:
                 (su2_half, su2_wedge_patch(1.2, grid=(9, 7)), True),
                 (su2_one, su2_cap_patch(0.9, grid=(6, 8)), True),
                 (small_oscillator(), planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(5, 4)), False)]:
-            total, lassos = ref_fishbone(_EdgeCache(model, patch))
+            total, lassos = ref_fishbone(*_grid_edges(model, patch, 2))
             got = surface_ordered_product(model, patch).operator.matrix
             lasso = lasso_holonomy(model, patch, (2, 3)).value.matrix
             if exact:
@@ -1135,6 +1135,69 @@ class TestOrderedProducts:
             else:
                 assert np.max(np.abs(got - total)) <= TOL
                 assert np.max(np.abs(lasso - lassos[2, 3])) <= TOL
+
+
+def ref_sliced_edges(model, patch, r):
+    """The grid edges of ``patch`` in whole-edge slices of chunk // r edges,
+    one kernel call per slice, so that no edge straddles a chunk seam; the
+    points are those of the single sweep."""
+    nu, nv = patch.grid
+    i_h, j_h = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv + 1), indexing="ij"))
+    i_v, j_v = (a.ravel() for a in np.meshgrid(np.arange(nu + 1), np.arange(nv), indexing="ij"))
+    uv_from = np.concatenate([np.column_stack([i_h / nu, j_h / nv]),
+                              np.column_stack([i_v / nu, j_v / nv])])
+    uv_to = np.concatenate([np.column_stack([(i_h + 1) / nu, j_h / nv]),
+                            np.column_stack([i_v / nu, (j_v + 1) / nv])])
+    frac = np.concatenate([np.arange(r + 1) / r, (np.arange(r) + 0.5) / r])
+    edges = np.empty((len(uv_from), model.dim, model.dim), dtype=complex)
+    size = max(transport._chunk_size(model.dim) // r, 1)
+    for start in range(0, len(edges), size):
+        chunk = slice(start, start + size)
+        points = patch.points(
+            uv_from[chunk, None] + (uv_to - uv_from)[chunk, None] * frac[None, :, None])
+        mids = points[:, r + 1:].reshape(-1, points.shape[-1])
+        deltas = (points[:, 1:r + 1] - points[:, :r]).reshape(-1, points.shape[-1])
+        edges[chunk] = transport.ordered_products(model, mids, deltas, np.full(len(points), r))
+    return edges[:nu * (nv + 1)], edges[nu * (nv + 1):]
+
+
+def test_only_transport_knows_the_chunk_size():
+    # callers hand the step kernel all their steps, so the chunking is
+    # decided in one module: no other one names the size or its limits
+    names = {"_chunk_size", "CHUNK_MATRICES", "CHUNK_BYTES"}
+    src = Path(__file__).resolve().parents[1] / "src" / "adiaconn"
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {node.id} if isinstance(node, ast.Name) else \
+                {node.attr} if isinstance(node, ast.Attribute) else \
+                {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else set()
+            if named & names:
+                users.add(path.name)
+    assert users == {"transport.py"}
+
+
+@pytest.mark.parametrize("case", ["spin-half", "oscillator"])
+def test_one_edge_sweep_against_whole_edge_slices(su2_half, case):
+    # spin 1/2 chunks hold 2048 steps, OscillatorModel(14, 4) chunks 668:
+    # r = 2 divides both, so every edge stays inside one chunk; r = 3 and
+    # r = 5 leave edges across a seam, whose pieces are multiplied apart
+    model, patch, straddling = {
+        "spin-half": (su2_half, su2_cap_patch(1.1, grid=(24, 24)), 3),
+        "oscillator": (small_oscillator(), planar_patch(OSC_ORIGIN, *OSC_EDGES, grid=(13, 13)), 5),
+    }[case]
+    for r in (2, straddling):
+        steps = r * 2 * patch.grid[0] * (patch.grid[0] + 1)
+        assert steps > transport._chunk_size(model.dim)  # more than one chunk
+        h, v = _grid_edges(model, patch, r)
+        ref_h, ref_v = ref_sliced_edges(model, patch, r)
+        got = np.concatenate([h.reshape(ref_h.shape), v.reshape(ref_v.shape)])
+        ref = np.concatenate([ref_h, ref_v])
+        if r == 2:
+            assert np.array_equal(got, ref)
+        else:
+            assert transport._chunk_size(model.dim) % r
+            assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ class TestSu2Model:
         assert np.allclose(spec.eigenvalues, [-0.5, 0.5])
         assert np.allclose(spec.frame.matrix, np.eye(2), atol=1e-14)
 
+    @pytest.mark.parametrize("l", [0.5, 1.0, 1.5])
+    def test_pole_frame_is_exactly_the_identity(self, l):
+        # the spin-1/2 closed form turns diag(-B/2, B/2) by exactly pi/2
+        assert np.array_equal(Su2Model(l).spectral_at([1.0, 0.0, 0.0]).frame.matrix,
+                              np.eye(int(2 * l + 1)))
+
     def test_l1_equally_spaced(self, su2_one):
         spec = su2_one.spectral_at([1.7, 0.9, 2.2])
         assert np.allclose(spec.eigenvalues, [-1.7, 0.0, 1.7], atol=1e-12)
@@ -300,6 +306,38 @@ class TestPolynomialModels:
             fd = model._central_difference(lam, None)
             for a, b in zip(exact, fd):
                 assert np.linalg.norm(a - b) < 1e-6 * max(np.linalg.norm(a), 1.0)
+
+    @pytest.mark.parametrize("exponents, matrix, message", [
+        ((0,), [[0, 1], [0, 0]], "term matrix is not Hermitian"),
+        ((0,), 9e290 * np.array([[0, 1], [0, 0]]), "term matrix is not Hermitian"),
+        ((-1,), np.eye(2), "exponents must be non-negative"),
+        ((17,), np.eye(2), "exponent exceeds the cap 16"),
+        ((0.5,), np.eye(2), "exponents must be integers"),
+        ((1, 2), np.eye(2), "term needs 1 exponents, got 2"),
+        ((0,), [[np.nan, 0], [0, 1]], "term matrix has non-finite entries"),
+        ((0,), np.eye(3), "term matrix must be 2 x 2, got shape (3, 3)"),
+    ], ids=["non-hermitian", "non-hermitian-near-overflow", "negative-exponent",
+            "exponent-cap", "fractional-exponent", "exponent-count", "nan", "shape"])
+    def test_spec_refuses_a_bad_term(self, exponents, matrix, message):
+        # a spec built in code meets the checks of a model file, naming the term
+        with pytest.raises(ValueError, match=f"^{re.escape('term 1: ' + message)}$"):
+            ModelSpec(2, ("a",), (((0,), SZ), (exponents, np.asarray(matrix))))
+
+    def test_constant_model_refuses_a_non_hermitian_matrix(self):
+        with pytest.raises(ValueError, match="term 0: term matrix is not Hermitian"):
+            constant_model(np.array([[0, 1], [0, 0]]))
+
+    def test_spec_keeps_terms_near_the_float_limit(self):
+        # the kernels' own magnitude guards are reached through such specs
+        sx, sy = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+        ModelSpec(2, ("l1",), (((0,), SZ), ((16,), 9e290 * sx)))
+        ModelSpec(2, ("x", "y"), (((0, 0), SZ), ((16, 0), 9e290 * sx), ((0, 1), sy)))
+
+    def test_spec_takes_a_transposed_term(self):
+        # a Hermitian term handed over as a strided view is judged like its copy
+        sy = np.array([[0, -1j], [1j, 0]])
+        model = ModelSpec(2, ("a",), (((0,), SZ), ((1,), sy.T.conj()))).to_model()
+        assert np.array_equal(model.eval_h([2.0]), SZ + 2.0 * sy)
 
     def test_constant_model(self):
         model = constant_model(SZ, n_params=2)

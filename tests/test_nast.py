@@ -100,11 +100,11 @@ class TestSurfaceOrderedProduct:
         # swapping two adjacent factors perturbs the product only at the
         # discretization scale, because every lasso is near-diagonal in
         # the shared base eigenbasis
-        from adiaconn.nast import _EdgeCache
+        from adiaconn.nast import _grid_edges, _lassos
 
         n = 16
         patch = su2_cap_patch(1.1, grid=(n, n))
-        lassos = _EdgeCache(su2_half, patch).lassos
+        lassos = _lassos(*_grid_edges(su2_half, patch, 2))
 
         def product(order):
             total = np.eye(2, dtype=complex)

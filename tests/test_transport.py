@@ -178,6 +178,21 @@ class TestHolonomy:
         assert np.allclose(res.phases, expected, atol=1e-5)
         assert res.offdiag_residual < 1e-6
 
+    def test_phases_are_the_angles_in_the_base_frame(self, oscillator, su2_one):
+        # phases and residual are read from V^dag U V in the base eigenframe,
+        # np.angle bit for bit: np.angle already lies in [-pi, pi]
+        from adiaconn.geometry import planar_rectangle_loop
+
+        loops = [(oscillator, planar_rectangle_loop([1.0, 0.05, 1.0], [0.0, 0.2, 0.0],
+                                                    [0.0, 0.0, 0.2], refinement=60))]
+        loops += [(su2_one, su2_circle_loop(theta, refinement=200)) for theta in (0.3, 0.8, 1.9)]
+        for model, loop in loops:
+            res = holonomy(model, loop)
+            v0 = model.spectral_at(loop.start).frame.matrix
+            w = v0.conj().T @ res.operator.matrix @ v0
+            assert np.array_equal(res.phases, np.angle(np.diag(w)))
+            assert res.offdiag_residual == np.max(np.abs(w - np.diag(np.diag(w))))
+
 
 class TestWilson:
     def test_requires_closed_loop(self, su2_half):
