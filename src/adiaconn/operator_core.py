@@ -687,18 +687,38 @@ def expm_hermitian_stack(h: np.ndarray) -> np.ndarray:
     return _check_unitary_steps(u)
 
 
+def _unitarity_defects(u: np.ndarray) -> np.ndarray:
+    """||U^dag U - I||, the Frobenius norm, for every factor of a (K, d, d)
+    stack.
+
+    For 2x2 factors it is built from the four entries of U: each entry of
+    U^dag U - I is a (K,) array from the same two complex products that
+    :func:`matmul` adds, in the same order, and the four squares are
+    added in the order of numpy.linalg.norm: the defect of
+    ``numpy.linalg.norm(matmul(U^dag, U) - I)`` bit for bit, with no
+    transposed copy, identity stack or (K, 4) copy of the squares.  Real
+    arithmetic would not keep that: where NumPy's complex product fuses
+    a multiply and an add, the imaginary part of conj(z) z is not 0."""
+    dim = u.shape[-1]
+    if dim != 2:
+        return np.linalg.norm(matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim), axis=(-2, -1))
+    c = u.conj()
+    squares = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        off = c[:, 0, i] * u[:, 0, j] + c[:, 1, i] * u[:, 1, j]
+        if i == j:
+            off -= 1.0
+        squares.append((off.conj() * off).real)
+    return np.sqrt(sum(squares[1:], squares[0]))
+
+
 def _check_unitary_steps(u: np.ndarray) -> np.ndarray:
     """``u``, a (K, d, d) stack of step factors, once every factor meets
-    the unitarity budget of :class:`UnitaryOperator`; ValueError naming
-    the first step that misses it (a NaN misses it)."""
-    dim = u.shape[-1]
-    off = matmul(u.conj().swapaxes(-1, -2), u) - np.eye(dim)
-    if dim == 2:  # Frobenius norms: the four squares in order, as numpy.linalg.norm adds them
-        squares = (off.conj() * off).real.reshape(len(off), 4)
-        defect = np.sqrt(_short_axis_first(squares).sum(axis=0))
-    else:
-        defect = np.linalg.norm(off, axis=(-2, -1))
-    bad = np.flatnonzero(~(defect <= UNITARITY_TOL * dim))
+    the unitarity budget of :class:`UnitaryOperator`, a defect
+    (:func:`_unitarity_defects`) of at most ``UNITARITY_TOL`` * d;
+    ValueError naming the first step that misses it (a NaN misses it)."""
+    defect = _unitarity_defects(u)
+    bad = np.flatnonzero(~(defect <= UNITARITY_TOL * u.shape[-1]))
     if bad.size:
         raise ValueError(f"step {bad[0]} is not unitary: ||U^dag U - I|| = {defect[bad[0]]:.3e}")
     return u

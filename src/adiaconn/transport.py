@@ -22,17 +22,18 @@ decomposition.  A two-node tree block (spin 1/2) skips both: its step
 generator W = m v_0 v_1^dag + h.c. squares to |m|^2, so its factor is
 cos|m| I + i sinc|m| W, from one eigenbasis element per step
 (:func:`_two_level_factors`).  The ordered product is a pairwise
-reduction: adjacent factors of the same segment are multiplied as one
-stacked product per level, ceil(log2 k) levels for k steps, and each
-chunk's first piece is multiplied onto the product carried over from
-the chunk before.  Chunks hold at most 2048 matrices and about 2 MB per
-stacked array; only this module knows the chunk size, and callers hand
-over all their steps at once, every NAST grid edge in one call.  A loop
-operator is read in its base eigenframe by one constructor,
-:meth:`HolonomyResult.in_base_frame`.  The Wilson loop and the surface
-integral of :mod:`adiaconn.curvature` share the chunk sweep,
-:func:`_decomposed_chunks`, and its one degeneracy rule: an adjacent gap
-among the lowest ``check_levels`` levels below
+reduction (:func:`_run_products`): adjacent factors of the same segment
+are multiplied as one stacked product per level, ceil(log2 k) levels for
+k steps, on strided views of the stack when the chunk's runs have one
+length, and each chunk's first piece is multiplied onto the product
+carried over from the chunk before.  Chunks hold at most 2048 matrices
+and about 2 MB per stacked array; only this module knows the chunk
+size, and callers hand over all their steps at once, every NAST grid
+edge in one call.  A loop operator is read in its base eigenframe by
+one constructor, :meth:`HolonomyResult.in_base_frame`.  The Wilson loop
+and the surface integral of :mod:`adiaconn.curvature` share the chunk
+sweep, :func:`_decomposed_chunks`, and its one degeneracy rule: an
+adjacent gap among the lowest ``check_levels`` levels below
 :func:`~adiaconn.operator_core.default_gap_tol` raises, on either side.
 
 The kernel splits by blocks of the joint nonzero pattern of H and the
@@ -311,14 +312,31 @@ def _step_factors(model: ParametricHamiltonian, mids, deltas, weight):
 def _run_products(factors: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Ordered product of every run of consecutive factors of a (K, b, b)
     stack, the later factor on the left; ``lengths`` (each at least 1)
-    add up to K.  Returns one matrix per run; ``factors`` is overwritten.
+    add up to K.  Returns one matrix per run.
 
     The runs are reduced by levels: at each level the factors 2m and
-    2m + 1 of every run are multiplied as one stacked product, so a run
-    of L factors takes ceil(log2 L) levels.  Each level is one
+    2m + 1 of every run are multiplied as one stacked product, and a run
+    with an odd count carries its last factor up unpaired, so a run of L
+    factors takes ceil(log2 L) levels.  Each level is one
     :func:`~adiaconn.operator_core.matmul`, unrolled for 2x2 factors.
+    Runs of one length (a path's one run per chunk, grid edges whose
+    refinement divides the chunk) are an (S, L, b, b) view, and a level
+    multiplies its odd entries onto its even ones by strided views, with
+    no gather of the stack.  Ragged runs take the pairs from index
+    arrays and overwrite ``factors``: one level for all of them, where
+    strided views would need one call per group of runs of one length.
+    Both form the same pairs in the same order, so they agree bit for
+    bit.
     """
     lengths = np.asarray(lengths)
+    # most ragged mixes already fail the first, constant-time test
+    if len(factors) == lengths[0] * len(lengths) and np.all(lengths == lengths[0]):
+        runs = factors.reshape((len(lengths), -1) + factors.shape[1:])
+        while runs.shape[1] > 1:
+            pairs, odd = divmod(runs.shape[1], 2)
+            product = matmul(runs[:, 1:2 * pairs:2], runs[:, 0:2 * pairs:2])
+            runs = np.concatenate([product, runs[:, -1:]], axis=1) if odd else product
+        return runs[:, 0]
     while len(factors) > len(lengths):
         pairs, odd = np.divmod(lengths, 2)
         # the first factor of every pair: each run with an odd length
@@ -347,15 +365,21 @@ def ordered_products(
     the eigenbasis weight handed to :func:`contract_stack`; the default
     makes W the connection.  Returns an (S, d, d) array.
 
+    ``lengths`` must be integers: a bool or float array is refused, as
+    every other count in the library is, before any cast.
+
     Within a chunk of steps, the steps of each segment are multiplied by
-    :func:`_run_products`, one block at a time when the chunk splits; a
-    segment that began in an earlier chunk takes the chunk's piece on the
-    left of its product so far.
+    :func:`_run_products`, one block at a time when the chunk splits.  A
+    chunk's runs start where the segment label of its steps changes; the
+    labels ascend, so no sort is needed, and segments of length 0 hold
+    no step.  A segment that began in an earlier chunk takes the chunk's
+    piece on the left of its product so far.
     """
     mids, deltas = np.asarray(mids, dtype=float), np.asarray(deltas, dtype=float)
-    given = np.asarray(lengths).reshape(-1)
-    lengths = given.astype(int)
-    if (deltas.shape != mids.shape or np.any(lengths != given) or np.any(lengths < 0)
+    lengths = np.asarray(lengths).reshape(-1)
+    if not lengths.size:  # [] reads as a float array
+        lengths = lengths.astype(int)
+    if (deltas.shape != mids.shape or lengths.dtype.kind not in "iu" or np.any(lengths < 0)
             or lengths.sum() != len(mids)):
         raise ValueError("need one delta per midpoint and segment lengths: non-negative "
                          "integers adding up to the steps")
@@ -364,11 +388,16 @@ def ordered_products(
     segment = np.repeat(np.arange(len(lengths)), lengths)
     begun = np.cumsum(lengths) - lengths  # first step of every segment
     for start, chunk in _step_factors(model, mids, deltas, weight):
-        stop = start + len(chunk[0][1])
-        runs, counts = np.unique(segment[start:stop], return_counts=True)
-        pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
-        for index, factors in chunk:
-            pieces[:, index[:, None], index] = _run_products(factors, counts)
+        labels = segment[start:start + len(chunk[0][1])]
+        bounds = np.concatenate(([0], np.flatnonzero(labels[1:] != labels[:-1]) + 1,
+                                 [len(labels)]))
+        runs, counts = labels[bounds[:-1]], np.diff(bounds)
+        if len(chunk) == 1:  # one block holds every level
+            pieces = _run_products(chunk[0][1], counts)
+        else:
+            pieces = np.zeros((len(runs), model.dim, model.dim), dtype=complex)
+            for index, factors in chunk:
+                pieces[:, index[:, None], index] = _run_products(factors, counts)
         if begun[runs[0]] < start:
             pieces[0] = pieces[0] @ out[runs[0]]
         out[runs] = pieces

@@ -217,6 +217,21 @@ def ref_ordered_products(model, mids, deltas, lengths):
     return np.array(out)
 
 
+def ref_run_products(factors, lengths):
+    """The ordered product of every run by a gather reduction: each level
+    gathers the pairs of every run by index arrays, multiplies them and
+    compresses the stack."""
+    lengths = np.asarray(lengths)
+    while len(factors) > len(lengths):
+        pairs, odd = np.divmod(lengths, 2)
+        left = 2 * np.arange(pairs.sum()) + np.repeat(np.cumsum(odd) - odd, pairs)
+        factors[left] = matmul(factors[left + 1], factors[left])
+        keep = np.ones(len(factors), dtype=bool)
+        keep[left + 1] = False
+        factors, lengths = factors[keep], pairs + odd
+    return factors
+
+
 def ref_fishbone(h, v):
     """The fishbone product and every lasso of the grid edges ``h`` and
     ``v``, one cell at a time.  The lassos use the library's product
@@ -1105,11 +1120,53 @@ class TestOrderedProducts:
             for s in np.flatnonzero(np.array(lengths) == 0):
                 assert np.array_equal(got[s], np.eye(model.dim))
 
-    @pytest.mark.parametrize("lengths", [[1.9, 1.9], [0.5, 1.5], [3, -1], [3], [1, 1, 1]])
-    def test_rejects_bad_lengths(self, su2_half, lengths):
+    @pytest.mark.parametrize("lengths, steps", [
+        ([1.9, 1.9], 2), ([0.5, 1.5], 2), ([3, -1], 2), ([3], 2), ([1, 1, 1], 2),
+        # refused before any cast: no warning, and a bool or a whole float is no count
+        ([np.inf], 2), ([np.nan], 2), ([True], 1), ([3.0], 3)])
+    def test_rejects_bad_lengths(self, su2_half, lengths, steps):
         mids, deltas = su2_triangle_loop(1.0, refinement=1).step_arrays()
         with pytest.raises(ValueError, match="segment lengths"):
-            transport.ordered_products(su2_half, mids[:2], deltas[:2], lengths)
+            transport.ordered_products(su2_half, mids[:steps], deltas[:steps], lengths)
+
+    def test_no_segments_for_no_steps(self, su2_half):
+        no_steps = np.empty((0, 3))
+        assert transport.ordered_products(su2_half, no_steps, no_steps, []).shape == (0, 2, 2)
+
+    RUN_MIXES = {
+        "one run": [12],
+        "equal runs": [4, 4, 4, 4, 4],
+        "ragged runs": [3, 1, 6, 2, 5, 8],
+        "odd lengths": [5, 5, 5],
+        "ragged odd lengths": [7, 3, 1, 5],
+        "all ones": [1] * 9,
+        "long equal runs": [257, 257],  # the 2x2 products go entry by entry
+    }
+
+    @pytest.mark.parametrize("mix", sorted(RUN_MIXES))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 30])
+    def test_run_products_bit_identical_to_gather_reduction(self, rng, mix, dim):
+        lengths = np.array(self.RUN_MIXES[mix])
+        if dim == 30 and lengths.sum() > 100:
+            lengths = lengths // 8
+        shape = (lengths.sum(), dim, dim)
+        factors = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        got = transport._run_products(factors.copy(), lengths)
+        assert np.array_equal(got, ref_run_products(factors.copy(), lengths))
+
+    def test_segments_bit_identical_to_gather_reduction(self, rng, monkeypatch):
+        # runs of 7 fill chunks of 7; runs of 2, 3 and the mixed ones are
+        # cut by the seams, so chunks hold equal and ragged runs
+        for model, loop in loop_cases(rng):
+            mids, deltas = loop.step_arrays()
+            k = len(mids)
+            for lengths in ([k], [7] * (k // 7) + [k % 7], [2] * (k // 2) + [k % 2],
+                            [3] * (k // 3) + [k % 3], self.lengths(k), [1] * k):
+                got = transport.ordered_products(model, mids, deltas, lengths)
+                with monkeypatch.context() as patch:
+                    patch.setattr(transport, "_run_products", ref_run_products)
+                    want = transport.ordered_products(model, mids, deltas, lengths)
+                assert np.array_equal(got, want)
 
     def test_split_oscillator_against_dense_path(self, oscillator, monkeypatch):
         mids, deltas = planar_rectangle_loop(OSC_ORIGIN, *OSC_EDGES, refinement=6).step_arrays()

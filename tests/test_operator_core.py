@@ -250,6 +250,67 @@ class TestExpmStack:
             operator_core.expm_hermitian_stack(h)
 
 
+def ref_unitarity_defects(u):
+    """||U^dag U - I|| of every factor by the matmul route."""
+    return np.linalg.norm(operator_core.matmul(u.conj().swapaxes(-1, -2), u) - np.eye(u.shape[-1]),
+                          axis=(-2, -1))
+
+
+def ref_unitarity_refusal(u):
+    """The refusal text of the matmul route for a factor stack."""
+    defect = ref_unitarity_defects(u)
+    bad = np.flatnonzero(~(defect <= operator_core.UNITARITY_TOL * u.shape[-1]))
+    return f"step {bad[0]} is not unitary: ||U^dag U - I|| = {defect[bad[0]]:.3e}"
+
+
+def near_unitary_stack(rng, k, eps):
+    q = np.linalg.qr(rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2)))[0]
+    return q + eps * (rng.normal(size=q.shape) + 1j * rng.normal(size=q.shape))
+
+
+class TestUnitarityDefect2x2:
+    """The 2x2 defect built from the four entries against the matmul route,
+    bit for bit, and the refusals that it gives."""
+
+    @pytest.mark.parametrize("k", [1, 3, 255, 256, 2048])
+    def test_bit_identical_to_matmul_route(self, rng, k):
+        # below and above the entrywise threshold of matmul
+        for eps in (0.0, 1e-16, 1e-13, 1e-10, 1e-3):
+            u = near_unitary_stack(rng, k, eps)
+            assert np.array_equal(operator_core._unitarity_defects(u), ref_unitarity_defects(u))
+
+    def refused(self, u):
+        with pytest.raises(ValueError) as refusal:
+            operator_core._check_unitary_steps(u)
+        return str(refusal.value)
+
+    def test_nan_factor(self, rng):
+        u = near_unitary_stack(rng, 300, 1e-13)
+        u[41, 1, 0] = np.nan
+        u[90, 0, 0] = np.nan
+        assert self.refused(u) == ref_unitarity_refusal(u)
+        assert self.refused(u).startswith("step 41 is not unitary")
+
+    def test_scaled_factor(self, rng):
+        u = near_unitary_stack(rng, 300, 1e-13)
+        u[7] *= 1.0 + 1e-11  # within the budget
+        u[12] *= 1.0 + 1e-9
+        u[200] *= 2.0
+        assert self.refused(u) == ref_unitarity_refusal(u)
+        assert self.refused(u).startswith("step 12 is not unitary")
+
+    def test_non_hermitian_taylor_generator(self, rng, monkeypatch):
+        h = hermitian_stack(rng, 6, 2, 0.02)
+        h[3, 0, 1] += 1e-3
+        seen, check = [], operator_core._check_unitary_steps
+        monkeypatch.setattr(operator_core, "_check_unitary_steps",
+                            lambda u: seen.append(u) or check(u))
+        with pytest.raises(ValueError) as refusal:
+            operator_core.expm_hermitian_stack(h)
+        assert str(refusal.value) == ref_unitarity_refusal(seen[0])
+        assert str(refusal.value).startswith("step 3 is not unitary")
+
+
 def random_array(rng, shape, kind):
     a = rng.normal(size=shape)
     return a + 1j * rng.normal(size=shape) if kind is complex else a
