@@ -30,7 +30,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .operator_core import DegenerateSpectrumError
+from .operator_core import DegenerateSpectrumError, frobenius
 from .models import (
     DomainViolationError,
     ModelFileError,
@@ -87,9 +87,15 @@ class CliError(click.ClickException):
 
 
 def matrix_pairs(m) -> list:
-    """Row-major nested [re, im] pairs for JSON serialization."""
+    """Row-major nested [re, im] pairs of a matrix, or of every matrix of
+    a stack, for JSON serialization."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def named_pairs(names, stack) -> dict:
+    """``{name: matrix_pairs(matrix)}`` for a stack of matrices and their names."""
+    return dict(zip(names, matrix_pairs(stack)))
 
 
 def _floats(values) -> list:
@@ -349,18 +355,14 @@ def command(name: str, *, model: bool = True, point: bool = False):
 def connection(cfg, mdl, lam):
     """Spectral connection components at a point."""
     spec = mdl.spectral_at(lam)
-    a = connection_spectral(spec, mdl.grad_h(lam))
-    diag_resid = max(
-        float(np.max(np.abs(np.diag(spec.to_eigenbasis(c))))) / max(np.linalg.norm(c), 1e-300)
-        for c in a.components
-    )
+    a = np.asarray(connection_spectral(spec, mdl.grad_h(lam)).components)
+    peaks = np.max(np.abs(np.diagonal(spec.to_eigenbasis(a), axis1=-2, axis2=-1)), axis=-1)
+    norms = [max(np.linalg.norm(c), 1e-300) for c in a]  # per matrix, as in the library
     return {
-        "components": {
-            name: matrix_pairs(c) for name, c in zip(mdl.param_names, a.components)
-        },
+        "components": named_pairs(mdl.param_names, a),
         "eigenvalues": _floats(spec.eigenvalues),
         "min_gap": float(spec.min_gap) if np.isfinite(spec.min_gap) else None,
-        "zero_diagonal_residual": diag_resid,
+        "zero_diagonal_residual": float(np.max(peaks / norms)),
     }
 
 
@@ -370,10 +372,8 @@ def shift(cfg, mdl, lam):
     spec = mdl.spectral_at(lam)
     d = shift_operator(spec, mdl.grad_h(lam))
     return {
-        "components": {
-            name: matrix_pairs(c) for name, c in zip(mdl.param_names, d.components)
-        },
-        "level_slopes": [list(map(float, row)) for row in d.level_shifts(spec)],
+        "components": named_pairs(mdl.param_names, d.components),
+        "level_slopes": d.level_shifts(spec).tolist(),
         "eigenvalues": _floats(spec.eigenvalues),
     }
 
@@ -390,15 +390,10 @@ def time_average(cfg, mdl, lam):
     estimate = connection_time_average(mdl, lam, tcfg)
     exact = connection_spectral(spec, mdl.grad_h(lam))
     cfg["horizon"], cfg["samples"] = tcfg.horizon, tcfg.samples
-    deviation = max(
-        float(np.linalg.norm(e - s))
-        for e, s in zip(estimate.components, exact.components)
-    )
+    deviation = np.asarray(estimate.components) - np.asarray(exact.components)
     return {
-        "components": {
-            name: matrix_pairs(c) for name, c in zip(mdl.param_names, estimate.components)
-        },
-        "deviation_from_spectral": deviation,
+        "components": named_pairs(mdl.param_names, estimate.components),
+        "deviation_from_spectral": max(map(frobenius, deviation)),  # per matrix, as above
         "error_estimate": estimate.error_estimate,
     }
 
@@ -463,16 +458,11 @@ def curvature(cfg, mdl, lam):
     spec = mdl.spectral_at(lam)
     table = berry_curvature_levels(spec, mdl.grad_h(lam))
     names = mdl.param_names
+    labels = [f"{names[mu_]}_{names[nu_]}" for mu_, nu_ in f.pairs]  # table.pairs too
     return {
-        "components": {
-            f"{names[mu_]}_{names[nu_]}": matrix_pairs(f.components[(mu_, nu_)])
-            for mu_, nu_ in f.pairs
-        },
+        "components": named_pairs(labels, [f.components[pair] for pair in f.pairs]),
         "diagonality_residual": diagonality_residual(f, spec),
-        "berry_levels": {
-            f"{names[mu_]}_{names[nu_]}": _floats(table.table[:, k])
-            for k, (mu_, nu_) in enumerate(table.pairs)
-        },
+        "berry_levels": dict(zip(labels, table.table.T.tolist())),
     }
 
 

@@ -7,8 +7,11 @@ group generated by the instantaneous Hamiltonian, which converges to the
 spectral result as the horizon grows.  Both routes, and the path kernel
 in :mod:`adiaconn.transport`, contract gradients in the eigenbasis through
 one routine, :func:`contract_stack`, which works on stacks of points and
-differs between them only in its eigenvalue-difference weight.  Gauge
-transformations of the connection are also implemented here.
+differs between them only in its eigenvalue-difference weight; the shift
+operator, the part of dH commuting with H, takes the weight 1 on the
+diagonal and 0 off it.  The components of a point quantity are one stack,
+rotated and transformed by stacked products.  Gauge transformations of
+the connection are also implemented here.
 """
 
 from __future__ import annotations
@@ -71,9 +74,8 @@ class ShiftOperator:
 
     def level_shifts(self, spec: SpectralDecomposition) -> np.ndarray:
         """dE_n/dlambda_mu as an (n_levels, n_params) real array."""
-        return np.column_stack(
-            [np.real(np.diag(spec.to_eigenbasis(d))) for d in self.components]
-        )
+        d = np.reshape(self.components, (len(self.components),) + (spec.dim,) * 2)
+        return np.diagonal(spec.to_eigenbasis(d), axis1=-2, axis2=-1).real.T
 
 
 def connection_weight(delta: np.ndarray) -> np.ndarray:
@@ -150,12 +152,13 @@ def connection_spectral(
 
 
 def shift_operator(spec: SpectralDecomposition, grad_h: list[np.ndarray]) -> ShiftOperator:
-    """D_mu = sum_n <n|dH/dlambda_mu|n> |n><n|: the part of dH commuting with H."""
-    components = []
-    for g in grad_h:
-        diag = np.real(np.diag(spec.to_eigenbasis(g)))
-        components.append(spec.from_eigenbasis(np.diag(diag.astype(complex))))
-    return ShiftOperator(tuple(components))
+    """D_mu = sum_n <n|dH/dlambda_mu|n> |n><n|: the part of dH commuting with H,
+    :func:`contract_stack` with the weight 1 on the diagonal and 0 off it."""
+    if not len(grad_h):
+        return ShiftOperator(())
+    d = contract_stack(spec.eigenvalues, spec.frame.matrix, np.asarray(grad_h, dtype=complex),
+                       lambda delta: np.eye(delta.shape[-1]))
+    return ShiftOperator(tuple(d))
 
 
 def _check_horizon(horizon) -> None:
@@ -187,8 +190,13 @@ class TimeAverageConfig:
 
     @classmethod
     def for_spectrum(cls, spec: SpectralDecomposition, horizon: float | None = None):
-        """Defaults: T = 50/min_gap, spacing = pi/(8 * spectral radius)."""
+        """Defaults: T = 50/min_gap, spacing = pi/(8 * spectral radius).
+        ValueError for the default T of a spectrum with no gap (one
+        level, or one checked level): pass ``horizon``."""
         if horizon is None:
+            if not np.isfinite(spec.min_gap):
+                raise ValueError("the spectrum has no gap to set the default averaging horizon; "
+                                 "give one with horizon (--horizon)")
             horizon = 50.0 / spec.min_gap
         _check_horizon(horizon)
         radius = max(spec.spectral_radius, 1e-12)
@@ -230,7 +238,7 @@ def connection_time_average(
     """
     lam = np.asarray(lam, dtype=float)
     spec = model.spectral_at(lam)
-    grads = model.grad_h(lam)
+    grads = np.asarray(model.grad_h(lam), dtype=complex)
     if cfg is None:
         cfg = TimeAverageConfig.for_spectrum(spec)
     nyquist = np.pi / (4.0 * max(spec.spectral_radius, 1e-12))
@@ -249,14 +257,12 @@ def connection_time_average(
     moving = delta != 0.0
     mean_osc[moving] = (np.sin(n * half[moving]) / np.sin(half[moving])
                         - np.cos(cfg.horizon * delta[moving])) / (n - 1)
-    components = contract_stack(spec.eigenvalues, spec.frame.matrix,
-                                np.asarray(grads, dtype=complex),
+    components = contract_stack(spec.eigenvalues, spec.frame.matrix, grads,
                                 lambda d: _maurer_cartan_kernel(d, mean_osc, 0.0))
     envelope = np.minimum(1.0, (1.0 / np.abs(np.sin(half[moving])) + 1.0) / (n - 1))
-    bound = 0.0
-    for g in grads:
-        g_eig = np.abs(spec.to_eigenbasis(g))[moving]
-        bound = max(bound, float(np.linalg.norm(g_eig * envelope / np.abs(delta[moving]))))
+    terms = np.abs(spec.to_eigenbasis(grads))[:, moving] * envelope / np.abs(delta[moving])
+    # one norm per component: a norm over the stack's axes sums in another order
+    bound = max((float(np.linalg.norm(t)) for t in terms), default=0.0)
     return ConnectionOneForm(tuple(components), error_estimate=bound)
 
 
@@ -274,9 +280,9 @@ def gauge_transform(a: ConnectionOneForm, u, du: list[np.ndarray]) -> Connection
     u = UnitaryOperator(as_matrix(u), tol=1e-8).matrix
     if len(du) != a.n_params:
         raise ValueError("need one dU component per parameter direction")
-    components = []
-    for a_mu, du_mu in zip(a.components, du):
-        du_mu = as_matrix(du_mu)
+    du = [as_matrix(du_mu) for du_mu in du]
+    for du_mu in du:
         _check_square_finite(du_mu, "dU component")
-        components.append(hermitian_part(u @ a_mu @ u.conj().T + 1j * u @ du_mu.conj().T))
-    return ConnectionOneForm(tuple(components))
+    a_mu = np.reshape(a.components, (len(du),) + u.shape)
+    du_dag = np.reshape(du, a_mu.shape).conj().swapaxes(-1, -2)
+    return ConnectionOneForm(tuple(hermitian_part(u @ a_mu @ u.conj().T + 1j * u @ du_dag)))

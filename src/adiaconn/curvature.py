@@ -76,6 +76,18 @@ class GridTooCoarseError(Exception):
     """Surface grid failed the doubling self-consistency estimate."""
 
 
+def _pair_lookup(pairs, mu, nu) -> tuple[int, int]:
+    """The index k of the stored pair behind the antisymmetric F_mu_nu and
+    the sign s with F_mu_nu = s F_pairs[k]: +1 for a stored (mu, nu), -1
+    for a stored (nu, mu).  ValueError naming (mu, nu) when neither is
+    stored."""
+    pairs = list(pairs)
+    for sign, pair in ((1, (mu, nu)), (-1, (nu, mu))):
+        if pair in pairs:
+            return pairs.index(pair), sign
+    raise ValueError(f"no component stored for the pair ({mu}, {nu}); stored pairs: {pairs}")
+
+
 @dataclass(frozen=True)
 class CurvatureTwoForm:
     """Hermitian components F_mu_nu stored for mu < nu at one point."""
@@ -83,13 +95,13 @@ class CurvatureTwoForm:
     components: dict
 
     def component(self, mu: int, nu: int) -> np.ndarray:
-        """F_mu_nu with antisymmetry applied for reversed index order."""
-        if mu == nu:
-            some = next(iter(self.components.values()))
-            return np.zeros_like(some)
-        if (mu, nu) in self.components:
-            return self.components[(mu, nu)]
-        return -self.components[(nu, mu)]
+        """F_mu_nu with antisymmetry applied for reversed index order, zero
+        on the diagonal; ValueError for a pair stored in neither order."""
+        pairs = self.pairs
+        if mu == nu and pairs:
+            return np.zeros_like(self.components[pairs[0]])
+        k, sign = _pair_lookup(pairs, mu, nu)
+        return self.components[pairs[k]] if sign > 0 else -self.components[pairs[k]]
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -108,11 +120,11 @@ class BerryCurvatureTable:
     table: np.ndarray
 
     def value(self, n: int, mu: int, nu: int) -> float:
+        """W^(n)_mu_nu; ValueError for a pair not stored in either order."""
         if mu == nu:
             return 0.0
-        if (mu, nu) in self.pairs:
-            return float(self.table[n, self.pairs.index((mu, nu))])
-        return -float(self.table[n, self.pairs.index((nu, mu))])
+        k, sign = _pair_lookup(self.pairs, mu, nu)
+        return sign * float(self.table[n, k])
 
 
 def yang_mills_curvature(
@@ -133,7 +145,7 @@ def yang_mills_curvature(
 
     def connection_at(point):
         spec = model.spectral_at(point)
-        return connection_spectral(spec, model.grad_h(point)).components
+        return np.asarray(connection_spectral(spec, model.grad_h(point)).components)
 
     a_center = connection_at(lam)
     derivs = []  # derivs[mu][nu] = dA_nu / dlambda_mu
@@ -150,16 +162,12 @@ def yang_mills_curvature(
                 f"curvature stencil leaves the domain at {lam.tolist()} along "
                 f"{model.param_names[mu]}"
             )
-        a_plus, a_minus = connection_at(plus), connection_at(minus)
-        derivs.append([(p - m) / (2.0 * h_mu) for p, m in zip(a_plus, a_minus)])
+        derivs.append((connection_at(plus) - connection_at(minus)) / (2.0 * h_mu))
 
-    components = {}
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            comm = a_center[mu] @ a_center[nu] - a_center[nu] @ a_center[mu]
-            f = derivs[mu][nu] - derivs[nu][mu] - 1j * comm
-            components[(mu, nu)] = hermitian_part(f)
-    return CurvatureTwoForm(components=components)
+    mu, nu = np.triu_indices(n, 1)
+    a, d = a_center, np.asarray(derivs)
+    f = hermitian_part(d[mu, nu] - d[nu, mu] - 1j * (a[mu] @ a[nu] - a[nu] @ a[mu]))
+    return CurvatureTwoForm(components=dict(zip(zip(mu.tolist(), nu.tolist()), f)))
 
 
 def _level_curvature(system: BlockSystem, gs, levels) -> np.ndarray:
@@ -248,21 +256,17 @@ def diagonality_residual(
     component separately keeps identically-vanishing components (pure
     finite-difference noise) from polluting the ratio.  ``levels``
     restricts the check to the leading block, which is the honest
-    comparison for truncated families whose edge levels are artifacts.
+    comparison for truncated families whose edge levels are artifacts;
+    it must be None or an integer in [1, dim], else ValueError.
     """
-    worst_off = 0.0
-    scale = 0.0
-    for pair in f.pairs:
-        w = spec.to_eigenbasis(f.components[pair])
-        if levels is not None:
-            w = w[:levels, :levels]
-        scale = max(scale, float(np.linalg.norm(w)))
-        off = w - np.diag(np.diag(w))
-        if off.size:
-            worst_off = max(worst_off, float(np.max(np.abs(off))))
-    if scale == 0.0:
-        return 0.0
-    return worst_off / scale
+    if levels is not None and not (_is_int(levels) and 1 <= levels <= spec.dim):
+        raise ValueError(f"levels must be None or an integer in [1, {spec.dim}], got {levels!r}")
+    stack = np.reshape(list(f.components.values()), (len(f.components),) + (spec.dim,) * 2)
+    w = spec.to_eigenbasis(stack)[:, :levels, :levels]
+    # one norm per component: a norm over the stack's axes sums in another order
+    scale = max((frobenius(m) for m in w), default=0.0)
+    off = np.where(np.eye(w.shape[-1], dtype=bool), 0.0, np.abs(w))
+    return float(np.max(off)) / scale if scale else 0.0
 
 
 @dataclass(frozen=True)

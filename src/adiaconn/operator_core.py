@@ -286,7 +286,10 @@ def spectral_gaps(evals, check_levels: int | None = None):
     degeneracy rule; a degenerate spectrum invalidates every construction
     downstream that divides by eigenvalue differences.  A NaN gap misses
     the rule too.  Fewer than two checked levels give an infinite gap.
+    ``check_levels`` must be None or a positive integer, else ValueError.
     """
+    if check_levels is not None and not (_is_int(check_levels) and check_levels >= 1):
+        raise ValueError(f"check_levels must be None or a positive integer, got {check_levels!r}")
     evals = np.asarray(evals, dtype=float)
     gaps = np.diff(evals[..., :check_levels], axis=-1)
     if gaps.shape[-1] == 0:

@@ -263,6 +263,18 @@ class TestTimeAverage:
         with pytest.raises(ValueError, match="horizon"):
             TimeAverageConfig.for_spectrum(spec, horizon=horizon)
 
+    def test_one_level_spectrum_needs_a_horizon(self):
+        # one level has no gap, so 50 / min_gap gives no horizon; one passed works
+        model = constant_model(np.array([[2.0]], dtype=complex), n_params=1)
+        spec = model.spectral_at([0.0])
+        with pytest.raises(ValueError, match=r"no gap to set the default averaging horizon.*"
+                                             r"horizon \(--horizon\)"):
+            TimeAverageConfig.for_spectrum(spec)
+        with pytest.raises(ValueError, match="no gap"):
+            connection_time_average(model, [0.0])
+        a = connection_time_average(model, [0.0], TimeAverageConfig.for_spectrum(spec, 2.0))
+        assert a.error_estimate == 0.0 and not np.any(a.components[0])
+
     @pytest.mark.parametrize("samples", [2.5, 10.0, True, "10"])
     def test_non_integer_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from adiaconn.curvature import (
+    BerryCurvatureTable,
+    CurvatureTwoForm,
     GridTooCoarseError,
     SmallLoopReport,
     SurfacePatch,
@@ -121,6 +123,24 @@ class TestBerryCurvatureLevels:
         assert table.value(0, 2, 1) == -table.value(0, 1, 2)
         assert table.value(0, 1, 1) == 0.0
 
+    def test_unstored_pair_is_named(self, su2_half):
+        # one lookup for the table and the field strength: an index past
+        # the parameters names the pair, in either order
+        lam = [1.0, 1.0, 0.0]
+        table = berry_curvature_at(su2_half, lam)
+        f = yang_mills_curvature(su2_half, lam)
+        for lookup in (lambda mu, nu: table.value(0, mu, nu), f.component):
+            for mu, nu in ((0, 5), (5, 0)):
+                with pytest.raises(ValueError, match=re.escape(f"pair ({mu}, {nu})")):
+                    lookup(mu, nu)
+        assert table.pairs == tuple(f.pairs)
+
+    def test_empty_field_strength_names_the_pair(self):
+        with pytest.raises(ValueError, match=re.escape("pair (0, 0)")):
+            CurvatureTwoForm({}).component(0, 0)
+        # with nothing stored a table still reads 0 on the diagonal
+        assert BerryCurvatureTable((), np.zeros((2, 0))).value(1, 0, 0) == 0.0
+
 
 class TestDiagonality:
     def test_su2_half(self, su2_half):
@@ -145,7 +165,23 @@ class TestDiagonality:
         f = yang_mills_curvature(oscillator, lam)
         spec = oscillator.spectral_at(lam)
         k = oscillator.certified_vector_levels(lam)
+        assert k >= 1  # levels=0 is refused, so the check below cannot pass on nothing
         assert diagonality_residual(f, spec, levels=k) <= 1e-5
+
+    @pytest.mark.parametrize("levels", [-1, 0, 4, 2.5, True, np.float64(2.0), "2"])
+    def test_levels_outside_one_to_dim_rejected(self, su2_one, levels):
+        # -1 used to drop the top level, 0 to read nothing and 4 to read all 3
+        lam = [1.0, 1.0, 0.3]
+        f = yang_mills_curvature(su2_one, lam)
+        with pytest.raises(ValueError, match=r"levels must be None or an integer in \[1, 3\]"):
+            diagonality_residual(f, su2_one.spectral_at(lam), levels=levels)
+
+    def test_levels_one_to_dim_accepted(self, su2_one):
+        lam = [1.0, 1.0, 0.3]
+        f = yang_mills_curvature(su2_one, lam)
+        spec = su2_one.spectral_at(lam)
+        assert diagonality_residual(f, spec, levels=np.int64(3)) == diagonality_residual(f, spec)
+        assert diagonality_residual(f, spec, levels=1) == 0.0
 
 
 class TestSmallLoop:

@@ -128,6 +128,19 @@ class TestSpectralDecompose:
         spec = spectral_decompose(np.array([[2.0]], dtype=complex))
         assert spec.min_gap == np.inf
 
+    @pytest.mark.parametrize("check_levels", [0, -1, True, 1.5, np.float64(2.0), "2"])
+    def test_check_levels_must_be_a_positive_integer(self, check_levels):
+        # 0 and True used to check no gap at all, so the degenerate pair passed
+        with pytest.raises(ValueError, match="check_levels must be None or a positive integer"):
+            spectral_decompose(np.diag([0.0, 0.0, 1.0]), check_levels=check_levels)
+        with pytest.raises(ValueError, match="check_levels"):
+            operator_core.spectral_gaps(np.array([[0.0, 1.0]] * 3), check_levels)
+
+    def test_check_levels_one_checks_no_gap(self):
+        assert spectral_decompose(np.diag([0.0, 0.0, 1.0]), check_levels=1).min_gap == np.inf
+        with pytest.raises(DegenerateSpectrumError):
+            spectral_decompose(np.diag([0.0, 0.0, 1.0]), check_levels=np.int64(2))
+
     def test_nan_gap_fails_closed(self):
         # nan < threshold is False, so a NaN gap must be caught explicitly
         with pytest.raises(DegenerateSpectrumError):
