@@ -120,7 +120,9 @@ class BerryCurvatureTable:
     table: np.ndarray
 
     def value(self, n: int, mu: int, nu: int) -> float:
-        """W^(n)_mu_nu; ValueError for a pair not stored in either order."""
+        """W^(n)_mu_nu; ValueError for a level ``n`` that is not an integer
+        in [0, dim), and for a pair not stored in either order."""
+        _check_level(n, self.table.shape[0])
         if mu == nu:
             return 0.0
         k, sign = _pair_lookup(self.pairs, mu, nu)

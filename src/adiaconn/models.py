@@ -269,7 +269,9 @@ class ParametricHamiltonian:
         h = hermitian_part(np.array([self._eval_fn(lam) for lam in lams], dtype=complex))
         grads = (np.array([self._central_difference(lam, None) for lam in lams])
                  if directions.shape[1] else np.empty((len(lams), 0, self.dim, self.dim), complex))
-        return h, _contract(grads, directions)
+        # (mu, K, M, d, d) broadcasts: G comes out (K, M, d, d)
+        return h, _contract(grads.swapaxes(0, 1)[:, :, None],
+                            directions.transpose(2, 0, 1)[..., None, None])
 
     # -- term families ----------------------------------------------------
 
@@ -294,10 +296,15 @@ class ParametricHamiltonian:
         coefficient rows of :meth:`_coefficients` times the real and
         imaginary parts of the terms, real products only.  Each is one
         two-dimensional matrix product, so that every row rounds alike,
-        one point or a stack, one direction or several."""
+        one point or a stack, one direction or several.  The gradient
+        rows enter direction by direction, (M K, T): a hook that builds
+        them as a (T, M, K) array, the stack innermost, hands over its
+        (K, M, T) transpose, whose rows are then a view, not a copy."""
         c, c_dirs = self._coefficients(lams, directions)
-        g = c_dirs.reshape(-1, c_dirs.shape[-1]) @ self._term_values
-        return c @ self._term_values, g.reshape(c_dirs.shape[:-1] + g.shape[-1:])
+        by_direction = c_dirs.swapaxes(0, 1)  # (M, K, T)
+        g = by_direction.reshape(-1, c_dirs.shape[-1]) @ self._term_values
+        return (c @ self._term_values,
+                g.reshape(by_direction.shape[:-1] + g.shape[-1:]).swapaxes(0, 1))
 
     def _scatter(self, values: np.ndarray) -> np.ndarray:
         """Complex (..., d, d) matrices from their filled float slots
@@ -334,15 +341,14 @@ def _check_entries(h: np.ndarray, g: np.ndarray, dim: int) -> None:
 
 
 def _contract(grads: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """G[k, m] = sum_mu directions[k, m, mu] grads[k, mu], accumulated in
-    parameter order and skipping zero direction entries; grads[k, mu] is
-    a matrix, or a row of term coefficients."""
-    k, n_dirs, n_params = directions.shape
-    g = np.zeros((k, n_dirs, *grads.shape[2:]), dtype=grads.dtype)
-    for mu in range(n_params):
-        for m in range(n_dirs):
-            d = directions[:, m, mu].reshape((k,) + (1,) * (grads.ndim - 2))
-            g[:, m] += np.where(d != 0.0, d * grads[:, mu], 0.0)
+    """G = sum_mu directions[mu] grads[mu], accumulated from zero in
+    parameter order and skipping zero direction entries, one elementwise
+    pass per parameter; grads[mu] (matrices, or rows of term
+    coefficients) and directions[mu] broadcast to G, whose axis order is
+    the callers' to choose."""
+    g = np.zeros(np.broadcast_shapes(grads.shape[1:], directions.shape[1:]), dtype=grads.dtype)
+    for d, grad in zip(directions, grads):
+        g += np.where(d != 0.0, d * grad, 0.0)
     return g
 
 
@@ -383,10 +389,17 @@ def spherical_axes(theta, phi) -> np.ndarray:
 
     Arrays of angles give a (3, 3, ...) array of components.
     """
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    return np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st],
-                     [-sp, cp, np.zeros_like(sp)]])
+    return _spherical_axes(np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi))
+
+
+def _spherical_axes(st, ct, sp, cp) -> np.ndarray:
+    """:func:`spherical_axes` from the sines and cosines of theta and phi,
+    each component written whole into one (3, 3, ...) array."""
+    axes = np.empty((3, 3) + np.broadcast_shapes(np.shape(st), np.shape(sp)))
+    axes[0, 0], axes[0, 1], axes[0, 2] = st * cp, st * sp, ct
+    axes[1, 0], axes[1, 1], axes[1, 2] = ct * cp, ct * sp, -st
+    axes[2, 0], axes[2, 1], axes[2, 2] = -sp, cp, 0.0
+    return axes
 
 
 class Su2Model(ParametricHamiltonian):
@@ -414,18 +427,21 @@ class Su2Model(ParametricHamiltonian):
     def _coefficients(self, lams, directions):
         b, theta, phi = lams.T
         scale = b * self.mu
-        n_hat, theta_hat, phi_hat = spherical_axes(theta, phi)
+        st = np.sin(theta)
+        n_hat, theta_hat, phi_hat = _spherical_axes(st, np.cos(theta), np.sin(phi), np.cos(phi))
         h_coeff = (scale * n_hat).T
         if not directions.shape[1]:
             return h_coeff, np.zeros((len(lams), 0, 3))
-        # (Jx, Jy, Jz) coefficients of dH/dB, dH/dtheta, dH/dphi, as (mu, K, 3)
-        jacobian = np.array([self.mu * n_hat, scale * theta_hat,
-                             scale * np.sin(theta) * phi_hat]).transpose(0, 2, 1)
-        # summed over mu in parameter order from 0, the roundings of a plain
-        # Python sum of the three products
-        g_coeff = np.add.reduce(directions.transpose(2, 0, 1)[..., None] * jacobian[:, :, None],
-                                axis=0, initial=0.0)
-        return h_coeff, g_coeff
+        # (Jx, Jy, Jz) coefficient rows of dH/dB, dH/dtheta, dH/dphi, each (3, K)
+        jacobian = (self.mu * n_hat, scale * theta_hat, (scale * st) * phi_hat)
+        # summed over mu in parameter order from +0.0, the roundings of a
+        # plain Python sum of the three products, as (3, M, K); the
+        # directions are copied stack-innermost, as a view of them would
+        # let NumPy run each product along M
+        g_coeff = np.zeros((3, directions.shape[1], len(lams)))
+        for d, row in zip(np.ascontiguousarray(directions.T), jacobian):
+            g_coeff += row[:, None] * d
+        return h_coeff, g_coeff.T
 
 
 # ---------------------------------------------------------------------------
@@ -609,24 +625,29 @@ class ModelSpec:
 
 class _PolynomialModel(ParametricHamiltonian):
     """The family of a :class:`ModelSpec`; the monomial coefficients of a
-    whole stack come from one power product of the exponent table."""
+    whole stack come from one power product of the exponent table, kept
+    as [mu, term, 1] so that the stack runs innermost, and as floats,
+    which the power of a float takes, so that no call casts it."""
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec.dim, spec.n_params, param_names=spec.param_names)
-        self._exponents = np.array([e for e, _ in spec.terms], dtype=int)
+        self._exponents = np.array([e for e, _ in spec.terms], dtype=float).T[:, :, None]
+        self._lowered = np.maximum(self._exponents - 1, 0)
         self._declare_terms(np.array([m for _, m in spec.terms], dtype=complex))
 
     def _coefficients(self, lams, directions):
-        exps = self._exponents
-        powers = lams[:, None, :] ** exps  # [k, term, mu]
-        coeff = np.prod(powers, axis=-1)
+        params = lams.T[:, None]  # [mu, 1, k]
+        powers = params ** self._exponents  # [mu, term, k]
+        coeff = np.multiply.reduce(powers, axis=0).T
         if not directions.shape[1]:
-            return coeff, np.zeros((len(lams), 0, len(exps)))
+            return coeff, np.zeros((len(lams), 0, powers.shape[1]))
         # d/dlambda_mu of a term: e_mu times its powers with lambda_mu's lowered by one
-        lowered = lams[:, None, :] ** np.maximum(exps - 1, 0)
-        diag = np.eye(self.n_params, dtype=bool)
-        d_coeff = exps * np.prod(np.where(diag, lowered[:, :, None], powers[:, :, None]), axis=-1)
-        return coeff, _contract(d_coeff.swapaxes(1, 2), directions)
+        diag = np.eye(self.n_params, dtype=bool)[:, :, None, None]
+        factors = np.where(diag, params ** self._lowered, powers)  # [mu, nu, term, k]
+        d_coeff = self._exponents * np.multiply.reduce(factors, axis=1)  # [mu, term, k]
+        # (mu, term, M, k) broadcasts, the directions copied stack-innermost
+        # as in Su2Model: G comes out (term, M, k)
+        return coeff, _contract(d_coeff[:, :, None], np.ascontiguousarray(directions.T)[:, None]).T
 
 
 _COMPLEX_RE = re.compile(

@@ -61,11 +61,14 @@ transport kernel builds the spin-1/2 step factor from it, and the
 surface integrand the level curvature, with no contraction of whole
 matrices and no series.  Every step factor, by series, eigenbasis or
 closed form, meets one unitarity check (:func:`_check_unitary_steps`).
-For the same reason a reduction
-over a short axis of a stack (a spectral radius, a 1-norm, a nearest
-gap) runs over a copy with that axis in front (:func:`_short_axis_first`),
-so that NumPy's inner loops run along the stack and not along the
-axis, once per matrix.
+For the same reason a short axis of a stack is put in front of the
+stack before a reduction over it, so that NumPy's inner loops run along
+the stack and not along the axis, once per matrix: the gap rule writes
+its gaps and eigenvalue magnitudes level-first in the one elementwise
+pass that computes them, and the 1-norm of the step exponential reduces
+a copy with the axis in front (:func:`_short_axis_first`).  For the same
+reason the two-node tree block reads its link and its diagonal as
+entry views of the stack, not as gathered copies.
 """
 
 from __future__ import annotations
@@ -271,10 +274,8 @@ def default_gap_tol(eigenvalues: np.ndarray):
     Eigenvalues of a stack of matrices (leading batch axes) give one
     threshold per matrix.
     """
-    radius = np.abs(np.asarray(eigenvalues, dtype=float))
-    if radius.ndim > 1:
-        radius = _short_axis_first(radius)
-    return 1e-8 * (1.0 + np.max(radius, axis=0, initial=0.0))
+    radius = np.abs(np.asarray(eigenvalues, dtype=float).T, order="C")  # levels in front
+    return 1e-8 * (1.0 + np.maximum.reduce(radius, axis=0, initial=0.0).T)
 
 
 def spectral_gaps(evals, check_levels: int | None = None):
@@ -291,17 +292,18 @@ def spectral_gaps(evals, check_levels: int | None = None):
     if check_levels is not None and not (_is_int(check_levels) and check_levels >= 1):
         raise ValueError(f"check_levels must be None or a positive integer, got {check_levels!r}")
     evals = np.asarray(evals, dtype=float)
-    gaps = np.diff(evals[..., :check_levels], axis=-1)
-    if gaps.shape[-1] == 0:
+    levels = evals[..., :check_levels].T  # a view, levels in front
+    if len(levels) < 2:
         return np.full(evals.shape[:-1], np.inf)
-    min_gap = np.min(_short_axis_first(gaps) if gaps.ndim > 1 else gaps, axis=0)
-    threshold = np.broadcast_to(default_gap_tol(evals), min_gap.shape)
+    gaps = np.subtract(levels[1:], levels[:-1], order="C")
+    min_gap = np.minimum.reduce(gaps, axis=0).T
+    threshold = default_gap_tol(evals)
     bad = np.flatnonzero(~(min_gap >= threshold))
     if bad.size:
         k = bad[0]
-        worst = np.argmin(gaps.reshape(-1, gaps.shape[-1])[k])
-        raise DegenerateSpectrumError(int(worst), float(min_gap.flat[k]),
-                                      float(threshold.flat[k]))
+        worst = np.argmin(gaps.T.reshape(-1, len(gaps))[k])
+        raise DegenerateSpectrumError(int(worst), float(np.ravel(min_gap)[k]),
+                                      float(np.ravel(threshold)[k]))
     return min_gap
 
 
@@ -422,12 +424,19 @@ def eigh_block(stack: np.ndarray, block: Block):
     two-node tree block, [[a, |H_01|], [|H_01|, c]], is decomposed in
     closed form from one rotation angle (:func:`_eigh_2x2`), the only
     caller of that form, so its eigenvalues meet the same degeneracy rule
-    as every other block's.  A block with a cycle, and any real input,
+    as every other block's; its one link and its diagonal are read as
+    entry views of the stack.  A block with a cycle, and any real input,
     takes ``numpy.linalg.eigh`` as it is, with ``gauge`` None.
     """
     parent = block.parent
     if parent is None or not np.iscomplexobj(stack):
         return (*np.linalg.eigh(stack), None)
+    if len(parent) == 2:
+        link = stack[:, 0, 1]
+        size = np.abs(link)
+        gauge = np.ones((len(stack), 2), dtype=complex)
+        np.divide(link.conj(), size, out=gauge[:, 1], where=size > 0)
+        return (*_eigh_2x2(stack[:, 0, 0].real, size, stack[:, 1, 1].real), gauge)
     local = np.arange(len(parent))
     child = np.flatnonzero(parent != local)
     link = stack[:, parent[child], child]  # H_pc of every child c, (K, children)
@@ -440,11 +449,8 @@ def eigh_block(stack: np.ndarray, block: Block):
     while np.any(up):  # pointer jumping: products along each path to the root
         gauge = gauge * gauge[:, up]
         up = up[up]
-    diag = stack[:, local, local].real
-    if len(parent) == 2:
-        return (*_eigh_2x2(diag[:, 0], size[:, 0], diag[:, 1]), gauge)
     real = np.zeros(stack.shape, dtype=float)
-    real[:, local, local] = diag
+    real[:, local, local] = stack[:, local, local].real
     real[:, parent[child], child] = size
     real[:, child, parent[child]] = size
     return (*np.linalg.eigh(real), gauge)

@@ -141,6 +141,16 @@ class TestBerryCurvatureLevels:
         # with nothing stored a table still reads 0 on the diagonal
         assert BerryCurvatureTable((), np.zeros((2, 0))).value(1, 0, 0) == 0.0
 
+    @pytest.mark.parametrize("n", [-1, 3, 1.0, np.float64(1.0), True])
+    def test_level_outside_the_table_is_named(self, su2_one, n):
+        # -1 would index the top level from the end; 1.0 and True are no level index
+        table = berry_curvature_at(su2_one, [1.0, 1.0, 0.3])
+        message = re.escape(f"level index {n} out of range for dim 3")
+        for mu, nu in ((1, 2), (1, 1)):
+            with pytest.raises(ValueError, match=message):
+                table.value(n, mu, nu)
+        assert table.value(np.int64(2), 1, 2) == table.value(2, 1, 2)
+
 
 class TestDiagonality:
     def test_su2_half(self, su2_half):

@@ -160,6 +160,14 @@ class TestHolonomy:
         assert res.offdiag_residual < 1e-6
         assert res.reliable
 
+    @pytest.mark.parametrize("refinement, reliable", [(10, False), (30, True)])
+    def test_reliability_reads_the_offdiagonal_bound(self, su2_half, refinement, reliable):
+        # a coarse circle leaks between the levels: about 7.4e-3 at
+        # refinement 10, between the bound 1e-3 and 1e-2, and 8.2e-4 at 30
+        res = holonomy(su2_half, su2_circle_loop(1.0, refinement=refinement))
+        assert 5e-4 < res.offdiag_residual < 1e-2
+        assert res.reliable is reliable
+
     def test_zero_area_loop(self, su2_half):
         out_and_back = PathSpec(
             np.array([[1.0, 0.2, 0.1], [1.0, 1.2, 0.9], [1.0, 0.2, 0.1]]),
